@@ -56,12 +56,6 @@ pub struct AvailabilityAnalysis<'a> {
 }
 
 impl<'a> AvailabilityAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::availability` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        AvailabilityAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::availability`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -78,7 +72,7 @@ impl<'a> AvailabilityAnalysis<'a> {
         if node_hours <= 0.0 {
             return None;
         }
-        let failures = s.failures().len() as u64;
+        let failures = s.failure_columns().len() as u64;
         let mut with_downtime = 0u64;
         let mut downtime_hours = 0.0;
         let mut by_root: BTreeMap<RootCause, f64> = BTreeMap::new();

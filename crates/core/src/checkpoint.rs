@@ -10,6 +10,7 @@
 //! node is inside the paper's high-risk window after a failure.
 
 use crate::predict::AlarmRule;
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 
@@ -147,10 +148,9 @@ impl CheckpointSimulator {
         policy: CheckpointPolicy,
     ) -> CheckpointOutcome {
         let start = system.config().start;
-        let failure_hours: Vec<f64> = system
-            .node_failures(node)
-            .map(|f| (f.time - start).as_seconds() as f64 / 3600.0)
-            .collect();
+        let cols = system.failure_columns();
+        let hours = |t: Timestamp| (t - start).as_seconds() as f64 / 3600.0;
+        let failure_hours: Vec<f64> = cols.node_events(node, ClassCode::Any).map(hours).collect();
 
         // Interval in effect at time t (hours since start).
         let interval_at = |t: f64| -> f64 {
@@ -165,12 +165,9 @@ impl CheckpointSimulator {
                     let flagged = failure_hours.iter().any(|&fh| {
                         fh < t && t <= fh + window_h && {
                             // The rule's class must match the triggering
-                            // failure; re-check against the records.
-                            system.node_failures(node).any(|f| {
-                                rule.trigger.matches(f)
-                                    && ((f.time - start).as_seconds() as f64 / 3600.0 - fh).abs()
-                                        < 1e-9
-                            })
+                            // failure; re-check against the columns.
+                            cols.node_events(node, ClassCode::new(rule.trigger))
+                                .any(|t| (hours(t) - fh).abs() < 1e-9)
                         }
                     });
                     if flagged {

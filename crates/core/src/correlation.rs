@@ -7,6 +7,7 @@
 //! system — and compares it against the probability in a random window.
 
 use crate::estimate::ConditionalEstimate;
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::query::WindowCounts;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
@@ -123,12 +124,6 @@ pub struct CorrelationAnalysis<'a> {
 }
 
 impl<'a> CorrelationAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::correlation` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        CorrelationAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::correlation`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -264,6 +259,10 @@ fn conditional_for_system(
     if scope == Scope::SameRack && layout.is_none() {
         return ConditionalEstimate::empty();
     }
+    let cols = system.failure_columns();
+    let triggers = cols
+        .events(ClassCode::new(trigger))
+        .filter(|&(time, _)| system.window_observed(time, window));
 
     // SameSystem asks, per trigger, how many *other* nodes see a target
     // failure in the trigger's window — naively O(nodes) probes per
@@ -272,32 +271,24 @@ fn conditional_for_system(
     // count in O(failures) total; counts (and therefore output bytes)
     // are identical to the per-node probes.
     if scope == Scope::SameSystem {
-        let targets: Vec<(Timestamp, u32)> = system
-            .failures()
-            .iter()
-            .filter(|f| target.matches(f))
-            .map(|f| (f.time, f.node.raw()))
-            .collect();
+        let targets: Vec<(Timestamp, NodeId)> = cols.events(ClassCode::new(target)).collect();
         let nodes = system.config().nodes as u64;
         let mut per_node = vec![0u32; system.config().nodes as usize];
         let mut distinct = 0u64;
         let (mut lo, mut hi) = (0usize, 0usize);
-        for f in system.failures() {
-            if !trigger.matches(f) || !system.window_observed(f.time, window) {
-                continue;
-            }
-            let until = f.time + duration;
-            // Grow the window to (f.time, until], shrink from the left.
+        for (time, node) in triggers {
+            let until = time + duration;
+            // Grow the window to (time, until], shrink from the left.
             while hi < targets.len() && targets[hi].0 <= until {
-                let n = targets[hi].1 as usize;
+                let n = targets[hi].1.index();
                 per_node[n] += 1;
                 if per_node[n] == 1 {
                     distinct += 1;
                 }
                 hi += 1;
             }
-            while lo < hi && targets[lo].0 <= f.time {
-                let n = targets[lo].1 as usize;
+            while lo < hi && targets[lo].0 <= time {
+                let n = targets[lo].1.index();
                 per_node[n] -= 1;
                 if per_node[n] == 0 {
                     distinct -= 1;
@@ -305,29 +296,26 @@ fn conditional_for_system(
                 lo += 1;
             }
             cond.total += nodes - 1;
-            let own = u64::from(per_node[f.node.index()] > 0);
+            let own = u64::from(per_node[node.index()] > 0);
             cond.hits += distinct - own;
         }
         return ConditionalEstimate::from_counts(cond, baseline);
     }
 
-    for f in system.failures() {
-        if !trigger.matches(f) || !system.window_observed(f.time, window) {
-            continue;
-        }
-        let until = f.time + duration;
+    for (time, node) in triggers {
+        let until = time + duration;
         match scope {
             Scope::SameNode => {
                 cond.total += 1;
-                if system.node_has_failure_in(f.node, target, f.time, until) {
+                if system.node_has_failure_in(node, target, time, until) {
                     cond.hits += 1;
                 }
             }
             Scope::SameRack => {
                 let Some(layout) = layout else { continue };
-                for peer in layout.rack_neighbors(f.node) {
+                for peer in layout.rack_neighbors(node) {
                     cond.total += 1;
-                    if system.node_has_failure_in(peer, target, f.time, until) {
+                    if system.node_has_failure_in(peer, target, time, until) {
                         cond.hits += 1;
                     }
                 }

@@ -13,6 +13,7 @@
 use hpcfail_stats::htest::TestResult;
 use hpcfail_stats::mle::{rank_fits, FitError, RankedFit};
 use hpcfail_stats::timeseries::{acf, ljung_box};
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 use std::fmt;
@@ -59,12 +60,6 @@ pub struct ArrivalAnalysis<'a> {
 }
 
 impl<'a> ArrivalAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::arrivals` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        ArrivalAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::arrivals`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -152,10 +147,9 @@ impl From<FitError> for ArrivalError {
 /// of `class`.
 fn interarrival_hours(system: &SystemTrace, class: FailureClass) -> Vec<f64> {
     let times: Vec<i64> = system
-        .failures()
-        .iter()
-        .filter(|f| class.matches(f))
-        .map(|f| f.time.as_seconds())
+        .failure_columns()
+        .events(ClassCode::new(class))
+        .map(|(time, _)| time.as_seconds())
         .collect();
     times
         .windows(2)
@@ -169,12 +163,10 @@ fn daily_counts(system: &SystemTrace, class: FailureClass) -> Vec<f64> {
     let days = system.config().observation_days().max(0) as usize;
     let start = system.config().start;
     let mut counts = vec![0.0; days];
-    for f in system.failures() {
-        if class.matches(f) {
-            let d = (f.time - start).as_seconds() / 86_400;
-            if (0..days as i64).contains(&d) {
-                counts[d as usize] += 1.0;
-            }
+    for (time, _) in system.failure_columns().events(ClassCode::new(class)) {
+        let d = (time - start).as_seconds() / 86_400;
+        if (0..days as i64).contains(&d) {
+            counts[d as usize] += 1.0;
         }
     }
     counts

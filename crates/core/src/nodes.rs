@@ -7,6 +7,7 @@
 
 use hpcfail_stats::htest::{chi_square_equal_proportions, TestResult};
 use hpcfail_stats::proportion::Proportion;
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
@@ -37,12 +38,6 @@ pub struct NodeAnalysis<'a> {
 }
 
 impl<'a> NodeAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::nodes` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        NodeAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::nodes`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -79,10 +74,11 @@ impl<'a> NodeAnalysis<'a> {
         exclude: &[NodeId],
     ) -> Option<TestResult> {
         let s = self.system(system)?;
+        let code = ClassCode::new(class);
         let counts: Vec<f64> = s
             .nodes()
             .filter(|n| !exclude.contains(n))
-            .map(|n| s.node_failures(n).filter(|f| class.matches(f)).count() as f64)
+            .map(|n| s.failure_columns().node_events(n, code).count() as f64)
             .collect();
         if counts.len() < 2 {
             return None;

@@ -8,6 +8,7 @@
 //! contains a failure), recall (how many failures fall inside flagged
 //! windows) and the cost (fraction of node-time flagged).
 
+use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 
@@ -118,6 +119,8 @@ impl AlarmRule {
     pub fn evaluate_system(&self, system: &SystemTrace) -> AlarmEvaluation {
         let mut eval = AlarmEvaluation::empty();
         let w = self.window.duration();
+        let code = ClassCode::new(self.trigger);
+        let cols = system.failure_columns();
         let config = system.config();
         eval.total_seconds =
             config.nodes as u64 * config.observation_span().as_seconds().max(0) as u64;
@@ -130,16 +133,16 @@ impl AlarmRule {
             if system.node_failure_count(node) == 0 {
                 continue;
             }
-            let failures: Vec<&FailureRecord> = system.node_failures(node).collect();
+            let triggers: Vec<Timestamp> = cols.node_events(node, code).collect();
             // Flagged intervals from triggers (merged union for cost).
             let mut intervals: Vec<(i64, i64)> = Vec::new();
-            for f in &failures {
-                if self.trigger.matches(f) && system.window_observed(f.time, self.window) {
+            for &t in &triggers {
+                if system.window_observed(t, self.window) {
                     eval.alarms += 1;
-                    if system.node_has_failure_in(node, FailureClass::Any, f.time, f.time + w) {
+                    if system.node_has_failure_in(node, FailureClass::Any, t, t + w) {
                         eval.correct_alarms += 1;
                     }
-                    intervals.push((f.time.as_seconds(), (f.time + w).as_seconds()));
+                    intervals.push((t.as_seconds(), (t + w).as_seconds()));
                 }
             }
             intervals.sort_unstable();
@@ -161,15 +164,11 @@ impl AlarmRule {
             }
             eval.flagged_seconds += covered.max(0) as u64;
 
-            // Recall: failures preceded by a matching trigger within w.
-            for (i, f) in failures.iter().enumerate() {
+            // Recall: failures preceded by a trigger in [t - w, t).
+            for t in cols.node_events(node, ClassCode::Any) {
                 eval.total_failures += 1;
-                let earliest = f.time - w;
-                let caught = failures[..i]
-                    .iter()
-                    .rev()
-                    .any(|g| g.time >= earliest && g.time < f.time && self.trigger.matches(g));
-                if caught {
+                let first = triggers.partition_point(|&g| g < t - w);
+                if triggers.get(first).is_some_and(|&g| g < t) {
                     eval.caught_failures += 1;
                 }
             }

@@ -90,12 +90,6 @@ pub struct RegressionStudy<'a> {
 }
 
 impl<'a> RegressionStudy<'a> {
-    /// Creates the study over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::regression` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        RegressionStudy::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::regression`].
     pub(crate) fn over(trace: &'a Trace) -> Self {

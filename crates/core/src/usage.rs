@@ -39,12 +39,6 @@ pub struct UsageAnalysis<'a> {
 }
 
 impl<'a> UsageAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::usage` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        UsageAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::usage`].
     pub(crate) fn over(trace: &'a Trace) -> Self {

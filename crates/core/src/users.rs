@@ -43,12 +43,6 @@ pub struct UserAnalysis<'a> {
 }
 
 impl<'a> UserAnalysis<'a> {
-    /// Creates the analysis over `trace`.
-    #[deprecated(note = "construct through `hpcfail_core::engine::Engine::users` instead")]
-    pub fn new(trace: &'a Trace) -> Self {
-        UserAnalysis::over(trace)
-    }
-
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::users`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
@@ -135,12 +129,12 @@ fn attribute_failures(system: &SystemTrace) -> BTreeMap<UserId, u64> {
     }
 
     let mut hits: BTreeMap<UserId, u64> = BTreeMap::new();
-    for f in system.failures() {
-        let ni = f.node.index();
+    let cols = system.failure_columns();
+    for (&t, &node) in cols.times().iter().zip(cols.nodes()) {
+        let ni = node as usize;
         if ni >= nodes {
             continue;
         }
-        let t = f.time.as_seconds();
         let list = &intervals[ni];
         let idx = list.partition_point(|&(d, _, _)| d <= t);
         let earliest = t - max_run[ni];

@@ -1,30 +1,22 @@
-//! Equivalence of the unified [`Engine`] API with direct per-analysis
-//! calls: for every request variant, `Engine::run` must produce the
+//! Equivalence of the unified [`Engine`] API with the per-analysis
+//! views: for every request variant, `Engine::run` must produce the
 //! same values — and the same JSON bytes — as calling the underlying
-//! analysis directly, and repeated (warm) runs must equal the first
-//! (cold) one byte-for-byte.
+//! analysis through the views of a second engine over an independently
+//! generated copy of the trace, and repeated (warm) runs must equal the
+//! first (cold) one byte-for-byte.
 
-#![allow(deprecated)]
-
-use hpcfail_core::availability::AvailabilityAnalysis;
 use hpcfail_core::checkpoint::{CheckpointPolicy, CheckpointSimulator};
-use hpcfail_core::correlation::{CorrelationAnalysis, Scope};
-use hpcfail_core::cosmic::CosmicAnalysis;
+use hpcfail_core::correlation::Scope;
 use hpcfail_core::engine::{
     AnalysisRequest, AnalysisResult, ArrivalSummary, CosmicSummary, Engine, EnvShare, GlmSummary,
     RootShare, UsageSummary, UserSummary, REQUEST_KINDS,
 };
-use hpcfail_core::interarrival::ArrivalAnalysis;
-use hpcfail_core::nodes::NodeAnalysis;
-use hpcfail_core::pairwise::PairwiseAnalysis;
-use hpcfail_core::power::{PowerAnalysis, PowerProblem};
+use hpcfail_core::power::PowerProblem;
 use hpcfail_core::predict::AlarmRule;
-use hpcfail_core::regression_study::{RegressionStudy, StudyFamily};
-use hpcfail_core::temperature::{TempPredictor, TemperatureAnalysis};
-use hpcfail_core::usage::UsageAnalysis;
-use hpcfail_core::users::UserAnalysis;
+use hpcfail_core::regression_study::StudyFamily;
+use hpcfail_core::temperature::TempPredictor;
 use hpcfail_stats::glm::Family;
-use hpcfail_store::trace::Trace;
+use hpcfail_store::trace::{SystemTraceBuilder, Trace};
 use hpcfail_types::prelude::*;
 use proptest::prelude::*;
 
@@ -148,15 +140,16 @@ fn requests_for(system: SystemId, seed: (usize, usize, usize)) -> Vec<AnalysisRe
     ]
 }
 
-/// Computes the answer to `request` through the deprecated direct
-/// constructors, byte-compatible with `Engine::run`.
-fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> AnalysisResult {
+/// Computes the answer to `request` through the per-analysis views of
+/// `views`, byte-compatible with `Engine::run`.
+fn direct(views: &Engine, request: &AnalysisRequest) -> AnalysisResult {
+    let trace = views.trace();
     match request {
         AnalysisRequest::TraceSummary => {
             AnalysisResult::TraceSummary(hpcfail_core::engine::TraceSummary {
                 systems: trace.systems().map(|s| s.config().id.raw()).collect(),
                 failures: trace.total_failures() as u64,
-                fingerprint: engine.fingerprint_hex(),
+                fingerprint: views.fingerprint_hex(),
             })
         }
         AnalysisRequest::Conditional {
@@ -166,7 +159,8 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             window,
             scope,
         } => AnalysisResult::Conditional(
-            CorrelationAnalysis::new(trace)
+            views
+                .correlation()
                 .group_conditional(*group, *trigger, *target, *window, *scope),
         ),
         AnalysisRequest::FleetConditional {
@@ -175,17 +169,21 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             window,
             scope,
         } => AnalysisResult::Conditional(
-            CorrelationAnalysis::new(trace).fleet_conditional(*trigger, *target, *window, *scope),
+            views
+                .correlation()
+                .fleet_conditional(*trigger, *target, *window, *scope),
         ),
         AnalysisRequest::SameTypeSummaries {
             group,
             window,
             scope,
         } => AnalysisResult::SameType(
-            PairwiseAnalysis::new(trace).same_type_summaries(*group, *window, *scope),
+            views
+                .pairwise()
+                .same_type_summaries(*group, *window, *scope),
         ),
         AnalysisRequest::NodeFailureCounts { system } => {
-            AnalysisResult::NodeFailureCounts(NodeAnalysis::new(trace).failure_counts(*system))
+            AnalysisResult::NodeFailureCounts(views.nodes().failure_counts(*system))
         }
         AnalysisRequest::EqualRatesTest {
             system,
@@ -197,27 +195,26 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             } else {
                 &[]
             };
-            AnalysisResult::Test(
-                NodeAnalysis::new(trace).equal_rates_test(*system, *class, exclude),
-            )
+            AnalysisResult::Test(views.nodes().equal_rates_test(*system, *class, exclude))
         }
         AnalysisRequest::NodeVsRest {
             system,
             node,
             class,
             window,
-        } => AnalysisResult::NodeVsRest(
-            NodeAnalysis::new(trace).node_vs_rest(*system, *node, *class, *window),
-        ),
+        } => {
+            AnalysisResult::NodeVsRest(views.nodes().node_vs_rest(*system, *node, *class, *window))
+        }
         AnalysisRequest::RootCauseShares { system, nodes } => AnalysisResult::RootCauseShares(
-            NodeAnalysis::new(trace)
+            views
+                .nodes()
                 .root_cause_shares(*system, nodes)
                 .into_iter()
                 .map(|(root, share)| RootShare { root, share })
                 .collect(),
         ),
         AnalysisRequest::UsageCorrelations { system } => {
-            let usage = UsageAnalysis::new(trace);
+            let usage = views.usage();
             AnalysisResult::Usage(UsageSummary {
                 jobs_pearson: usage.jobs_failures_pearson(*system),
                 util_pearson: usage.util_failures_pearson(*system),
@@ -225,7 +222,7 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             })
         }
         AnalysisRequest::HeaviestUsers { system, k } => {
-            let users = UserAnalysis::new(trace);
+            let users = views.users();
             let stats = users.heaviest_users(*system, *k);
             let heterogeneity = users.heterogeneity_test(&stats);
             AnalysisResult::Users(UserSummary {
@@ -234,7 +231,7 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             })
         }
         AnalysisRequest::EnvBreakdown => {
-            let power = PowerAnalysis::new(trace);
+            let power = views.power();
             let shares = power.env_shares();
             AnalysisResult::EnvBreakdown(
                 power
@@ -252,11 +249,11 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             problem,
             target,
             window,
-        } => AnalysisResult::Conditional(
-            PowerAnalysis::new(trace).conditional_after(*problem, *target, *window),
-        ),
+        } => {
+            AnalysisResult::Conditional(views.power().conditional_after(*problem, *target, *window))
+        }
         AnalysisRequest::MaintenanceAfterPower { problem } => {
-            AnalysisResult::Conditional(PowerAnalysis::new(trace).maintenance_after(*problem))
+            AnalysisResult::Conditional(views.power().maintenance_after(*problem))
         }
         AnalysisRequest::TemperatureRegression {
             system,
@@ -269,14 +266,15 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
                 StudyFamily::NegativeBinomial => Family::NegativeBinomial { theta: 1.0 },
             };
             AnalysisResult::Glm(
-                TemperatureAnalysis::new(trace)
+                views
+                    .temperature()
                     .regression(*system, *predictor, *target, family)
                     .map(|fit| GlmSummary::from_fit(&fit))
                     .map_err(|e| e.to_string()),
             )
         }
         AnalysisRequest::CosmicCorrelation { system, class } => {
-            let cosmic = CosmicAnalysis::new(trace);
+            let cosmic = views.cosmic();
             AnalysisResult::Cosmic(CosmicSummary {
                 months: cosmic.monthly_series(*system, *class).len(),
                 pearson: cosmic.flux_correlation(*system, *class),
@@ -288,13 +286,15 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             family,
             exclude_node0,
         } => AnalysisResult::Glm(
-            RegressionStudy::new(trace)
+            views
+                .regression()
                 .fit(*system, *family, *exclude_node0)
                 .map(|fit| GlmSummary::from_fit(&fit))
                 .map_err(|e| e.to_string()),
         ),
         AnalysisRequest::ArrivalProfile { system, class } => AnalysisResult::Arrival(
-            ArrivalAnalysis::new(trace)
+            views
+                .arrivals()
                 .profile(*system, *class)
                 .map(|p| ArrivalSummary::from_profile(&p))
                 .map_err(|e| e.to_string()),
@@ -314,7 +314,7 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
             CheckpointSimulator::typical().replay_group(trace, *group, *policy),
         ),
         AnalysisRequest::Availability { system } => {
-            let availability = AvailabilityAnalysis::new(trace);
+            let availability = views.availability();
             AnalysisResult::Availability(match system {
                 Some(id) => availability.report(*id).into_iter().collect(),
                 None => availability.all_reports(),
@@ -325,7 +325,7 @@ fn direct(trace: &Trace, engine: &Engine, request: &AnalysisRequest) -> Analysis
 
 #[test]
 fn engine_matches_direct_calls_for_every_kind() {
-    let trace = demo_trace();
+    let views = Engine::new(demo_trace());
     let engine = Engine::new(demo_trace());
     let reqs = requests((0, 0, 0));
     assert_eq!(
@@ -335,7 +335,7 @@ fn engine_matches_direct_calls_for_every_kind() {
     );
     for request in reqs {
         let via_engine = engine.run(&request);
-        let via_direct = direct(&trace, &engine, &request);
+        let via_direct = direct(&views, &request);
         assert_eq!(via_engine, via_direct, "values for {}", request.kind());
         assert_eq!(
             via_engine.to_json().pretty(),
@@ -396,6 +396,97 @@ fn csv_and_snapshot_loads_share_fingerprint_and_results() {
     }
 }
 
+/// `trace` rebuilt through the builder, with `edit` applied to each
+/// system's jobs and layout.
+fn rebuilt(
+    trace: &Trace,
+    edit: impl Fn(&SystemConfig, &mut Vec<JobRecord>, &mut Option<MachineLayout>),
+) -> Trace {
+    let mut out = Trace::new();
+    for system in trace.systems() {
+        let mut jobs = system.jobs().to_vec();
+        let mut layout = system.layout().cloned();
+        edit(system.config(), &mut jobs, &mut layout);
+        let mut builder = SystemTraceBuilder::new(system.config().clone());
+        for f in system.failures() {
+            builder.push_failure(f);
+        }
+        for job in jobs {
+            builder.push_job(job);
+        }
+        for &t in system.temperatures() {
+            builder.push_temperature(t);
+        }
+        for &m in system.maintenance() {
+            builder.push_maintenance(m);
+        }
+        if let Some(layout) = layout {
+            builder.layout(layout);
+        }
+        out.insert_system(builder.build());
+    }
+    out.set_neutron_samples(trace.neutron_samples().to_vec());
+    out
+}
+
+/// Sections V and VI join failures with job→node assignments, so the
+/// fingerprint that keys result caches must see them: two traces that
+/// differ only in which node one job ran on must not share it.
+#[test]
+fn fingerprint_covers_job_node_lists() {
+    let trace = demo_trace();
+    let same = rebuilt(&trace, |_, _, _| {});
+    let moved = rebuilt(&trace, |config, jobs, _| {
+        if let Some(job) = jobs.iter_mut().find(|j| !j.nodes.is_empty()) {
+            let node = job.nodes[0];
+            job.nodes[0] = NodeId::new((node.raw() + 1) % config.nodes);
+        }
+    });
+    let original = Engine::new(trace).fingerprint();
+    assert_eq!(Engine::new(same).fingerprint(), original);
+    assert_ne!(Engine::new(moved).fingerprint(), original);
+}
+
+/// Rack membership drives same-rack correlation, so moving one node to
+/// another rack must change the fingerprint.
+#[test]
+fn fingerprint_covers_rack_assignment() {
+    let trace = demo_trace();
+    assert!(trace.systems().any(|s| s.layout().is_some()));
+    let moved = rebuilt(&trace, |_, _, layout| {
+        if let Some(layout) = layout.as_mut() {
+            let (node, loc) = layout.iter().next().expect("non-empty layout");
+            let rack = RackId::new(loc.rack.raw() + 1);
+            layout.place(node, NodeLocation { rack, ..loc });
+        }
+    });
+    assert_ne!(
+        Engine::new(moved).fingerprint(),
+        Engine::new(trace).fingerprint()
+    );
+}
+
+/// A decoded snapshot's engine takes the fingerprint decode already
+/// checked against the header, and building the engine adds nothing
+/// to the trace's resident bytes.
+#[test]
+fn decoded_trace_engine_reuses_header_fingerprint_and_residency() {
+    use hpcfail_store::snapshot::{decode_snapshot, snapshot_bytes};
+
+    let bytes = snapshot_bytes(&demo_trace());
+    // magic (8 bytes), version (u32), then the fingerprint (u64).
+    let header = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let trace = decode_snapshot(&bytes).unwrap();
+    let resident = trace.resident_bytes();
+    let engine = Engine::new(trace);
+    assert_eq!(engine.fingerprint(), header);
+    assert_eq!(engine.trace().resident_bytes(), resident);
+    for request in requests((0, 0, 0)) {
+        let _ = engine.run(&request);
+    }
+    assert_eq!(engine.trace().resident_bytes(), resident);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -405,11 +496,11 @@ proptest! {
         window_ix in 0usize..3,
         scope_ix in 0usize..3,
     ) {
-        let trace = demo_trace();
+        let views = Engine::new(demo_trace());
         let engine = Engine::new(demo_trace());
         for request in requests((class_ix, window_ix, scope_ix)) {
             let via_engine = engine.run(&request);
-            let via_direct = direct(&trace, &engine, &request);
+            let via_direct = direct(&views, &request);
             prop_assert_eq!(
                 via_engine.to_json().pretty(),
                 via_direct.to_json().pretty(),
@@ -444,13 +535,13 @@ fn engine_equivalence_holds_on_scenario_pack_traces() {
     // cascading-power is the richest pack: job log, temperature
     // sensors, and scripted episodes all present.
     let scenario = hpcfail_synth::scenario::load("cascading-power").expect("builtin pack");
-    let trace = scenario.generate().into_store();
+    let views = Engine::new(scenario.generate().into_store());
     let engine = Engine::new(scenario.generate().into_store());
     let pack_system = SystemId::new(scenario.fleet().systems[0].id);
     for seed in [(0, 0, 0), (1, 2, 1)] {
         for request in requests_for(pack_system, seed) {
             let via_engine = engine.run(&request);
-            let via_direct = direct(&trace, &engine, &request);
+            let via_direct = direct(&views, &request);
             assert_eq!(via_engine, via_direct, "values for {}", request.kind());
             assert_eq!(
                 via_engine.to_json().pretty(),

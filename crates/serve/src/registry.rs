@@ -13,7 +13,7 @@
 //! Under a global `--max-resident-bytes` budget, the registry demotes
 //! the least-recently-queried traces to **cold** state: the engine is
 //! re-encoded as `.hpcsnap` bytes (a fraction of the warm footprint —
-//! no indexes, no materialized rows) and the warm engine dropped. The
+//! no indexes, no postings) and the warm engine dropped. The
 //! next query against a cold trace rehydrates it transparently, which
 //! may in turn demote some other idle trace. The trace being inserted
 //! or queried is never its own eviction victim, so a single trace

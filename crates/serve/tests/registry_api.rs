@@ -8,8 +8,9 @@ use hpcfail_serve::client::Client;
 use hpcfail_serve::registry::{TraceRegistry, TraceSource};
 use hpcfail_serve::server::{spawn, spawn_with_registry, ServerConfig};
 use hpcfail_store::snapshot::snapshot_bytes;
-use hpcfail_store::trace::Trace;
+use hpcfail_store::trace::{SystemTraceBuilder, Trace};
 use hpcfail_synth::FleetSpec;
+use hpcfail_types::ids::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -179,6 +180,81 @@ fn reupload_never_serves_stale_cache() {
     let warm = client.post("/v1/traces/t/query", body, &[]).expect("q4");
     assert_eq!(warm.header("x-cache"), Some("hit"));
     assert_eq!(warm.body, fresh.body);
+    handle.shutdown();
+}
+
+/// `trace` with every job moved to the next node up: the same failures,
+/// users and times, but a different job→node assignment.
+fn with_jobs_shifted(trace: &Trace) -> Trace {
+    let mut out = Trace::new();
+    for system in trace.systems() {
+        let nodes = system.config().nodes;
+        let mut builder = SystemTraceBuilder::new(system.config().clone());
+        for f in system.failures() {
+            builder.push_failure(f);
+        }
+        for job in system.jobs() {
+            let mut job = job.clone();
+            for node in &mut job.nodes {
+                *node = NodeId::new((node.raw() + 1) % nodes);
+            }
+            builder.push_job(job);
+        }
+        for &t in system.temperatures() {
+            builder.push_temperature(t);
+        }
+        for &m in system.maintenance() {
+            builder.push_maintenance(m);
+        }
+        if let Some(layout) = system.layout() {
+            builder.layout(layout.clone());
+        }
+        out.insert_system(builder.build());
+    }
+    out.set_neutron_samples(trace.neutron_samples().to_vec());
+    out
+}
+
+/// Re-uploading a trace whose only change is which nodes its jobs ran
+/// on must not be answered from the previous epoch's cache: the
+/// fingerprint in the cache key covers job→node assignments, which the
+/// per-user analysis joins against failures.
+#[test]
+fn reupload_with_moved_jobs_is_not_a_cache_hit() {
+    let handle = spawn_with_registry(TraceRegistry::new(0), ServerConfig::default()).expect("bind");
+    let client = Client::new(handle.addr().to_string());
+    let first = small_trace(7);
+    let moved = with_jobs_shifted(&first);
+    let system = first
+        .systems()
+        .find(|s| !s.jobs().is_empty())
+        .expect("a system with a job log")
+        .id();
+    let body = format!(
+        r#"{{"analysis": "heaviest-users", "system": {}, "k": 10}}"#,
+        system.raw()
+    );
+    let expected = direct_body(moved.clone(), &body);
+    assert_ne!(
+        direct_body(first.clone(), &body),
+        expected,
+        "moving jobs must change the per-user answer"
+    );
+
+    let up = client
+        .post_bytes("/v1/traces/t", &snapshot_bytes(&first), &[])
+        .expect("upload 1");
+    assert_eq!(up.status, 200, "{}", up.body);
+    let before = client.post("/v1/traces/t/query", &body, &[]).expect("q1");
+    assert_eq!(before.status, 200, "{}", before.body);
+
+    let up = client
+        .post_bytes("/v1/traces/t", &snapshot_bytes(&moved), &[])
+        .expect("upload 2");
+    assert_eq!(up.status, 200, "{}", up.body);
+    let after = client.post("/v1/traces/t/query", &body, &[]).expect("q2");
+    assert_eq!(after.header("x-cache"), Some("miss"));
+    assert_eq!(after.body, expected);
     handle.shutdown();
 }
 

@@ -1,17 +1,15 @@
 //! Struct-of-arrays columnar storage for failure and maintenance events.
 //!
-//! The row-struct view (`Vec<FailureRecord>`) is convenient for analyses
-//! that want whole records, but the hot query kernels — per-node day
-//! vectors, window membership tests, baseline estimation — only touch one
-//! or two fields per event. This module stores each field in its own
-//! timestamp-sorted array so those kernels scan contiguous primitive
-//! columns instead of 48-byte row structs:
+//! These columns are the only failure storage a trace has. The query
+//! kernels — per-node day vectors, window membership tests, baseline
+//! estimation — touch one or two fields per event, so each field lives
+//! in its own timestamp-sorted array and kernels scan contiguous
+//! primitive columns instead of 48-byte row structs; callers that want
+//! whole records decode them with [`FailureColumns::record`]:
 //!
 //! - `times` / `nodes` / `roots` / `subs` / `downtimes` — the record
 //!   fields, one array per field, all sorted by `(time, node)` in exactly
-//!   the order [`crate::trace::SystemTraceBuilder::build`] established for
-//!   rows (so materialized rows are byte-identical to the pre-columnar
-//!   layout);
+//!   the order [`crate::trace::SystemTraceBuilder::build`] establishes;
 //! - `days` — the precomputed day index of each event relative to the
 //!   system's observation start, so day-vector extraction is a gather
 //!   instead of a per-event `div_euclid`;
@@ -540,7 +538,33 @@ impl FailureColumns {
             .any(|&i| code.matches(self.roots[i as usize], self.subs[i as usize]))
     }
 
-    /// Materializes row `i` as a [`FailureRecord`] owned by `system`.
+    /// `(time, node)` of every event matching `code`, in `(time, node)`
+    /// order.
+    pub fn events(&self, code: ClassCode) -> impl Iterator<Item = (Timestamp, NodeId)> + '_ {
+        (0..self.len())
+            .filter(move |&i| code.matches(self.roots[i], self.subs[i]))
+            .map(|i| {
+                (
+                    Timestamp::from_seconds(self.times[i]),
+                    NodeId::new(self.nodes[i]),
+                )
+            })
+    }
+
+    /// Times of the events on `node` matching `code`, in time order.
+    pub fn node_events(
+        &self,
+        node: NodeId,
+        code: ClassCode,
+    ) -> impl Iterator<Item = Timestamp> + '_ {
+        self.node_postings(node)
+            .iter()
+            .map(|&i| i as usize)
+            .filter(move |&i| code.matches(self.roots[i], self.subs[i]))
+            .map(|i| Timestamp::from_seconds(self.times[i]))
+    }
+
+    /// Decodes row `i` as a [`FailureRecord`] owned by `system`.
     pub fn record(&self, i: usize, system: SystemId) -> FailureRecord {
         let root = root_from_code(self.roots[i]).expect("validated root code");
         let sub = sub_from_code(self.subs[i]).expect("validated sub code");
@@ -555,11 +579,6 @@ impl FailureColumns {
             r = r.with_downtime(Duration::from_seconds(self.downtimes[i]));
         }
         r
-    }
-
-    /// Materializes the full row view, in column (time, node) order.
-    pub fn materialize(&self, system: SystemId) -> Vec<FailureRecord> {
-        (0..self.len()).map(|i| self.record(i, system)).collect()
     }
 }
 
@@ -763,11 +782,14 @@ mod tests {
     }
 
     #[test]
-    fn from_records_materializes_identically() {
+    fn from_records_decodes_identically() {
         let records = sample_records();
         let cols = FailureColumns::from_records(&records, 5, Timestamp::EPOCH);
         assert_eq!(cols.len(), records.len());
-        assert_eq!(cols.materialize(SystemId::new(7)), records);
+        let decoded: Vec<FailureRecord> = (0..cols.len())
+            .map(|i| cols.record(i, SystemId::new(7)))
+            .collect();
+        assert_eq!(decoded, records);
         assert_eq!(cols.days(), &[0, 1, 1, 2]);
     }
 

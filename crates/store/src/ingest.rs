@@ -838,7 +838,6 @@ mod tests {
         assert_eq!(sys.failures().len(), 4);
         assert!(
             sys.failures()
-                .iter()
                 .all(|f| f.downtime.is_none_or(|d| d.as_seconds() >= 0)),
             "negative downtime nulled"
         );

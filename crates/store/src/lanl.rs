@@ -665,7 +665,7 @@ system,nodenum,prob started,cause
         // Remap is order-preserving: 1000 -> 0, 5000 -> 1.
         assert_eq!(sys.node_failure_count(NodeId::new(0)), 2);
         assert_eq!(sys.node_failure_count(NodeId::new(1)), 1);
-        assert!(sys.failures().iter().all(|f| f.node.raw() < 2));
+        assert!(sys.failures().all(|f| f.node.raw() < 2));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ```text
 //! magic      8 bytes  "HPCSNAP\0"
 //! version    u32 LE   1
-//! fingerprint u64 LE  content fingerprint of the whole trace
+//! fingerprint u64 LE  Trace::fingerprint() of the whole trace
 //! sections   u32 LE   number of section-table entries
 //! table      sections × { id u32, offset u64, len u64, checksum u64 }
 //! ...section payloads at their recorded offsets...
@@ -37,7 +37,7 @@
 //! while recording exactly why.
 
 use crate::columns::FailureColumns;
-use crate::trace::{SystemTrace, Trace};
+use crate::trace::{Fnv, SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -147,12 +147,9 @@ pub enum SnapshotLoad {
 // Byte-level encoding (little-endian, fixed width)
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut h = Fnv::new();
+    h.bytes(bytes);
+    h.0
 }
 
 #[derive(Default)]
@@ -261,100 +258,6 @@ impl<'a> Reader<'a> {
             )))
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Content fingerprint
-
-/// FNV-1a content fingerprint over everything a snapshot carries,
-/// computed from the columnar storage (no row materialization). The same
-/// trace content always produces the same fingerprint, whether it was
-/// ingested from CSV or decoded from a snapshot.
-pub fn content_fingerprint(trace: &Trace) -> u64 {
-    struct Fnv(u64);
-    impl Fnv {
-        fn bytes(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        fn u64(&mut self, v: u64) {
-            self.bytes(&v.to_le_bytes());
-        }
-        fn i64(&mut self, v: i64) {
-            self.bytes(&v.to_le_bytes());
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    h.u64(trace.len() as u64);
-    for system in trace.systems() {
-        let c = system.config();
-        h.u64(c.id.raw() as u64);
-        h.bytes(c.name.as_bytes());
-        h.u64(c.nodes as u64);
-        h.u64(c.procs_per_node as u64);
-        h.u64(matches!(c.hardware, HardwareClass::Numa) as u64);
-        h.i64(c.start.as_seconds());
-        h.i64(c.end.as_seconds());
-        h.u64(
-            ((c.has_layout as u64) << 2) | ((c.has_job_log as u64) << 1) | c.has_temperature as u64,
-        );
-
-        let cols = system.failure_columns();
-        h.u64(cols.len() as u64);
-        for i in 0..cols.len() {
-            h.i64(cols.times()[i]);
-            h.u64(cols.nodes()[i] as u64);
-            h.u64(cols.roots()[i] as u64);
-            h.u64(cols.subs()[i] as u64);
-            h.i64(cols.downtimes()[i]);
-        }
-        h.u64(system.jobs().len() as u64);
-        for j in system.jobs() {
-            h.u64(j.job_id.raw());
-            h.u64(j.user.raw() as u64);
-            h.i64(j.submit.as_seconds());
-            h.i64(j.dispatch.as_seconds());
-            h.i64(j.end.as_seconds());
-            h.u64(j.procs as u64);
-            h.u64(j.nodes.len() as u64);
-            for n in &j.nodes {
-                h.u64(n.raw() as u64);
-            }
-        }
-        h.u64(system.temperatures().len() as u64);
-        for t in system.temperatures() {
-            h.u64(t.node.raw() as u64);
-            h.i64(t.time.as_seconds());
-            h.u64(t.celsius.to_bits());
-        }
-        h.u64(system.maintenance().len() as u64);
-        for m in system.maintenance() {
-            h.u64(m.node.raw() as u64);
-            h.i64(m.time.as_seconds());
-            h.u64(((m.hardware_related as u64) << 1) | m.scheduled as u64);
-        }
-        match system.layout() {
-            None => h.u64(u64::MAX),
-            Some(layout) => {
-                h.u64(layout.len() as u64);
-                for (node, loc) in layout.iter() {
-                    h.u64(node.raw() as u64);
-                    h.u64(loc.rack.raw() as u64);
-                    h.u64(loc.position_in_rack as u64);
-                    h.u64(loc.room_row as u64);
-                    h.u64(loc.room_col as u64);
-                }
-            }
-        }
-    }
-    h.u64(trace.neutron_samples().len() as u64);
-    for s in trace.neutron_samples() {
-        h.i64(s.time.as_seconds());
-        h.u64(s.counts_per_minute.to_bits());
-    }
-    h.0
 }
 
 // ---------------------------------------------------------------------
@@ -504,7 +407,7 @@ pub fn snapshot_bytes(trace: &Trace) -> Vec<u8> {
         Vec::with_capacity(header_len + sections.iter().map(|(_, b)| b.len()).sum::<usize>());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&content_fingerprint(trace).to_le_bytes());
+    out.extend_from_slice(&trace.fingerprint().to_le_bytes());
     out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut offset = header_len as u64;
     for (id, bytes) in &sections {
@@ -520,17 +423,45 @@ pub fn snapshot_bytes(trace: &Trace) -> Vec<u8> {
     out
 }
 
-/// Writes a snapshot of `trace` to `path`.
+/// Writes a snapshot of `trace` to `path`, crash-atomically: the bytes
+/// go to a temporary file in the same directory, which is synced and
+/// then renamed over `path`, and the directory is synced so the rename
+/// is durable. A crash or failed write leaves the previous file (if
+/// any) intact, and a failed write removes the temporary file.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Io`] when the file cannot be written.
 pub fn write_snapshot<P: AsRef<Path>>(path: P, trace: &Trace) -> Result<(), SnapshotError> {
+    use std::io::Write;
     let _span = hpcfail_obs::span("store.snapshot.write");
+    let path = path.as_ref();
     let bytes = snapshot_bytes(trace);
     hpcfail_obs::counter("store.snapshot.bytes_written").add(bytes.len() as u64);
-    std::fs::write(path, bytes)?;
+    let tmp = temp_path(path);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(&bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()?;
     Ok(())
+}
+
+/// The temporary sibling [`write_snapshot`] writes before renaming.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(format!(".tmp{}", std::process::id()));
+    PathBuf::from(name)
 }
 
 // ---------------------------------------------------------------------
@@ -860,8 +791,10 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<Trace, SnapshotError> {
         trace.set_neutron_samples(samples);
     }
 
+    // Hashing here also memoizes the checked value, so the engine and
+    // a later demotion re-encode reuse it instead of hashing again.
     let expected = header_fingerprint(buf)?;
-    let actual = content_fingerprint(&trace);
+    let actual = trace.fingerprint();
     if expected != actual {
         return Err(SnapshotError::Corrupt(format!(
             "content fingerprint mismatch: header {expected:016x}, decoded {actual:016x}"
@@ -998,7 +931,7 @@ mod tests {
         assert_eq!(a.neutron_samples(), b.neutron_samples());
         for (sa, sb) in a.systems().zip(b.systems()) {
             assert_eq!(sa.config(), sb.config());
-            assert_eq!(sa.failures(), sb.failures());
+            assert!(sa.failures().eq(sb.failures()));
             assert_eq!(sa.jobs(), sb.jobs());
             assert_eq!(sa.temperatures(), sb.temperatures());
             assert_eq!(sa.maintenance(), sb.maintenance());
@@ -1012,7 +945,7 @@ mod tests {
         let bytes = snapshot_bytes(&trace);
         let decoded = decode_snapshot(&bytes).expect("decodes");
         traces_equal(&trace, &decoded);
-        assert_eq!(content_fingerprint(&trace), content_fingerprint(&decoded));
+        assert_eq!(trace.fingerprint(), decoded.fingerprint());
     }
 
     #[test]
@@ -1039,7 +972,7 @@ mod tests {
         // (i.e. silent corruption is impossible).
         let trace = sample_trace();
         let bytes = snapshot_bytes(&trace);
-        let original = content_fingerprint(&trace);
+        let original = trace.fingerprint();
         let mut rejected = 0usize;
         for i in 0..bytes.len() {
             let mut mutated = bytes.clone();
@@ -1048,7 +981,7 @@ mod tests {
                 Err(_) => rejected += 1,
                 Ok(decoded) => {
                     assert_eq!(
-                        content_fingerprint(&decoded),
+                        decoded.fingerprint(),
                         original,
                         "silent corruption after flipping byte {i}"
                     );
@@ -1101,11 +1034,41 @@ mod tests {
     }
 
     #[test]
+    fn failed_write_keeps_the_previous_snapshot_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("hpcsnap-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.hpcsnap");
+        let old = sample_trace();
+        write_snapshot(&path, &old).expect("first write");
+
+        // A directory squatting on the temporary path makes the next
+        // write fail before anything reaches the target.
+        let tmp = temp_path(&path);
+        std::fs::create_dir(&tmp).unwrap();
+        let err = write_snapshot(&path, &Trace::new()).expect_err("write must fail");
+        assert!(matches!(err, SnapshotError::Io(_)));
+        let kept = read_snapshot(&path).expect("previous snapshot still decodes");
+        assert_eq!(kept.fingerprint(), old.fingerprint());
+        std::fs::remove_dir(&tmp).unwrap();
+
+        // With the squatter gone the write succeeds and leaves only the
+        // target behind.
+        write_snapshot(&path, &Trace::new()).expect("second write");
+        assert!(read_snapshot(&path).expect("new snapshot").is_empty());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("trace.hpcsnap")]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn empty_trace_round_trips() {
         let trace = Trace::new();
         let bytes = snapshot_bytes(&trace);
         let decoded = decode_snapshot(&bytes).expect("decodes");
         assert!(decoded.is_empty());
-        assert_eq!(content_fingerprint(&trace), content_fingerprint(&decoded));
+        assert_eq!(trace.fingerprint(), decoded.fingerprint());
     }
 }

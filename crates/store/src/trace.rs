@@ -1,10 +1,9 @@
 //! The trace store: immutable, indexed collections of records.
 //!
-//! Since the columnar refactor, failures are stored as timestamp-sorted
-//! struct-of-arrays columns ([`crate::columns::FailureColumns`]); the
-//! row-struct view behind [`SystemTrace::failures`] is materialized
-//! lazily and cached, so existing consumers see exactly the records (and
-//! record order) the pre-columnar layout produced.
+//! Failures are stored only as timestamp-sorted struct-of-arrays
+//! columns ([`crate::columns::FailureColumns`]); [`SystemTrace::failures`]
+//! decodes records from them on demand, in exactly the record order the
+//! builder established.
 
 use crate::columns::{ClassCode, FailureColumns, MaintenanceColumns};
 use hpcfail_types::prelude::*;
@@ -100,23 +99,7 @@ impl SystemTraceBuilder {
         maintenance.sort_by_key(|m| (m.time, m.node));
 
         let columns = FailureColumns::from_records(&failures, config.nodes, config.start);
-        let maint_columns =
-            MaintenanceColumns::from_records(&maintenance, config.nodes, config.start);
-        // The builder already owns the sorted rows; seed the lazy row
-        // cache with them so the CSV/synthetic path never re-materializes.
-        let rows = OnceLock::new();
-        let _ = rows.set(failures);
-        SystemTrace {
-            config,
-            columns,
-            rows,
-            jobs,
-            temperatures,
-            maintenance,
-            maint_columns,
-            layout,
-            index: crate::index::TimelineIndex::new(),
-        }
+        SystemTrace::from_parts(config, columns, jobs, temperatures, maintenance, layout)
     }
 }
 
@@ -128,9 +111,6 @@ impl SystemTraceBuilder {
 pub struct SystemTrace {
     config: SystemConfig,
     columns: FailureColumns,
-    /// Lazily materialized row view of `columns`; seeded eagerly on the
-    /// builder path, built on first access after a snapshot load.
-    rows: OnceLock<Vec<FailureRecord>>,
     jobs: Vec<JobRecord>,
     temperatures: Vec<TemperatureSample>,
     maintenance: Vec<MaintenanceRecord>,
@@ -142,9 +122,9 @@ pub struct SystemTrace {
 }
 
 impl SystemTrace {
-    /// Assembles a trace from pre-validated columnar parts (the snapshot
-    /// load path). `jobs`, `temperatures` and `maintenance` must already
-    /// be in builder sort order.
+    /// Assembles a trace from pre-validated columnar parts (the builder
+    /// and snapshot load paths). `jobs`, `temperatures` and `maintenance`
+    /// must already be in builder sort order.
     pub(crate) fn from_parts(
         config: SystemConfig,
         columns: FailureColumns,
@@ -158,7 +138,6 @@ impl SystemTrace {
         SystemTrace {
             config,
             columns,
-            rows: OnceLock::new(),
             jobs,
             temperatures,
             maintenance,
@@ -178,14 +157,11 @@ impl SystemTrace {
         self.config.id
     }
 
-    /// All failures, sorted by time.
-    ///
-    /// The row view is materialized from the columns on first access and
-    /// cached; hot query kernels use [`SystemTrace::failure_columns`]
-    /// directly and never pay for it.
-    pub fn failures(&self) -> &[FailureRecord] {
-        self.rows
-            .get_or_init(|| self.columns.materialize(self.config.id))
+    /// All failures, sorted by `(time, node)`, decoded from the columns
+    /// as the iterator advances. Query kernels that need only times,
+    /// nodes or classes read [`SystemTrace::failure_columns`] instead.
+    pub fn failures(&self) -> impl ExactSizeIterator<Item = FailureRecord> + '_ {
+        (0..self.columns.len()).map(|i| self.columns.record(i, self.config.id))
     }
 
     /// The columnar failure storage: timestamp-sorted field arrays plus
@@ -194,13 +170,12 @@ impl SystemTrace {
         &self.columns
     }
 
-    /// Failures of one node, in time order.
-    pub fn node_failures(&self, node: NodeId) -> impl Iterator<Item = &FailureRecord> + '_ {
-        let rows = self.failures();
+    /// Failures of one node, in time order, decoded from the columns.
+    pub fn node_failures(&self, node: NodeId) -> impl Iterator<Item = FailureRecord> + '_ {
         self.columns
             .node_postings(node)
             .iter()
-            .map(move |&i| &rows[i as usize])
+            .map(|&i| self.columns.record(i as usize, self.config.id))
     }
 
     /// Number of failures of one node.
@@ -242,11 +217,11 @@ impl SystemTrace {
         self.layout.as_ref()
     }
 
-    /// Approximate heap bytes held by this system's event storage:
-    /// the failure and maintenance columns, the row-struct vectors, and
-    /// the materialized failure rows when present. Lazy index caches
-    /// and the layout are excluded — the figure sizes the primary data,
-    /// not transient caches.
+    /// Approximate heap bytes held by this system's event storage: the
+    /// failure and maintenance columns and the job, temperature and
+    /// maintenance vectors. Lazy index caches and the layout are
+    /// excluded — the figure sizes the primary data, not transient
+    /// caches.
     pub fn resident_bytes(&self) -> u64 {
         fn vec_bytes<T>(v: &[T]) -> u64 {
             std::mem::size_of_val(v) as u64
@@ -256,7 +231,6 @@ impl SystemTrace {
             + vec_bytes(&self.jobs)
             + vec_bytes(&self.temperatures)
             + vec_bytes(&self.maintenance)
-            + self.rows.get().map_or(0, |r| vec_bytes(r))
     }
 
     /// Iterates over all node ids of this system.
@@ -325,7 +299,7 @@ impl SystemTrace {
         let mut builder = SystemTraceBuilder::new(config);
         for f in self.failures() {
             if f.time >= start && f.time < end {
-                builder.push_failure(*f);
+                builder.push_failure(f);
             }
         }
         for j in &self.jobs {
@@ -367,6 +341,8 @@ impl SystemTrace {
 pub struct Trace {
     systems: BTreeMap<SystemId, SystemTrace>,
     neutron: Vec<NeutronSample>,
+    /// Memo of [`Trace::fingerprint`]; every mutation resets it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Trace {
@@ -378,12 +354,27 @@ impl Trace {
     /// Adds (or replaces) a system trace.
     pub fn insert_system(&mut self, system: SystemTrace) {
         self.systems.insert(system.id(), system);
+        self.fingerprint.take();
     }
 
     /// Sets the neutron-monitor samples (sorted by time internally).
     pub fn set_neutron_samples(&mut self, mut samples: Vec<NeutronSample>) {
         samples.sort_by_key(|s| s.time);
         self.neutron = samples;
+        self.fingerprint.take();
+    }
+
+    /// FNV-1a content fingerprint over everything the trace carries:
+    /// each system's config, failure columns, jobs (with their node
+    /// lists), temperatures, maintenance and layout, then the neutron
+    /// samples. Equal content gives equal fingerprints whether the trace
+    /// was generated, ingested from CSV or decoded from a snapshot; the
+    /// snapshot header stores it and result caches are keyed on it.
+    ///
+    /// Computed at most once per trace: the value is memoized until the
+    /// next [`Trace::insert_system`] or [`Trace::set_neutron_samples`].
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| content_fingerprint(self))
     }
 
     /// Looks up one system.
@@ -436,6 +427,106 @@ impl Trace {
             .sum::<u64>()
             + std::mem::size_of_val(self.neutron.as_slice()) as u64
     }
+}
+
+/// Streaming FNV-1a: the trace fingerprint and the snapshot section
+/// checksums.
+pub(crate) struct Fnv(pub(crate) u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// The hash behind [`Trace::fingerprint`]. Its value is stored in every
+/// `.hpcsnap` header, so changing what it reads orphans existing
+/// snapshots.
+fn content_fingerprint(trace: &Trace) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(trace.len() as u64);
+    for system in trace.systems() {
+        let c = system.config();
+        h.u64(c.id.raw() as u64);
+        h.bytes(c.name.as_bytes());
+        h.u64(c.nodes as u64);
+        h.u64(c.procs_per_node as u64);
+        h.u64(matches!(c.hardware, HardwareClass::Numa) as u64);
+        h.i64(c.start.as_seconds());
+        h.i64(c.end.as_seconds());
+        h.u64(
+            ((c.has_layout as u64) << 2) | ((c.has_job_log as u64) << 1) | c.has_temperature as u64,
+        );
+
+        let cols = system.failure_columns();
+        h.u64(cols.len() as u64);
+        for i in 0..cols.len() {
+            h.i64(cols.times()[i]);
+            h.u64(cols.nodes()[i] as u64);
+            h.u64(cols.roots()[i] as u64);
+            h.u64(cols.subs()[i] as u64);
+            h.i64(cols.downtimes()[i]);
+        }
+        h.u64(system.jobs().len() as u64);
+        for j in system.jobs() {
+            h.u64(j.job_id.raw());
+            h.u64(j.user.raw() as u64);
+            h.i64(j.submit.as_seconds());
+            h.i64(j.dispatch.as_seconds());
+            h.i64(j.end.as_seconds());
+            h.u64(j.procs as u64);
+            h.u64(j.nodes.len() as u64);
+            for n in &j.nodes {
+                h.u64(n.raw() as u64);
+            }
+        }
+        h.u64(system.temperatures().len() as u64);
+        for t in system.temperatures() {
+            h.u64(t.node.raw() as u64);
+            h.i64(t.time.as_seconds());
+            h.u64(t.celsius.to_bits());
+        }
+        h.u64(system.maintenance().len() as u64);
+        for m in system.maintenance() {
+            h.u64(m.node.raw() as u64);
+            h.i64(m.time.as_seconds());
+            h.u64(((m.hardware_related as u64) << 1) | m.scheduled as u64);
+        }
+        match system.layout() {
+            None => h.u64(u64::MAX),
+            Some(layout) => {
+                h.u64(layout.len() as u64);
+                for (node, loc) in layout.iter() {
+                    h.u64(node.raw() as u64);
+                    h.u64(loc.rack.raw() as u64);
+                    h.u64(loc.position_in_rack as u64);
+                    h.u64(loc.room_row as u64);
+                    h.u64(loc.room_col as u64);
+                }
+            }
+        }
+    }
+    h.u64(trace.neutron_samples().len() as u64);
+    for s in trace.neutron_samples() {
+        h.i64(s.time.as_seconds());
+        h.u64(s.counts_per_minute.to_bits());
+    }
+    h.0
 }
 
 #[cfg(test)]
@@ -518,7 +609,7 @@ mod tests {
     #[test]
     fn build_sorts_by_time() {
         let t = build_simple();
-        let times: Vec<f64> = t.failures().iter().map(|f| f.time.as_days()).collect();
+        let times: Vec<f64> = t.failures().map(|f| f.time.as_days()).collect();
         assert_eq!(times, vec![10.0, 10.5, 12.0, 50.0]);
     }
 
@@ -618,7 +709,10 @@ mod tests {
         let slice = t.restricted(Timestamp::from_days(11.0), Timestamp::from_days(45.0));
         // Only the day-12 failure lies in [11, 45).
         assert_eq!(slice.failures().len(), 1);
-        assert_eq!(slice.failures()[0].time, Timestamp::from_days(12.0));
+        assert_eq!(
+            slice.failures().next().map(|f| f.time),
+            Some(Timestamp::from_days(12.0))
+        );
         assert_eq!(slice.config().start, Timestamp::from_days(11.0));
         assert_eq!(slice.config().end, Timestamp::from_days(45.0));
         assert_eq!(slice.config().observation_days(), 34);
@@ -633,6 +727,19 @@ mod tests {
         assert_eq!(slice.config().start, Timestamp::EPOCH);
         assert_eq!(slice.config().end, Timestamp::from_days(100.0));
         assert_eq!(slice.failures().len(), 4);
+    }
+
+    #[test]
+    fn restricted_records_equal_a_row_filter() {
+        let t = build_simple();
+        let (start, end) = (Timestamp::from_days(10.5), Timestamp::from_days(50.0));
+        let slice = t.restricted(start, end);
+        let expected: Vec<FailureRecord> = t
+            .failures()
+            .filter(|f| f.time >= start && f.time < end)
+            .collect();
+        assert_eq!(expected.len(), 2);
+        assert!(slice.failures().eq(expected));
     }
 
     #[test]
@@ -654,6 +761,31 @@ mod tests {
         assert_eq!(trace.group_systems(SystemGroup::Group2).count(), 1);
         assert!(trace.system(SystemId::new(2)).is_some());
         assert!(trace.system(SystemId::new(3)).is_none());
+    }
+
+    #[test]
+    fn fingerprint_memo_resets_on_every_mutation() {
+        let mut trace = Trace::new();
+        let empty = trace.fingerprint();
+        assert_eq!(trace.fingerprint(), empty);
+
+        trace.insert_system(build_simple());
+        let one = trace.fingerprint();
+        assert_ne!(one, empty);
+
+        trace.set_neutron_samples(vec![NeutronSample {
+            time: Timestamp::from_days(1.0),
+            counts_per_minute: 4000.0,
+        }]);
+        let with_neutron = trace.fingerprint();
+        assert_ne!(with_neutron, one);
+
+        // Replacing a system with different content changes it too.
+        trace
+            .insert_system(build_simple().restricted(Timestamp::EPOCH, Timestamp::from_days(20.0)));
+        assert_ne!(trace.fingerprint(), with_neutron);
+        // A clone carries the memo and the content it describes.
+        assert_eq!(trace.clone().fingerprint(), trace.fingerprint());
     }
 
     #[test]

@@ -705,7 +705,7 @@ mod tests {
         assert_eq!(a.trace().total_failures(), b.trace().total_failures());
         let sa = a.trace().system(SystemId::new(20)).unwrap();
         let sb = b.trace().system(SystemId::new(20)).unwrap();
-        assert_eq!(sa.failures(), sb.failures());
+        assert!(sa.failures().eq(sb.failures()));
         assert_eq!(sa.jobs().len(), sb.jobs().len());
     }
 

@@ -45,7 +45,7 @@ proptest! {
         let b = spec.generate(seed);
         let sa = a.trace().system(SystemId::new(18)).unwrap();
         let sb = b.trace().system(SystemId::new(18)).unwrap();
-        prop_assert_eq!(sa.failures(), sb.failures());
+        prop_assert!(sa.failures().eq(sb.failures()));
         prop_assert_eq!(sa.maintenance(), sb.maintenance());
         prop_assert_eq!(sa.temperatures().len(), sb.temperatures().len());
     }
@@ -68,7 +68,6 @@ proptest! {
         prop_assume!(total > 150);
         let undet = system
             .failures()
-            .iter()
             .filter(|f| f.root_cause == RootCause::Undetermined)
             .count();
         let share = undet as f64 / total as f64;
