@@ -207,29 +207,32 @@ impl TraceRegistry {
         inner.next_epoch += 1;
         let stamp = inner.next_stamp;
         inner.next_stamp += 1;
-        let replaced = inner
-            .entries
-            .insert(
-                name.to_owned(),
-                Entry {
-                    epoch,
-                    fingerprint,
-                    resident_bytes,
-                    systems,
-                    records,
-                    source,
-                    state: State::Warm(engine),
-                    last_used: stamp,
-                },
-            )
-            .is_some();
+        let replaced = inner.entries.insert(
+            name.to_owned(),
+            Entry {
+                epoch,
+                fingerprint,
+                resident_bytes,
+                systems,
+                records,
+                source,
+                state: State::Warm(engine),
+                last_used: stamp,
+            },
+        );
         hpcfail_obs::counter("serve.registry.uploads").inc();
-        if replaced {
+        if replaced.is_some() {
             hpcfail_obs::counter("serve.registry.swaps").inc();
         }
         self.enforce_budget(&mut inner, name);
         publish_gauges(&inner);
-        summarize(name, &inner.entries[name])
+        let summary = summarize(name, &inner.entries[name]);
+        // Free the replaced epoch (if no query still pins it) after
+        // unlocking: tearing down a large trace takes milliseconds, and
+        // every resolve would wait behind it.
+        drop(inner);
+        drop(replaced);
+        summary
     }
 
     /// Resolves `name` to its current epoch's engine, bumping recency.
@@ -302,6 +305,8 @@ impl TraceRegistry {
         let entry = inner.entries.remove(name)?;
         hpcfail_obs::counter("serve.registry.removals").inc();
         publish_gauges(&inner);
+        // As in `insert_engine`, free the entry after unlocking.
+        drop(inner);
         Some(summarize(name, &entry))
     }
 

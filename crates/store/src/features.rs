@@ -52,27 +52,48 @@ pub struct NodeUsage {
 ///
 /// Nodes with no jobs get zero usage. Job intervals extending outside
 /// the observation period are clipped.
+///
+/// Busy time is the union of each node's clipped job intervals
+/// `[max(dispatch, start), min(end, end of span))`, built in one pass
+/// without sorting. [`SystemTrace::jobs`] is sorted by dispatch time
+/// (the builder sorts it and snapshot decode rejects unsorted input),
+/// so each node's intervals arrive ordered by their start. A node then
+/// needs only one open interval: the next interval either overlaps it
+/// and extends it, or starts after it and closes it into the total.
 pub fn compute_usage(system: &SystemTrace) -> Vec<NodeUsage> {
     let config = system.config();
     let n = config.nodes as usize;
     let span = config.observation_span().as_seconds().max(1) as f64;
-    let mut intervals: Vec<Vec<(i64, i64)>> = vec![Vec::new(); n];
     let mut num_jobs = vec![0u64; n];
+    // Per node: the open interval, and the busy time already closed.
+    // The empty starting interval adds nothing when it closes.
+    let mut open = vec![(i64::MIN, i64::MIN); n];
+    let mut closed = vec![0i64; n];
     for job in system.jobs() {
         let lo = job.dispatch.max(config.start).as_seconds();
         let hi = job.end.min(config.end).as_seconds();
         for &node in &job.nodes {
-            if node.index() < n {
-                num_jobs[node.index()] += 1;
-                if hi > lo {
-                    intervals[node.index()].push((lo, hi));
+            let i = node.index();
+            if i >= n {
+                continue;
+            }
+            num_jobs[i] += 1;
+            if hi > lo {
+                let (open_lo, open_hi) = &mut open[i];
+                debug_assert!(lo >= *open_lo, "jobs must be sorted by dispatch time");
+                if lo <= *open_hi {
+                    *open_hi = (*open_hi).max(hi);
+                } else {
+                    closed[i] += *open_hi - *open_lo;
+                    (*open_lo, *open_hi) = (lo, hi);
                 }
             }
         }
     }
     (0..n)
         .map(|i| {
-            let busy = union_length(&mut intervals[i]);
+            let (open_lo, open_hi) = open[i];
+            let busy = closed[i] + (open_hi - open_lo);
             NodeUsage {
                 node: NodeId::new(i as u32),
                 num_jobs: num_jobs[i],
@@ -81,28 +102,6 @@ pub fn compute_usage(system: &SystemTrace) -> Vec<NodeUsage> {
             }
         })
         .collect()
-}
-
-/// Total length of the union of half-open intervals. Sorts in place.
-fn union_length(intervals: &mut [(i64, i64)]) -> i64 {
-    intervals.sort_unstable();
-    let mut total = 0;
-    let mut current: Option<(i64, i64)> = None;
-    for &(lo, hi) in intervals.iter() {
-        match current {
-            Some((clo, chi)) if lo <= chi => current = Some((clo, chi.max(hi))),
-            Some((clo, chi)) => {
-                total += chi - clo;
-                let _ = clo;
-                current = Some((lo, hi));
-            }
-            None => current = Some((lo, hi)),
-        }
-    }
-    if let Some((clo, chi)) = current {
-        total += chi - clo;
-    }
-    total
 }
 
 /// Aggregates of a node's temperature samples (Sections VIII and X).

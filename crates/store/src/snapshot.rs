@@ -7,11 +7,11 @@
 //! load is a decode pass plus the O(n) postings rebuild — no row
 //! structs, no sorting, no text.
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
 //! ```text
 //! magic      8 bytes  "HPCSNAP\0"
-//! version    u32 LE   1
+//! version    u32 LE   2
 //! fingerprint u64 LE  Trace::fingerprint() of the whole trace
 //! sections   u32 LE   number of section-table entries
 //! table      sections × { id u32, offset u64, len u64, checksum u64 }
@@ -23,9 +23,12 @@
 //! system then contributes `FAILURES` (the five primitive columns,
 //! stored column-wise), `JOBS`, `TEMPERATURES`, `MAINTENANCE` and — when
 //! present — `LAYOUT` sections; one fleet-wide `NEUTRON` section closes
-//! the file. Every payload is integrity-checked by an FNV-1a checksum in
-//! the table, and the decoded trace must reproduce the header's content
-//! fingerprint.
+//! the file. Every payload is integrity-checked by a checksum in the
+//! table (the same word-at-a-time content hash as the fingerprint, over
+//! the payload bytes), and the decoded trace must reproduce the header's
+//! content fingerprint. Version 1 files, whose checksums and fingerprint
+//! used a byte-serial FNV-1a, are refused as
+//! [`SnapshotError::UnsupportedVersion`].
 //!
 //! # Fallback rules
 //!
@@ -37,7 +40,7 @@
 //! while recording exactly why.
 
 use crate::columns::FailureColumns;
-use crate::trace::{Fnv, SystemTrace, Trace};
+use crate::trace::{ContentHash, SystemTrace, Trace};
 use hpcfail_types::prelude::*;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -47,7 +50,7 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HPCSNAP\0";
 const MAGIC: &[u8; 8] = SNAPSHOT_MAGIC;
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const KIND_SYSTEMS: u32 = 1;
 const KIND_FAILURES: u32 = 2;
@@ -146,10 +149,10 @@ pub enum SnapshotLoad {
 // ---------------------------------------------------------------------
 // Byte-level encoding (little-endian, fixed width)
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = ContentHash::new();
     h.bytes(bytes);
-    h.0
+    h.finish()
 }
 
 #[derive(Default)]
@@ -414,7 +417,7 @@ pub fn snapshot_bytes(trace: &Trace) -> Vec<u8> {
         out.extend_from_slice(&id.to_le_bytes());
         out.extend_from_slice(&offset.to_le_bytes());
         out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(bytes).to_le_bytes());
+        out.extend_from_slice(&checksum(bytes).to_le_bytes());
         offset += bytes.len() as u64;
     }
     for (_, bytes) in &sections {
@@ -490,7 +493,7 @@ fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> 
         let id = r.u32()?;
         let offset = r.u64()? as usize;
         let len = r.u64()? as usize;
-        let checksum = r.u64()?;
+        let stored = r.u64()?;
         let end = offset.checked_add(len).filter(|&e| e <= buf.len());
         let Some(end) = end else {
             return Err(SnapshotError::Corrupt(format!(
@@ -499,7 +502,7 @@ fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> 
             )));
         };
         let bytes = &buf[offset..end];
-        if fnv1a(bytes) != checksum {
+        if checksum(bytes) != stored {
             return Err(SnapshotError::Corrupt(format!(
                 "section {id:#x} checksum mismatch"
             )));
@@ -957,12 +960,31 @@ mod tests {
             Err(SnapshotError::BadMagic)
         ));
         assert!(matches!(decode_snapshot(&[]), Err(SnapshotError::BadMagic)));
-        // Bump the version field (right after the magic).
-        bytes[8] = 0xfe;
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
+        // The version field sits right after the magic. Version 1 (the
+        // byte-serial FNV-1a format) is refused like an unknown one.
+        for version in [1u32, 0xfe] {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                decode_snapshot(&bytes),
+                Err(SnapshotError::UnsupportedVersion(v)) if v == version
+            ));
+        }
+
+        // A version-1 file on disk becomes a typed fallback audit entry.
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("hpcsnap-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.hpcsnap");
+        std::fs::write(&path, &bytes).unwrap();
+        match try_read_snapshot(&path) {
+            SnapshotLoad::Unusable(f) => {
+                assert!(matches!(f.error, SnapshotError::UnsupportedVersion(1)));
+                assert_eq!(f.path, path);
+                assert!(f.to_string().contains("unsupported snapshot version 1"));
+            }
+            SnapshotLoad::Loaded(_) => panic!("loaded a version-1 snapshot"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

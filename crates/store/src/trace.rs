@@ -364,10 +364,10 @@ impl Trace {
         self.fingerprint.take();
     }
 
-    /// FNV-1a content fingerprint over everything the trace carries:
-    /// each system's config, failure columns, jobs (with their node
-    /// lists), temperatures, maintenance and layout, then the neutron
-    /// samples. Equal content gives equal fingerprints whether the trace
+    /// Content fingerprint over everything the trace carries: each
+    /// system's config, failure columns, jobs (with their node lists),
+    /// temperatures, maintenance and layout, then the neutron samples,
+    /// mixed one 64-bit word per field. Equal content gives equal fingerprints whether the trace
     /// was generated, ingested from CSV or decoded from a snapshot; the
     /// snapshot header stores it and result caches are keyed on it.
     ///
@@ -429,36 +429,64 @@ impl Trace {
     }
 }
 
-/// Streaming FNV-1a: the trace fingerprint and the snapshot section
-/// checksums.
-pub(crate) struct Fnv(pub(crate) u64);
+/// The streaming content hash behind [`Trace::fingerprint`] and the
+/// snapshot section checksums.
+///
+/// Each call mixes one 64-bit word into the state with an xor, a
+/// multiply by an odd constant and a rotate, so a pass costs one
+/// dependent multiply per word instead of one per byte.
+/// [`ContentHash::finish`] applies the SplitMix64 finalizer. Every
+/// step is a bijection of the state for a fixed input word, so two
+/// inputs of equal length that differ in exactly one word never hash
+/// alike: a single damaged byte cannot pass a section checksum.
+pub(crate) struct ContentHash(u64);
 
-impl Fnv {
+impl ContentHash {
+    const SEED: u64 = 0x243f_6a88_85a3_08d3;
+    /// Odd, so the multiply is invertible modulo 2^64.
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
     pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        ContentHash(Self::SEED)
     }
 
     fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        self.0 = (self.0 ^ v).wrapping_mul(Self::MUL).rotate_left(27);
     }
 
     fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
+        self.u64(v as u64);
+    }
+
+    /// Mixes the length, then the bytes as 8-byte little-endian words
+    /// with the last word zero-padded. The length prefix keeps inputs
+    /// that differ only in trailing zero bytes apart.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        self.u64(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.u64(u64::from_le_bytes(
+                word.try_into().expect("chunks_exact yields 8 bytes"),
+            ));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.u64(u64::from_le_bytes(last));
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        hpcfail_obs::rng::mix64(self.0)
     }
 }
 
 /// The hash behind [`Trace::fingerprint`]. Its value is stored in every
-/// `.hpcsnap` header, so changing what it reads orphans existing
-/// snapshots.
+/// `.hpcsnap` header, so changing what it reads, or how it mixes, needs
+/// a `SNAPSHOT_VERSION` bump.
 fn content_fingerprint(trace: &Trace) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = ContentHash::new();
     h.u64(trace.len() as u64);
     for system in trace.systems() {
         let c = system.config();
@@ -526,7 +554,7 @@ fn content_fingerprint(trace: &Trace) -> u64 {
         h.i64(s.time.as_seconds());
         h.u64(s.counts_per_minute.to_bits());
     }
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]
@@ -786,6 +814,38 @@ mod tests {
         assert_ne!(trace.fingerprint(), with_neutron);
         // A clone carries the memo and the content it describes.
         assert_eq!(trace.clone().fingerprint(), trace.fingerprint());
+    }
+
+    fn hash_bytes(bytes: &[u8]) -> u64 {
+        let mut h = ContentHash::new();
+        h.bytes(bytes);
+        h.finish()
+    }
+
+    #[test]
+    fn content_hash_reads_a_length_then_zero_padded_words() {
+        let mut words = ContentHash::new();
+        words.u64(10);
+        words.u64(u64::from_le_bytes(*b"abcdefgh"));
+        words.u64(u64::from_le_bytes(*b"ij\0\0\0\0\0\0"));
+        assert_eq!(hash_bytes(b"abcdefghij"), words.finish());
+
+        // Padding alone would make these collide; the length prefix
+        // keeps them apart.
+        assert_ne!(hash_bytes(b"a"), hash_bytes(b"a\0"));
+        assert_ne!(hash_bytes(b""), hash_bytes(&[0; 8]));
+        assert_ne!(hash_bytes(&[0; 7]), hash_bytes(&[0; 8]));
+
+        let fingerprint = |name: &str| {
+            let mut config = test_config(1, 4, 10.0);
+            config.name = name.to_owned();
+            let mut trace = Trace::new();
+            trace.insert_system(SystemTraceBuilder::new(config).build());
+            trace.fingerprint()
+        };
+        assert_ne!(fingerprint("sys"), fingerprint("sys\0"));
+        // Eight bytes: the same single word as "sys" zero-padded.
+        assert_ne!(fingerprint("sys"), fingerprint("sys\0\0\0\0\0"));
     }
 
     #[test]

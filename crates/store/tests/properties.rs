@@ -403,25 +403,85 @@ proptest! {
 
     #[test]
     fn utilization_bounded_by_one(
-        jobs in prop::collection::vec((0u32..4, 0i64..90, 1i64..40), 0..30),
+        jobs in prop::collection::vec(
+            (prop::collection::vec(0u32..6, 0..4), -20i64..110, 0i64..40),
+            0..40,
+        ),
     ) {
-        let mut b = SystemTraceBuilder::new(config(4, 100));
-        for (i, &(node, start, len)) in jobs.iter().enumerate() {
-            b.push_job(JobRecord {
+        // Whole days make equal dispatch times and touching intervals
+        // common; length 0 gives zero-length jobs; days below 0 or past
+        // 100 straddle the span; node ids 4 and 5 are out of range.
+        let config = config(4, 100);
+        let records: Vec<JobRecord> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, (nodes, day, len))| JobRecord {
                 system: SystemId::new(1),
                 job_id: JobId::new(i as u64),
                 user: UserId::new(0),
-                submit: Timestamp::from_days(start as f64),
-                dispatch: Timestamp::from_days(start as f64),
-                end: Timestamp::from_days((start + len) as f64),
+                submit: Timestamp::from_seconds(day * 86_400),
+                dispatch: Timestamp::from_seconds(day * 86_400),
+                end: Timestamp::from_seconds((day + len) * 86_400),
                 procs: 4,
-                nodes: vec![NodeId::new(node)],
-            });
+                nodes: nodes.iter().map(|&n| NodeId::new(n)).collect(),
+            })
+            .collect();
+        let mut b = SystemTraceBuilder::new(config.clone());
+        for job in &records {
+            b.push_job(job.clone());
         }
         let t = b.build();
-        for u in compute_usage(&t) {
+        let (num_jobs, busy) = usage_oracle(&records, &config);
+        let usage = compute_usage(&t);
+        prop_assert_eq!(usage.len(), 4);
+        for (i, u) in usage.iter().enumerate() {
             prop_assert!((0.0..=1.0 + 1e-9).contains(&u.utilization));
             prop_assert!(u.busy.as_seconds() <= 100 * 86_400);
+            prop_assert_eq!(u.num_jobs, num_jobs[i]);
+            prop_assert_eq!(u.busy.as_seconds(), busy[i]);
         }
     }
+}
+
+/// Sort-then-union reference for `compute_usage`'s streaming union:
+/// per-node job counts and busy seconds, from jobs in any order.
+fn usage_oracle(jobs: &[JobRecord], config: &SystemConfig) -> (Vec<u64>, Vec<i64>) {
+    let n = config.nodes as usize;
+    let mut intervals: Vec<Vec<(i64, i64)>> = vec![Vec::new(); n];
+    let mut num_jobs = vec![0u64; n];
+    for job in jobs {
+        let lo = job.dispatch.max(config.start).as_seconds();
+        let hi = job.end.min(config.end).as_seconds();
+        for &node in &job.nodes {
+            if node.index() < n {
+                num_jobs[node.index()] += 1;
+                if hi > lo {
+                    intervals[node.index()].push((lo, hi));
+                }
+            }
+        }
+    }
+    let busy = intervals.iter_mut().map(|v| union_length(v)).collect();
+    (num_jobs, busy)
+}
+
+/// Total length of the union of half-open intervals. Sorts in place.
+fn union_length(intervals: &mut [(i64, i64)]) -> i64 {
+    intervals.sort_unstable();
+    let mut total = 0;
+    let mut current: Option<(i64, i64)> = None;
+    for &(lo, hi) in intervals.iter() {
+        match current {
+            Some((clo, chi)) if lo <= chi => current = Some((clo, chi.max(hi))),
+            Some((clo, chi)) => {
+                total += chi - clo;
+                current = Some((lo, hi));
+            }
+            None => current = Some((lo, hi)),
+        }
+    }
+    if let Some((clo, chi)) = current {
+        total += chi - clo;
+    }
+    total
 }
