@@ -151,26 +151,42 @@ impl CheckpointSimulator {
         let cols = system.failure_columns();
         let hours = |t: Timestamp| (t - start).as_seconds() as f64 / 3600.0;
         let failure_hours: Vec<f64> = cols.node_events(node, ClassCode::Any).map(hours).collect();
+        // Adaptive replays: the node's trigger-class failure hours, in
+        // time order, and the alarm window in hours.
+        let (trigger_hours, window_h) = match policy {
+            CheckpointPolicy::Adaptive { rule, .. } => (
+                cols.node_events(node, ClassCode::new(rule.trigger))
+                    .map(hours)
+                    .collect::<Vec<f64>>(),
+                rule.window.duration().as_seconds() as f64 / 3600.0,
+            ),
+            CheckpointPolicy::Uniform { .. } => (Vec::new(), 0.0),
+        };
 
+        // Index of the first trigger at or after t, kept in step with t.
+        // Checkpoints move t forward; a failure inside a checkpoint
+        // write restarts from the failure, which can move t back.
+        let mut next_trigger = 0;
         // Interval in effect at time t (hours since start).
-        let interval_at = |t: f64| -> f64 {
+        let mut interval_at = |t: f64| -> f64 {
             match policy {
                 CheckpointPolicy::Uniform { interval_hours } => interval_hours,
                 CheckpointPolicy::Adaptive {
                     base_hours,
                     flagged_hours,
-                    rule,
+                    ..
                 } => {
-                    let window_h = rule.window.duration().as_seconds() as f64 / 3600.0;
-                    let flagged = failure_hours.iter().any(|&fh| {
-                        fh < t && t <= fh + window_h && {
-                            // The rule's class must match the triggering
-                            // failure; re-check against the columns.
-                            cols.node_events(node, ClassCode::new(rule.trigger))
-                                .any(|t| (hours(t) - fh).abs() < 1e-9)
-                        }
-                    });
-                    if flagged {
+                    // Flagged while some trigger failure fh has
+                    // fh < t <= fh + window. `fh + window` grows with
+                    // fh, so the latest trigger before t decides.
+                    let i = &mut next_trigger;
+                    while *i < trigger_hours.len() && trigger_hours[*i] < t {
+                        *i += 1;
+                    }
+                    while *i > 0 && trigger_hours[*i - 1] >= t {
+                        *i -= 1;
+                    }
+                    if *i > 0 && t <= trigger_hours[*i - 1] + window_h {
                         flagged_hours
                     } else {
                         base_hours

@@ -84,18 +84,12 @@ impl<'a> CosmicAnalysis<'a> {
     /// Pearson correlation between monthly flux and failure
     /// probability; `None` when degenerate.
     pub fn flux_correlation(&self, system: SystemId, class: FailureClass) -> Option<f64> {
-        let series = self.monthly_series(system, class);
-        let xs: Vec<f64> = series.iter().map(|p| p.counts_per_minute).collect();
-        let ys: Vec<f64> = series.iter().map(|p| p.probability).collect();
-        pearson(&xs, &ys)
+        series_correlations(&self.monthly_series(system, class)).0
     }
 
     /// Spearman rank correlation (robust variant).
     pub fn flux_rank_correlation(&self, system: SystemId, class: FailureClass) -> Option<f64> {
-        let series = self.monthly_series(system, class);
-        let xs: Vec<f64> = series.iter().map(|p| p.counts_per_minute).collect();
-        let ys: Vec<f64> = series.iter().map(|p| p.probability).collect();
-        spearman(&xs, &ys)
+        series_correlations(&self.monthly_series(system, class)).1
     }
 
     /// The Figure 14 rendering aid: months grouped into `bins` equal-
@@ -136,6 +130,16 @@ impl<'a> CosmicAnalysis<'a> {
             .map(|(fx, pr, n)| (fx / n as f64, pr / n as f64))
             .collect()
     }
+}
+
+/// Pearson and Spearman correlations between a series' monthly flux
+/// and failure probability; each `None` when degenerate. Callers that
+/// want both build the series once with
+/// [`CosmicAnalysis::monthly_series`] and pass it here.
+pub fn series_correlations(series: &[MonthlyFluxPoint]) -> (Option<f64>, Option<f64>) {
+    let xs: Vec<f64> = series.iter().map(|p| p.counts_per_minute).collect();
+    let ys: Vec<f64> = series.iter().map(|p| p.probability).collect();
+    (pearson(&xs, &ys), spearman(&xs, &ys))
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ pub use result::{
 use crate::availability::AvailabilityAnalysis;
 use crate::checkpoint::CheckpointSimulator;
 use crate::correlation::CorrelationAnalysis;
-use crate::cosmic::CosmicAnalysis;
+use crate::cosmic::{series_correlations, CosmicAnalysis};
 use crate::interarrival::ArrivalAnalysis;
 use crate::nodes::NodeAnalysis;
 use crate::pairwise::PairwiseAnalysis;
@@ -288,11 +288,12 @@ impl Engine {
                 )
             }
             AnalysisRequest::CosmicCorrelation { system, class } => {
-                let cosmic = self.cosmic();
+                let series = self.cosmic().monthly_series(*system, *class);
+                let (pearson, spearman) = series_correlations(&series);
                 AnalysisResult::Cosmic(CosmicSummary {
-                    months: cosmic.monthly_series(*system, *class).len(),
-                    pearson: cosmic.flux_correlation(*system, *class),
-                    spearman: cosmic.flux_rank_correlation(*system, *class),
+                    months: series.len(),
+                    pearson,
+                    spearman,
                 })
             }
             AnalysisRequest::RegressionStudy {

@@ -8,33 +8,10 @@
 //! paper's saturated-vs-common-rate Poisson ANOVA.
 
 use hpcfail_stats::htest::{anova_lrt, poisson_common_rate_ll, poisson_saturated_ll, TestResult};
-use hpcfail_store::trace::{SystemTrace, Trace};
+use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
-use std::collections::BTreeMap;
 
-/// Per-user usage and failure exposure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UserStat {
-    /// The user.
-    pub user: UserId,
-    /// Processor-days consumed across all their jobs.
-    pub processor_days: f64,
-    /// Jobs submitted.
-    pub jobs: u64,
-    /// Jobs hit by a node failure while running.
-    pub node_failures: u64,
-}
-
-impl UserStat {
-    /// Failures per processor-day — the Figure 8 y-axis.
-    pub fn failures_per_processor_day(&self) -> f64 {
-        if self.processor_days <= 0.0 {
-            0.0
-        } else {
-            self.node_failures as f64 / self.processor_days
-        }
-    }
-}
+pub use hpcfail_store::features::UserStat;
 
 /// The Section VI per-user analysis.
 #[derive(Debug, Clone, Copy)]
@@ -49,31 +26,13 @@ impl<'a> UserAnalysis<'a> {
         UserAnalysis { trace }
     }
 
-    /// Per-user statistics for one system (empty without a job log).
+    /// Per-user statistics for one system, in user-id order (empty
+    /// without a job log). Served from the system's index, so only the
+    /// first call per trace scans the job log.
     pub fn user_stats(&self, system: SystemId) -> Vec<UserStat> {
-        let Some(s) = self.trace.system(system) else {
-            return Vec::new();
-        };
-        if s.jobs().is_empty() {
-            return Vec::new();
-        }
-        let mut stats: BTreeMap<UserId, UserStat> = BTreeMap::new();
-        for job in s.jobs() {
-            let entry = stats.entry(job.user).or_insert(UserStat {
-                user: job.user,
-                processor_days: 0.0,
-                jobs: 0,
-                node_failures: 0,
-            });
-            entry.processor_days += job.processor_days();
-            entry.jobs += 1;
-        }
-        for (user, hits) in attribute_failures(s) {
-            if let Some(entry) = stats.get_mut(&user) {
-                entry.node_failures += hits;
-            }
-        }
-        stats.into_values().collect()
+        self.trace
+            .system(system)
+            .map_or_else(Vec::new, |s| s.indexed_users().to_vec())
     }
 
     /// The `k` heaviest users by processor-days, heaviest first — the
@@ -103,57 +62,11 @@ impl<'a> UserAnalysis<'a> {
     }
 }
 
-/// Counts, per user, the jobs that were running on a node when it
-/// failed.
-fn attribute_failures(system: &SystemTrace) -> BTreeMap<UserId, u64> {
-    // Per-node job intervals sorted by dispatch, with the node's longest
-    // runtime to bound the backward scan.
-    let nodes = system.config().nodes as usize;
-    let mut intervals: Vec<Vec<(i64, i64, UserId)>> = vec![Vec::new(); nodes];
-    let mut max_run = vec![0i64; nodes];
-    for job in system.jobs() {
-        let d = job.dispatch.as_seconds();
-        let e = job.end.as_seconds();
-        if e <= d {
-            continue;
-        }
-        for &node in &job.nodes {
-            if node.index() < nodes {
-                intervals[node.index()].push((d, e, job.user));
-                max_run[node.index()] = max_run[node.index()].max(e - d);
-            }
-        }
-    }
-    for list in &mut intervals {
-        list.sort_unstable_by_key(|&(d, _, _)| d);
-    }
-
-    let mut hits: BTreeMap<UserId, u64> = BTreeMap::new();
-    let cols = system.failure_columns();
-    for (&t, &node) in cols.times().iter().zip(cols.nodes()) {
-        let ni = node as usize;
-        if ni >= nodes {
-            continue;
-        }
-        let list = &intervals[ni];
-        let idx = list.partition_point(|&(d, _, _)| d <= t);
-        let earliest = t - max_run[ni];
-        for &(d, e, user) in list[..idx].iter().rev() {
-            if d < earliest {
-                break;
-            }
-            if e > t {
-                *hits.entry(user).or_insert(0) += 1;
-            }
-        }
-    }
-    hits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcfail_store::trace::SystemTraceBuilder;
+    use std::collections::BTreeMap;
 
     fn config() -> SystemConfig {
         SystemConfig {

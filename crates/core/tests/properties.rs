@@ -1,11 +1,14 @@
 //! Property-based tests for the analysis engine: the conditional
 //! estimator against a brute-force oracle on random traces, estimate
-//! algebra, and alarm-rule invariants.
+//! algebra, alarm-rule invariants, and the checkpoint replay against
+//! its per-step scan.
 
+use hpcfail_core::checkpoint::{CheckpointOutcome, CheckpointPolicy, CheckpointSimulator};
 use hpcfail_core::correlation::Scope;
 use hpcfail_core::engine::Engine;
 use hpcfail_core::predict::AlarmRule;
-use hpcfail_store::trace::{SystemTraceBuilder, Trace};
+use hpcfail_store::columns::ClassCode;
+use hpcfail_store::trace::{SystemTrace, SystemTraceBuilder, Trace};
 use hpcfail_types::prelude::*;
 use proptest::prelude::*;
 
@@ -315,5 +318,243 @@ proptest! {
         prop_assert!((0.0..=1.0 + 1e-9).contains(&eval.flagged_fraction()));
         prop_assert!(eval.correct_alarms <= eval.alarms);
         prop_assert!(eval.caught_failures <= eval.total_failures);
+    }
+}
+
+/// Span of the checkpoint-replay traces: short enough that the
+/// per-step oracle stays cheap at the smallest checkpoint interval.
+const REPLAY_DAYS: i64 = 20;
+
+/// Every trigger granularity an alarm rule can name: any failure, a
+/// root cause, and a sub-cause of each namespace.
+const TRIGGERS: &[FailureClass] = &[
+    FailureClass::Any,
+    FailureClass::Root(RootCause::Hardware),
+    FailureClass::Root(RootCause::Software),
+    FailureClass::Root(RootCause::Environment),
+    FailureClass::Root(RootCause::Undetermined),
+    FailureClass::Hw(HardwareComponent::Cpu),
+    FailureClass::Hw(HardwareComponent::MemoryDimm),
+    FailureClass::Sw(SoftwareCause::Os),
+    FailureClass::Env(EnvironmentCause::PowerOutage),
+];
+
+/// A sub-cause consistent with `root`, varied by `pick`.
+fn sub_cause(root: RootCause, pick: u8) -> SubCause {
+    match (root, pick % 3) {
+        (RootCause::Hardware, 0) => SubCause::Hardware(HardwareComponent::Cpu),
+        (RootCause::Hardware, 1) => SubCause::Hardware(HardwareComponent::MemoryDimm),
+        (RootCause::Software, 0) => SubCause::Software(SoftwareCause::Os),
+        (RootCause::Software, 1) => SubCause::Software(SoftwareCause::Pfs),
+        (RootCause::Environment, 0) => SubCause::Environment(EnvironmentCause::PowerOutage),
+        (RootCause::Environment, 1) => SubCause::Environment(EnvironmentCause::Ups),
+        _ => SubCause::None,
+    }
+}
+
+/// `(node, half hour, offset, root, pick, twin)` failures. Times sit on
+/// a half-hour grid, so failures land exactly on restart ends,
+/// checkpoint ends and the span start; an `offset` of up to half an
+/// hour moves one into the restart and checkpoint-write gaps. The grid
+/// runs a day past the span, so some nodes first fail after it ends.
+/// A `twin` below 5 adds a failure of another root cause on the same
+/// node in the same second.
+type ReplayFailure = (u32, i64, Option<i64>, u8, u8, u8);
+
+fn arb_replay_failures() -> impl Strategy<Value = Vec<ReplayFailure>> {
+    prop::collection::vec(
+        (
+            0u32..NODES,
+            0i64..(REPLAY_DAYS + 1) * 48,
+            prop::option::of(0i64..1800),
+            0u8..6,
+            0u8..3,
+            0u8..10,
+        ),
+        0..24,
+    )
+}
+
+fn build_replay_system(failures: &[ReplayFailure]) -> SystemTrace {
+    let config = SystemConfig {
+        id: SystemId::new(1),
+        name: "replay".into(),
+        nodes: NODES,
+        procs_per_node: 4,
+        hardware: HardwareClass::Smp4Way,
+        start: Timestamp::EPOCH,
+        end: Timestamp::from_seconds(REPLAY_DAYS * 86_400),
+        has_layout: false,
+        has_job_log: false,
+        has_temperature: false,
+    };
+    let mut b = SystemTraceBuilder::new(config);
+    let mut push = |node: u32, sec: i64, root: u8, pick: u8| {
+        let root = root_cause(root);
+        b.push_failure(FailureRecord::new(
+            SystemId::new(1),
+            NodeId::new(node),
+            Timestamp::from_seconds(sec),
+            root,
+            sub_cause(root, pick),
+        ));
+    };
+    for &(node, half_hour, offset, root, pick, twin) in failures {
+        let sec = half_hour * 1800 + offset.unwrap_or(0);
+        push(node, sec, root, pick);
+        if twin < 5 {
+            push(node, sec, root + 1 + twin, pick + 1);
+        }
+    }
+    b.build()
+}
+
+/// The replay as it was before the alarm flag was read off the latest
+/// trigger: at every step, scan the node's failures for one whose alarm
+/// window covers `t`, re-checking its class against the trigger
+/// postings.
+fn replay_node_oracle(
+    sim: &CheckpointSimulator,
+    system: &SystemTrace,
+    node: NodeId,
+    span_hours: f64,
+    policy: CheckpointPolicy,
+) -> CheckpointOutcome {
+    let start = system.config().start;
+    let cols = system.failure_columns();
+    let hours = |t: Timestamp| (t - start).as_seconds() as f64 / 3600.0;
+    let failure_hours: Vec<f64> = cols.node_events(node, ClassCode::Any).map(hours).collect();
+    let interval_at = |t: f64| -> f64 {
+        match policy {
+            CheckpointPolicy::Uniform { interval_hours } => interval_hours,
+            CheckpointPolicy::Adaptive {
+                base_hours,
+                flagged_hours,
+                rule,
+            } => {
+                let window_h = rule.window.duration().as_seconds() as f64 / 3600.0;
+                let flagged = failure_hours.iter().any(|&fh| {
+                    fh < t
+                        && t <= fh + window_h
+                        && cols
+                            .node_events(node, ClassCode::new(rule.trigger))
+                            .any(|t| (hours(t) - fh).abs() < 1e-9)
+                });
+                if flagged {
+                    flagged_hours
+                } else {
+                    base_hours
+                }
+            }
+        }
+    };
+    let mut outcome = CheckpointOutcome {
+        checkpoint_hours: 0.0,
+        lost_hours: 0.0,
+        restart_hours: 0.0,
+        total_hours: span_hours,
+        failures: 0,
+    };
+    let mut t = 0.0;
+    let mut last_checkpoint = 0.0;
+    let mut failure_iter = failure_hours.iter().copied().peekable();
+    while t < span_hours {
+        let interval = interval_at(t).max(0.01);
+        let next_checkpoint = t + interval;
+        match failure_iter.peek().copied() {
+            Some(fail_at) if fail_at <= next_checkpoint && fail_at < span_hours => {
+                failure_iter.next();
+                outcome.failures += 1;
+                outcome.lost_hours += (fail_at - last_checkpoint).max(0.0);
+                outcome.restart_hours += sim.restart_cost_hours;
+                t = fail_at + sim.restart_cost_hours;
+                last_checkpoint = t;
+            }
+            _ => {
+                if next_checkpoint >= span_hours {
+                    break;
+                }
+                outcome.checkpoint_hours += sim.checkpoint_cost_hours;
+                t = next_checkpoint + sim.checkpoint_cost_hours;
+                last_checkpoint = t;
+            }
+        }
+    }
+    outcome
+}
+
+/// [`replay_node_oracle`] summed over the system's nodes in the order
+/// `replay_system` merges them.
+fn replay_system_oracle(
+    sim: &CheckpointSimulator,
+    system: &SystemTrace,
+    policy: CheckpointPolicy,
+) -> CheckpointOutcome {
+    let span_hours = system.config().observation_span().as_seconds().max(0) as f64 / 3600.0;
+    let mut total = CheckpointOutcome {
+        checkpoint_hours: 0.0,
+        lost_hours: 0.0,
+        restart_hours: 0.0,
+        total_hours: 0.0,
+        failures: 0,
+    };
+    for node in system.nodes() {
+        let o = replay_node_oracle(sim, system, node, span_hours, policy);
+        total.checkpoint_hours += o.checkpoint_hours;
+        total.lost_hours += o.lost_hours;
+        total.restart_hours += o.restart_hours;
+        total.total_hours += o.total_hours;
+        total.failures += o.failures;
+    }
+    total
+}
+
+fn same_outcome(a: &CheckpointOutcome, b: &CheckpointOutcome) -> bool {
+    a.checkpoint_hours.to_bits() == b.checkpoint_hours.to_bits()
+        && a.lost_hours.to_bits() == b.lost_hours.to_bits()
+        && a.restart_hours.to_bits() == b.restart_hours.to_bits()
+        && a.total_hours.to_bits() == b.total_hours.to_bits()
+        && a.failures == b.failures
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn checkpoint_replay_matches_per_step_scan(
+        failures in arb_replay_failures(),
+        base_hours in prop::option::of(0.5f64..30.0),
+        grid_base_hours in prop::sample::select(vec![0.5, 1.0, 4.0]),
+        flagged_hours in prop::sample::select(vec![1e-6, 0.01, 0.2, 0.4, 2.5]),
+        restart_cost_hours in prop::sample::select(vec![0.0, 0.0, 0.25, 0.5, 1.0]),
+        checkpoint_cost_hours in prop::sample::select(vec![0.05, 0.1, 0.3, 0.5]),
+    ) {
+        // A zero restart cost resumes exactly at the failure, where the
+        // strict `fh < t` edge of the alarm window decides the flag.
+        // Grid intervals with a half-hour checkpoint cost put
+        // checkpoints exactly on failure times.
+        let base_hours = base_hours.unwrap_or(grid_base_hours);
+        let system = build_replay_system(&failures);
+        let sim = CheckpointSimulator { checkpoint_cost_hours, restart_cost_hours };
+        let uniform = CheckpointPolicy::Uniform { interval_hours: base_hours };
+        prop_assert!(same_outcome(
+            &sim.replay_system(&system, uniform),
+            &replay_system_oracle(&sim, &system, uniform),
+        ));
+        for window in Window::ALL {
+            for &trigger in TRIGGERS {
+                let policy = CheckpointPolicy::Adaptive {
+                    base_hours,
+                    flagged_hours,
+                    rule: AlarmRule { trigger, window },
+                };
+                let got = sim.replay_system(&system, policy);
+                let want = replay_system_oracle(&sim, &system, policy);
+                prop_assert!(
+                    same_outcome(&got, &want),
+                    "{:?} {:?}: {:?} != {:?}", window, trigger, got, want
+                );
+            }
+        }
     }
 }

@@ -224,14 +224,15 @@ impl TraceRegistry {
         if replaced.is_some() {
             hpcfail_obs::counter("serve.registry.swaps").inc();
         }
-        self.enforce_budget(&mut inner, name);
+        let demoted = self.enforce_budget(&mut inner, name);
         publish_gauges(&inner);
         let summary = summarize(name, &inner.entries[name]);
-        // Free the replaced epoch (if no query still pins it) after
-        // unlocking: tearing down a large trace takes milliseconds, and
-        // every resolve would wait behind it.
+        // Free the replaced epoch and any demoted engines (if no query
+        // still pins them) after unlocking: tearing down a large trace
+        // takes milliseconds, and every resolve would wait behind it.
         drop(inner);
         drop(replaced);
+        drop(demoted);
         summary
     }
 
@@ -282,8 +283,11 @@ impl TraceRegistry {
                 epoch: entry.epoch,
                 fingerprint: entry.fingerprint,
             };
-            self.enforce_budget(&mut inner, name);
+            let demoted = self.enforce_budget(&mut inner, name);
             publish_gauges(&inner);
+            // As in `insert_engine`, free demoted engines after unlocking.
+            drop(inner);
+            drop(demoted);
             return Some(resolved);
         }
         // The slot moved on while we decoded; answer from whatever is
@@ -353,9 +357,13 @@ impl TraceRegistry {
 
     /// Demotes least-recently-queried warm entries (never `protect`)
     /// to cold snapshot bytes until warm residency fits the budget.
-    fn enforce_budget(&self, inner: &mut Inner, protect: &str) {
+    /// Returns the demoted engines so the caller can drop them after
+    /// releasing the registry lock.
+    #[must_use = "drop the demoted engines after unlocking the registry"]
+    fn enforce_budget(&self, inner: &mut Inner, protect: &str) -> Vec<Arc<Engine>> {
+        let mut demoted = Vec::new();
         if self.max_resident_bytes == 0 {
-            return;
+            return demoted;
         }
         while warm_bytes(inner) > self.max_resident_bytes {
             let victim = inner
@@ -365,15 +373,17 @@ impl TraceRegistry {
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(name, _)| name.clone());
             let Some(victim) = victim else {
-                return; // nothing evictable: only the protected trace is warm
+                break; // nothing evictable: only the protected trace is warm
             };
             let entry = inner.entries.get_mut(&victim).expect("victim present");
             if let State::Warm(engine) = &entry.state {
-                let bytes = snapshot_bytes(engine.trace());
-                entry.state = State::Cold(Arc::new(bytes));
+                let engine = Arc::clone(engine);
+                entry.state = State::Cold(Arc::new(snapshot_bytes(engine.trace())));
+                demoted.push(engine);
                 hpcfail_obs::counter("serve.registry.evictions").inc();
             }
         }
+        demoted
     }
 }
 
@@ -503,6 +513,62 @@ mod tests {
         assert_eq!(states["a"], "warm");
         assert_eq!(states["b"], "cold");
         assert_eq!(registry.resolve("b").expect("rehydrates").fingerprint, fp_b);
+    }
+
+    /// Runs `action` while a watcher waits for the last registry-held
+    /// reference to `trace` to go, then reports whether the registry
+    /// lock was free at that moment.
+    fn lock_free_when_released(
+        registry: &TraceRegistry,
+        trace: Arc<Trace>,
+        action: impl FnOnce(),
+    ) -> bool {
+        std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| {
+                while Arc::strong_count(&trace) > 1 {
+                    std::hint::spin_loop();
+                }
+                registry.inner.try_lock().is_ok()
+            });
+            action();
+            watcher.join().expect("watcher")
+        })
+    }
+
+    #[test]
+    fn demoted_engines_drop_after_the_registry_unlocks() {
+        let a = small_trace(1);
+        let budget = a.resident_bytes() + a.resident_bytes() / 2;
+        let mut registry = TraceRegistry::new(0);
+        registry.insert("a", a, TraceSource::Boot);
+        registry.insert("b", small_trace(2), TraceSource::Boot);
+        let trace_a = registry.resolve("a").expect("warm").engine.shared_trace();
+        assert_eq!(Arc::strong_count(&trace_a), 2);
+
+        // Demotion hands the engine back instead of dropping it under
+        // the lock.
+        registry.max_resident_bytes = budget;
+        let mut inner = registry.inner.lock().expect("registry lock");
+        let demoted = registry.enforce_budget(&mut inner, "a");
+        assert!(!inner.entries["b"].is_warm());
+        assert_eq!(demoted.len(), 1);
+        drop(inner);
+        let trace_b = demoted[0].shared_trace();
+        drop(demoted);
+        assert_eq!(Arc::strong_count(&trace_b), 1);
+
+        // Both callers that demote release the lock before the demoted
+        // engine goes: an upload that evicts "a" ...
+        assert!(lock_free_when_released(&registry, trace_a, || {
+            registry.insert("c", small_trace(3), TraceSource::Snapshot);
+        }));
+        assert_eq!(registry.summary("a").expect("listed").state, "cold");
+        // ... and a rehydration that evicts "c".
+        let trace_c = registry.resolve("c").expect("warm").engine.shared_trace();
+        assert!(lock_free_when_released(&registry, trace_c, || {
+            registry.resolve("b").expect("rehydrates");
+        }));
+        assert_eq!(registry.summary("c").expect("listed").state, "cold");
     }
 
     #[test]

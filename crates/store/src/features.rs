@@ -1,8 +1,10 @@
-//! Derived per-node features: usage, temperature aggregates, and the
-//! Table I feature rows feeding the paper's regressions.
+//! Derived per-node features: usage, temperature aggregates, per-user
+//! failure exposure, and the Table I feature rows feeding the paper's
+//! regressions.
 
 use crate::trace::SystemTrace;
 use hpcfail_types::prelude::*;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a per-node feature could not be produced.
@@ -102,6 +104,106 @@ pub fn compute_usage(system: &SystemTrace) -> Vec<NodeUsage> {
             }
         })
         .collect()
+}
+
+/// Per-user usage and failure exposure (Section VI).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UserStat {
+    /// The user.
+    pub user: UserId,
+    /// Processor-days consumed across all their jobs.
+    pub processor_days: f64,
+    /// Jobs submitted.
+    pub jobs: u64,
+    /// Jobs hit by a node failure while running.
+    pub node_failures: u64,
+}
+
+impl UserStat {
+    /// Failures per processor-day — the Figure 8 y-axis.
+    pub fn failures_per_processor_day(&self) -> f64 {
+        if self.processor_days <= 0.0 {
+            0.0
+        } else {
+            self.node_failures as f64 / self.processor_days
+        }
+    }
+}
+
+/// Computes [`UserStat`] for every user of a system from its job log,
+/// in user-id order (empty without a job log).
+///
+/// A user "experiences" a node failure when one of their running jobs
+/// sits on a node that fails: each failure counts once for every job
+/// running on the failed node at that instant.
+pub fn compute_user_stats(system: &SystemTrace) -> Vec<UserStat> {
+    if system.jobs().is_empty() {
+        return Vec::new();
+    }
+    let mut stats: BTreeMap<UserId, UserStat> = BTreeMap::new();
+    for job in system.jobs() {
+        let entry = stats.entry(job.user).or_insert(UserStat {
+            user: job.user,
+            processor_days: 0.0,
+            jobs: 0,
+            node_failures: 0,
+        });
+        entry.processor_days += job.processor_days();
+        entry.jobs += 1;
+    }
+    for (user, hits) in attribute_failures(system) {
+        if let Some(entry) = stats.get_mut(&user) {
+            entry.node_failures += hits;
+        }
+    }
+    stats.into_values().collect()
+}
+
+/// Counts, per user, the jobs that were running on a node when it
+/// failed.
+fn attribute_failures(system: &SystemTrace) -> BTreeMap<UserId, u64> {
+    // Per-node job intervals sorted by dispatch, with the node's longest
+    // runtime to bound the backward scan.
+    let nodes = system.config().nodes as usize;
+    let mut intervals: Vec<Vec<(i64, i64, UserId)>> = vec![Vec::new(); nodes];
+    let mut max_run = vec![0i64; nodes];
+    for job in system.jobs() {
+        let d = job.dispatch.as_seconds();
+        let e = job.end.as_seconds();
+        if e <= d {
+            continue;
+        }
+        for &node in &job.nodes {
+            if node.index() < nodes {
+                intervals[node.index()].push((d, e, job.user));
+                max_run[node.index()] = max_run[node.index()].max(e - d);
+            }
+        }
+    }
+    for list in &mut intervals {
+        list.sort_unstable_by_key(|&(d, _, _)| d);
+    }
+
+    let mut hits: BTreeMap<UserId, u64> = BTreeMap::new();
+    let cols = system.failure_columns();
+    for (&t, &node) in cols.times().iter().zip(cols.nodes()) {
+        let ni = node as usize;
+        if ni >= nodes {
+            continue;
+        }
+        let list = &intervals[ni];
+        let idx = list.partition_point(|&(d, _, _)| d <= t);
+        let earliest = t - max_run[ni];
+        for &(d, e, user) in list[..idx].iter().rev() {
+            if d < earliest {
+                break;
+            }
+            if e > t {
+                *hits.entry(user).or_insert(0) += 1;
+            }
+        }
+    }
+    hits
 }
 
 /// Aggregates of a node's temperature samples (Sections VIII and X).

@@ -1,5 +1,5 @@
 //! The timeline index: lazily-built, thread-safe per-system caches of
-//! day vectors and pooled window baselines.
+//! day vectors, pooled window baselines and whole-system features.
 //!
 //! Every conditional in the paper divides by the same empirical
 //! baseline — "probability of a type-Y failure in a random
@@ -14,26 +14,33 @@
 //!   are allocation-free;
 //! - **baselines** — pooled [`WindowCounts`] per `(FailureClass,
 //!   Window)` (and per `Window` for maintenance);
-//! - **features** — whole-system usage and temperature aggregates
-//!   (one slot each), whose builders scan the job log and temperature
-//!   samples — by far the largest record streams in the trace.
+//! - **features** — whole-system usage, temperature and per-user
+//!   exposure aggregates (one slot each), whose builders scan the job
+//!   log and temperature samples — by far the largest record streams in
+//!   the trace.
 //!
 //! # Keying and laziness
 //!
-//! Caches are plain `HashMap`s keyed by `Copy` value types
+//! Keyed caches are plain `HashMap`s keyed by `Copy` value types
 //! (`FailureClass` and `Window` are `Eq + Hash`), populated on first
 //! query. Nothing is built at trace construction time: a run that only
-//! touches two (class, window) pairs pays for exactly those.
+//! touches two (class, window) pairs pays for exactly those. The
+//! feature slots stay lazy too: the per-user slot costs about 16 ms
+//! per job-log system at fleet scale 0.05, which an eager build would
+//! add to every snapshot upload, including those whose queries never
+//! ask for it.
 //!
 //! # Thread safety
 //!
-//! Each cache sits behind an `RwLock` with double-checked lookup: a
-//! read lock serves hits concurrently; a miss upgrades to the write
+//! Each keyed cache sits behind an `RwLock` with double-checked lookup:
+//! a read lock serves hits concurrently; a miss upgrades to the write
 //! lock, re-checks, and builds *while holding it*, so concurrent
 //! `parallel_map` workers asking for the same key share one build
-//! instead of racing to duplicate it. The values are cheap to clone
-//! (`Arc` day vectors, `Copy` counts), so locks are never held across
-//! caller code.
+//! instead of racing to duplicate it. Each single-value feature slot
+//! is one `OnceLock`: the first caller builds, callers racing it wait
+//! for that build, and every later caller gets the stored `Arc`. The
+//! values are cheap to clone (`Arc` vectors, `Copy` counts), so locks
+//! are never held across caller code.
 //!
 //! Results are bit-identical to the direct-scan path — the builders
 //! call into the same [`query`](crate::query) kernels
@@ -47,18 +54,21 @@
 //! - `store.index.baseline.hits` / `store.index.baseline.misses` —
 //!   baseline cache outcomes;
 //! - `store.index.features.hits` / `store.index.features.misses` —
-//!   usage/temperature feature cache outcomes;
+//!   usage/temperature/user feature slot outcomes;
 //! - `store.index.build_ns` — histogram of time spent building entries;
 //! - `store.index.build_baseline` / `store.index.build_features` —
 //!   spans around the expensive whole-system builds.
 
-use crate::features::{compute_temperature, compute_usage, NodeUsage, TemperatureAggregate};
+use crate::features::{
+    compute_temperature, compute_usage, compute_user_stats, NodeUsage, TemperatureAggregate,
+    UserStat,
+};
 use crate::query::{covered_window_starts, windows_per_node, NodeEvents, WindowCounts};
 use crate::trace::SystemTrace;
 use hpcfail_types::prelude::*;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 /// A cached, sorted, deduplicated day vector, shared without copying.
@@ -76,8 +86,9 @@ pub struct TimelineIndex {
     maintenance_days: RwLock<HashMap<u32, DayVec>>,
     failure_baselines: RwLock<HashMap<(FailureClass, Window), WindowCounts>>,
     maintenance_baselines: RwLock<HashMap<Window, WindowCounts>>,
-    usage: RwLock<Option<Arc<Vec<NodeUsage>>>>,
-    temperature: RwLock<Option<Arc<Vec<Option<TemperatureAggregate>>>>>,
+    usage: OnceLock<Arc<Vec<NodeUsage>>>,
+    temperature: OnceLock<Arc<Vec<Option<TemperatureAggregate>>>>,
+    users: OnceLock<Arc<Vec<UserStat>>>,
 }
 
 impl TimelineIndex {
@@ -131,33 +142,21 @@ where
     v
 }
 
-/// Single-slot variant of [`get_or_build`] for whole-system features
-/// (one value per trace, not per key).
-fn get_or_build_single<V: Clone>(
-    slot: &RwLock<Option<V>>,
-    hit: &'static str,
-    miss: &'static str,
-    build: impl FnOnce() -> V,
-) -> V {
-    if let Some(v) = slot
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .as_ref()
-    {
-        hpcfail_obs::counter(hit).inc();
-        return v.clone();
+/// Whole-system feature lookup: the first caller builds the slot,
+/// callers racing it wait for that one build, and later callers share
+/// the stored `Arc`.
+fn get_or_build_feature<V>(slot: &OnceLock<Arc<V>>, build: impl FnOnce() -> V) -> Arc<V> {
+    let mut built = false;
+    let v = slot.get_or_init(|| {
+        built = true;
+        hpcfail_obs::counter("store.index.features.misses").inc();
+        let _span = hpcfail_obs::span("store.index.build_features");
+        Arc::new(timed_build(build))
+    });
+    if !built {
+        hpcfail_obs::counter("store.index.features.hits").inc();
     }
-    let mut guard = slot
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(v) = guard.as_ref() {
-        hpcfail_obs::counter(hit).inc();
-        return v.clone();
-    }
-    hpcfail_obs::counter(miss).inc();
-    let v = timed_build(build);
-    *guard = Some(v.clone());
-    v
+    Arc::clone(v)
 }
 
 /// Runs `build`, recording its duration in `store.index.build_ns` when
@@ -253,30 +252,22 @@ impl SystemTrace {
     /// statistics from the same scatter, each of which previously
     /// rescanned the multi-million-record job log.
     pub fn indexed_usage(&self) -> Arc<Vec<NodeUsage>> {
-        get_or_build_single(
-            &self.index.usage,
-            "store.index.features.hits",
-            "store.index.features.misses",
-            || {
-                let _span = hpcfail_obs::span("store.index.build_features");
-                Arc::new(compute_usage(self))
-            },
-        )
+        get_or_build_feature(&self.index.usage, || compute_usage(self))
     }
 
     /// Per-node temperature aggregates, computed once per trace — the
     /// memoized equivalent of [`compute_temperature`], which every
     /// Section VIII regression previously recomputed per predictor.
     pub fn indexed_temperature(&self) -> Arc<Vec<Option<TemperatureAggregate>>> {
-        get_or_build_single(
-            &self.index.temperature,
-            "store.index.features.hits",
-            "store.index.features.misses",
-            || {
-                let _span = hpcfail_obs::span("store.index.build_features");
-                Arc::new(compute_temperature(self))
-            },
-        )
+        get_or_build_feature(&self.index.temperature, || compute_temperature(self))
+    }
+
+    /// Per-user failure exposure, computed once per trace — the
+    /// memoized equivalent of [`compute_user_stats`]. Every Section VI
+    /// request otherwise re-walks the job log and rebuilds per-node job
+    /// intervals, though only the number of users asked for differs.
+    pub fn indexed_users(&self) -> Arc<Vec<UserStat>> {
+        get_or_build_feature(&self.index.users, || compute_user_stats(self))
     }
 
     /// Baseline probability for one node, served from the cached day

@@ -11,7 +11,8 @@
 //! - [`index`] — lazy, thread-safe per-system caches of day vectors and
 //!   memoized baselines (the `indexed_*` methods on `SystemTrace`).
 //! - [`features`] — derived per-node features (utilization, job counts,
-//!   temperature aggregates) feeding the paper's regressions.
+//!   temperature aggregates) and per-user failure exposure feeding the
+//!   paper's regressions.
 //! - [`csv`] — the toolkit's native CSV schema (ingest and export).
 //! - [`ingest`] — policy-driven loading (strict / lenient / best-effort)
 //!   with per-line quarantine and a cross-record data-quality audit.
@@ -64,7 +65,9 @@ pub mod trace;
 
 /// The most frequently used items.
 pub mod prelude {
-    pub use crate::features::{FeatureError, NodeFeatures, NodeUsage, TemperatureAggregate};
+    pub use crate::features::{
+        FeatureError, NodeFeatures, NodeUsage, TemperatureAggregate, UserStat,
+    };
     pub use crate::ingest::{
         load_trace_with, DataQualityReport, IngestPolicy, IngestReport, QuarantinedLine,
     };

@@ -4,12 +4,14 @@
 //! and usage-union invariants.
 
 use hpcfail_store::csv;
-use hpcfail_store::features::compute_usage;
+use hpcfail_store::features::{compute_usage, UserStat};
 use hpcfail_store::query::{covered_window_starts, BaselineEstimator, NodeEvents};
 use hpcfail_store::snapshot::{decode_snapshot, snapshot_bytes};
-use hpcfail_store::trace::{SystemTraceBuilder, Trace};
+use hpcfail_store::trace::{SystemTrace, SystemTraceBuilder, Trace};
 use hpcfail_types::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Brute-force oracle for [`covered_window_starts`].
 fn brute_force(days: &[i64], total_days: i64, window: i64) -> u64 {
@@ -441,6 +443,156 @@ proptest! {
             prop_assert_eq!(u.busy.as_seconds(), busy[i]);
         }
     }
+}
+
+proptest! {
+    #[test]
+    fn indexed_users_match_per_request_oracle(
+        jobs in prop::collection::vec(
+            (0u32..5, prop::collection::vec(0u32..6, 0..4), 0i64..100, -3i64..30, 1u32..8),
+            0..40,
+        ),
+        failures in prop::collection::vec((0u32..4, 0i64..130), 0..40),
+    ) {
+        // Whole hours put failures exactly at dispatch and at end;
+        // length 0 gives zero-length jobs and negative lengths inverted
+        // ones; node ids 4 and 5 are out of range, and a job may list
+        // one node twice.
+        let mut b = SystemTraceBuilder::new(config(4, 10));
+        for (i, (user, nodes, hour, len, procs)) in jobs.iter().enumerate() {
+            b.push_job(JobRecord {
+                system: SystemId::new(1),
+                job_id: JobId::new(i as u64),
+                user: UserId::new(*user),
+                submit: Timestamp::from_seconds(hour * 3600),
+                dispatch: Timestamp::from_seconds(hour * 3600),
+                end: Timestamp::from_seconds((hour + len) * 3600),
+                procs: *procs,
+                nodes: nodes.iter().map(|&n| NodeId::new(n)).collect(),
+            });
+        }
+        for &(node, hour) in &failures {
+            b.push_failure(FailureRecord::new(
+                SystemId::new(1),
+                NodeId::new(node),
+                Timestamp::from_seconds(hour * 3600),
+                RootCause::Hardware,
+                SubCause::None,
+            ));
+        }
+        let system = b.build();
+        let expected = user_stats_oracle(&system);
+
+        let indexed = system.indexed_users();
+        prop_assert!(same_user_stats(&indexed, &expected));
+        prop_assert!(Arc::ptr_eq(&indexed, &system.indexed_users()));
+
+        // A clone starts cold: it builds its own, equal, slot.
+        let cloned = system.clone();
+        let rebuilt = cloned.indexed_users();
+        prop_assert!(!Arc::ptr_eq(&indexed, &rebuilt));
+        prop_assert!(same_user_stats(&rebuilt, &expected));
+
+        // Four threads racing a cold slot share one build.
+        let racing = system.clone();
+        let seen: Vec<Arc<Vec<UserStat>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| racing.indexed_users()))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
+        });
+        for stats in &seen {
+            prop_assert!(Arc::ptr_eq(stats, &seen[0]));
+        }
+        prop_assert!(same_user_stats(&seen[0], &expected));
+    }
+}
+
+/// Equal user lists, with `processor_days` compared bit for bit.
+fn same_user_stats(a: &[UserStat], b: &[UserStat]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.user == y.user
+                && x.processor_days.to_bits() == y.processor_days.to_bits()
+                && x.jobs == y.jobs
+                && x.node_failures == y.node_failures
+        })
+}
+
+/// The per-request user table the Section VI analysis built before it
+/// moved into the index: per-user totals over the job log, plus each
+/// failure attributed to every job running on the failed node.
+fn user_stats_oracle(system: &SystemTrace) -> Vec<UserStat> {
+    if system.jobs().is_empty() {
+        return Vec::new();
+    }
+    let mut stats: BTreeMap<UserId, UserStat> = BTreeMap::new();
+    for job in system.jobs() {
+        let entry = stats.entry(job.user).or_insert(UserStat {
+            user: job.user,
+            processor_days: 0.0,
+            jobs: 0,
+            node_failures: 0,
+        });
+        entry.processor_days += job.processor_days();
+        entry.jobs += 1;
+    }
+    for (user, hits) in attribute_failures(system) {
+        if let Some(entry) = stats.get_mut(&user) {
+            entry.node_failures += hits;
+        }
+    }
+    stats.into_values().collect()
+}
+
+/// Counts, per user, the jobs that were running on a node when it
+/// failed.
+fn attribute_failures(system: &SystemTrace) -> BTreeMap<UserId, u64> {
+    // Per-node job intervals sorted by dispatch, with the node's longest
+    // runtime to bound the backward scan.
+    let nodes = system.config().nodes as usize;
+    let mut intervals: Vec<Vec<(i64, i64, UserId)>> = vec![Vec::new(); nodes];
+    let mut max_run = vec![0i64; nodes];
+    for job in system.jobs() {
+        let d = job.dispatch.as_seconds();
+        let e = job.end.as_seconds();
+        if e <= d {
+            continue;
+        }
+        for &node in &job.nodes {
+            if node.index() < nodes {
+                intervals[node.index()].push((d, e, job.user));
+                max_run[node.index()] = max_run[node.index()].max(e - d);
+            }
+        }
+    }
+    for list in &mut intervals {
+        list.sort_unstable_by_key(|&(d, _, _)| d);
+    }
+
+    let mut hits: BTreeMap<UserId, u64> = BTreeMap::new();
+    let cols = system.failure_columns();
+    for (&t, &node) in cols.times().iter().zip(cols.nodes()) {
+        let ni = node as usize;
+        if ni >= nodes {
+            continue;
+        }
+        let list = &intervals[ni];
+        let idx = list.partition_point(|&(d, _, _)| d <= t);
+        let earliest = t - max_run[ni];
+        for &(d, e, user) in list[..idx].iter().rev() {
+            if d < earliest {
+                break;
+            }
+            if e > t {
+                *hits.entry(user).or_insert(0) += 1;
+            }
+        }
+    }
+    hits
 }
 
 /// Sort-then-union reference for `compute_usage`'s streaming union:
