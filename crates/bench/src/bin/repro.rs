@@ -329,7 +329,7 @@ fn main() -> ExitCode {
         println!("{body}");
         if let Some(dir) = &out_dir {
             let path = dir.join(format!("{}.txt", e.id));
-            if let Err(err) = std::fs::write(&path, &body) {
+            if let Err(err) = hpcfail_obs::fs::write_atomic(&path, body.as_bytes()) {
                 eprintln!("cannot write {}: {err}", path.display());
                 return ExitCode::FAILURE;
             }

@@ -12,11 +12,11 @@
 //! hpcfail-load profiles
 //! ```
 //!
-//! `--trace NAME` aims the run at a named trace in the server's
-//! registry (HTTP targets post to `/v1/traces/NAME/query` and
-//! `.../batch`; the in-process target keys its cache under the name).
+//! `--trace NAME` aims an HTTP run at a named trace in the server's
+//! registry (it posts to `/v1/traces/NAME/query` and `.../batch`).
 //! Defaults to `default`, which is where `hpcfail-serve serve` boots
-//! its trace unless told otherwise.
+//! its trace unless told otherwise. It is rejected with `--in-process`,
+//! whose target answers from its own single engine.
 //!
 //! `--retries N` makes the HTTP target retry shed answers (429/503)
 //! and transport failures up to N times per item, with seeded jittered
@@ -27,7 +27,7 @@
 //!
 //! `run` plans the profile's request sequence from its seed, executes
 //! it against the target (a live server via `--addr`, or an engine
-//! behind the server's result cache via `--in-process`), writes the
+//! behind the server's own answer path via `--in-process`), writes the
 //! report, and exits 1 if any budget line is violated. `check` parses
 //! and budget-checks an existing report — CI runs it on the committed
 //! copy so schema drift cannot land silently.
@@ -93,7 +93,7 @@ struct RunArgs {
     profile: String,
     addr: Option<String>,
     in_process: bool,
-    trace: String,
+    trace: Option<String>,
     scale: f64,
     seed: u64,
     scenario: Option<String>,
@@ -112,7 +112,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         profile: "ci".to_owned(),
         addr: None,
         in_process: false,
-        trace: hpcfail_serve::DEFAULT_TRACE.to_owned(),
+        trace: None,
         scale: 0.05,
         seed: 42,
         scenario: None,
@@ -138,7 +138,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
             "--trace" => take_value("--trace", &mut iter).and_then(|v| {
                 if hpcfail_serve::registry::valid_name(v) {
-                    parsed.trace = v.to_owned();
+                    parsed.trace = Some(v.to_owned());
                     Ok(())
                 } else {
                     Err(format!("invalid --trace name {v:?}"))
@@ -205,6 +205,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if retry_flags && parsed.in_process {
         return usage_error("retry flags need an HTTP target (--addr)");
     }
+    if parsed.trace.is_some() && parsed.in_process {
+        return usage_error("--trace needs an HTTP target (--addr)");
+    }
     if parsed.threads == 0 {
         return usage_error("--threads must be positive");
     }
@@ -262,6 +265,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 
     let target: Box<dyn Target> = if let Some(addr) = &parsed.addr {
+        let trace_name = parsed
+            .trace
+            .as_deref()
+            .unwrap_or(hpcfail_serve::DEFAULT_TRACE);
         if retry_flags {
             let default = RetryPolicy::default();
             let policy = RetryPolicy {
@@ -273,9 +280,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 seed: parsed.retry_seed.unwrap_or(default.seed),
                 ..default
             };
-            Box::new(Http::with_retry(addr, policy).with_trace(&parsed.trace))
+            Box::new(Http::with_retry(addr, policy).with_trace(trace_name))
         } else {
-            Box::new(Http::new(addr).with_trace(&parsed.trace))
+            Box::new(Http::new(addr).with_trace(trace_name))
         }
     } else {
         if !parsed.quiet {
@@ -286,7 +293,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             Some(scenario) => scenario.generate().into_store(),
             None => fleet.generate(parsed.seed).into_store(),
         };
-        Box::new(InProcess::new(trace, parsed.cache).with_trace_name(&parsed.trace))
+        Box::new(InProcess::new(trace, parsed.cache))
     };
 
     let stats = execute(

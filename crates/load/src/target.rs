@@ -1,29 +1,29 @@
 //! Where planned requests go: a live server or an in-process engine.
 //!
-//! The in-process target is not a mock — it reuses the *server's own*
-//! result cache ([`hpcfail_serve::cache::ResultCache`]) with the
-//! server's cache key `(trace name, epoch fingerprint, canonical
-//! request)` and renders bodies with the server's exact expression
-//! (`engine.run(req).to_json().pretty()`), so harness bodies are
-//! byte-identical to query responses and the differential tests can
-//! hold both paths to the same answer.
+//! The in-process target is not a mock — it answers through the
+//! server's own [`QueryService`] (result cache, coalescer, render
+//! expression and batch wrapping), so harness bodies are the server's
+//! bytes by construction and the differential tests can hold both
+//! paths to the same answer. It pins one engine registered under
+//! [`DEFAULT_TRACE`].
 //!
-//! Both targets are trace-scoped: the HTTP target posts to
-//! `/v1/traces/{name}/query` and `/v1/traces/{name}/batch`, and the
-//! in-process target keys its cache under the same name, defaulting to
-//! [`DEFAULT_TRACE`] on both sides.
+//! The HTTP target is trace-scoped: it posts to
+//! `/v1/traces/{name}/query` and `/v1/traces/{name}/batch`, aimed at
+//! [`DEFAULT_TRACE`] unless told otherwise.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hpcfail_core::engine::{AnalysisRequest, Engine};
 use hpcfail_obs::json::Json;
-use hpcfail_serve::cache::{CacheKey, ResultCache};
-use hpcfail_serve::{Client, RetryPolicy, RetryingClient, DEFAULT_TRACE};
+use hpcfail_serve::registry::ResolvedTrace;
+use hpcfail_serve::{
+    Answer, Client, QueryService, RetryPolicy, RetryingClient, ServerConfig, DEFAULT_TRACE,
+};
 use hpcfail_store::trace::Trace;
 
 /// What one call produced, as the harness saw it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CallOutcome {
     /// HTTP status (200 for in-process success); 0 = transport error.
     pub status: u16,
@@ -52,24 +52,6 @@ pub struct CallOutcome {
     pub body: String,
 }
 
-impl CallOutcome {
-    fn transport_error(message: String) -> Self {
-        CallOutcome {
-            status: 0,
-            hits: 0,
-            misses: 0,
-            coalesced: 0,
-            unknown: 0,
-            timeout: false,
-            sheds: 0,
-            retries: 0,
-            gave_up: false,
-            error: Some(message),
-            body: String::new(),
-        }
-    }
-}
-
 /// A sink for planned requests.
 pub trait Target: Sync {
     /// Issues one plan item: a single query (`requests.len() == 1`) or
@@ -81,110 +63,78 @@ pub trait Target: Sync {
     fn label(&self) -> &'static str;
 }
 
-/// In-process target: the engine behind the server's own result cache.
+/// In-process target: one pinned engine behind the server's
+/// [`QueryService`].
 pub struct InProcess {
-    engine: Engine,
-    trace_name: String,
-    fingerprint: u64,
-    cache: ResultCache,
+    resolved: ResolvedTrace,
+    service: QueryService,
 }
 
 impl InProcess {
     /// Builds the target from a trace, with a result cache of
     /// `cache_capacity` entries (0 disables caching, like the server).
-    /// The cache is keyed under [`DEFAULT_TRACE`].
     pub fn new(trace: Trace, cache_capacity: usize) -> Self {
-        let engine = Engine::new(trace);
-        let fingerprint = engine.fingerprint();
+        let engine = Arc::new(Engine::new(trace));
         InProcess {
-            engine,
-            trace_name: DEFAULT_TRACE.to_owned(),
-            fingerprint,
-            cache: ResultCache::new(cache_capacity),
+            resolved: ResolvedTrace {
+                fingerprint: engine.fingerprint(),
+                engine,
+                epoch: 0,
+            },
+            service: QueryService::new(cache_capacity),
         }
-    }
-
-    /// Keys the cache under `name` instead of [`DEFAULT_TRACE`],
-    /// mirroring the server's `(trace, epoch fingerprint, request)`
-    /// cache key for that trace.
-    #[must_use]
-    pub fn with_trace_name(mut self, name: impl Into<String>) -> Self {
-        self.trace_name = name.into();
-        self
     }
 
     /// The engine, for differential comparison against direct calls.
     pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Renders one query body exactly as the server would, returning
-    /// `(body, was_cache_hit)`.
-    fn render(&self, request: &AnalysisRequest) -> (Arc<String>, bool) {
-        let key: CacheKey = (
-            self.trace_name.clone(),
-            self.fingerprint,
-            request.canonical(),
-        );
-        if let Some(body) = self.cache.get(&key) {
-            return (body, true);
-        }
-        let body = Arc::new(self.engine.run(request).to_json().pretty());
-        self.cache.put(key, Arc::clone(&body));
-        (body, false)
+        &self.resolved.engine
     }
 }
 
 impl Target for InProcess {
-    fn call(&self, requests: &[&AnalysisRequest], _deadline_ms: Option<u64>) -> CallOutcome {
-        let mut hits = 0;
-        let mut misses = 0;
-        if requests.len() == 1 {
-            let (body, hit) = self.render(requests[0]);
-            if hit {
-                hits = 1;
-            } else {
-                misses = 1;
-            }
-            return CallOutcome {
-                status: 200,
-                hits,
-                misses,
-                coalesced: 0,
-                unknown: 0,
-                timeout: false,
-                sheds: 0,
-                retries: 0,
-                gave_up: false,
-                error: None,
-                body: (*body).clone(),
-            };
-        }
-        // Mirror handle_batch: each element is the exact /query body,
-        // embedded as a JSON string.
+    /// Answers like the server's query (one request) or batch endpoint,
+    /// with the server's deadline semantics: a coalesced wait gives up
+    /// after `deadline_ms`, or the server's default deadline.
+    fn call(&self, requests: &[&AnalysisRequest], deadline_ms: Option<u64>) -> CallOutcome {
+        let deadline_ms = deadline_ms.unwrap_or(ServerConfig::default().default_deadline_ms);
+        let deadline = Instant::now() + Duration::from_millis(deadline_ms.max(1));
+        let mut outcome = CallOutcome {
+            status: 200,
+            ..CallOutcome::default()
+        };
         let mut bodies = Vec::with_capacity(requests.len());
         for request in requests {
-            let (body, hit) = self.render(request);
-            if hit {
-                hits += 1;
-            } else {
-                misses += 1;
+            let key = QueryService::key(DEFAULT_TRACE, &self.resolved, request);
+            match self.service.answer(key, request, &self.resolved, deadline) {
+                Answer::Fresh(body) => {
+                    outcome.misses += 1;
+                    bodies.push(body);
+                }
+                Answer::Cached(body) => {
+                    outcome.hits += 1;
+                    bodies.push(body);
+                }
+                Answer::Coalesced(body) => {
+                    outcome.coalesced += 1;
+                    bodies.push(body);
+                }
+                Answer::Degraded => {
+                    outcome.status = 504;
+                    outcome.timeout = true;
+                    return outcome;
+                }
+                Answer::Failed(message) => {
+                    outcome.status = 500;
+                    outcome.body = message;
+                    return outcome;
+                }
             }
-            bodies.push(Json::Str((*body).clone()));
         }
-        CallOutcome {
-            status: 200,
-            hits,
-            misses,
-            coalesced: 0,
-            unknown: 0,
-            timeout: false,
-            sheds: 0,
-            retries: 0,
-            gave_up: false,
-            error: None,
-            body: Json::obj([("results", Json::Arr(bodies))]).pretty(),
-        }
+        outcome.body = match bodies.as_slice() {
+            [body] => (**body).clone(),
+            _ => QueryService::batch_body(&bodies),
+        };
+        outcome
     }
 
     fn label(&self) -> &'static str {
@@ -260,25 +210,23 @@ impl Target for Http {
         let response = match detailed.result {
             Ok(response) => response,
             Err(err) => {
-                let mut outcome = CallOutcome::transport_error(err.to_string());
-                outcome.sheds = detailed.sheds;
-                outcome.retries = retries;
-                outcome.gave_up = detailed.gave_up;
-                return outcome;
+                return CallOutcome {
+                    sheds: detailed.sheds,
+                    retries,
+                    gave_up: detailed.gave_up,
+                    error: Some(err.to_string()),
+                    ..CallOutcome::default()
+                }
             }
         };
         let mut outcome = CallOutcome {
             status: response.status,
-            hits: 0,
-            misses: 0,
-            coalesced: 0,
-            unknown: 0,
             timeout: response.status == 504,
             sheds: detailed.sheds,
             retries,
             gave_up: detailed.gave_up,
-            error: None,
             body: response.body,
+            ..CallOutcome::default()
         };
         if requests.len() == 1 {
             match response.headers.iter().find(|(n, _)| n == "x-cache") {

@@ -3,7 +3,7 @@
 //! A zipfian hot-key mix recycles a small key set, so its hit rate
 //! must clear a floor; a cold-cache phase never repeats a key, so its
 //! hit rate must stay under a ceiling (exactly zero for the in-process
-//! target, which has no coalescing).
+//! target, where distinct keys can neither hit nor coalesce).
 
 use hpcfail_load::{
     build_corpus, execute, plan, systems_from_fleet, Arrival, InProcess, MixConfig, Phase,
@@ -84,8 +84,8 @@ fn cold_cache_mix_hit_rate_stays_under_the_ceiling() {
     };
     let stats = run(&config);
     assert_eq!(stats.errors(), 0);
-    // Every cold request is a first sight; in-process there is no
-    // coalescing, so the hit rate is exactly zero. The ceiling (rather
+    // Every cold request is a first sight of a distinct key, so in
+    // process nothing hits or coalesces and the hit rate is exactly zero. The ceiling (rather
     // than equality) keeps the assertion honest for an HTTP variant.
     assert!(
         stats.hit_rate() <= 0.05,

@@ -150,11 +150,15 @@ fn seeded_storm_has_identical_counts_and_recovers_to_healthy_slo() {
     let client = Client::new(addr);
     for _ in 0..10 {
         let response = client
-            .post("/query", r#"{"analysis": "trace-summary"}"#, &[])
+            .post(
+                "/v1/traces/default/query",
+                r#"{"analysis": "trace-summary"}"#,
+                &[],
+            )
             .expect("clean query");
         assert_eq!(response.status, 200, "post-storm traffic is clean");
     }
-    let health = client.get("/healthz").expect("healthz");
+    let health = client.get("/v1/healthz").expect("healthz");
     assert_eq!(health.status, 200);
     let body = hpcfail_obs::json::parse(&health.body).expect("healthz json");
     let slo_status = body

@@ -16,6 +16,7 @@
 //!   crate);
 //! - [`json`] — the self-contained JSON writer/parser behind the run
 //!   manifest.
+//! - [`fs`] — crash-atomic writes for durable artifacts.
 //!
 //! # The front door
 //!
@@ -42,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fs;
 pub mod json;
 pub mod manifest;
 pub mod registry;

@@ -298,7 +298,7 @@ impl Sink for ManifestSink {
             self.git_describe.clone(),
             snapshot.clone(),
         );
-        std::fs::write(&self.path, manifest.to_json().pretty())
+        crate::fs::write_atomic(&self.path, manifest.to_json().pretty().as_bytes())
     }
 }
 

@@ -818,10 +818,10 @@ fn cmd_check_metrics(args: &[String]) -> ExitCode {
         }
     }
     let text = match (&addr, &file) {
-        (Some(addr), None) => match Client::new(addr.clone()).get("/metrics") {
+        (Some(addr), None) => match Client::new(addr.clone()).get("/v1/metrics") {
             Ok(response) if response.status == 200 => response.body,
             Ok(response) => {
-                eprintln!("/metrics answered {}", response.status);
+                eprintln!("/v1/metrics answered {}", response.status);
                 return ExitCode::FAILURE;
             }
             Err(err) => {

@@ -25,7 +25,7 @@ pub const MAX_UPLOAD_BODY: usize = 64 * 1024 * 1024;
 pub struct Request {
     /// Upper-cased method, e.g. `GET`.
     pub method: String,
-    /// The path, query string included, e.g. `/query`.
+    /// The path, query string included, e.g. `/v1/healthz`.
     pub path: String,
     /// Header pairs; names lower-cased.
     pub headers: Vec<(String, String)>,
@@ -194,12 +194,7 @@ pub fn read_request_with_limit(
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
 
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("invalid content-length {v:?}")))?,
-        None => 0,
-    };
+    let content_length = body_length(&headers)?;
     let max_body = max_body(&method.to_ascii_uppercase(), path);
     if content_length > max_body {
         return Err(HttpError::TooLarge(format!(
@@ -223,6 +218,37 @@ pub fn read_request_with_limit(
         headers,
         body,
     }))
+}
+
+/// The body length the headers declare, refusing every framing two
+/// readers could disagree on (request smuggling): conflicting
+/// `content-length` headers, a value that is not plain digits (RFC
+/// 9112 allows no sign), and any `transfer-encoding`, whose chunks a
+/// length-only reader would take for the next request.
+fn body_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
+    let mut declared: Option<&str> = None;
+    for (name, value) in headers {
+        match name.as_str() {
+            "transfer-encoding" => {
+                return Err(HttpError::Malformed(format!(
+                    "unsupported transfer-encoding {value:?}; send a content-length body"
+                )))
+            }
+            "content-length" if declared.is_some_and(|seen| seen != value) => {
+                return Err(HttpError::Malformed(
+                    "conflicting content-length headers".to_owned(),
+                ))
+            }
+            "content-length" => declared = Some(value),
+            _ => {}
+        }
+    }
+    let Some(v) = declared else { return Ok(0) };
+    v.bytes()
+        .all(|b| b.is_ascii_digit())
+        .then(|| v.parse::<usize>().ok())
+        .flatten()
+        .ok_or_else(|| HttpError::Malformed(format!("invalid content-length {v:?}")))
 }
 
 /// Writes one sized response. `extra_headers` are emitted verbatim
@@ -301,6 +327,33 @@ mod tests {
             let err = parse(bytes).expect_err("must be rejected");
             assert_eq!(err.status().map(|(s, _)| s), Some(400), "{}", err.message());
         }
+    }
+
+    fn assert_malformed(bytes: &[u8]) {
+        let err = parse(bytes).expect_err("ambiguous framing must be rejected");
+        assert_eq!(err.status().map(|(s, _)| s), Some(400), "{}", err.message());
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        assert_malformed(b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 40\r\n\r\nab");
+        // Repeating the same value is unambiguous and stays accepted.
+        let req = parse(b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab")
+            .expect("identical duplicates parse")
+            .expect("present");
+        assert_eq!(req.body, b"ab");
+    }
+
+    #[test]
+    fn rejects_a_signed_content_length() {
+        assert_malformed(b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nab");
+    }
+
+    #[test]
+    fn rejects_chunked_transfer_encoding() {
+        assert_malformed(
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nab\r\n0\r\n\r\n",
+        );
     }
 
     /// Serves `data`, then times out forever — a slow-loris client.

@@ -8,8 +8,7 @@
 //! [`AnalysisRequest`](hpcfail_core::engine::AnalysisRequest)s arrive
 //! as JSON over plain HTTP/1.1 — std only, no frameworks. The HTTP
 //! surface is versioned and trace-scoped (`/v1/traces/{name}/query`,
-//! see [`routes`]); the legacy unversioned endpoints keep working
-//! against the `default` trace with an `x-api-deprecated` header.
+//! see [`routes`]); `/v1` is its only version.
 //! Re-uploading a name is an atomic epoch swap: in-flight queries
 //! finish against their pinned epoch, and the old epoch's memory is
 //! released when its last pin drops. Under `--max-resident-bytes`,
@@ -17,7 +16,9 @@
 //! and rehydrate transparently on the next query.
 //!
 //! Serving adds three behaviors on top of the engine, none of which
-//! can change an answer's bytes:
+//! can change an answer's bytes. The first two live in one
+//! [`QueryService`] (see [`service`]), the answer path the server and
+//! `hpcfail-load`'s in-process target share:
 //!
 //! * **Result cache** ([`cache`]): an LRU keyed on
 //!   `(trace name, epoch fingerprint, canonical request JSON)`. Warm
@@ -32,10 +33,10 @@
 //! Under load the server protects itself instead of falling over:
 //!
 //! * **Admission control** ([`admission`]): a bounded gate in front of
-//!   the worker pool classifies every `/query`/`/batch` by cost
+//!   the worker pool classifies every query and batch by cost
 //!   (cached hit / cold scan / batch) and sheds with *typed* `429`/
 //!   `503` + `Retry-After` when full — brownout mode sheds expensive
-//!   classes first while `/healthz` and `/metrics` stay always-on.
+//!   classes first while `/v1/healthz` and `/v1/metrics` stay always-on.
 //! * **Retrying client** ([`retry`]): seeded jittered exponential
 //!   backoff with a retry budget and honor-`Retry-After` semantics,
 //!   used by `hpcfail-serve query` and `hpcfail-load`'s HTTP target.
@@ -48,13 +49,13 @@
 //! * Every request runs under a trace; the id comes back in the
 //!   `x-trace-id` header, and `x-trace: 1` returns the full span tree
 //!   inline ([`server`]).
-//! * `GET /metrics` exports the registry in Prometheus text format
+//! * `GET /v1/metrics` exports the registry in Prometheus text format
 //!   ([`metrics`]), validated by the in-tree parser ([`promtext`]).
 //! * Per-kind sliding-window latency and error budgets feed SLO
-//!   standings ([`slo`]) into `/healthz` and `serve_slo_*` series.
+//!   standings ([`slo`]) into `/v1/healthz` and `serve_slo_*` series.
 //! * An optional size-capped JSONL access log records one line per
 //!   request ([`accesslog`]).
-//! * `hpcfail-serve top` polls `/metrics` into a live dashboard
+//! * `hpcfail-serve top` polls `/v1/metrics` into a live dashboard
 //!   ([`top`]).
 //!
 //! The flat counters (`serve.requests`, `serve.cache.hit`,
@@ -90,6 +91,7 @@ pub mod registry;
 pub mod retry;
 pub mod routes;
 pub mod server;
+pub mod service;
 pub mod slo;
 pub mod top;
 
@@ -100,4 +102,5 @@ pub use registry::{TraceRegistry, TraceSource, TraceSummary, DEFAULT_TRACE};
 pub use retry::{RetryPolicy, RetryingClient};
 pub use routes::{Endpoint, RouteMatch, Routed};
 pub use server::{spawn, ServerConfig, ServerHandle};
+pub use service::{Answer, QueryService};
 pub use slo::{SloPolicy, SloReport};

@@ -32,7 +32,11 @@ use hpcfail_store::trace::Trace;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// The name legacy endpoints resolve against.
+/// The name a booted trace registers under: [`spawn`]'s engine and a
+/// `--scale`/`--trace` server's boot trace, which the CLI's
+/// `--trace-name` defaults to.
+///
+/// [`spawn`]: crate::server::spawn
 pub const DEFAULT_TRACE: &str = "default";
 
 /// `true` when `name` is usable as a registry slot: 1–64 characters,

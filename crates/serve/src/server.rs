@@ -1,9 +1,10 @@
 //! The query server: a fixed pool of worker threads sharing one
-//! listener, one trace registry, one result cache and one coalescer.
+//! listener, one trace registry and one [`QueryService`] (result
+//! cache + coalescer).
 //!
 //! ## Endpoints
 //!
-//! The full table lives in [`routes`]; the versioned surface is:
+//! The table lives in [`routes`]; `/v1` is the only surface:
 //!
 //! | method & path | answer |
 //! |---|---|
@@ -18,12 +19,7 @@
 //! | `POST /v1/traces/{name}/batch` | a JSON array of requests → results |
 //! | `POST /v1/shutdown` | acknowledges, then stops the server |
 //!
-//! The legacy unversioned endpoints (`/query`, `/batch`, `/healthz`,
-//! `/metrics`, `/requests`, `/shutdown`) keep answering — analysis
-//! runs against the `default` trace — with `x-api-deprecated: true`
-//! on every response and a `"deprecation": true` field in the
-//! extensible control bodies (never in `/query`/`/batch` payloads,
-//! whose bytes are contractual).
+//! Any other path answers a typed 404 listing these.
 //!
 //! A query response body is **exactly**
 //! `engine.run(&request).to_json().pretty()` — byte-identical to an
@@ -40,9 +36,9 @@
 //! response into a wrapped body `{"result": <exact body as a JSON
 //! string>, "trace": <span tree>, "trace_id": ...}` — the original
 //! bytes survive verbatim inside the `result` string (the same idiom
-//! `/batch` uses). Per request the server also records per-kind
+//! the batch endpoint uses). Per request the server also records per-kind
 //! lifetime histograms, sliding-window histograms and [`SloTracker`]
-//! windows, all of which `GET /metrics` exports.
+//! windows, all of which `GET /v1/metrics` exports.
 //!
 //! ## Deadlines
 //!
@@ -54,15 +50,12 @@
 
 use crate::accesslog::{AccessEntry, AccessLog, DEFAULT_MAX_BYTES};
 use crate::admission::{AdmissionConfig, AdmissionGate, CostClass, ShedReason};
-use crate::cache::{CacheKey, ResultCache};
 use crate::chaos::{ChaosAction, ChaosConfig, ChaosEngine, ChaosPoint};
-use crate::coalesce::{Claim, Coalescer};
 use crate::http::{self, Request};
 use crate::metrics;
-use crate::registry::{
-    self, ResolvedTrace, TraceRegistry, TraceSource, TraceSummary, DEFAULT_TRACE,
-};
+use crate::registry::{self, TraceRegistry, TraceSource, TraceSummary, DEFAULT_TRACE};
 use crate::routes::{self, Endpoint, Routed};
+use crate::service::{Answer, QueryService};
 use crate::slo::{SloPolicy, SloTracker};
 use hpcfail_core::engine::{AnalysisRequest, Engine, REQUEST_KINDS};
 use hpcfail_obs::json::Json;
@@ -137,8 +130,7 @@ impl Default for ServerConfig {
 
 struct Shared {
     registry: Arc<TraceRegistry>,
-    cache: ResultCache,
-    coalescer: Coalescer,
+    service: QueryService,
     shutdown: AtomicBool,
     inflight: AtomicU64,
     default_deadline_ms: u64,
@@ -240,8 +232,7 @@ pub fn spawn_with_registry(
     };
     let shared = Arc::new(Shared {
         registry: Arc::new(registry),
-        cache: ResultCache::new(config.cache_capacity),
-        coalescer: Coalescer::new(),
+        service: QueryService::new(config.cache_capacity),
         shutdown: AtomicBool::new(false),
         inflight: AtomicU64::new(0),
         default_deadline_ms: config.default_deadline_ms,
@@ -428,6 +419,12 @@ impl Reply {
         }
     }
 
+    /// The typed 404 for a trace name nothing is registered under.
+    fn no_trace(name: &str, kind: &str) -> Reply {
+        let message = format!("no trace named {name:?} is registered");
+        Reply::error(404, "Not Found", &message, false, kind)
+    }
+
     /// The typed shed answer: status from the reason, `retry-after`
     /// (whole seconds, at least 1) + `x-retry-after-ms` (exact) +
     /// `x-shed` headers, and the shed label in the access log.
@@ -463,7 +460,6 @@ fn respond(
     let trace_hex = trace.trace_id_hex();
 
     let routed = routes::resolve(&request.method, &request.path);
-    let legacy = matches!(&routed, Routed::Matched(m) if m.legacy);
     let analysis = matches!(&routed, Routed::Matched(m) if m.endpoint.is_analysis());
 
     let inflight = InflightGuard::enter(shared);
@@ -516,11 +512,6 @@ fn respond(
     };
 
     let mut headers: Vec<(&str, &str)> = vec![("x-trace-id", &trace_hex)];
-    // Every legacy-surface response carries the deprecation header;
-    // analysis bodies stay byte-identical, so the signal lives here.
-    if legacy {
-        headers.push(("x-api-deprecated", "true"));
-    }
     if let Some(cache) = cache {
         headers.push(("x-cache", cache));
     }
@@ -610,9 +601,10 @@ fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
             return Reply::error(404, "Not Found", routes::KNOWN_PATHS_HINT, false, "other")
         }
     };
-    let trace_name = matched.trace.as_deref().unwrap_or(DEFAULT_TRACE);
+    // Registry-wide endpoints bind no name and never read it.
+    let trace_name = matched.trace.as_deref().unwrap_or_default();
     match matched.endpoint {
-        Endpoint::Healthz => handle_healthz(shared, matched.legacy),
+        Endpoint::Healthz => handle_healthz(shared),
         Endpoint::Metrics => {
             let body = metrics::render(
                 &hpcfail_obs::snapshot(),
@@ -627,28 +619,15 @@ fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
             reply
         }
         Endpoint::Requests => {
-            let mut fields = vec![(
-                "kinds",
-                Json::Arr(
-                    REQUEST_KINDS
-                        .iter()
-                        .map(|k| Json::Str((*k).to_owned()))
-                        .collect(),
-                ),
-            )];
-            if matched.legacy {
-                fields.push(("deprecation", Json::Bool(true)));
-            }
-            Reply::ok(Json::obj(fields).pretty(), "requests")
+            let kinds = REQUEST_KINDS.iter().map(|k| Json::Str((*k).to_owned()));
+            let body = Json::obj([("kinds", Json::Arr(kinds.collect()))]).pretty();
+            Reply::ok(body, "requests")
         }
         Endpoint::Shutdown => {
             shared.gate.begin_drain();
             shared.shutdown.store(true, Ordering::SeqCst);
-            let mut fields = vec![("status", Json::Str("shutting down".to_owned()))];
-            if matched.legacy {
-                fields.push(("deprecation", Json::Bool(true)));
-            }
-            let mut reply = Reply::ok(Json::obj(fields).pretty(), "shutdown");
+            let body = Json::obj([("status", Json::Str("shutting down".to_owned()))]).pretty();
+            let mut reply = Reply::ok(body, "shutdown");
             reply.force_close = true;
             reply
         }
@@ -680,31 +659,19 @@ fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
             Some(summary) => {
                 Reply::ok(Json::obj([("trace", summary.to_json())]).pretty(), "traces")
             }
-            None => Reply::error(
-                404,
-                "Not Found",
-                &format!("no trace named {trace_name:?} is registered"),
-                false,
-                "traces",
-            ),
+            None => Reply::no_trace(trace_name, "traces"),
         },
         Endpoint::TraceDelete => match shared.registry.remove(trace_name) {
             Some(summary) => Reply::ok(
                 Json::obj([("evicted", summary.to_json())]).pretty(),
                 "traces",
             ),
-            None => Reply::error(
-                404,
-                "Not Found",
-                &format!("no trace named {trace_name:?} is registered"),
-                false,
-                "traces",
-            ),
+            None => Reply::no_trace(trace_name, "traces"),
         },
     }
 }
 
-fn handle_healthz(shared: &Shared, legacy: bool) -> Reply {
+fn handle_healthz(shared: &Shared) -> Reply {
     let slo = shared.slo.report();
     let mut fields = vec![(
         "status",
@@ -726,9 +693,6 @@ fn handle_healthz(shared: &Shared, legacy: bool) -> Reply {
     ));
     fields.push(("slo", slo.to_json()));
     fields.push(("admission", shared.gate.to_json()));
-    if legacy {
-        fields.push(("deprecation", Json::Bool(true)));
-    }
     Reply::ok(Json::obj(fields).pretty(), "healthz")
 }
 
@@ -877,25 +841,15 @@ fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     // engine Arc stays alive through the whole answer even if an
     // upload swaps or an eviction demotes the slot mid-flight.
     let Some(resolved) = shared.registry.resolve(trace_name) else {
-        return Reply::error(
-            404,
-            "Not Found",
-            &format!("no trace named {trace_name:?} is registered"),
-            false,
-            kind,
-        );
+        return Reply::no_trace(trace_name, kind);
     };
     hpcfail_obs::counter(&format!("serve.trace.{trace_name}.requests")).inc();
     let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
 
     // A warm cache entry makes the request cheap: admission peeks at
-    // the cache (bumping recency is fine — the hit is about to serve).
-    let key: CacheKey = (
-        trace_name.to_owned(),
-        resolved.fingerprint,
-        parsed.canonical(),
-    );
-    let class = if shared.cache.get(&key).is_some() {
+    // the cache under the same key the answer uses.
+    let key = QueryService::key(trace_name, &resolved, &parsed);
+    let class = if shared.service.is_cached(&key) {
         CostClass::Cheap
     } else {
         CostClass::Expensive
@@ -910,40 +864,14 @@ fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     if let Some(reply) = chaos_engine_point(shared, kind) {
         return reply;
     }
-    match answer(&parsed, trace_name, &resolved, shared, deadline) {
-        Answer::Fresh(body) => {
-            hpcfail_obs::counter("serve.cache.miss").inc();
+    let answer = shared.service.answer(key, &parsed, &resolved, deadline);
+    match settle(answer, kind) {
+        Ok((body, cache)) => {
             let mut reply = Reply::ok((*body).clone(), kind);
-            reply.cache = Some("miss");
+            reply.cache = Some(cache);
             reply
         }
-        Answer::Cached(body) => {
-            hpcfail_obs::counter("serve.cache.hit").inc();
-            let mut reply = Reply::ok((*body).clone(), kind);
-            reply.cache = Some("hit");
-            reply
-        }
-        Answer::Coalesced(body) => {
-            hpcfail_obs::counter("serve.coalesced").inc();
-            let mut reply = Reply::ok((*body).clone(), kind);
-            reply.cache = Some("coalesced");
-            reply
-        }
-        Answer::Degraded => {
-            hpcfail_obs::counter("serve.degraded").inc();
-            let mut reply = Reply::error(
-                504,
-                "Gateway Timeout",
-                "deadline passed while awaiting an identical in-flight query",
-                true,
-                kind,
-            );
-            reply.headers.push(("x-degraded", "true".to_owned()));
-            reply
-        }
-        Answer::Failed(message) => {
-            Reply::error(500, "Internal Server Error", &message, false, kind)
-        }
+        Err(reply) => *reply,
     }
 }
 
@@ -1000,13 +928,7 @@ fn handle_batch(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     // answers against the same snapshot of the data, even if an upload
     // swaps the name between items.
     let Some(resolved) = shared.registry.resolve(trace_name) else {
-        return Reply::error(
-            404,
-            "Not Found",
-            &format!("no trace named {trace_name:?} is registered"),
-            false,
-            "batch",
-        );
+        return Reply::no_trace(trace_name, "batch");
     };
     hpcfail_obs::counter(&format!("serve.trace.{trace_name}.requests")).inc();
     let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
@@ -1024,103 +946,47 @@ fn handle_batch(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     }
     let mut bodies = Vec::with_capacity(parsed.len());
     for item in &parsed {
-        match answer(item, trace_name, &resolved, shared, deadline) {
-            Answer::Fresh(body) => {
-                hpcfail_obs::counter("serve.cache.miss").inc();
-                bodies.push(Json::Str((*body).clone()));
-            }
-            Answer::Cached(body) => {
-                hpcfail_obs::counter("serve.cache.hit").inc();
-                bodies.push(Json::Str((*body).clone()));
-            }
-            Answer::Coalesced(body) => {
-                hpcfail_obs::counter("serve.coalesced").inc();
-                bodies.push(Json::Str((*body).clone()));
-            }
-            Answer::Degraded => {
-                hpcfail_obs::counter("serve.degraded").inc();
-                let mut reply = Reply::error(
-                    504,
-                    "Gateway Timeout",
-                    "deadline passed while awaiting an identical in-flight query",
-                    true,
-                    "batch",
-                );
-                reply.headers.push(("x-degraded", "true".to_owned()));
-                return reply;
-            }
-            Answer::Failed(message) => {
-                return Reply::error(500, "Internal Server Error", &message, false, "batch");
-            }
+        let key = QueryService::key(trace_name, &resolved, item);
+        let answer = shared.service.answer(key, item, &resolved, deadline);
+        match settle(answer, "batch") {
+            Ok((body, _)) => bodies.push(body),
+            Err(reply) => return *reply,
         }
     }
-    // Each element is the exact /query body for that request, embedded
-    // as a JSON string so per-query byte-identity survives batching.
-    let body = Json::obj([("results", Json::Arr(bodies))]).pretty();
-    Reply::ok(body, "batch")
+    Reply::ok(QueryService::batch_body(&bodies), "batch")
 }
 
-enum Answer {
-    /// Computed by this request.
-    Fresh(Arc<String>),
-    /// Served from the result cache.
-    Cached(Arc<String>),
-    /// Shared from another client's identical in-flight query.
-    Coalesced(Arc<String>),
-    /// Deadline expired while waiting on the in-flight leader.
-    Degraded,
-    /// The query panicked; the message is sanitized.
-    Failed(String),
-}
-
-fn answer(
-    request: &AnalysisRequest,
-    trace_name: &str,
-    resolved: &ResolvedTrace,
-    shared: &Shared,
-    deadline: Instant,
-) -> Answer {
-    // The key carries the *epoch fingerprint*, not just the name: a
-    // re-uploaded trace with different data can never serve a
-    // predecessor's cached bytes, while re-uploading identical data
-    // keeps the warm entries.
-    let key: CacheKey = (
-        trace_name.to_owned(),
-        resolved.fingerprint,
-        request.canonical(),
-    );
-    if let Some(body) = shared.cache.get(&key) {
-        return Answer::Cached(body);
-    }
-    match shared.coalescer.claim(&key) {
-        Claim::Leader(guard) => {
-            let span_name = format!("serve.query.{}", request.kind());
-            let span = hpcfail_obs::span(&span_name);
-            span.attr("kind", request.kind());
-            let computed = catch_unwind(AssertUnwindSafe(|| {
-                Arc::new(resolved.engine.run(request).to_json().pretty())
-            }));
-            let _ = span;
-            match computed {
-                Ok(body) => {
-                    shared.cache.put(key, Arc::clone(&body));
-                    shared.coalescer.complete(guard, Arc::clone(&body));
-                    Answer::Fresh(body)
-                }
-                Err(_) => {
-                    shared.coalescer.abandon(guard);
-                    Answer::Failed(format!(
-                        "analysis {} panicked; see server logs",
-                        request.kind()
-                    ))
-                }
-            }
+/// Counts one answer and labels it for `x-cache`; an answer without a
+/// body becomes its typed error reply (504 degraded or 500).
+fn settle(answer: Answer, kind: &str) -> Result<(Arc<String>, &'static str), Box<Reply>> {
+    let (body, counter, label) = match answer {
+        Answer::Fresh(body) => (body, "serve.cache.miss", "miss"),
+        Answer::Cached(body) => (body, "serve.cache.hit", "hit"),
+        Answer::Coalesced(body) => (body, "serve.coalesced", "coalesced"),
+        Answer::Degraded => {
+            hpcfail_obs::counter("serve.degraded").inc();
+            let mut reply = Reply::error(
+                504,
+                "Gateway Timeout",
+                "deadline passed while awaiting an identical in-flight query",
+                true,
+                kind,
+            );
+            reply.headers.push(("x-degraded", "true".to_owned()));
+            return Err(Box::new(reply));
         }
-        Claim::Follower(flight) => match flight.wait(deadline) {
-            Some(body) => Answer::Coalesced(body),
-            None => Answer::Degraded,
-        },
-    }
+        Answer::Failed(message) => {
+            return Err(Box::new(Reply::error(
+                500,
+                "Internal Server Error",
+                &message,
+                false,
+                kind,
+            )))
+        }
+    };
+    hpcfail_obs::counter(counter).inc();
+    Ok((body, label))
 }
 
 /// The admission chaos point: latency, an injected typed error, or a

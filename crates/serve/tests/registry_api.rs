@@ -1,7 +1,7 @@
 //! The versioned, trace-scoped serving API end to end: uploads through
 //! the ingest machinery, multi-tenant byte-identity, epoch hot-swap
 //! under concurrent load, cache isolation across re-uploads, typed
-//! eviction, and the legacy surface's deprecation marking.
+//! eviction, and `/v1` as the only surface.
 
 use hpcfail_core::engine::{AnalysisRequest, Engine};
 use hpcfail_serve::client::Client;
@@ -304,51 +304,66 @@ fn evicted_traces_answer_typed_404() {
     handle.shutdown();
 }
 
-/// Legacy endpoints keep answering against the `default` trace with
-/// `x-api-deprecated: true` on every response and a `deprecation`
-/// field in extensible control bodies — while analysis bodies stay
-/// byte-identical to their `/v1` equivalents.
+/// `/v1` is the only surface: each former unversioned `(method, path)`
+/// pair answers a typed 404 carrying the path hint, and `/v1` answers
+/// carry no deprecation marker in headers or bodies.
 #[test]
-fn legacy_surface_is_marked_deprecated_v1_is_not() {
+fn former_unversioned_paths_answer_typed_404() {
     let engine = Engine::new(small_trace(5));
     let handle = spawn(engine, ServerConfig::default()).expect("bind");
     let client = Client::new(handle.addr().to_string());
     let body = r#"{"analysis": "env-breakdown"}"#;
 
-    let legacy = client.post("/query", body, &[]).expect("legacy query");
-    let v1 = client
+    for (method, path) in [
+        ("GET", "/healthz"),
+        ("GET", "/metrics"),
+        ("GET", "/requests"),
+        ("POST", "/shutdown"),
+        ("POST", "/query"),
+        ("POST", "/batch"),
+    ] {
+        let response = if method == "GET" {
+            client.get(path)
+        } else {
+            client.post(path, body, &[])
+        }
+        .expect(path);
+        assert_eq!(response.status, 404, "{method} {path}: {}", response.body);
+        let json = hpcfail_obs::json::parse(&response.body).expect("typed error body");
+        let error = json.get("error").expect("error object");
+        assert_eq!(
+            error
+                .get("status")
+                .and_then(hpcfail_obs::json::Json::as_u64),
+            Some(404)
+        );
+        assert_eq!(
+            error
+                .get("message")
+                .and_then(hpcfail_obs::json::Json::as_str),
+            Some(hpcfail_serve::routes::KNOWN_PATHS_HINT),
+            "{method} {path}"
+        );
+    }
+
+    // The 404 for `POST /shutdown` stopped nothing; the /v1 answers
+    // carry no deprecation marker.
+    let query = client
         .post("/v1/traces/default/query", body, &[])
         .expect("v1 query");
-    assert_eq!(legacy.status, 200);
-    assert_eq!(legacy.header("x-api-deprecated"), Some("true"));
-    assert!(v1.header("x-api-deprecated").is_none());
-    assert_eq!(
-        legacy.body, v1.body,
-        "legacy and v1 answer identical bytes for the default trace"
-    );
-    assert!(
-        !legacy.body.contains("deprecation"),
-        "analysis bodies are contractual — no injected fields"
-    );
-
-    for path in ["/healthz", "/requests"] {
+    assert_eq!(query.status, 200, "{}", query.body);
+    assert!(query.header("x-api-deprecated").is_none());
+    assert!(!query.body.contains("deprecation"));
+    for path in ["/v1/healthz", "/v1/requests"] {
         let response = client.get(path).expect(path);
-        assert_eq!(response.header("x-api-deprecated"), Some("true"), "{path}");
+        assert_eq!(response.status, 200, "{path}");
+        assert!(response.header("x-api-deprecated").is_none(), "{path}");
         assert!(
-            response.body.contains("\"deprecation\": true"),
+            !response.body.contains("\"deprecation\""),
             "{path}: {}",
             response.body
         );
-        let versioned = client.get(&format!("/v1{path}")).expect(path);
-        assert!(versioned.header("x-api-deprecated").is_none(), "{path}");
-        assert!(
-            !versioned.body.contains("\"deprecation\""),
-            "/v1{path}: {}",
-            versioned.body
-        );
     }
-    let metrics = client.get("/metrics").expect("legacy metrics");
-    assert_eq!(metrics.header("x-api-deprecated"), Some("true"));
     handle.shutdown();
 }
 

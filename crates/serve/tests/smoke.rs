@@ -127,7 +127,7 @@ fn concurrent_load_matches_direct_engine_calls() {
             for q in 0..QUERIES_PER_CLIENT {
                 let request = &mix[(c * 7 + q * 3) % mix.len()];
                 let response = client
-                    .post("/query", &request.canonical(), &[])
+                    .post("/v1/traces/default/query", &request.canonical(), &[])
                     .expect("query round trip");
                 assert_eq!(response.status, 200, "body: {}", response.body);
                 assert!(
@@ -215,14 +215,18 @@ fn warm_queries_beat_cold_queries() {
         }
         .canonical();
         let start = Instant::now();
-        let cold = client.post("/query", &cold_request, &[]).expect("cold");
+        let cold = client
+            .post("/v1/traces/default/query", &cold_request, &[])
+            .expect("cold");
         let cold_elapsed = start.elapsed();
         assert_eq!(cold.header("x-cache"), Some("miss"));
 
         let mut warm_times = Vec::new();
         for _ in 0..11 {
             let start = Instant::now();
-            let warm = client.post("/query", &cold_request, &[]).expect("warm");
+            let warm = client
+                .post("/v1/traces/default/query", &cold_request, &[])
+                .expect("warm");
             warm_times.push(start.elapsed());
             assert_eq!(warm.header("x-cache"), Some("hit"));
             assert_eq!(warm.body, cold.body, "warm bytes equal cold bytes");
@@ -266,7 +270,9 @@ fn batch_answers_align_with_requests() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let response = client.post("/batch", &batch, &[]).expect("batch");
+    let response = client
+        .post("/v1/traces/default/batch", &batch, &[])
+        .expect("batch");
     assert_eq!(response.status, 200, "body: {}", response.body);
     let json = hpcfail_obs::json::parse(&response.body).expect("valid JSON");
     let results = json
@@ -292,20 +298,30 @@ fn malformed_traffic_gets_typed_errors_not_panics() {
     let client = Client::new(handle.addr().to_string());
 
     // Malformed JSON.
-    let r = client.post("/query", "{nope", &[]).expect("round trip");
+    let r = client
+        .post("/v1/traces/default/query", "{nope", &[])
+        .expect("round trip");
     assert_eq!(r.status, 400);
     assert!(r.body.contains("\"error\""), "typed body: {}", r.body);
 
     // Valid JSON, unknown kind.
     let r = client
-        .post("/query", r#"{"analysis": "launch-missiles"}"#, &[])
+        .post(
+            "/v1/traces/default/query",
+            r#"{"analysis": "launch-missiles"}"#,
+            &[],
+        )
         .expect("round trip");
     assert_eq!(r.status, 400);
     assert!(r.body.contains("unknown analysis kind"));
 
     // Valid kind, missing field.
     let r = client
-        .post("/query", r#"{"analysis": "conditional"}"#, &[])
+        .post(
+            "/v1/traces/default/query",
+            r#"{"analysis": "conditional"}"#,
+            &[],
+        )
         .expect("round trip");
     assert_eq!(r.status, 400);
     assert!(r.body.contains("missing field"));
@@ -313,7 +329,7 @@ fn malformed_traffic_gets_typed_errors_not_panics() {
     // Mistyped field.
     let r = client
         .post(
-            "/query",
+            "/v1/traces/default/query",
             r#"{"analysis": "node-failure-counts", "system": "twenty"}"#,
             &[],
         )
@@ -323,7 +339,7 @@ fn malformed_traffic_gets_typed_errors_not_panics() {
     // Batch with one bad item names the index.
     let r = client
         .post(
-            "/batch",
+            "/v1/traces/default/batch",
             r#"[{"analysis": "trace-summary"}, {"analysis": "nope"}]"#,
             &[],
         )
@@ -334,7 +350,7 @@ fn malformed_traffic_gets_typed_errors_not_panics() {
     // Unknown path and wrong method.
     let r = client.get("/nope").expect("round trip");
     assert_eq!(r.status, 404);
-    let r = client.get("/query").expect("round trip");
+    let r = client.get("/v1/traces/default/query").expect("round trip");
     assert_eq!(r.status, 405);
 
     // Raw protocol garbage: the server answers 400 (or drops the
@@ -348,7 +364,7 @@ fn malformed_traffic_gets_typed_errors_not_panics() {
         let _ = raw.read_to_string(&mut out);
         assert!(out.is_empty() || out.starts_with("HTTP/1.1 400"));
     }
-    let r = client.get("/healthz").expect("server still alive");
+    let r = client.get("/v1/healthz").expect("server still alive");
     assert_eq!(r.status, 200);
 
     handle.shutdown();
@@ -360,14 +376,14 @@ fn shutdown_endpoint_stops_the_server() {
     let addr = handle.addr();
     let client = Client::new(addr.to_string());
 
-    let health = client.get("/healthz").expect("healthz");
+    let health = client.get("/v1/healthz").expect("healthz");
     assert_eq!(health.status, 200);
     assert!(health.body.contains("fingerprint"));
 
-    let kinds = client.get("/requests").expect("requests");
+    let kinds = client.get("/v1/requests").expect("requests");
     assert!(kinds.body.contains("same-type-summaries"));
 
-    let bye = client.post("/shutdown", "", &[]).expect("shutdown ack");
+    let bye = client.post("/v1/shutdown", "", &[]).expect("shutdown ack");
     assert_eq!(bye.status, 200);
     let deadline = Instant::now() + Duration::from_secs(5);
     while !handle.is_shutting_down() && Instant::now() < deadline {
@@ -379,7 +395,7 @@ fn shutdown_endpoint_stops_the_server() {
     // The listener is gone: a fresh query must fail.
     let gone = Client::new(addr.to_string())
         .with_timeout(Duration::from_millis(500))
-        .get("/healthz");
+        .get("/v1/healthz");
     assert!(gone.is_err(), "server must stop accepting after shutdown");
 }
 

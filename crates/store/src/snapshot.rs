@@ -426,45 +426,19 @@ pub fn snapshot_bytes(trace: &Trace) -> Vec<u8> {
     out
 }
 
-/// Writes a snapshot of `trace` to `path`, crash-atomically: the bytes
-/// go to a temporary file in the same directory, which is synced and
-/// then renamed over `path`, and the directory is synced so the rename
-/// is durable. A crash or failed write leaves the previous file (if
-/// any) intact, and a failed write removes the temporary file.
+/// Writes a snapshot of `trace` to `path`, crash-atomically (see
+/// [`hpcfail_obs::fs::write_atomic`]): a crash or failed write leaves
+/// the previous file (if any) intact and no temporary file behind.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::Io`] when the file cannot be written.
 pub fn write_snapshot<P: AsRef<Path>>(path: P, trace: &Trace) -> Result<(), SnapshotError> {
-    use std::io::Write;
     let _span = hpcfail_obs::span("store.snapshot.write");
-    let path = path.as_ref();
     let bytes = snapshot_bytes(trace);
     hpcfail_obs::counter("store.snapshot.bytes_written").add(bytes.len() as u64);
-    let tmp = temp_path(path);
-    let written = std::fs::File::create(&tmp)
-        .and_then(|mut file| {
-            file.write_all(&bytes)?;
-            file.sync_all()
-        })
-        .and_then(|()| std::fs::rename(&tmp, path));
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    written?;
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(dir)?.sync_all()?;
+    hpcfail_obs::fs::write_atomic(path, &bytes)?;
     Ok(())
-}
-
-/// The temporary sibling [`write_snapshot`] writes before renaming.
-fn temp_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(format!(".tmp{}", std::process::id()));
-    PathBuf::from(name)
 }
 
 // ---------------------------------------------------------------------
@@ -1065,7 +1039,7 @@ mod tests {
 
         // A directory squatting on the temporary path makes the next
         // write fail before anything reaches the target.
-        let tmp = temp_path(&path);
+        let tmp = hpcfail_obs::fs::temp_path(&path);
         std::fs::create_dir(&tmp).unwrap();
         let err = write_snapshot(&path, &Trace::new()).expect_err("write must fail");
         assert!(matches!(err, SnapshotError::Io(_)));
