@@ -106,7 +106,7 @@ impl Target for InProcess {
         for request in requests {
             let key = QueryService::key(DEFAULT_TRACE, &self.resolved, request);
             match self.service.answer(key, request, &self.resolved, deadline) {
-                Answer::Fresh(body) => {
+                Answer::Fresh(body, _) => {
                     outcome.misses += 1;
                     bodies.push(body);
                 }

@@ -230,12 +230,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a cap a body of nothing but
+/// `[` overflows the thread's stack; past the cap it returns a
+/// [`ParseError`] instead.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing whitespace is allowed, trailing
-/// content is an error.
+/// content is an error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -247,8 +255,11 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -293,11 +304,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -389,11 +414,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; input is a &str so the
-                    // boundaries are valid.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar; `pos` only ever advances
+                    // by whole scalars, so it sits on a char boundary.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -472,6 +495,59 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("[1, ]").is_err());
         assert!(parse("").is_err());
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_cap() {
+        let value = parse(&nested_arrays(MAX_DEPTH)).expect("the cap itself parses");
+        let mut depth = 0;
+        let mut node = &value;
+        while let Some(items) = node.as_arr() {
+            depth += 1;
+            match items.first() {
+                Some(inner) => node = inner,
+                None => break,
+            }
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        let object = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&object).is_ok(), "objects share the cap");
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error() {
+        let err = parse(&nested_arrays(MAX_DEPTH + 1)).expect_err("one past the cap");
+        assert_eq!(err.offset, MAX_DEPTH, "points at the first refused opener");
+        assert!(err.message.contains("nesting"), "{err}");
+        let object = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&object).is_err());
+        // Far past the cap is refused the same way, without recursing
+        // once per opener.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // Each character once re-validated the whole rest of the input,
+        // so a 1 MiB string took about 20 s even in release.
+        let doc = format!("\"{}é\"", "a".repeat(1 << 20));
+        let started = std::time::Instant::now();
+        let value = parse(&doc).expect("parses");
+        assert_eq!(value.as_str().map(str::len), Some((1 << 20) + 2));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! started. One level of rotation bounds disk use at roughly
 //! `2 * max_bytes` without a retention daemon.
 
+use crate::phase::PHASES;
 use hpcfail_obs::json::Json;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -26,7 +27,7 @@ pub const DEFAULT_MAX_BYTES: u64 = 16 * 1024 * 1024;
 /// sorts them, so the wire order is alphabetical.
 #[derive(Debug, Clone)]
 pub struct AccessEntry {
-    /// Trace id, 16 lowercase hex digits (all zeros under `no-obs`).
+    /// Trace id, 16 lowercase hex digits.
     pub trace_id: String,
     /// Request method, `-` when the request never parsed.
     pub method: String,
@@ -37,8 +38,12 @@ pub struct AccessEntry {
     pub kind: String,
     /// Response status code.
     pub status: u16,
-    /// Wall latency, microseconds.
+    /// Wall latency from the request's first byte to its last byte
+    /// written, microseconds.
     pub latency_us: u64,
+    /// The latency split by [`PHASES`], microseconds, summing exactly
+    /// to `latency_us`; `None` (and no `phases_us` key) under `no-obs`.
+    pub phases_us: Option<[u64; PHASES.len()]>,
     /// `hit` / `miss` / `coalesced`, or `-` when caching never applied.
     pub cache: String,
     /// The effective deadline, milliseconds.
@@ -53,7 +58,7 @@ pub struct AccessEntry {
 impl AccessEntry {
     /// The single JSONL line for this entry (no trailing newline).
     pub fn to_line(&self) -> String {
-        Json::obj([
+        let mut fields = vec![
             ("bytes_out", Json::Num(self.bytes_out as f64)),
             ("cache", Json::Str(self.cache.clone())),
             ("deadline_ms", Json::Num(self.deadline_ms as f64)),
@@ -64,8 +69,15 @@ impl AccessEntry {
             ("shed", Json::Str(self.shed.clone())),
             ("status", Json::Num(f64::from(self.status))),
             ("trace_id", Json::Str(self.trace_id.clone())),
-        ])
-        .compact()
+        ];
+        if let Some(phases) = self.phases_us {
+            let phases = PHASES
+                .iter()
+                .zip(phases)
+                .map(|(phase, us)| (phase.label(), Json::Num(us as f64)));
+            fields.push(("phases_us", Json::obj(phases)));
+        }
+        Json::obj(fields).compact()
     }
 }
 
@@ -154,6 +166,7 @@ mod tests {
             kind: kind.to_owned(),
             status: 200,
             latency_us: 1500,
+            phases_us: None,
             cache: "miss".to_owned(),
             deadline_ms: 10_000,
             bytes_out,
@@ -169,7 +182,11 @@ mod tests {
 
     #[test]
     fn lines_are_single_line_valid_json() {
-        let line = entry("trace-summary", 64).to_line();
+        let line = AccessEntry {
+            phases_us: Some([300, 20, 0, 5, 900, 200, 75]),
+            ..entry("trace-summary", 64)
+        }
+        .to_line();
         assert!(!line.contains('\n'));
         let parsed = hpcfail_obs::json::parse(&line).expect("valid JSON");
         assert_eq!(
@@ -181,6 +198,9 @@ mod tests {
             parsed.get("trace_id").and_then(Json::as_str),
             Some("00000000000000ab")
         );
+        let phases = parsed.get("phases_us").expect("phases object");
+        assert_eq!(phases.get("engine").and_then(Json::as_u64), Some(900));
+        assert_eq!(phases.get("write").and_then(Json::as_u64), Some(75));
     }
 
     #[test]

@@ -119,8 +119,11 @@ impl Client {
         }
         let body = body.unwrap_or(b"");
         head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(body)?;
+        // One buffer, one write: on a TCP_NODELAY peer a separate body
+        // write leaves as a second segment the server must wait for.
+        let mut request = head.into_bytes();
+        request.extend_from_slice(body);
+        writer.write_all(&request)?;
         writer.flush()?;
 
         let mut reader = BufReader::new(stream);

@@ -5,6 +5,7 @@
 //! malformed input maps to a typed [`HttpError`] carrying the 4xx
 //! status to answer with — parsing never panics, whatever the bytes.
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
 /// Longest accepted request line or header line, bytes.
@@ -255,6 +256,10 @@ fn body_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
 /// after the standard ones; supplying a `content-type` there replaces
 /// the default `application/json` (the `/metrics` endpoint answers in
 /// Prometheus text format).
+///
+/// The head and the body go out as one buffer in one `write_all`. The
+/// server sets `TCP_NODELAY`, so a second write would leave as a second
+/// segment, and the client would wait for it on every response.
 pub fn write_response(
     stream: &mut impl Write,
     status: u16,
@@ -266,11 +271,12 @@ pub fn write_response(
     let custom_content_type = extra_headers
         .iter()
         .any(|(n, _)| n.eq_ignore_ascii_case("content-type"));
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
+    let mut head = String::with_capacity(160 + body.len());
+    let _ = write!(head, "HTTP/1.1 {status} {reason}\r\n");
     if !custom_content_type {
         head.push_str("content-type: application/json\r\n");
     }
-    head.push_str(&format!("content-length: {}\r\n", body.len()));
+    let _ = write!(head, "content-length: {}\r\n", body.len());
     for (name, value) in extra_headers {
         head.push_str(name);
         head.push_str(": ");
@@ -281,8 +287,8 @@ pub fn write_response(
         head.push_str("connection: close\r\n");
     }
     head.push_str("\r\n");
+    head.push_str(body);
     stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
     stream.flush()
 }
 
@@ -441,6 +447,68 @@ mod tests {
         assert!(
             !text.contains("application/json"),
             "default content type suppressed: {text}"
+        );
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_of_the_head_then_the_body() {
+        // Writes one response and checks it went out in one call, as
+        // exactly the bytes of `head` followed by the body.
+        let check = |status, reason, headers: &[(&str, &str)], body: &str, close, head: &str| {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, status, reason, headers, body, close).expect("writes");
+            assert_eq!(out.writes, 1, "{status} {reason}: one write per response");
+            assert_eq!(
+                String::from_utf8(out.bytes).expect("utf-8"),
+                format!("{head}{body}"),
+                "{status} {reason}: the bytes are the head, then the body"
+            );
+        };
+        check(
+            200,
+            "OK",
+            &[("x-trace-id", "00000000000000ab"), ("x-cache", "miss")],
+            "{\n  \"answer\": 42\n}",
+            false,
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 18\r\n\
+             x-trace-id: 00000000000000ab\r\nx-cache: miss\r\n\r\n",
+        );
+        check(
+            200,
+            "OK",
+            &[("content-type", "text/plain; version=0.0.4")],
+            "serve_requests_total 3\n",
+            false,
+            "HTTP/1.1 200 OK\r\ncontent-length: 23\r\n\
+             content-type: text/plain; version=0.0.4\r\n\r\n",
+        );
+        check(
+            503,
+            "Service Unavailable",
+            &[("retry-after", "1")],
+            "{}",
+            true,
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+             content-length: 2\r\nretry-after: 1\r\nconnection: close\r\n\r\n",
         );
     }
 

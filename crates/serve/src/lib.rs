@@ -46,9 +46,13 @@
 //!
 //! Observability is request-scoped and live:
 //!
-//! * Every request runs under a trace; the id comes back in the
-//!   `x-trace-id` header, and `x-trace: 1` returns the full span tree
-//!   inline ([`server`]).
+//! * Every request gets a trace id in the `x-trace-id` header;
+//!   `x-trace: 1` captures the request's span tree and returns it
+//!   inline ([`server`]), one child span per server phase
+//!   ([`phase`]).
+//! * Each request's time is split into phases (read, route, admit,
+//!   cache, engine, render, write) that add up to its latency; they
+//!   feed `serve_phase_us` on `/v1/metrics` and the access log.
 //! * `GET /v1/metrics` exports the registry in Prometheus text format
 //!   ([`metrics`]), validated by the in-tree parser ([`promtext`]).
 //! * Per-kind sliding-window latency and error budgets feed SLO
@@ -86,6 +90,7 @@ pub mod client;
 pub mod coalesce;
 pub mod http;
 pub mod metrics;
+pub mod phase;
 pub mod promtext;
 pub mod registry;
 pub mod retry;

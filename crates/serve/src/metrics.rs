@@ -13,6 +13,7 @@
 //! | `serve.trace.<name>.requests` | `serve_trace_requests_total{trace="..."}` |
 //! | `serve.latency_ns.<kind>` histogram | `serve_request_latency_ns{kind=,quantile=}` summary |
 //! | `serve.window.latency_ns.<kind>` window | `serve_window_latency_ns{kind=,quantile=}` summary |
+//! | `serve.window.phase_ns.<phase>` window | `serve_phase_us{phase=,quantile=}` summary, in µs |
 //!
 //! plus live SLO gauges (`serve_slo_*`) from the [`crate::slo::SloTracker`]
 //! report and the live in-flight gauge. Everything else in the
@@ -21,6 +22,7 @@
 //! suffix, histograms become summaries. Output is deterministic for a
 //! given registry state (BTreeMap ordering everywhere).
 
+use crate::phase::WINDOW_PREFIX as PHASE_WINDOW_PREFIX;
 use crate::slo::SloReport;
 use hpcfail_obs::registry::{HistogramSnapshot, Snapshot};
 use hpcfail_obs::window::WindowedSnapshot;
@@ -132,30 +134,52 @@ fn summary_block(out: &mut Out, family: &str, help: &str, entries: &[(String, Hi
     }
 }
 
-fn window_block(out: &mut Out, family: &str, help: &str, entries: &[(String, WindowedSnapshot)]) {
+/// One summary family over sliding windows, one series per `label`
+/// value; quantiles and sums are divided by `divisor` (1000 exports
+/// nanosecond windows in microseconds).
+fn window_block(
+    out: &mut Out,
+    family: &str,
+    help: &str,
+    label: &'static str,
+    divisor: f64,
+    entries: &[(String, WindowedSnapshot)],
+) {
     if entries.is_empty() {
         return;
     }
     out.family(family, "summary", help);
-    for (kind, w) in entries {
+    for (value, w) in entries {
         for (q, v) in [(0.5, w.p50), (0.9, w.p90), (0.95, w.p95), (0.99, w.p99)] {
             out.sample(
                 family,
-                &[("kind", kind.clone()), ("quantile", q.to_string())],
-                v,
+                &[(label, value.clone()), ("quantile", q.to_string())],
+                v / divisor,
             );
         }
         out.sample(
             &format!("{family}_count"),
-            &[("kind", kind.clone())],
+            &[(label, value.clone())],
             w.count as f64,
         );
         out.sample(
             &format!("{family}_sum"),
-            &[("kind", kind.clone())],
-            w.sum as f64,
+            &[(label, value.clone())],
+            w.sum as f64 / divisor,
         );
     }
+}
+
+/// The windows named `prefix<label>`, keyed by label.
+fn windows_under(snapshot: &Snapshot, prefix: &str) -> Vec<(String, WindowedSnapshot)> {
+    snapshot
+        .windows
+        .iter()
+        .filter_map(|(name, w)| {
+            name.strip_prefix(prefix)
+                .map(|label| (label.to_owned(), *w))
+        })
+        .collect()
 }
 
 /// Renders one scrape. `inflight` is the live in-flight request count
@@ -283,18 +307,13 @@ pub fn render(snapshot: &Snapshot, slo: &SloReport, inflight: u64) -> String {
         "Request latency by kind, nanoseconds, process lifetime.",
         &latency,
     );
-    let windows: Vec<(String, WindowedSnapshot)> = snapshot
-        .windows
-        .iter()
-        .filter_map(|(name, w)| {
-            name.strip_prefix("serve.window.latency_ns.")
-                .map(|kind| (kind.to_owned(), *w))
-        })
-        .collect();
+    let windows = windows_under(snapshot, "serve.window.latency_ns.");
     window_block(
         &mut out,
         "serve_window_latency_ns",
         "Request latency by kind, nanoseconds, sliding window.",
+        "kind",
+        1.0,
         &windows,
     );
     if let Some((_, w)) = windows.first() {
@@ -305,6 +324,17 @@ pub fn render(snapshot: &Snapshot, slo: &SloReport, inflight: u64) -> String {
         );
         out.sample("serve_window_seconds", &[], w.window_ms as f64 / 1000.0);
     }
+
+    // Per-phase request time, sliding window: every answered request
+    // records each phase once, zero for the phases it skipped.
+    window_block(
+        &mut out,
+        "serve_phase_us",
+        "Request time by server phase, microseconds, sliding window.",
+        "phase",
+        1_000.0,
+        &windows_under(snapshot, PHASE_WINDOW_PREFIX),
+    );
 
     // Live gauges.
     out.family(
@@ -390,7 +420,7 @@ pub fn render(snapshot: &Snapshot, slo: &SloReport, inflight: u64) -> String {
         out.sample(&format!("{family}_sum"), &[], h.sum as f64);
     }
     for (name, w) in &snapshot.windows {
-        if name.starts_with("serve.window.latency_ns.") {
+        if name.starts_with("serve.window.latency_ns.") || name.starts_with(PHASE_WINDOW_PREFIX) {
             continue;
         }
         let family = sanitize(name);
@@ -430,6 +460,9 @@ mod tests {
                 .record(v);
             registry
                 .window("serve.window.latency_ns.trace-summary")
+                .record_at_ms(0, v);
+            registry
+                .window("serve.window.phase_ns.engine")
                 .record_at_ms(0, v);
         }
         registry
@@ -479,6 +512,20 @@ mod tests {
                 )
                 .is_some(),
             "windowed p99 present"
+        );
+        // Phase windows export in microseconds under a phase label.
+        assert_eq!(scrape.types["serve_phase_us"], "summary");
+        assert_eq!(
+            scrape.value("serve_phase_us_count", &[("phase", "engine")]),
+            Some(3.0)
+        );
+        assert_eq!(
+            scrape.value("serve_phase_us_sum", &[("phase", "engine")]),
+            Some(53.0)
+        );
+        assert!(
+            !text.contains("serve_window_phase_ns"),
+            "not exported twice"
         );
         // Generic export keeps the rest visible.
         assert_eq!(scrape.value("engine_requests_total", &[]), Some(6.0));

@@ -232,7 +232,9 @@ impl RetryingClient {
                 .header("retry-after")
                 .and_then(|v| v.parse::<u64>().ok())
             {
-                return Duration::from_millis((secs * 1_000).min(self.policy.max_delay_ms));
+                return Duration::from_millis(
+                    secs.saturating_mul(1_000).min(self.policy.max_delay_ms),
+                );
             }
         }
         let exp = self
@@ -304,6 +306,25 @@ mod tests {
         let c = client(policy);
         let huge = shed_response(&[("retry-after", "3600")]);
         assert_eq!(c.delay_before(1, Some(&huge)), Duration::from_millis(50));
+    }
+
+    #[test]
+    fn seconds_hints_that_overflow_milliseconds_saturate_to_max_delay() {
+        let policy = RetryPolicy {
+            max_delay_ms: 5_000,
+            ..RetryPolicy::default()
+        };
+        let c = client(policy);
+        // 18446744073709552 s is the smallest value whose millisecond
+        // count overflows u64; wrapping would give 384 ms.
+        for secs in ["18446744073709552", &u64::MAX.to_string()] {
+            let hint = shed_response(&[("retry-after", secs)]);
+            assert_eq!(
+                c.delay_before(1, Some(&hint)),
+                Duration::from_millis(5_000),
+                "retry-after: {secs}"
+            );
+        }
     }
 
     #[test]

@@ -30,15 +30,16 @@
 //!
 //! ## Request-scoped observability
 //!
-//! Every request runs under a trace (`hpcfail_obs::start_trace`): the
-//! trace id is echoed in the `x-trace-id` response header and, when
-//! configured, in the JSONL access log. Sending `x-trace: 1` opts the
-//! response into a wrapped body `{"result": <exact body as a JSON
-//! string>, "trace": <span tree>, "trace_id": ...}` — the original
-//! bytes survive verbatim inside the `result` string (the same idiom
-//! the batch endpoint uses). Per request the server also records per-kind
-//! lifetime histograms, sliding-window histograms and [`SloTracker`]
-//! windows, all of which `GET /v1/metrics` exports.
+//! Every request gets a trace id, echoed in the `x-trace-id` response
+//! header and, when configured, in the JSONL access log. Sending
+//! `x-trace: 1` runs the request under a captured trace
+//! (`hpcfail_obs::start_trace_with`) and opts the response into a
+//! wrapped body `{"result": <exact body as a JSON string>, "trace":
+//! <span tree>, "trace_id": ...}` — the original bytes survive verbatim
+//! inside the `result` string (the same idiom the batch endpoint uses).
+//! Per request the server also records per-kind lifetime histograms,
+//! sliding-window histograms, [`SloTracker`] windows and the
+//! [`crate::phase`] stamps, all of which `GET /v1/metrics` exports.
 //!
 //! ## Deadlines
 //!
@@ -53,6 +54,7 @@ use crate::admission::{AdmissionConfig, AdmissionGate, CostClass, ShedReason};
 use crate::chaos::{ChaosAction, ChaosConfig, ChaosEngine, ChaosPoint};
 use crate::http::{self, Request};
 use crate::metrics;
+use crate::phase::{Compute, Phase, PhaseWindows, Stamps};
 use crate::registry::{self, TraceRegistry, TraceSource, TraceSummary, DEFAULT_TRACE};
 use crate::routes::{self, Endpoint, Routed};
 use crate::service::{Answer, QueryService};
@@ -64,7 +66,7 @@ use hpcfail_store::ingest::IngestPolicy;
 use hpcfail_store::lanl::{assemble_trace, read_lanl_failures_with, LanlImportOptions};
 use hpcfail_store::snapshot::{decode_snapshot, SNAPSHOT_MAGIC};
 use hpcfail_store::trace::Trace;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -138,6 +140,7 @@ struct Shared {
     gate: AdmissionGate,
     chaos: Option<ChaosEngine>,
     access_log: Option<AccessLog>,
+    phase_windows: PhaseWindows,
     inject_panic_kind: Option<String>,
 }
 
@@ -240,6 +243,7 @@ pub fn spawn_with_registry(
         gate: AdmissionGate::new(config.admission),
         chaos: config.chaos.clone().map(ChaosEngine::new),
         access_log,
+        phase_windows: PhaseWindows::resolve(),
         inject_panic_kind: config.inject_panic_kind.clone(),
     });
     let listener = Arc::new(listener);
@@ -297,13 +301,24 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     };
     let mut reader = BufReader::new(stream);
     loop {
+        // The request's clock starts once its first byte is available,
+        // so the idle time of a keep-alive connection is not counted.
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
+        let mut stamps = Stamps::new(Instant::now());
         // Only trace uploads get the enlarged body limit; everything
         // else keeps the original cap with its immediate typed 413.
         let limit = |method: &str, path: &str| match routes::resolve(method, path) {
             Routed::Matched(m) if m.endpoint == Endpoint::TraceUpload => http::MAX_UPLOAD_BODY,
             _ => http::MAX_BODY,
         };
-        let request = match http::read_request_with_limit(&mut reader, limit) {
+        let read = http::read_request_with_limit(&mut reader, limit);
+        stamps.mark(Phase::Read);
+        let request = match read {
             Ok(Some(request)) => request,
             Ok(None) => return,
             Err(err) => {
@@ -312,6 +327,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                     // exactly one access-log line.
                     let trace_hex = format!("{:016x}", hpcfail_obs::trace::next_trace_id());
                     let body = error_body(status, &err.message(), false);
+                    stamps.mark(Phase::Render);
                     let _ = http::write_response(
                         &mut writer,
                         status,
@@ -320,6 +336,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                         &body,
                         true,
                     );
+                    stamps.mark(Phase::Write);
+                    shared.phase_windows.record(&stamps);
                     if let Some(log) = &shared.access_log {
                         log.log(&AccessEntry {
                             trace_id: trace_hex,
@@ -327,7 +345,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                             path: "-".to_owned(),
                             kind: "http-error".to_owned(),
                             status,
-                            latency_us: 0,
+                            latency_us: stamps.total_us(),
+                            phases_us: stamps.phase_us(),
                             cache: "-".to_owned(),
                             deadline_ms: shared.default_deadline_ms,
                             bytes_out: body.len() as u64,
@@ -339,7 +358,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             }
         };
         let close = request.wants_close() || shared.shutdown.load(Ordering::SeqCst);
-        match respond(&request, shared, &mut writer, close) {
+        match respond(&request, shared, &mut writer, close, &mut stamps) {
             Ok(true) if !close => continue,
             _ => return,
         }
@@ -445,26 +464,41 @@ impl Reply {
 }
 
 /// Handles one parsed request end to end: trace, route (panic-safe),
-/// telemetry, response write, access log. Returns `Ok(keep_alive)`.
+/// telemetry, response write, access log. `stamps` already holds the
+/// first byte and the read; the rest are stamped here and by the
+/// handlers. Returns `Ok(keep_alive)`.
 fn respond(
     request: &Request,
     shared: &Shared,
     writer: &mut impl Write,
     close: bool,
+    stamps: &mut Stamps,
 ) -> io::Result<bool> {
-    let started = Instant::now();
     hpcfail_obs::counter("serve.requests").inc();
-    let trace = hpcfail_obs::start_trace("serve.request");
-    trace.attr("method", &request.method);
-    trace.attr("path", &request.path);
-    let trace_hex = trace.trace_id_hex();
+    // Every response carries a trace id, but the span tree is built
+    // only for a client that asked for it: nothing else reads it.
+    let trace_id = hpcfail_obs::trace::next_trace_id();
+    let trace_hex = format!("{trace_id:016x}");
+    let capture = request
+        .header("x-trace")
+        .is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+        .then(|| {
+            let trace = hpcfail_obs::start_trace_with(
+                "serve.request",
+                hpcfail_obs::TraceContext::with_id(trace_id),
+            );
+            trace.attr("method", &request.method);
+            trace.attr("path", &request.path);
+            trace
+        });
 
     let routed = routes::resolve(&request.method, &request.path);
+    stamps.mark(Phase::Route);
     let analysis = matches!(&routed, Routed::Matched(m) if m.endpoint.is_analysis());
 
     let inflight = InflightGuard::enter(shared);
-    let reply =
-        catch_unwind(AssertUnwindSafe(|| route(request, &routed, shared))).unwrap_or_else(|_| {
+    let reply = catch_unwind(AssertUnwindSafe(|| route(request, &routed, shared, stamps)))
+        .unwrap_or_else(|_| {
             Reply::error(
                 500,
                 "Internal Server Error",
@@ -475,14 +509,18 @@ fn respond(
         });
     drop(inflight);
 
-    trace.attr("kind", &reply.kind);
-    trace.attr("status", &reply.status.to_string());
-    if let Some(cache) = reply.cache {
-        trace.attr("cache", cache);
-    }
-    let recording = trace.finish();
-    let latency_ns = started.elapsed().as_nanos() as u64;
-    record_telemetry(shared, &reply.kind, reply.status, latency_ns);
+    let wants_trace = capture.is_some();
+    let mut recording = capture.and_then(|trace| {
+        trace.attr("kind", &reply.kind);
+        trace.attr("status", &reply.status.to_string());
+        if let Some(cache) = reply.cache {
+            trace.attr("cache", cache);
+        }
+        trace.finish()
+    });
+    // Recorded before the write, so a client holding its answer
+    // already sees the request counted.
+    record_telemetry(shared, &reply.kind, reply.status, stamps.elapsed_ns());
 
     let Reply {
         status,
@@ -501,11 +539,10 @@ fn respond(
     let custom_content_type = reply_headers
         .iter()
         .any(|(n, _)| n.eq_ignore_ascii_case("content-type"));
-    let traced = !custom_content_type
-        && request
-            .header("x-trace")
-            .is_some_and(|v| v == "1" || v.eq_ignore_ascii_case("true"));
-    let body = if traced {
+    let body = if wants_trace && !custom_content_type {
+        if let Some(recording) = &mut recording {
+            stamps.graft(&mut recording.root);
+        }
         wrap_traced(raw_body, &trace_hex, recording.as_ref())
     } else {
         raw_body
@@ -519,6 +556,7 @@ fn respond(
         headers.push((name, value));
     }
     let mut close = close || force_close;
+    stamps.mark(Phase::Render);
 
     // The respond chaos point applies only to analysis traffic —
     // injecting into /healthz or /metrics would blind the observer.
@@ -542,6 +580,8 @@ fn respond(
     } else {
         http::write_response(writer, status, reason, &headers, &body, close)
     };
+    stamps.mark(Phase::Write);
+    shared.phase_windows.record(stamps);
 
     if let Some(log) = &shared.access_log {
         log.log(&AccessEntry {
@@ -550,7 +590,8 @@ fn respond(
             path: request.path.clone(),
             kind,
             status,
-            latency_us: latency_ns / 1_000,
+            latency_us: stamps.total_us(),
+            phases_us: stamps.phase_us(),
             cache: cache.unwrap_or("-").to_owned(),
             deadline_ms: deadline_ms(request, shared),
             bytes_out: if dropped { 0 } else { body.len() as u64 },
@@ -580,7 +621,7 @@ fn record_telemetry(shared: &Shared, kind: &str, status: u16, latency_ns: u64) {
 }
 
 /// Dispatches one resolved route to its endpoint handler.
-fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
+fn route(request: &Request, routed: &Routed, shared: &Shared, stamps: &mut Stamps) -> Reply {
     let matched = match routed {
         Routed::Matched(matched) => matched,
         Routed::MethodNotAllowed(allowed) => {
@@ -631,8 +672,8 @@ fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
             reply.force_close = true;
             reply
         }
-        Endpoint::Query => handle_query(request, trace_name, shared),
-        Endpoint::Batch => handle_batch(request, trace_name, shared),
+        Endpoint::Query => handle_query(request, trace_name, shared, stamps),
+        Endpoint::Batch => handle_batch(request, trace_name, shared, stamps),
         Endpoint::TraceList => {
             let rows = shared
                 .registry
@@ -654,7 +695,7 @@ fn route(request: &Request, routed: &Routed, shared: &Shared) -> Reply {
             .pretty();
             Reply::ok(body, "traces")
         }
-        Endpoint::TraceUpload => handle_upload(request, trace_name, shared),
+        Endpoint::TraceUpload => handle_upload(request, trace_name, shared, stamps),
         Endpoint::TraceShow => match shared.registry.summary(trace_name) {
             Some(summary) => {
                 Reply::ok(Json::obj([("trace", summary.to_json())]).pretty(), "traces")
@@ -701,7 +742,7 @@ fn handle_healthz(shared: &Shared) -> Reply {
 /// draining server sheds them with a typed 503 instead of accepting
 /// data it will never serve, and an admitted upload holds its permit so
 /// shutdown waits for it to land (or cancel) cleanly.
-fn handle_upload(request: &Request, name: &str, shared: &Shared) -> Reply {
+fn handle_upload(request: &Request, name: &str, shared: &Shared, stamps: &mut Stamps) -> Reply {
     if !registry::valid_name(name) {
         return Reply::error(
             400,
@@ -716,7 +757,9 @@ fn handle_upload(request: &Request, name: &str, shared: &Shared) -> Reply {
     if let Some(reply) = chaos_admission(shared, CostClass::Expensive, "upload") {
         return reply;
     }
-    let _permit = match shared.gate.admit(CostClass::Expensive, deadline) {
+    let admitted = shared.gate.admit(CostClass::Expensive, deadline);
+    stamps.mark(Phase::Admit);
+    let _permit = match admitted {
         Ok(permit) => permit,
         Err(reason) => return Reply::shed(reason, shared.gate.config().retry_after_ms, "upload"),
     };
@@ -752,6 +795,7 @@ fn handle_upload(request: &Request, name: &str, shared: &Shared) -> Reply {
         }
     };
     let summary = shared.registry.insert(name, trace, source);
+    stamps.mark(Phase::Engine);
     let mut fields = vec![("trace", summary.to_json())];
     if let Some(ingest) = ingest {
         fields.push(("ingest", ingest));
@@ -814,7 +858,12 @@ fn policy_label(policy: IngestPolicy) -> &'static str {
     }
 }
 
-fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
+fn handle_query(
+    request: &Request,
+    trace_name: &str,
+    shared: &Shared,
+    stamps: &mut Stamps,
+) -> Reply {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => {
@@ -849,6 +898,7 @@ fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     // A warm cache entry makes the request cheap: admission peeks at
     // the cache under the same key the answer uses.
     let key = QueryService::key(trace_name, &resolved, &parsed);
+    stamps.mark(Phase::Route);
     let class = if shared.service.is_cached(&key) {
         CostClass::Cheap
     } else {
@@ -857,7 +907,9 @@ fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     if let Some(reply) = chaos_admission(shared, class, kind) {
         return reply;
     }
-    let _permit = match shared.gate.admit(class, deadline) {
+    let admitted = shared.gate.admit(class, deadline);
+    stamps.mark(Phase::Admit);
+    let _permit = match admitted {
         Ok(permit) => permit,
         Err(reason) => return Reply::shed(reason, shared.gate.config().retry_after_ms, kind),
     };
@@ -865,6 +917,7 @@ fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
         return reply;
     }
     let answer = shared.service.answer(key, &parsed, &resolved, deadline);
+    stamps.mark_answered(answer.compute());
     match settle(answer, kind) {
         Ok((body, cache)) => {
             let mut reply = Reply::ok((*body).clone(), kind);
@@ -875,7 +928,12 @@ fn handle_query(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     }
 }
 
-fn handle_batch(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
+fn handle_batch(
+    request: &Request,
+    trace_name: &str,
+    shared: &Shared,
+    stamps: &mut Stamps,
+) -> Reply {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
         Err(_) => {
@@ -932,12 +990,15 @@ fn handle_batch(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
     };
     hpcfail_obs::counter(&format!("serve.trace.{trace_name}.requests")).inc();
     let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
+    stamps.mark(Phase::Route);
     if let Some(reply) = chaos_admission(shared, CostClass::Batch, "batch") {
         return reply;
     }
     // One admission covers the whole batch: it is one unit of work for
     // brownout purposes, whatever its length.
-    let _permit = match shared.gate.admit(CostClass::Batch, deadline) {
+    let admitted = shared.gate.admit(CostClass::Batch, deadline);
+    stamps.mark(Phase::Admit);
+    let _permit = match admitted {
         Ok(permit) => permit,
         Err(reason) => return Reply::shed(reason, shared.gate.config().retry_after_ms, "batch"),
     };
@@ -945,9 +1006,14 @@ fn handle_batch(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
         return reply;
     }
     let mut bodies = Vec::with_capacity(parsed.len());
+    // The items' engine runs and renders add up into one engine and
+    // one render phase; the rest of the loop counts as cache.
+    let mut compute = Compute::default();
     for item in &parsed {
         let key = QueryService::key(trace_name, &resolved, item);
         let answer = shared.service.answer(key, item, &resolved, deadline);
+        compute += answer.compute();
+        stamps.mark_answered(compute);
         match settle(answer, "batch") {
             Ok((body, _)) => bodies.push(body),
             Err(reply) => return *reply,
@@ -960,7 +1026,7 @@ fn handle_batch(request: &Request, trace_name: &str, shared: &Shared) -> Reply {
 /// body becomes its typed error reply (504 degraded or 500).
 fn settle(answer: Answer, kind: &str) -> Result<(Arc<String>, &'static str), Box<Reply>> {
     let (body, counter, label) = match answer {
-        Answer::Fresh(body) => (body, "serve.cache.miss", "miss"),
+        Answer::Fresh(body, _) => (body, "serve.cache.miss", "miss"),
         Answer::Cached(body) => (body, "serve.cache.hit", "hit"),
         Answer::Coalesced(body) => (body, "serve.coalesced", "coalesced"),
         Answer::Degraded => {

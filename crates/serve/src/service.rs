@@ -7,13 +7,16 @@
 //! key, the render expression (`engine.run(req).to_json().pretty()`)
 //! and the batch wrapping live here and nowhere else.
 //!
-//! The service records only the leader's `serve.query.<kind>` span.
-//! Callers map each [`Answer`] to their own counters, so a harness
-//! running in the same process as a server does not inflate the
-//! server's `serve.cache.*` counters.
+//! The service records only the leader's `serve.query.<kind>` span,
+//! around the engine run. Callers map each [`Answer`] to their own
+//! counters, so a harness running in the same process as a server does
+//! not inflate the server's `serve.cache.*` counters. A fresh answer
+//! carries what its engine run and render cost ([`Compute`]); the
+//! server places its phase stamps from it.
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::coalesce::{Claim, Coalescer};
+use crate::phase::{self, Compute};
 use crate::registry::ResolvedTrace;
 use hpcfail_core::engine::AnalysisRequest;
 use hpcfail_obs::json::Json;
@@ -23,8 +26,8 @@ use std::time::Instant;
 
 /// How one query was answered.
 pub enum Answer {
-    /// Computed by this call.
-    Fresh(Arc<String>),
+    /// Computed by this call, at this cost.
+    Fresh(Arc<String>, Compute),
     /// Served from the result cache.
     Cached(Arc<String>),
     /// Shared from another caller's identical in-flight query.
@@ -33,6 +36,16 @@ pub enum Answer {
     Degraded,
     /// The analysis panicked; the message is sanitized.
     Failed(String),
+}
+
+impl Answer {
+    /// What computing this answer cost; zero unless it is fresh.
+    pub fn compute(&self) -> Compute {
+        match self {
+            Answer::Fresh(_, compute) => *compute,
+            _ => Compute::default(),
+        }
+    }
 }
 
 /// A result cache and a coalescer in front of pinned engines.
@@ -87,18 +100,22 @@ impl QueryService {
         }
         match self.coalescer.claim(&key) {
             Claim::Leader(guard) => {
-                let span_name = format!("serve.query.{}", request.kind());
-                let span = hpcfail_obs::span(&span_name);
-                span.attr("kind", request.kind());
+                let start = phase::clock();
                 let computed = catch_unwind(AssertUnwindSafe(|| {
-                    Arc::new(resolved.engine.run(request).to_json().pretty())
+                    let result = {
+                        let span = hpcfail_obs::span(&format!("serve.query.{}", request.kind()));
+                        span.attr("kind", request.kind());
+                        resolved.engine.run(request)
+                    };
+                    let ran = phase::clock();
+                    (Arc::new(result.to_json().pretty()), ran)
                 }));
-                let _ = span;
                 match computed {
-                    Ok(body) => {
+                    Ok((body, ran)) => {
+                        let compute = Compute::between(start, ran, phase::clock());
                         self.cache.put(key, Arc::clone(&body));
                         self.coalescer.complete(guard, Arc::clone(&body));
-                        Answer::Fresh(body)
+                        Answer::Fresh(body, compute)
                     }
                     Err(_) => {
                         self.coalescer.abandon(guard);
@@ -151,7 +168,7 @@ mod tests {
         let expected = resolved.engine.run(&request).to_json().pretty();
         assert!(!service.is_cached(&key));
         match service.answer(key.clone(), &request, &resolved, deadline) {
-            Answer::Fresh(body) => assert_eq!(*body, expected),
+            Answer::Fresh(body, _) => assert_eq!(*body, expected),
             _ => panic!("first answer must be fresh"),
         }
         assert!(service.is_cached(&key));

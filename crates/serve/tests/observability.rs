@@ -195,6 +195,44 @@ fn x_trace_returns_a_span_tree_around_the_exact_bytes() {
     let spans = trace.get("spans").and_then(Json::as_u64).expect("count");
     assert!(spans >= 2, "cold traced query captures nested spans");
 
+    // The root's children are the server phases that end before the
+    // body is built, in order; the handler's spans nest under engine.
+    let children = root
+        .get("children")
+        .and_then(Json::as_arr)
+        .expect("children");
+    let names: Vec<&str> = children
+        .iter()
+        .filter_map(|c| c.get("name").and_then(Json::as_str))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "serve.phase.read",
+            "serve.phase.route",
+            "serve.phase.admit",
+            "serve.phase.cache",
+            "serve.phase.engine"
+        ]
+    );
+    let engine_phase = &children[4];
+    let handler = engine_phase
+        .get("children")
+        .and_then(Json::as_arr)
+        .expect("engine phase children");
+    assert_eq!(
+        handler
+            .first()
+            .and_then(|c| c.get("name"))
+            .and_then(Json::as_str),
+        Some("serve.query.availability")
+    );
+    let total = |node: &Json| node.get("total_ns").and_then(Json::as_f64).unwrap_or(0.0);
+    assert!(
+        total(engine_phase) >= handler.iter().map(total).sum::<f64>(),
+        "the engine phase covers the spans nested under it"
+    );
+
     handle.shutdown();
 }
 
@@ -315,6 +353,7 @@ fn access_log_writes_exactly_one_line_per_request() {
             "latency_us",
             "method",
             "path",
+            "phases_us",
             "shed",
             "status",
             "trace_id",

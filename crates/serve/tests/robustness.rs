@@ -405,3 +405,39 @@ fn shutdown_waits_for_in_progress_upload_and_sheds_late_ones() {
     assert_eq!(handle.admission().inflight(), 0, "no permit leaked");
     handle.shutdown(); // joins all workers; must not hang
 }
+
+/// A body of nothing but `[` used to recurse once per byte in the JSON
+/// parser and overflow a worker's stack, aborting the whole server. It
+/// now gets a typed 400 on both JSON endpoints, and the server keeps
+/// answering on a fresh connection.
+#[test]
+fn deeply_nested_json_gets_a_typed_400_and_the_server_stays_up() {
+    let handle = spawn(engine(), ServerConfig::default()).expect("bind");
+    let client = Client::new(handle.addr().to_string());
+    let body = "[".repeat(200_000);
+    for path in ["/v1/traces/default/query", "/v1/traces/default/batch"] {
+        let response = client.post(path, &body, &[]).expect("answered");
+        assert_eq!(response.status, 400, "{path}: {}", response.body);
+        let json = hpcfail_obs::json::parse(&response.body).expect("typed error body");
+        let error = json.get("error").expect("error object");
+        assert_eq!(
+            error
+                .get("status")
+                .and_then(hpcfail_obs::json::Json::as_u64),
+            Some(400)
+        );
+        assert!(
+            error
+                .get("message")
+                .and_then(hpcfail_obs::json::Json::as_str)
+                .is_some_and(|m| m.contains("nesting")),
+            "{path}: {}",
+            response.body
+        );
+    }
+    let health = Client::new(handle.addr().to_string())
+        .get("/v1/healthz")
+        .expect("server still up");
+    assert_eq!(health.status, 200);
+    handle.shutdown();
+}
