@@ -32,19 +32,18 @@ pub struct ReproContext {
 
 impl ReproContext {
     /// Generates the fleet at `scale` (1.0 = the full LANL-sized fleet)
-    /// with the given seed.
+    /// with the given seed. Scales above 1 clamp to the full fleet.
     ///
     /// # Panics
     ///
-    /// Panics if `scale` is outside `(0, 1]`.
+    /// Panics if `scale` is zero or negative.
     pub fn generate(scale: f64, seed: u64) -> Self {
-        let spec = if scale >= 1.0 {
-            FleetSpec::lanl()
-        } else {
-            FleetSpec::lanl_scaled(scale)
-        };
         ReproContext {
-            engine: Engine::new(spec.generate(seed).into_store()),
+            engine: Engine::new(
+                FleetSpec::lanl_scaled(scale.min(1.0))
+                    .generate(seed)
+                    .into_store(),
+            ),
             seed,
             scale,
         }

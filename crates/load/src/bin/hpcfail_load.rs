@@ -1,14 +1,13 @@
 //! The `hpcfail-load` command: drive a query target with a named
-//! traffic profile and write/check `BENCH_serve.json`.
+//! traffic profile and print what happened.
 //!
 //! ```text
 //! hpcfail-load run [--profile ci] [--addr HOST:PORT | --in-process]
 //!                  [--trace NAME]
 //!                  [--scale 0.05] [--seed 42 | --scenario NAME|PATH]
-//!                  [--threads 4] [--cache 1024] [--out PATH]
+//!                  [--threads 4] [--cache 1024]
 //!                  [--retries N] [--retry-base-ms MS] [--retry-seed S]
-//!                  [--shutdown] [--quiet]
-//! hpcfail-load check PATH
+//!                  [--quiet]
 //! hpcfail-load profiles
 //! ```
 //!
@@ -21,27 +20,29 @@
 //! `--retries N` makes the HTTP target retry shed answers (429/503)
 //! and transport failures up to N times per item, with seeded jittered
 //! exponential backoff honoring the server's `Retry-After` hints; the
-//! report's `sheds` / `retries` / `gave_up` counts come from this
+//! summary's `sheds` / `retries` / `gave_up` counts come from this
 //! path. Retry flags are rejected with `--in-process` (nothing to
 //! retry against).
 //!
 //! `run` plans the profile's request sequence from its seed, executes
 //! it against the target (a live server via `--addr`, or an engine
-//! behind the server's own answer path via `--in-process`), writes the
-//! report, and exits 1 if any budget line is violated. `check` parses
-//! and budget-checks an existing report — CI runs it on the committed
-//! copy so schema drift cannot land silently.
+//! behind the server's own answer path via `--in-process`), and prints
+//! one JSON object on stdout: profile, target, corpus, threads, items,
+//! queries, wall_ms, qps, p50_us, p99_us, hit_rate, errors, timeouts,
+//! sheds, retries and gave_up. Progress goes to stderr unless
+//! `--quiet`.
 //!
-//! Exit codes: 0 success, 1 budget/schema violation or runtime error,
-//! 2 usage error.
+//! Exit codes: 0 every item was answered, 1 an item errored or gave up
+//! retrying (timeouts are reported but do not fail the run), or a
+//! setup failure, 2 usage error.
 
 use std::process::ExitCode;
 
-use hpcfail_load::report::SCHEMA_VERSION;
+use hpcfail_load::run::quantile_us;
 use hpcfail_load::{
-    build_corpus, execute, plan, systems_from_fleet, BenchReport, Budget, Http, InProcess,
-    MixConfig, RunOptions, Target,
+    build_corpus, execute, plan, systems_from_fleet, Http, InProcess, MixConfig, RunOptions, Target,
 };
+use hpcfail_obs::json::Json;
 use hpcfail_serve::RetryPolicy;
 use hpcfail_synth::FleetSpec;
 
@@ -49,17 +50,15 @@ const USAGE: &str = "usage:
   hpcfail-load run [--profile ci] [--addr HOST:PORT | --in-process]
                    [--trace NAME]
                    [--scale 0.05] [--seed 42 | --scenario NAME|PATH]
-                   [--threads 4] [--cache 1024] [--out PATH]
+                   [--threads 4] [--cache 1024]
                    [--retries N] [--retry-base-ms MS] [--retry-seed S]
-                   [--shutdown] [--quiet]
-  hpcfail-load check PATH
+                   [--quiet]
   hpcfail-load profiles";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
         Some("profiles") => {
             for name in MixConfig::PROFILES {
                 println!("{name}");
@@ -99,11 +98,9 @@ struct RunArgs {
     scenario: Option<String>,
     threads: usize,
     cache: usize,
-    out: String,
     retries: Option<u32>,
     retry_base_ms: Option<u64>,
     retry_seed: Option<u64>,
-    shutdown: bool,
     quiet: bool,
 }
 
@@ -118,11 +115,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
         scenario: None,
         threads: 4,
         cache: 1024,
-        out: "BENCH_serve.json".to_owned(),
         retries: None,
         retry_base_ms: None,
         retry_seed: None,
-        shutdown: false,
         quiet: false,
     };
     let mut iter = args.iter();
@@ -167,7 +162,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                     .map(|n| parsed.cache = n)
                     .map_err(|_| format!("invalid --cache {v:?}"))
             }),
-            "--out" => take_value("--out", &mut iter).map(|v| parsed.out = v.to_owned()),
             "--retries" => take_value("--retries", &mut iter).and_then(|v| {
                 v.parse()
                     .map(|n| parsed.retries = Some(n))
@@ -183,10 +177,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                     .map(|n| parsed.retry_seed = Some(n))
                     .map_err(|_| format!("invalid --retry-seed {v:?}"))
             }),
-            "--shutdown" => {
-                parsed.shutdown = true;
-                Ok(())
-            }
             "--quiet" => {
                 parsed.quiet = true;
                 Ok(())
@@ -211,7 +201,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if parsed.threads == 0 {
         return usage_error("--threads must be positive");
     }
-    if parsed.scale <= 0.0 {
+    if parsed.scale.is_nan() || parsed.scale <= 0.0 {
         return usage_error("--scale must be positive");
     }
     let Some(config) = MixConfig::named(&parsed.profile) else {
@@ -236,14 +226,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
     };
     let (fleet, corpus_label) = match &scenario {
         Some(scenario) => (scenario.fleet(), format!("scenario={}", scenario.name)),
-        None => {
-            let spec = if parsed.scale >= 1.0 {
-                FleetSpec::lanl()
-            } else {
-                FleetSpec::lanl_scaled(parsed.scale)
-            };
-            (spec, format!("scale={} seed={}", parsed.scale, parsed.seed))
-        }
+        None => (
+            FleetSpec::lanl_scaled(parsed.scale.min(1.0)),
+            format!("scale={} seed={}", parsed.scale, parsed.seed),
+        ),
     };
     let systems = systems_from_fleet(&fleet);
     let corpus = build_corpus(&systems, config.corpus_size);
@@ -305,85 +291,33 @@ fn cmd_run(args: &[String]) -> ExitCode {
             threads: parsed.threads,
         },
     );
-    let report = BenchReport::build(
-        &config,
-        &stats,
-        target.label(),
-        &corpus_label,
-        parsed.threads,
-        Budget::ci(),
-    );
-    if let Err(err) = std::fs::write(&parsed.out, report.pretty()) {
-        eprintln!("cannot write {}: {err}", parsed.out);
-        return ExitCode::FAILURE;
-    }
-    if !parsed.quiet {
-        eprintln!(
-            "{}: {} queries in {} ms ({:.0} qps), p50 {} us, p99 {} us, hit rate {:.2}, {} errors, {} timeouts, {} sheds / {} retries / {} gave up",
-            parsed.out,
-            report.queries,
-            report.wall_ms,
-            report.throughput_qps,
-            report.latency.p50_us,
-            report.latency.p99_us,
-            report.hit_rate,
-            report.errors,
-            report.timeouts,
-            report.sheds,
-            report.retries,
-            report.gave_up,
-        );
-    }
-
-    if parsed.shutdown {
-        if let Some(addr) = &parsed.addr {
-            let client = hpcfail_serve::Client::new(addr.clone());
-            if let Err(err) = client.post("/v1/shutdown", "", &[]) {
-                eprintln!("shutdown request failed: {err}");
-            }
-        }
-    }
-
-    let violations = report.check();
-    if violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        for violation in &violations {
-            eprintln!("budget violation: {violation}");
-        }
+    let sorted = stats.sorted_latencies_us();
+    let wall_ms = stats.wall.as_millis().max(1) as u64;
+    let summary = Json::obj([
+        ("profile", Json::Str(config.profile.clone())),
+        ("target", Json::Str(target.label().to_owned())),
+        ("corpus", Json::Str(corpus_label)),
+        ("threads", Json::Num(parsed.threads as f64)),
+        ("items", Json::Num(stats.items as f64)),
+        ("queries", Json::Num(stats.queries as f64)),
+        ("wall_ms", Json::Num(wall_ms as f64)),
+        (
+            "qps",
+            Json::Num(stats.queries as f64 / (wall_ms as f64 / 1000.0)),
+        ),
+        ("p50_us", Json::Num(quantile_us(&sorted, 0.50) as f64)),
+        ("p99_us", Json::Num(quantile_us(&sorted, 0.99) as f64)),
+        ("hit_rate", Json::Num(stats.hit_rate())),
+        ("errors", Json::Num(stats.errors as f64)),
+        ("timeouts", Json::Num(stats.timeouts as f64)),
+        ("sheds", Json::Num(stats.sheds as f64)),
+        ("retries", Json::Num(stats.retries as f64)),
+        ("gave_up", Json::Num(stats.gave_up as f64)),
+    ]);
+    println!("{}", summary.compact());
+    if stats.errors + stats.gave_up > 0 {
         ExitCode::FAILURE
-    }
-}
-
-fn cmd_check(args: &[String]) -> ExitCode {
-    let [path] = args else {
-        return usage_error("check takes exactly one report path");
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("cannot read {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match BenchReport::parse(&text) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("{path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let violations = report.check();
-    if violations.is_empty() {
-        println!(
-            "{path}: schema {SCHEMA_VERSION} ok, profile {}, {} queries, p50 {} us, within budget",
-            report.profile, report.queries, report.latency.p50_us
-        );
-        ExitCode::SUCCESS
     } else {
-        for violation in &violations {
-            eprintln!("{path}: budget violation: {violation}");
-        }
-        ExitCode::FAILURE
+        ExitCode::SUCCESS
     }
 }

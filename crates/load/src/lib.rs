@@ -20,9 +20,11 @@
 //! 3. [`plan`] — expand profile × corpus × seed into the concrete
 //!    request sequence.
 //! 4. [`target`] + [`run`] — execute the plan and collect latency,
-//!    status, and cache-outcome observations.
-//! 5. [`report`] — fold observations into a versioned
-//!    `BENCH_serve.json` and check it against a budget.
+//!    status, and cache-outcome observations. `hpcfail-load run`
+//!    prints their totals as one JSON line.
+//!
+//! The harness drives traffic; it is not a benchmark. Latency and
+//! throughput of record come from `servebench/`.
 //!
 //! [`AnalysisRequest`]: hpcfail_core::engine::AnalysisRequest
 //! [`Engine`]: hpcfail_core::engine::Engine
@@ -30,13 +32,11 @@
 pub mod corpus;
 pub mod mix;
 pub mod plan;
-pub mod report;
 pub mod run;
 pub mod target;
 
 pub use corpus::{build_corpus, systems_from_fleet, CorpusSystem};
 pub use mix::{Arrival, MixConfig, MixError, Phase, PhaseKind};
 pub use plan::LoadPlan;
-pub use report::{BenchReport, Budget, ReportError};
 pub use run::{execute, RunOptions, RunStats};
 pub use target::{CallOutcome, Http, InProcess, Target};

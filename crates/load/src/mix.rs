@@ -57,18 +57,6 @@ pub enum PhaseKind {
     ColdCache,
 }
 
-impl PhaseKind {
-    /// Stable label used in reports and metrics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PhaseKind::HotKey { .. } => "hot-key",
-            PhaseKind::BatchHeavy { .. } => "batch-heavy",
-            PhaseKind::DeadlineLaden { .. } => "deadline-laden",
-            PhaseKind::ColdCache => "cold-cache",
-        }
-    }
-}
-
 /// A phase and how many plan items it contributes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
@@ -83,7 +71,7 @@ pub struct Phase {
 /// [`LoadPlan`]: crate::plan::LoadPlan
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixConfig {
-    /// Profile name, recorded in the report.
+    /// Profile name, printed in the run summary.
     pub profile: String,
     /// Seed for the plan RNG.
     pub seed: u64,
@@ -149,7 +137,9 @@ impl MixConfig {
     /// Profile names accepted by [`MixConfig::named`].
     pub const PROFILES: [&'static str; 3] = ["ci", "smoke", "soak"];
 
-    /// The pinned CI profile behind the committed `BENCH_serve.json`.
+    /// The pinned CI profile: 544 items carrying 768 queries over a
+    /// 512-entry corpus (`tests/determinism.rs` pins the shape), driven
+    /// through a seeded chaos storm by CI's chaos-smoke job.
     ///
     /// Small enough to finish in seconds against a debug server, big
     /// enough that the cache, batch, and deadline paths all light up.

@@ -30,11 +30,11 @@ impl Default for RunOptions {
     }
 }
 
-/// Per-phase observations.
+/// Everything observed over one run.
 #[derive(Debug, Clone, Default)]
-pub struct PhaseStats {
-    /// Phase label ("hot-key", "cold-cache", ...).
-    pub label: String,
+pub struct RunStats {
+    /// Wall-clock duration of the whole run.
+    pub wall: Duration,
     /// Plan items issued.
     pub items: u64,
     /// Queries issued (batches counted per query).
@@ -56,14 +56,14 @@ pub struct PhaseStats {
     pub misses: u64,
     /// Coalesced with an identical in-flight query.
     pub coalesced: u64,
-    /// Queries with unknowable cache outcome (HTTP batch members).
-    pub unknown: u64,
     /// Per-item latencies, microseconds, unsorted.
     pub latencies_us: Vec<u64>,
+    /// Queries actually executed, per request kind.
+    pub executed_per_kind: BTreeMap<String, u64>,
 }
 
-impl PhaseStats {
-    fn absorb(&mut self, other: PhaseStats) {
+impl RunStats {
+    fn absorb(&mut self, other: RunStats) {
         self.items += other.items;
         self.queries += other.queries;
         self.errors += other.errors;
@@ -74,82 +74,24 @@ impl PhaseStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.coalesced += other.coalesced;
-        self.unknown += other.unknown;
         self.latencies_us.extend(other.latencies_us);
-    }
-}
-
-/// Everything observed over one run.
-#[derive(Debug, Clone)]
-pub struct RunStats {
-    /// Wall-clock duration of the whole run.
-    pub wall: Duration,
-    /// Per-phase observations, in phase order.
-    pub phases: Vec<PhaseStats>,
-    /// Queries actually executed, per request kind.
-    pub executed_per_kind: BTreeMap<String, u64>,
-}
-
-impl RunStats {
-    /// Total queries issued.
-    pub fn queries(&self) -> u64 {
-        self.phases.iter().map(|p| p.queries).sum()
-    }
-
-    /// Total plan items issued.
-    pub fn items(&self) -> u64 {
-        self.phases.iter().map(|p| p.items).sum()
-    }
-
-    /// Total errors.
-    pub fn errors(&self) -> u64 {
-        self.phases.iter().map(|p| p.errors).sum()
-    }
-
-    /// Total timeouts.
-    pub fn timeouts(&self) -> u64 {
-        self.phases.iter().map(|p| p.timeouts).sum()
-    }
-
-    /// Total shed answers observed (retried ones included).
-    pub fn sheds(&self) -> u64 {
-        self.phases.iter().map(|p| p.sheds).sum()
-    }
-
-    /// Total retries performed.
-    pub fn retries(&self) -> u64 {
-        self.phases.iter().map(|p| p.retries).sum()
-    }
-
-    /// Total items that gave up retrying.
-    pub fn gave_up(&self) -> u64 {
-        self.phases.iter().map(|p| p.gave_up).sum()
-    }
-
-    /// Totals of (hits, misses, coalesced).
-    pub fn cache_totals(&self) -> (u64, u64, u64) {
-        self.phases.iter().fold((0, 0, 0), |(h, m, c), p| {
-            (h + p.hits, m + p.misses, c + p.coalesced)
-        })
+        for (kind, count) in other.executed_per_kind {
+            *self.executed_per_kind.entry(kind).or_insert(0) += count;
+        }
     }
 
     /// Hit rate over lookups with a known outcome; 0 when none.
     pub fn hit_rate(&self) -> f64 {
-        let (hits, misses, _) = self.cache_totals();
-        if hits + misses == 0 {
+        if self.hits + self.misses == 0 {
             0.0
         } else {
-            hits as f64 / (hits + misses) as f64
+            self.hits as f64 / (self.hits + self.misses) as f64
         }
     }
 
-    /// All per-item latencies merged and sorted, microseconds.
+    /// All per-item latencies, sorted, microseconds.
     pub fn sorted_latencies_us(&self) -> Vec<u64> {
-        let mut all: Vec<u64> = self
-            .phases
-            .iter()
-            .flat_map(|p| p.latencies_us.iter().copied())
-            .collect();
+        let mut all = self.latencies_us.clone();
         all.sort_unstable();
         all
     }
@@ -186,15 +128,7 @@ pub fn execute(
     let error_counter = hpcfail_obs::counter("load.errors");
 
     let worker = || {
-        let mut phases: Vec<PhaseStats> = config
-            .phases
-            .iter()
-            .map(|p| PhaseStats {
-                label: p.kind.label().to_owned(),
-                ..PhaseStats::default()
-            })
-            .collect();
-        let mut per_kind: BTreeMap<String, u64> = BTreeMap::new();
+        let mut stats = RunStats::default();
         loop {
             let index = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(item) = plan.items.get(index) else {
@@ -214,13 +148,11 @@ pub fn execute(
             let latency_us = issued.elapsed().as_micros() as u64;
             latency_histogram.record(latency_us);
             request_counter.add(1);
-            let stats = &mut phases[item.phase];
             stats.items += 1;
             stats.queries += requests.len() as u64;
             stats.hits += outcome.hits;
             stats.misses += outcome.misses;
             stats.coalesced += outcome.coalesced;
-            stats.unknown += outcome.unknown;
             stats.latencies_us.push(latency_us);
             stats.sheds += outcome.sheds;
             stats.retries += outcome.retries;
@@ -233,38 +165,24 @@ pub fn execute(
                 error_counter.add(1);
             }
             for request in &requests {
-                *per_kind.entry(request.kind().to_owned()).or_insert(0) += 1;
+                *stats
+                    .executed_per_kind
+                    .entry(request.kind().to_owned())
+                    .or_insert(0) += 1;
             }
         }
-        (phases, per_kind)
+        stats
     };
 
-    let mut merged: Vec<PhaseStats> = config
-        .phases
-        .iter()
-        .map(|p| PhaseStats {
-            label: p.kind.label().to_owned(),
-            ..PhaseStats::default()
-        })
-        .collect();
-    let mut executed_per_kind: BTreeMap<String, u64> = BTreeMap::new();
+    let mut merged = RunStats::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..options.threads).map(|_| scope.spawn(worker)).collect();
         for handle in handles {
-            let (phases, per_kind) = handle.join().expect("load worker panicked");
-            for (slot, stats) in merged.iter_mut().zip(phases) {
-                slot.absorb(stats);
-            }
-            for (kind, count) in per_kind {
-                *executed_per_kind.entry(kind).or_insert(0) += count;
-            }
+            merged.absorb(handle.join().expect("load worker panicked"));
         }
     });
-    RunStats {
-        wall: started.elapsed(),
-        phases: merged,
-        executed_per_kind,
-    }
+    merged.wall = started.elapsed();
+    merged
 }
 
 #[cfg(test)]

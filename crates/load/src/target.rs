@@ -33,9 +33,6 @@ pub struct CallOutcome {
     pub misses: u64,
     /// Queries that piggybacked on an identical in-flight query.
     pub coalesced: u64,
-    /// Queries whose cache outcome is unknowable (HTTP batches carry
-    /// no per-query cache header).
-    pub unknown: u64,
     /// The call hit its deadline (HTTP 504).
     pub timeout: bool,
     /// Shed answers (429/503) observed across every attempt,
@@ -59,7 +56,7 @@ pub trait Target: Sync {
     /// transport failures.
     fn call(&self, requests: &[&AnalysisRequest], deadline_ms: Option<u64>) -> CallOutcome;
 
-    /// Stable label recorded in the report ("in-process" / "http").
+    /// Stable label printed in the run summary ("in-process" / "http").
     fn label(&self) -> &'static str;
 }
 
@@ -228,15 +225,15 @@ impl Target for Http {
             body: response.body,
             ..CallOutcome::default()
         };
+        // HTTP batches carry no per-query cache header, so only single
+        // queries count toward the cache outcomes.
         if requests.len() == 1 {
             match response.headers.iter().find(|(n, _)| n == "x-cache") {
                 Some((_, v)) if v == "hit" => outcome.hits = 1,
                 Some((_, v)) if v == "miss" => outcome.misses = 1,
                 Some((_, v)) if v == "coalesced" => outcome.coalesced = 1,
-                _ => outcome.unknown = 1,
+                _ => {}
             }
-        } else {
-            outcome.unknown = requests.len() as u64;
         }
         outcome
     }

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use hpcfail_load::{build_corpus, execute, plan, CorpusSystem, InProcess, MixConfig, RunOptions};
-use hpcfail_synth::Scenario;
+use hpcfail_synth::{FleetSpec, Scenario};
 use hpcfail_types::ids::SystemId;
 use proptest::prelude::*;
 
@@ -108,19 +108,57 @@ fn thread_count_does_not_change_executed_traffic() {
             RunOptions { threads },
         );
         assert_eq!(
-            stats.items(),
+            stats.items,
             load_plan.items.len() as u64,
             "{threads} threads"
         );
-        assert_eq!(
-            stats.queries(),
-            load_plan.queries as u64,
-            "{threads} threads"
-        );
-        assert_eq!(stats.errors(), 0, "{threads} threads");
+        assert_eq!(stats.queries, load_plan.queries as u64, "{threads} threads");
+        assert_eq!(stats.errors, 0, "{threads} threads");
         executed.push(stats.executed_per_kind);
     }
     for counts in &executed {
         assert_eq!(counts, &planned, "executed counts must match the plan");
     }
+}
+
+/// The ci profile's traffic shape is pinned: over the 0.05-scale LANL
+/// fleet it plans 544 items carrying 768 queries drawn from a
+/// 512-entry corpus, with this exact per-kind split. A change to the
+/// corpus, the mix or the planner moves these numbers and must say so.
+#[test]
+fn ci_profile_plans_the_pinned_traffic_shape() {
+    let config = MixConfig::ci();
+    let systems = hpcfail_load::systems_from_fleet(&FleetSpec::lanl_scaled(0.05));
+    let corpus = build_corpus(&systems, config.corpus_size);
+    assert_eq!(corpus.len(), 512);
+    let load_plan = plan::build(&config, corpus.len()).expect("ci profile plans");
+    assert_eq!(load_plan.items.len(), 544);
+    assert_eq!(load_plan.queries, 768);
+
+    let pinned: BTreeMap<String, u64> = [
+        ("alarm-evaluation", 29),
+        ("arrival-profile", 30),
+        ("availability", 20),
+        ("checkpoint-replay", 54),
+        ("conditional", 38),
+        ("cosmic-correlation", 35),
+        ("env-breakdown", 28),
+        ("equal-rates-test", 68),
+        ("fleet-conditional", 20),
+        ("heaviest-users", 30),
+        ("maintenance-after-power", 54),
+        ("node-failure-counts", 2),
+        ("node-vs-rest", 62),
+        ("power-conditional", 26),
+        ("regression-study", 19),
+        ("root-cause-shares", 35),
+        ("same-type-summaries", 33),
+        ("temperature-regression", 26),
+        ("trace-summary", 151),
+        ("usage-correlations", 8),
+    ]
+    .into_iter()
+    .map(|(kind, count)| (kind.to_owned(), count))
+    .collect();
+    assert_eq!(plan::per_kind_counts(&load_plan, &corpus), pinned);
 }

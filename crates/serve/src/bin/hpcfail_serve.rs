@@ -295,7 +295,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
     let scale = parsed.scale.unwrap_or(0.1);
     let seed = parsed.seed.unwrap_or(42);
-    if scale <= 0.0 {
+    if scale.is_nan() || scale <= 0.0 {
         return usage_error("--scale must be positive");
     }
 
@@ -362,11 +362,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                         }
                     }
                 } else {
-                    let spec = if scale >= 1.0 {
-                        FleetSpec::lanl()
-                    } else {
-                        FleetSpec::lanl_scaled(scale)
-                    };
+                    let spec = FleetSpec::lanl_scaled(scale.min(1.0));
                     Engine::new(spec.generate(seed).into_store())
                 }
             }

@@ -15,8 +15,8 @@
 //! The *budget* bounds total retries across the client's lifetime (not
 //! per request): once spent, failures surface immediately instead of
 //! amplifying an outage with retry traffic. [`RetryOutcome`] reports
-//! what happened per request; [`RetryStats`] aggregates for
-//! `BENCH_serve.json`'s shed/retried/gave-up accounting.
+//! what happened per request; [`RetryStats`] aggregates across them,
+//! and `hpcfail-load run` prints the same shed/retried/gave-up counts.
 
 use crate::client::{Client, Response};
 use hpcfail_obs::rng::SplitMix64;

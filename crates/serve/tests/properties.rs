@@ -1,9 +1,12 @@
-//! Outside-input properties: the route table, the HTTP reader and the
-//! request parser take arbitrary input and answer with a value or a
-//! typed error, never a panic.
+//! Outside-input properties: the route table, the HTTP reader, the
+//! request parser, the chaos-spec parser and the Prometheus text
+//! parser take arbitrary input and answer with a value or a typed
+//! error, never a panic.
 
 use hpcfail_core::engine::{AnalysisRequest, REQUEST_KINDS};
+use hpcfail_serve::chaos::{ChaosConfig, ChaosFault};
 use hpcfail_serve::http::{read_request, MAX_BODY};
+use hpcfail_serve::promtext;
 use hpcfail_serve::routes::{resolve, Endpoint, Routed};
 use proptest::prelude::*;
 use std::io::BufReader;
@@ -18,6 +21,24 @@ const SEGMENTS: &[&str] = &[
 /// A well-formed request each mutation starts from.
 const VALID_REQUEST: &[u8] = b"POST /v1/traces/default/query HTTP/1.1\r\nhost: x\r\n\
 content-length: 30\r\nconnection: close\r\n\r\n{\"analysis\": \"trace-summary\"}";
+
+/// The chaos spec CI runs its storm under; mutations start from it.
+const VALID_CHAOS: &str = include_str!("../../../tests/chaos/ci-storm.json");
+
+/// A scrape exercising TYPE/HELP lines, labels with escapes, summary
+/// children, special values and a timestamp.
+const VALID_SCRAPE: &str = "\
+# HELP serve_requests_total Requests served.
+# TYPE serve_requests_total counter
+serve_requests_total 42
+# TYPE serve_phase_us summary
+serve_phase_us{phase=\"read\",quantile=\"0.5\"} 4
+serve_phase_us_count{phase=\"read\"} 10
+serve_phase_us_sum{phase=\"read\"} 40
+# TYPE serve_inflight gauge
+serve_inflight{note=\"a \\\"quoted\\\" \\\\ value\"} NaN 1700000000000
+serve_ratio +Inf
+";
 
 /// Applies `(position, byte, op)` edits: 0 overwrites, 1 inserts, 2
 /// deletes. Positions wrap around the current length.
@@ -37,6 +58,30 @@ fn mutate(base: &[u8], edits: &[(usize, u8, u8)]) -> Vec<u8> {
     bytes
 }
 
+/// Parses `text` as a chaos spec; an accepted spec must hold every
+/// invariant the injector relies on.
+fn check_chaos(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(config) = ChaosConfig::parse(text) {
+        for rule in &config.rules {
+            prop_assert!((0.0..=1.0).contains(&rule.probability), "{:?}", rule);
+            if let ChaosFault::Error { status } = rule.fault {
+                prop_assert!((400..600).contains(&status), "{:?}", rule);
+            }
+            prop_assert!(rule.fault.valid_at(rule.point), "{:?}", rule);
+        }
+    }
+    Ok(())
+}
+
+/// Parses `text` as a scrape; an accepted scrape holds at most one
+/// sample per line.
+fn check_scrape(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(scrape) = promtext::parse(text) {
+        prop_assert!(scrape.samples.len() <= text.lines().count());
+    }
+    Ok(())
+}
+
 /// Parses `bytes` as one request and checks the reader's contract.
 fn check_read(bytes: &[u8]) -> Result<(), TestCaseError> {
     match read_request(&mut BufReader::new(bytes)) {
@@ -53,6 +98,16 @@ fn check_read(bytes: &[u8]) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// The mutation bases are valid, so mutations start inside the
+/// accepted language rather than at its first error.
+#[test]
+fn mutation_bases_parse() {
+    let config = ChaosConfig::parse(VALID_CHAOS).expect("chaos base parses");
+    assert_eq!(config.rules.len(), 3);
+    let scrape = promtext::parse(VALID_SCRAPE).expect("scrape base parses");
+    assert_eq!(scrape.samples.len(), 6);
 }
 
 proptest! {
@@ -115,5 +170,69 @@ proptest! {
         let valid = format!("{{\"analysis\": \"{kind}\"}}");
         let mutated = mutate(valid.as_bytes(), &edits);
         let _ = AnalysisRequest::parse(&String::from_utf8_lossy(&mutated));
+    }
+
+    #[test]
+    fn chaos_spec_parse_answers_arbitrary_text_with_a_value_or_an_error(
+        text in "[{}\\[\\]\":,a-z0-9 .\n-]{0,160}",
+        raw in prop::collection::vec(0u8..=255, 0..200),
+    ) {
+        check_chaos(&text)?;
+        check_chaos(&String::from_utf8_lossy(&raw))?;
+    }
+
+    #[test]
+    fn chaos_spec_parse_keeps_its_invariants_on_mutated_specs(
+        edits in prop::collection::vec((0usize..320, 0u8..=255, 0u8..3), 1..6),
+    ) {
+        check_chaos(&String::from_utf8_lossy(&mutate(VALID_CHAOS.as_bytes(), &edits)))?;
+    }
+
+    #[test]
+    fn chaos_spec_parse_keeps_its_invariants_on_generated_rules(
+        rules in prop::collection::vec(
+            (
+                prop::sample::select(vec!["accept", "admission", "engine", "respond", "nowhere"]),
+                prop::sample::select(vec!["latency", "stall", "error", "drop", "shed", "boom"]),
+                -0.5f64..1.5,
+                prop::option::of(0u64..1000),
+                prop::option::of(0u64..100),
+            ),
+            0..5,
+        ),
+    ) {
+        let rules: Vec<String> = rules
+            .into_iter()
+            .map(|(point, fault, probability, extra, max)| {
+                let mut rule =
+                    format!(r#"{{"point": "{point}", "fault": "{fault}", "probability": {probability}"#);
+                if let Some(value) = extra {
+                    let key = if fault == "error" { "status" } else { "ms" };
+                    rule.push_str(&format!(r#", "{key}": {value}"#));
+                }
+                if let Some(max) = max {
+                    rule.push_str(&format!(r#", "max": {max}"#));
+                }
+                rule.push('}');
+                rule
+            })
+            .collect();
+        check_chaos(&format!(r#"{{"seed": 1, "rules": [{}]}}"#, rules.join(", ")))?;
+    }
+
+    #[test]
+    fn promtext_parse_answers_arbitrary_text_with_a_value_or_an_error(
+        text in "[#{}=\",a-zA-Z_0-9 .\\\\\n+-]{0,160}",
+        raw in prop::collection::vec(0u8..=255, 0..200),
+    ) {
+        check_scrape(&text)?;
+        check_scrape(&String::from_utf8_lossy(&raw))?;
+    }
+
+    #[test]
+    fn promtext_parse_answers_mutated_scrapes_with_a_value_or_an_error(
+        edits in prop::collection::vec((0usize..420, 0u8..=255, 0u8..3), 1..6),
+    ) {
+        check_scrape(&String::from_utf8_lossy(&mutate(VALID_SCRAPE.as_bytes(), &edits)))?;
     }
 }
