@@ -1,8 +1,14 @@
 //! Command-line reproduction harness.
 //!
 //! ```text
-//! repro [--scale S] [--seed N] [--quiet] [--manifest PATH] [--list] <experiment>... | all
+//! repro [--scale S] [--seed N] [--scenario NAME|PATH]
+//!       [--trace DIR [--policy P]] [--snapshot PATH]
+//!       [--quiet] [--manifest PATH] [--list] <experiment>... | all
 //! ```
+//!
+//! The trace-source flags are parsed and loaded by
+//! [`hpcfail_synth::source`], with the same rules as in `hpcfail-serve`
+//! and `hpcfail-load`.
 //!
 //! Timing is collected by the `hpcfail-obs` layer: fleet generation and
 //! every experiment run inside spans, and the run ends with a summary
@@ -23,44 +29,53 @@ use hpcfail_bench::{experiment, Experiment, ExperimentOutcome, ReproContext, EXP
 use hpcfail_obs::manifest::{git_describe, ManifestSink};
 use hpcfail_obs::sink::Sink;
 use hpcfail_report::obs_sink::TableSink;
-use hpcfail_store::ingest::{load_trace_with, IngestPolicy, IngestReport};
-use hpcfail_store::snapshot::{read_snapshot, write_snapshot};
+use hpcfail_store::snapshot::write_snapshot;
+use hpcfail_synth::source::{SourceFlags, TraceInput};
 use std::process::ExitCode;
 
+const USAGE: &str = "\
+usage: repro [options] <experiment>... | all
+
+Regenerates the tables and figures of El-Sayed & Schroeder (DSN 2013)
+against a synthetic LANL-like fleet, a scenario pack, a CSV trace
+directory or a snapshot.
+
+trace source (the same flags and rules as hpcfail-serve serve):
+  --scale S        fleet scale in (0, 1], default 1.0 (full LANL size);
+                   beside --trace/--snapshot it only labels the run
+  --seed N         generation seed, default 42 (a label beside
+                   --trace/--snapshot)
+  --scenario NAME  generate a scenario pack (builtin name or path to a
+                   scenario JSON file) with the pack's own seed; excludes
+                   every other source flag
+  --trace DIR      load a CSV trace directory (the save_trace layout)
+  --policy P       ingest policy for --trace: strict (default), lenient
+                   or best-effort
+  --snapshot PATH  load a binary .hpcsnap snapshot; with --trace DIR,
+                   an unusable snapshot falls back to the CSV directory
+
+options:
+  --write-snapshot PATH  after loading, write the trace to PATH as a
+                   .hpcsnap snapshot; with no experiments given the run
+                   writes the snapshot and exits
+  --inject-failure ID  make experiment ID fail (degradation testing)
+  --out DIR        also write each report to DIR/<id>.txt
+  --manifest PATH  write a JSON run manifest (seed, scale, build,
+                   per-span timings, counters) to PATH
+  --quiet          suppress progress and the metrics summary on stderr
+  --list           list experiments and exit
+
+exit codes:
+  0  clean run
+  1  fatal error (bad arguments, unreadable trace, write failure)
+  2  degraded run (failed experiments and/or quarantined input lines;
+     a summary is printed to stderr)
+
+experiments:
+";
+
 fn usage() -> String {
-    let mut out = String::from(
-        "usage: repro [options] <experiment>... | all\n\n\
-         Regenerates the tables and figures of El-Sayed & Schroeder (DSN 2013)\n\
-         against a synthetic LANL-like fleet, or against a trace directory.\n\n\
-         options:\n\
-           --scale S        fleet scale in (0, 1], default 1.0 (full LANL size)\n\
-           --seed N         generation seed, default 42\n\
-           --trace DIR      load the trace from DIR (CSV layout written by\n\
-                            save_trace) instead of generating a fleet\n\
-           --policy P       ingestion policy for --trace: strict (default),\n\
-                            lenient, or best-effort\n\
-           --snapshot PATH  load the trace from a binary .hpcsnap snapshot\n\
-                            (one bulk read, no CSV parse) instead of\n\
-                            generating a fleet or reading --trace\n\
-           --scenario NAME  generate a scenario pack (builtin name or path\n\
-                            to a scenario JSON file) instead of the\n\
-                            LANL-shaped fleet; the pack's own seed is used\n\
-           --write-snapshot PATH  after loading, write the trace to PATH as\n\
-                            a .hpcsnap snapshot; with no experiments given\n\
-                            the run writes the snapshot and exits\n\
-           --inject-failure ID  make experiment ID fail (degradation testing)\n\
-           --out DIR        also write each report to DIR/<id>.txt\n\
-           --manifest PATH  write a JSON run manifest (seed, scale, build,\n\
-                            per-span timings, counters) to PATH\n\
-           --quiet          suppress progress and the metrics summary on stderr\n\
-           --list           list experiments and exit\n\n\
-         exit codes:\n\
-           0  clean run\n\
-           1  fatal error (bad arguments, unreadable trace, write failure)\n\
-           2  degraded run (failed experiments and/or quarantined input lines;\n\
-              a summary is printed to stderr)\n\n\
-         experiments:\n",
-    );
+    let mut out = USAGE.to_owned();
     for e in EXPERIMENTS {
         out.push_str(&format!("  {:<8} {}\n", e.id, e.title));
     }
@@ -69,115 +84,51 @@ fn usage() -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 1.0f64;
-    let mut seed = 42u64;
+    let mut source = SourceFlags::default();
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut manifest_path: Option<std::path::PathBuf> = None;
-    let mut trace_dir: Option<std::path::PathBuf> = None;
-    let mut snapshot_path: Option<std::path::PathBuf> = None;
-    let mut scenario_name: Option<String> = None;
     let mut write_snapshot_path: Option<std::path::PathBuf> = None;
-    let mut policy = IngestPolicy::Strict;
     let mut inject_failure: Option<String> = None;
     let mut quiet = false;
     let mut ids: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => match iter.next() {
-                Some(dir) => out_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--manifest" => match iter.next() {
-                Some(path) => manifest_path = Some(path.into()),
-                None => {
-                    eprintln!("--manifest needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace" => match iter.next() {
-                Some(dir) => trace_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--trace needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--snapshot" => match iter.next() {
-                Some(path) => snapshot_path = Some(path.into()),
-                None => {
-                    eprintln!("--snapshot needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--scenario" => match iter.next() {
-                Some(name) => scenario_name = Some(name.clone()),
-                None => {
-                    eprintln!("--scenario needs a pack name or file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--write-snapshot" => match iter.next() {
-                Some(path) => write_snapshot_path = Some(path.into()),
-                None => {
-                    eprintln!("--write-snapshot needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--policy" => match iter.next().map(|v| v.parse()) {
-                Some(Ok(p)) => policy = p,
-                Some(Err(err)) => {
-                    eprintln!("{err}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--policy needs a value (strict, lenient, best-effort)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--inject-failure" => match iter.next() {
-                Some(id) => inject_failure = Some(id.clone()),
-                None => {
-                    eprintln!("--inject-failure needs an experiment id");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--quiet" => quiet = true,
-            "--scale" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 && v <= 1.0 => scale = v,
-                _ => {
-                    eprintln!("--scale needs a value in (0, 1]");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--list" => {
-                print!("{}", usage());
-                return ExitCode::SUCCESS;
+        match source.take(arg, &mut iter) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(err) => {
+                eprintln!("{err}");
+                return ExitCode::FAILURE;
             }
-            "-h" | "--help" => {
+        }
+        match arg.as_str() {
+            "--out" | "--manifest" | "--write-snapshot" | "--inject-failure" => {
+                let Some(value) = iter.next().cloned() else {
+                    eprintln!("{arg} needs a value");
+                    return ExitCode::FAILURE;
+                };
+                match arg.as_str() {
+                    "--out" => out_dir = Some(value.into()),
+                    "--manifest" => manifest_path = Some(value.into()),
+                    "--write-snapshot" => write_snapshot_path = Some(value.into()),
+                    _ => inject_failure = Some(value),
+                }
+            }
+            "--quiet" => quiet = true,
+            "--list" | "-h" | "--help" => {
                 print!("{}", usage());
                 return ExitCode::SUCCESS;
             }
             other => ids.push(other.to_owned()),
         }
     }
-    if snapshot_path.is_some() && trace_dir.is_some() {
-        eprintln!("--snapshot and --trace are mutually exclusive");
-        return ExitCode::FAILURE;
-    }
-    if scenario_name.is_some() && (snapshot_path.is_some() || trace_dir.is_some()) {
-        eprintln!("--scenario is mutually exclusive with --trace and --snapshot");
-        return ExitCode::FAILURE;
-    }
+    let source = match source.finish() {
+        Ok(source) => source,
+        Err(err) => {
+            eprintln!("{err}");
+            return ExitCode::FAILURE;
+        }
+    };
     // A bare snapshot-writing run is legal: load (or generate), write
     // the snapshot, exit without running any experiment.
     if ids.is_empty() && write_snapshot_path.is_none() {
@@ -206,74 +157,34 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut ingest_report: Option<IngestReport> = None;
-    let ctx = if let Some(dir) = &trace_dir {
-        if !quiet {
-            eprintln!("loading trace from {} ({policy} policy)...", dir.display());
-        }
-        let loaded = {
-            let _span = hpcfail_obs::span("repro.load");
-            load_trace_with(dir, policy)
-        };
-        match loaded {
-            Ok((trace, report)) => {
-                ingest_report = Some(report);
-                ReproContext::from_trace(trace, seed, scale)
-            }
-            Err(err) => {
-                eprintln!("cannot load trace from {}: {err}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if let Some(path) = &snapshot_path {
-        if !quiet {
-            eprintln!("loading snapshot {}...", path.display());
-        }
-        let loaded = {
-            let _span = hpcfail_obs::span("repro.load");
-            read_snapshot(path)
-        };
-        match loaded {
-            Ok(trace) => ReproContext::from_trace(trace, seed, scale),
-            Err(err) => {
-                eprintln!("cannot load snapshot {}: {err}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if let Some(name) = &scenario_name {
-        let scenario = match hpcfail_synth::scenario::load(name) {
-            Ok(scenario) => scenario,
-            Err(err) => {
-                eprintln!("cannot load scenario {name:?}: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !quiet {
-            eprintln!(
-                "generating scenario {} (seed {})...",
-                scenario.name, scenario.seed
-            );
-        }
-        let pack_seed = scenario.seed;
-        let trace = {
-            let _span = hpcfail_obs::span("repro.generate");
-            scenario.generate().into_store()
-        };
-        ReproContext::from_trace(trace, pack_seed, scale)
-    } else {
-        if !quiet {
-            eprintln!("generating fleet (scale {scale}, seed {seed})...");
-        }
-        let _span = hpcfail_obs::span("repro.generate");
-        ReproContext::generate(scale, seed)
+    if !quiet {
+        eprintln!("loading {}...", source.input);
+    }
+    let loaded = {
+        let _span = hpcfail_obs::span(match source.input {
+            TraceInput::Csv { .. } | TraceInput::Snapshot { .. } => "repro.load",
+            TraceInput::Fleet { .. } | TraceInput::Scenario { .. } => "repro.generate",
+        });
+        hpcfail_synth::source::load(&source)
     };
+    let loaded = match loaded {
+        Ok(loaded) => loaded,
+        Err(err) => {
+            eprintln!("{err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if let Some(fallback) = &loaded.fallback {
+        eprintln!("ingest: {fallback}");
+    }
+    let ctx = ReproContext::from_trace(loaded.trace, loaded.seed, source.scale);
     if !quiet {
         eprintln!(
             "loaded {} failures across {} systems\n",
             ctx.trace().total_failures(),
             ctx.trace().len(),
         );
-        if let Some(report) = &ingest_report {
+        if let Some(report) = &loaded.report {
             eprintln!("{}", hpcfail_report::quality::render_ingest_report(report));
         }
     }
@@ -343,7 +254,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &manifest_path {
-        let mut sink = ManifestSink::new(path, seed, scale, git_describe());
+        let mut sink = ManifestSink::new(path, ctx.seed(), ctx.scale(), git_describe());
         if let Err(err) = sink.export(&snapshot) {
             eprintln!("cannot write manifest {}: {err}", path.display());
             return ExitCode::FAILURE;
@@ -353,7 +264,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let quarantined = ingest_report.as_ref().map_or(0, |r| r.quarantined.len());
+    let quarantined = loaded.report.as_ref().map_or(0, |r| r.quarantined.len());
     if !failed.is_empty() || quarantined > 0 {
         eprintln!(
             "degraded run: {} failed experiment(s){}{}, {} skipped, {} quarantined input line(s)",

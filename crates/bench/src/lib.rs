@@ -32,18 +32,14 @@ pub struct ReproContext {
 
 impl ReproContext {
     /// Generates the fleet at `scale` (1.0 = the full LANL-sized fleet)
-    /// with the given seed. Scales above 1 clamp to the full fleet.
+    /// with the given seed.
     ///
     /// # Panics
     ///
-    /// Panics if `scale` is zero or negative.
+    /// Panics if `scale` is not in (0, 1].
     pub fn generate(scale: f64, seed: u64) -> Self {
         ReproContext {
-            engine: Engine::new(
-                FleetSpec::lanl_scaled(scale.min(1.0))
-                    .generate(seed)
-                    .into_store(),
-            ),
+            engine: Engine::new(FleetSpec::lanl_scaled(scale).generate(seed).into_store()),
             seed,
             scale,
         }

@@ -3,15 +3,21 @@
 //!
 //! ```text
 //! hpcfail-load run [--profile ci] [--addr HOST:PORT | --in-process]
-//!                  [--trace NAME]
-//!                  [--scale 0.05] [--seed 42 | --scenario NAME|PATH]
+//!                  [--trace-name NAME]
+//!                  [--scale 1.0] [--seed 42 | --scenario NAME|PATH]
 //!                  [--threads 4] [--cache 1024]
 //!                  [--retries N] [--retry-base-ms MS] [--retry-seed S]
 //!                  [--quiet]
 //! hpcfail-load profiles
 //! ```
 //!
-//! `--trace NAME` aims an HTTP run at a named trace in the server's
+//! The corpus is planned from a fleet description, so the trace source
+//! is the LANL-shaped fleet (`--scale`/`--seed`, default 1.0 and 42, as
+//! in `repro` and `hpcfail-serve`) or a scenario pack (`--scenario`),
+//! parsed by [`hpcfail_synth::source`]. `--trace DIR` and `--snapshot`
+//! are usage errors here.
+//!
+//! `--trace-name NAME` aims an HTTP run at a named trace in the server's
 //! registry (it posts to `/v1/traces/NAME/query` and `.../batch`).
 //! Defaults to `default`, which is where `hpcfail-serve serve` boots
 //! its trace unless told otherwise. It is rejected with `--in-process`,
@@ -44,12 +50,12 @@ use hpcfail_load::{
 };
 use hpcfail_obs::json::Json;
 use hpcfail_serve::RetryPolicy;
-use hpcfail_synth::FleetSpec;
+use hpcfail_synth::source::SourceFlags;
 
 const USAGE: &str = "usage:
   hpcfail-load run [--profile ci] [--addr HOST:PORT | --in-process]
-                   [--trace NAME]
-                   [--scale 0.05] [--seed 42 | --scenario NAME|PATH]
+                   [--trace-name NAME]
+                   [--scale 1.0] [--seed 42 | --scenario NAME|PATH]
                    [--threads 4] [--cache 1024]
                    [--retries N] [--retry-base-ms MS] [--retry-seed S]
                    [--quiet]
@@ -88,97 +94,60 @@ fn take_value<'a>(flag: &str, iter: &mut std::slice::Iter<'a, String>) -> Result
         .ok_or_else(|| format!("{flag} needs a value"))
 }
 
-struct RunArgs {
-    profile: String,
-    addr: Option<String>,
-    in_process: bool,
-    trace: Option<String>,
-    scale: f64,
-    seed: u64,
-    scenario: Option<String>,
-    threads: usize,
-    cache: usize,
-    retries: Option<u32>,
-    retry_base_ms: Option<u64>,
-    retry_seed: Option<u64>,
-    quiet: bool,
+/// Parses the value of `flag` as a `T`; returns it or an error message.
+fn parse_value<T: std::str::FromStr>(
+    flag: &str,
+    iter: &mut std::slice::Iter<'_, String>,
+) -> Result<T, String> {
+    let value = take_value(flag, iter)?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid {flag} {value:?}"))
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    let mut parsed = RunArgs {
-        profile: "ci".to_owned(),
-        addr: None,
-        in_process: false,
-        trace: None,
-        scale: 0.05,
-        seed: 42,
-        scenario: None,
-        threads: 4,
-        cache: 1024,
-        retries: None,
-        retry_base_ms: None,
-        retry_seed: None,
-        quiet: false,
-    };
+    let mut profile = "ci".to_owned();
+    let mut addr: Option<String> = None;
+    let mut in_process = false;
+    let mut trace_name: Option<String> = None;
+    let mut source = SourceFlags::default();
+    let mut threads: usize = 4;
+    let mut cache: usize = 1024;
+    let mut retries: Option<u32> = None;
+    let mut retry_base_ms: Option<u64> = None;
+    let mut retry_seed: Option<u64> = None;
+    let mut quiet = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        match source.take(arg, &mut iter) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(err) => return usage_error(&err.to_string()),
+        }
         let result: Result<(), String> = match arg.as_str() {
-            "--profile" => {
-                take_value("--profile", &mut iter).map(|v| parsed.profile = v.to_owned())
-            }
-            "--addr" => take_value("--addr", &mut iter).map(|v| parsed.addr = Some(v.to_owned())),
+            "--profile" => take_value("--profile", &mut iter).map(|v| profile = v.to_owned()),
+            "--addr" => take_value("--addr", &mut iter).map(|v| addr = Some(v.to_owned())),
             "--in-process" => {
-                parsed.in_process = true;
+                in_process = true;
                 Ok(())
             }
-            "--trace" => take_value("--trace", &mut iter).and_then(|v| {
+            "--trace-name" => take_value("--trace-name", &mut iter).and_then(|v| {
                 if hpcfail_serve::registry::valid_name(v) {
-                    parsed.trace = Some(v.to_owned());
+                    trace_name = Some(v.to_owned());
                     Ok(())
                 } else {
-                    Err(format!("invalid --trace name {v:?}"))
+                    Err(format!("invalid --trace-name {v:?}"))
                 }
             }),
-            "--scale" => take_value("--scale", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| parsed.scale = n)
-                    .map_err(|_| format!("invalid --scale {v:?}"))
-            }),
-            "--seed" => take_value("--seed", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| parsed.seed = n)
-                    .map_err(|_| format!("invalid --seed {v:?}"))
-            }),
-            "--scenario" => {
-                take_value("--scenario", &mut iter).map(|v| parsed.scenario = Some(v.to_owned()))
+            "--threads" => parse_value("--threads", &mut iter).map(|n| threads = n),
+            "--cache" => parse_value("--cache", &mut iter).map(|n| cache = n),
+            "--retries" => parse_value("--retries", &mut iter).map(|n| retries = Some(n)),
+            "--retry-base-ms" => {
+                parse_value("--retry-base-ms", &mut iter).map(|n| retry_base_ms = Some(n))
             }
-            "--threads" => take_value("--threads", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| parsed.threads = n)
-                    .map_err(|_| format!("invalid --threads {v:?}"))
-            }),
-            "--cache" => take_value("--cache", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| parsed.cache = n)
-                    .map_err(|_| format!("invalid --cache {v:?}"))
-            }),
-            "--retries" => take_value("--retries", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| parsed.retries = Some(n))
-                    .map_err(|_| format!("invalid --retries {v:?}"))
-            }),
-            "--retry-base-ms" => take_value("--retry-base-ms", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| parsed.retry_base_ms = Some(n))
-                    .map_err(|_| format!("invalid --retry-base-ms {v:?}"))
-            }),
-            "--retry-seed" => take_value("--retry-seed", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| parsed.retry_seed = Some(n))
-                    .map_err(|_| format!("invalid --retry-seed {v:?}"))
-            }),
+            "--retry-seed" => parse_value("--retry-seed", &mut iter).map(|n| retry_seed = Some(n)),
             "--quiet" => {
-                parsed.quiet = true;
+                quiet = true;
                 Ok(())
             }
             other => Err(format!("unknown flag {other:?}")),
@@ -187,83 +156,76 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return usage_error(&message);
         }
     }
-    if parsed.in_process == parsed.addr.is_some() {
+    if in_process == addr.is_some() {
         return usage_error("pick exactly one target: --addr HOST:PORT or --in-process");
     }
-    let retry_flags =
-        parsed.retries.is_some() || parsed.retry_base_ms.is_some() || parsed.retry_seed.is_some();
-    if retry_flags && parsed.in_process {
+    let retry_flags = retries.is_some() || retry_base_ms.is_some() || retry_seed.is_some();
+    if retry_flags && in_process {
         return usage_error("retry flags need an HTTP target (--addr)");
     }
-    if parsed.trace.is_some() && parsed.in_process {
-        return usage_error("--trace needs an HTTP target (--addr)");
+    if trace_name.is_some() && in_process {
+        return usage_error("--trace-name needs an HTTP target (--addr)");
     }
-    if parsed.threads == 0 {
+    if threads == 0 {
         return usage_error("--threads must be positive");
     }
-    if parsed.scale.is_nan() || parsed.scale <= 0.0 {
-        return usage_error("--scale must be positive");
-    }
-    let Some(config) = MixConfig::named(&parsed.profile) else {
+    let source = match source.finish() {
+        Ok(source) => source,
+        Err(err) => return usage_error(&err.to_string()),
+    };
+    let Some(config) = MixConfig::named(&profile) else {
         return usage_error(&format!(
             "unknown profile {:?}; try: {}",
-            parsed.profile,
+            profile,
             MixConfig::PROFILES.join(", ")
         ));
     };
 
     // The fleet description parameterizes the corpus; only the
     // in-process target additionally pays for trace generation.
-    let scenario = match &parsed.scenario {
-        Some(name) => match hpcfail_synth::scenario::load(name) {
-            Ok(scenario) => Some(scenario),
-            Err(err) => {
-                eprintln!("cannot load scenario {name:?}: {err}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let generator = match source.input.generator() {
+        Ok(Some(generator)) => generator,
+        Ok(None) => {
+            return usage_error(
+                "hpcfail-load plans its corpus from a fleet description: \
+                 use --scale/--seed or --scenario, not --trace DIR or --snapshot",
+            )
+        }
+        Err(err) => {
+            eprintln!("{err}");
+            return ExitCode::FAILURE;
+        }
     };
-    let (fleet, corpus_label) = match &scenario {
-        Some(scenario) => (scenario.fleet(), format!("scenario={}", scenario.name)),
-        None => (
-            FleetSpec::lanl_scaled(parsed.scale.min(1.0)),
-            format!("scale={} seed={}", parsed.scale, parsed.seed),
-        ),
-    };
-    let systems = systems_from_fleet(&fleet);
+    let systems = systems_from_fleet(&generator.spec);
     let corpus = build_corpus(&systems, config.corpus_size);
     let load_plan = match plan::build(&config, corpus.len()) {
         Ok(load_plan) => load_plan,
         Err(err) => {
-            eprintln!("cannot plan profile {:?}: {err}", parsed.profile);
+            eprintln!("cannot plan profile {:?}: {err}", profile);
             return ExitCode::FAILURE;
         }
     };
-    if !parsed.quiet {
+    if !quiet {
         eprintln!(
             "profile {}: {} items / {} queries over a {}-entry corpus",
-            parsed.profile,
+            profile,
             load_plan.items.len(),
             load_plan.queries,
             corpus.len()
         );
     }
 
-    let target: Box<dyn Target> = if let Some(addr) = &parsed.addr {
-        let trace_name = parsed
-            .trace
+    let target: Box<dyn Target> = if let Some(addr) = &addr {
+        let trace_name = trace_name
             .as_deref()
             .unwrap_or(hpcfail_serve::DEFAULT_TRACE);
         if retry_flags {
             let default = RetryPolicy::default();
             let policy = RetryPolicy {
                 // `--retries N` allows N retries: N + 1 total attempts.
-                max_attempts: parsed
-                    .retries
-                    .map_or(default.max_attempts, |n| n.saturating_add(1)),
-                base_delay_ms: parsed.retry_base_ms.unwrap_or(default.base_delay_ms),
-                seed: parsed.retry_seed.unwrap_or(default.seed),
+                max_attempts: retries.map_or(default.max_attempts, |n| n.saturating_add(1)),
+                base_delay_ms: retry_base_ms.unwrap_or(default.base_delay_ms),
+                seed: retry_seed.unwrap_or(default.seed),
                 ..default
             };
             Box::new(Http::with_retry(addr, policy).with_trace(trace_name))
@@ -271,15 +233,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
             Box::new(Http::new(addr).with_trace(trace_name))
         }
     } else {
-        if !parsed.quiet {
-            eprintln!("generating trace ({corpus_label})...");
+        if !quiet {
+            eprintln!("generating trace ({})...", generator.label);
         }
-        let trace = match &scenario {
-            // The scenario bakes in its own seed.
-            Some(scenario) => scenario.generate().into_store(),
-            None => fleet.generate(parsed.seed).into_store(),
-        };
-        Box::new(InProcess::new(trace, parsed.cache))
+        let trace = generator.spec.generate(generator.seed).into_store();
+        Box::new(InProcess::new(trace, cache))
     };
 
     let stats = execute(
@@ -287,17 +245,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
         &load_plan,
         &config,
         target.as_ref(),
-        RunOptions {
-            threads: parsed.threads,
-        },
+        RunOptions { threads },
     );
     let sorted = stats.sorted_latencies_us();
     let wall_ms = stats.wall.as_millis().max(1) as u64;
     let summary = Json::obj([
         ("profile", Json::Str(config.profile.clone())),
         ("target", Json::Str(target.label().to_owned())),
-        ("corpus", Json::Str(corpus_label)),
-        ("threads", Json::Num(parsed.threads as f64)),
+        ("corpus", Json::Str(generator.label)),
+        ("threads", Json::Num(threads as f64)),
         ("items", Json::Num(stats.items as f64)),
         ("queries", Json::Num(stats.queries as f64)),
         ("wall_ms", Json::Num(wall_ms as f64)),

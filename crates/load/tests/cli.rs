@@ -1,6 +1,7 @@
 //! The `hpcfail-load` binary end to end: `run` prints exactly one JSON
 //! summary line on stdout, exits 1 only when an item errored or gave
-//! up, and refuses a scale it cannot generate with a usage error.
+//! up, and refuses a scale it cannot generate, or a trace source it
+//! cannot plan a corpus from, with a usage error.
 
 use std::net::TcpListener;
 use std::process::{Command, Output, Stdio};
@@ -144,4 +145,48 @@ fn nan_scale_is_a_usage_error() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains("--scale must be positive"), "{stderr}");
     }
+}
+
+/// The corpus is planned from a fleet description, so a CSV directory
+/// or a snapshot is refused before anything is read or sent.
+#[test]
+fn loaded_trace_sources_are_usage_errors() {
+    for source in [
+        &["--trace", "no-such-dir"][..],
+        &["--snapshot", "no-such.hpcsnap"],
+        &["--snapshot", "no-such.hpcsnap", "--trace", "no-such-dir"],
+    ] {
+        for target in [&["--in-process"][..], &["--addr", "127.0.0.1:9"]] {
+            let mut args = vec!["run", "--profile", "smoke"];
+            args.extend_from_slice(target);
+            args.extend_from_slice(source);
+            let output = hpcfail_load(&args);
+            assert_eq!(output.status.code(), Some(2), "{args:?}");
+            assert!(output.stdout.is_empty(), "{args:?}");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.contains("not --trace DIR or --snapshot"),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}
+
+/// `--trace-name` picks the server's trace; it needs an HTTP target.
+#[test]
+fn trace_name_needs_an_http_target() {
+    let output = hpcfail_load(&[
+        "run",
+        "--in-process",
+        "--profile",
+        "smoke",
+        "--trace-name",
+        "lanl",
+    ]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("--trace-name needs an HTTP target"),
+        "{stderr}"
+    );
 }

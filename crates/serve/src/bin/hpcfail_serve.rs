@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! hpcfail-serve serve [--addr 127.0.0.1:7070] [--workers 4] [--cache 1024]
-//!                     [--scale 0.1] [--seed 42] [--scenario NAME|PATH]
+//!                     [--scale 1.0] [--seed 42] [--scenario NAME|PATH]
 //!                     [--trace DIR [--policy strict|lenient|best-effort]]
 //!                     [--snapshot PATH] [--empty] [--name NAME]
 //!                     [--max-resident-bytes N]
@@ -25,6 +25,12 @@
 //! hpcfail-serve requests
 //! ```
 //!
+//! `serve` reads its boot trace from the trace-source flags (`--scale`
+//! through `--snapshot`) with [`hpcfail_synth::source`], under the same
+//! rules as `repro`: the default is the full-scale fleet (scale 1.0),
+//! and `--snapshot PATH --trace DIR` boots from the snapshot with the
+//! CSV directory as fallback.
+//!
 //! `serve` registers its boot trace under `--name` (default `default`)
 //! or starts with an empty registry (`--empty`); further traces arrive
 //! over `POST /v1/traces/{name}` (the `upload` subcommand). `query`
@@ -36,17 +42,14 @@
 use hpcfail_core::engine::{AnalysisRequest, Engine, REQUEST_KINDS};
 use hpcfail_obs::manifest::{git_describe, ManifestSink};
 use hpcfail_obs::sink::Sink;
-use hpcfail_serve::admission::{AdmissionConfig, ShedPolicy};
 use hpcfail_serve::chaos::ChaosConfig;
 use hpcfail_serve::client::Client;
 use hpcfail_serve::registry::{TraceRegistry, TraceSource, DEFAULT_TRACE};
 use hpcfail_serve::retry::{RetryPolicy, RetryingClient};
 use hpcfail_serve::server::{spawn_with_registry, ServerConfig};
-use hpcfail_serve::slo::SloPolicy;
 use hpcfail_serve::{promtext, top};
-use hpcfail_store::ingest::{load_trace_snapshot_first, load_trace_with, IngestPolicy};
-use hpcfail_store::snapshot::read_snapshot;
-use hpcfail_synth::FleetSpec;
+use hpcfail_store::ingest::IngestPolicy;
+use hpcfail_synth::source::SourceFlags;
 use std::io::{IsTerminal, Read};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -54,7 +57,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage:
   hpcfail-serve serve [--addr 127.0.0.1:7070] [--workers 4] [--cache 1024]
-                      [--scale 0.1] [--seed 42] [--scenario NAME|PATH]
+                      [--scale 1.0] [--seed 42] [--scenario NAME|PATH]
                       [--trace DIR [--policy strict|lenient|best-effort]]
                       [--snapshot PATH] [--empty] [--name NAME]
                       [--max-resident-bytes N]
@@ -101,33 +104,6 @@ fn main() -> ExitCode {
     }
 }
 
-struct ServeArgs {
-    addr: String,
-    workers: usize,
-    cache: usize,
-    scale: Option<f64>,
-    seed: Option<u64>,
-    scenario: Option<String>,
-    trace_dir: Option<String>,
-    snapshot: Option<String>,
-    empty: bool,
-    name: String,
-    max_resident_bytes: u64,
-    policy: IngestPolicy,
-    manifest: Option<String>,
-    access_log: Option<String>,
-    slo_latency_ms: Option<u64>,
-    slo_error_rate: Option<f64>,
-    slo_window_ms: Option<u64>,
-    max_inflight: Option<usize>,
-    max_queued: Option<usize>,
-    shed_policy: Option<ShedPolicy>,
-    read_timeout_ms: Option<u64>,
-    chaos: Option<String>,
-    inject_panic: Option<String>,
-    quiet: bool,
-}
-
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("{message}\n{USAGE}");
     ExitCode::from(2)
@@ -140,308 +116,165 @@ fn take_value<'a>(flag: &str, iter: &mut std::slice::Iter<'a, String>) -> Result
         .ok_or_else(|| format!("{flag} needs a value"))
 }
 
+/// Parses the value of `flag` as a `T`; returns it or an error message.
+fn parse_value<T: std::str::FromStr>(
+    flag: &str,
+    iter: &mut std::slice::Iter<'_, String>,
+) -> Result<T, String> {
+    let value = take_value(flag, iter)?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid {flag} {value:?}"))
+}
+
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut parsed = ServeArgs {
+    let mut config = ServerConfig {
         addr: "127.0.0.1:7070".to_owned(),
-        workers: 4,
-        cache: 1024,
-        scale: None,
-        seed: None,
-        scenario: None,
-        trace_dir: None,
-        snapshot: None,
-        empty: false,
-        name: DEFAULT_TRACE.to_owned(),
-        max_resident_bytes: 0,
-        policy: IngestPolicy::Strict,
-        manifest: None,
-        access_log: None,
-        slo_latency_ms: None,
-        slo_error_rate: None,
-        slo_window_ms: None,
-        max_inflight: None,
-        max_queued: None,
-        shed_policy: None,
-        read_timeout_ms: None,
-        chaos: None,
-        inject_panic: None,
-        quiet: false,
+        ..ServerConfig::default()
     };
+    let mut source = SourceFlags::default();
+    let mut empty = false;
+    let mut name = DEFAULT_TRACE.to_owned();
+    let mut manifest: Option<String> = None;
+    let mut chaos: Option<String> = None;
+    let mut quiet = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let result: Result<(), String> =
-            match arg.as_str() {
-                "--addr" => take_value("--addr", &mut iter).map(|v| parsed.addr = v.to_owned()),
-                "--workers" => take_value("--workers", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n| parsed.workers = n)
-                        .map_err(|_| format!("invalid --workers {v:?}"))
-                }),
-                "--cache" => take_value("--cache", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n| parsed.cache = n)
-                        .map_err(|_| format!("invalid --cache {v:?}"))
-                }),
-                "--scale" => take_value("--scale", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n| parsed.scale = Some(n))
-                        .map_err(|_| format!("invalid --scale {v:?}"))
-                }),
-                "--seed" => take_value("--seed", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n| parsed.seed = Some(n))
-                        .map_err(|_| format!("invalid --seed {v:?}"))
-                }),
-                "--scenario" => take_value("--scenario", &mut iter)
-                    .map(|v| parsed.scenario = Some(v.to_owned())),
-                "--trace" => {
-                    take_value("--trace", &mut iter).map(|v| parsed.trace_dir = Some(v.to_owned()))
-                }
-                "--snapshot" => take_value("--snapshot", &mut iter)
-                    .map(|v| parsed.snapshot = Some(v.to_owned())),
-                "--empty" => {
-                    parsed.empty = true;
+        match source.take(arg, &mut iter) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(err) => return usage_error(&err.to_string()),
+        }
+        let slo = &mut config.slo;
+        let admission = &mut config.admission;
+        let result: Result<(), String> = match arg.as_str() {
+            "--addr" => take_value("--addr", &mut iter).map(|v| config.addr = v.to_owned()),
+            "--workers" => parse_value("--workers", &mut iter).map(|n| config.workers = n),
+            "--cache" => parse_value("--cache", &mut iter).map(|n| config.cache_capacity = n),
+            "--empty" => {
+                empty = true;
+                Ok(())
+            }
+            "--name" => take_value("--name", &mut iter).and_then(|v| {
+                if hpcfail_serve::registry::valid_name(v) {
+                    name = v.to_owned();
                     Ok(())
+                } else {
+                    Err(format!("invalid --name {v:?}"))
                 }
-                "--name" => take_value("--name", &mut iter).and_then(|v| {
-                    if hpcfail_serve::registry::valid_name(v) {
-                        parsed.name = v.to_owned();
-                        Ok(())
-                    } else {
-                        Err(format!("invalid --name {v:?}"))
-                    }
-                }),
-                "--max-resident-bytes" => {
-                    take_value("--max-resident-bytes", &mut iter).and_then(|v| {
-                        v.parse()
-                            .map(|n| parsed.max_resident_bytes = n)
-                            .map_err(|_| format!("invalid --max-resident-bytes {v:?}"))
-                    })
-                }
-                "--policy" => take_value("--policy", &mut iter)
-                    .and_then(|v| v.parse().map(|p| parsed.policy = p)),
-                "--manifest" => take_value("--manifest", &mut iter)
-                    .map(|v| parsed.manifest = Some(v.to_owned())),
-                "--access-log" => take_value("--access-log", &mut iter)
-                    .map(|v| parsed.access_log = Some(v.to_owned())),
-                "--slo-latency-ms" => take_value("--slo-latency-ms", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n| parsed.slo_latency_ms = Some(n))
-                        .map_err(|_| format!("invalid --slo-latency-ms {v:?}"))
-                }),
-                "--slo-error-rate" => take_value("--slo-error-rate", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n| parsed.slo_error_rate = Some(n))
-                        .map_err(|_| format!("invalid --slo-error-rate {v:?}"))
-                }),
-                "--slo-window-ms" => take_value("--slo-window-ms", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n: u64| parsed.slo_window_ms = Some(n.max(30)))
-                        .map_err(|_| format!("invalid --slo-window-ms {v:?}"))
-                }),
-                "--max-inflight" => take_value("--max-inflight", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n| parsed.max_inflight = Some(n))
-                        .map_err(|_| format!("invalid --max-inflight {v:?}"))
-                }),
-                "--max-queued" => take_value("--max-queued", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n| parsed.max_queued = Some(n))
-                        .map_err(|_| format!("invalid --max-queued {v:?}"))
-                }),
-                "--shed-policy" => take_value("--shed-policy", &mut iter)
-                    .and_then(|v| v.parse().map(|p| parsed.shed_policy = Some(p))),
-                "--read-timeout-ms" => take_value("--read-timeout-ms", &mut iter).and_then(|v| {
-                    v.parse()
-                        .map(|n: u64| parsed.read_timeout_ms = Some(n.max(1)))
-                        .map_err(|_| format!("invalid --read-timeout-ms {v:?}"))
-                }),
-                "--chaos" => {
-                    take_value("--chaos", &mut iter).map(|v| parsed.chaos = Some(v.to_owned()))
-                }
-                "--inject-panic" => take_value("--inject-panic", &mut iter)
-                    .map(|v| parsed.inject_panic = Some(v.to_owned())),
-                "--quiet" => {
-                    parsed.quiet = true;
-                    Ok(())
-                }
-                other => Err(format!("unknown flag {other:?}")),
-            };
+            }),
+            "--max-resident-bytes" => parse_value("--max-resident-bytes", &mut iter)
+                .map(|n| config.max_resident_bytes = n),
+            "--manifest" => take_value("--manifest", &mut iter).map(|v| manifest = Some(v.into())),
+            "--access-log" => {
+                take_value("--access-log", &mut iter).map(|v| config.access_log = Some(v.into()))
+            }
+            "--slo-latency-ms" => {
+                parse_value("--slo-latency-ms", &mut iter).map(|n| slo.latency_budget_ms = n)
+            }
+            "--slo-error-rate" => {
+                parse_value("--slo-error-rate", &mut iter).map(|n| slo.max_error_rate = n)
+            }
+            "--slo-window-ms" => {
+                parse_value("--slo-window-ms", &mut iter).map(|n: u64| slo.window_ms = n.max(30))
+            }
+            "--max-inflight" => {
+                parse_value("--max-inflight", &mut iter).map(|n| admission.max_inflight = n)
+            }
+            "--max-queued" => {
+                parse_value("--max-queued", &mut iter).map(|n| admission.max_queued = n)
+            }
+            "--shed-policy" => take_value("--shed-policy", &mut iter)
+                .and_then(|v| v.parse().map(|p| admission.policy = p)),
+            "--read-timeout-ms" => parse_value("--read-timeout-ms", &mut iter)
+                .map(|n: u64| config.read_timeout = Duration::from_millis(n.max(1))),
+            "--chaos" => take_value("--chaos", &mut iter).map(|v| chaos = Some(v.to_owned())),
+            "--inject-panic" => take_value("--inject-panic", &mut iter)
+                .map(|v| config.inject_panic_kind = Some(v.to_owned())),
+            "--quiet" => {
+                quiet = true;
+                Ok(())
+            }
+            other => Err(format!("unknown flag {other:?}")),
+        };
         if let Err(message) = result {
             return usage_error(&message);
         }
     }
-    if (parsed.trace_dir.is_some() || parsed.snapshot.is_some())
-        && (parsed.scale.is_some() || parsed.seed.is_some())
-    {
-        return usage_error("--scale/--seed and --trace/--snapshot are mutually exclusive");
-    }
-    if parsed.scenario.is_some()
-        && (parsed.scale.is_some()
-            || parsed.seed.is_some()
-            || parsed.trace_dir.is_some()
-            || parsed.snapshot.is_some())
-    {
-        return usage_error("--scenario excludes --scale/--seed/--trace/--snapshot");
-    }
-    if parsed.empty
-        && (parsed.scale.is_some()
-            || parsed.seed.is_some()
-            || parsed.scenario.is_some()
-            || parsed.trace_dir.is_some()
-            || parsed.snapshot.is_some())
-    {
+    if empty && source.given() {
         return usage_error("--empty excludes every trace source (traces arrive by upload)");
     }
-    let scale = parsed.scale.unwrap_or(0.1);
-    let seed = parsed.seed.unwrap_or(42);
-    if scale.is_nan() || scale <= 0.0 {
-        return usage_error("--scale must be positive");
-    }
-
-    let engine = if parsed.empty {
-        None
-    } else {
-        Some(match (&parsed.snapshot, &parsed.trace_dir) {
-            (Some(path), Some(dir)) => {
-                // Snapshot-first boot with a CSV safety net: a bad snapshot
-                // is an audit line, never a dead server.
-                match load_trace_snapshot_first(path, dir, parsed.policy) {
-                    Ok((trace, report, fallback)) => {
-                        if let Some(fallback) = &fallback {
-                            eprintln!("ingest: {fallback}");
-                        }
-                        if let Some(report) = &report {
-                            if !parsed.quiet && !report.quarantined.is_empty() {
-                                eprintln!(
-                                    "ingest: quarantined {} rows under {} policy",
-                                    report.quarantined.len(),
-                                    parsed.policy
-                                );
-                            }
-                        }
-                        Engine::new(trace)
-                    }
-                    Err(err) => {
-                        eprintln!("failed to load trace from {dir:?}: {err}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            (Some(path), None) => match read_snapshot(path) {
-                Ok(trace) => Engine::new(trace),
-                Err(err) => {
-                    eprintln!("failed to load snapshot {path:?}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            (None, Some(dir)) => match load_trace_with(dir, parsed.policy) {
-                Ok((trace, report)) => {
-                    if !parsed.quiet && !report.quarantined.is_empty() {
-                        eprintln!(
-                            "ingest: quarantined {} rows under {} policy",
-                            report.quarantined.len(),
-                            parsed.policy
-                        );
-                    }
-                    Engine::new(trace)
-                }
-                Err(err) => {
-                    eprintln!("failed to load trace from {dir:?}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            (None, None) => {
-                if let Some(name) = &parsed.scenario {
-                    // Scenario packs bake in their own seed.
-                    match hpcfail_synth::scenario::load(name) {
-                        Ok(scenario) => Engine::new(scenario.generate().into_store()),
-                        Err(err) => {
-                            eprintln!("cannot load scenario {name:?}: {err}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else {
-                    let spec = FleetSpec::lanl_scaled(scale.min(1.0));
-                    Engine::new(spec.generate(seed).into_store())
-                }
-            }
-        })
+    let source = match source.finish() {
+        Ok(source) => source,
+        Err(err) => return usage_error(&err.to_string()),
     };
 
-    let chaos = match &parsed.chaos {
-        Some(path) => match ChaosConfig::load(path) {
-            Ok(config) => {
-                if !parsed.quiet {
+    let (engine, seed) = if empty {
+        (None, source.seed)
+    } else {
+        let loaded = match hpcfail_synth::source::load(&source) {
+            Ok(loaded) => loaded,
+            Err(err) => {
+                eprintln!("{err}");
+                return ExitCode::FAILURE;
+            }
+        };
+        // A bad snapshot beside a CSV directory is an audit line, never
+        // a dead server.
+        if let Some(fallback) = &loaded.fallback {
+            eprintln!("ingest: {fallback}");
+        }
+        if let Some(report) = loaded.report.as_ref().filter(|r| !r.quarantined.is_empty()) {
+            if !quiet {
+                eprintln!(
+                    "ingest: quarantined {} rows under {} policy",
+                    report.quarantined.len(),
+                    report.policy
+                );
+            }
+        }
+        (Some(Engine::new(loaded.trace)), loaded.seed)
+    };
+
+    if let Some(path) = &chaos {
+        match ChaosConfig::load(path) {
+            Ok(spec) => {
+                if !quiet {
                     eprintln!(
                         "chaos: {} rules under seed {} from {path}",
-                        config.rules.len(),
-                        config.seed
+                        spec.rules.len(),
+                        spec.seed
                     );
                 }
-                Some(config)
+                config.chaos = Some(spec);
             }
             Err(err) => {
                 eprintln!("{err}");
                 return ExitCode::from(2);
             }
-        },
-        None => None,
-    };
+        }
+    }
 
     let fingerprint = engine.as_ref().map_or_else(
         || "none (empty registry)".to_owned(),
         Engine::fingerprint_hex,
     );
-    let default_slo = SloPolicy::default();
-    let default_admission = AdmissionConfig::default();
-    let default_config = ServerConfig::default();
-    let config = ServerConfig {
-        addr: parsed.addr.clone(),
-        workers: parsed.workers,
-        cache_capacity: parsed.cache,
-        access_log: parsed.access_log.as_ref().map(Into::into),
-        read_timeout: parsed
-            .read_timeout_ms
-            .map(Duration::from_millis)
-            .unwrap_or(default_config.read_timeout),
-        slo: SloPolicy {
-            latency_budget_ms: parsed
-                .slo_latency_ms
-                .unwrap_or(default_slo.latency_budget_ms),
-            max_error_rate: parsed.slo_error_rate.unwrap_or(default_slo.max_error_rate),
-            window_ms: parsed.slo_window_ms.unwrap_or(default_slo.window_ms),
-        },
-        admission: AdmissionConfig {
-            max_inflight: parsed
-                .max_inflight
-                .unwrap_or(default_admission.max_inflight),
-            max_queued: parsed.max_queued.unwrap_or(default_admission.max_queued),
-            policy: parsed.shed_policy.unwrap_or(default_admission.policy),
-            retry_after_ms: default_admission.retry_after_ms,
-        },
-        chaos,
-        inject_panic_kind: parsed.inject_panic.clone(),
-        max_resident_bytes: parsed.max_resident_bytes,
-        ..ServerConfig::default()
-    };
-    let registry = TraceRegistry::new(parsed.max_resident_bytes);
+    let (addr, workers, cache) = (config.addr.clone(), config.workers, config.cache_capacity);
+    let registry = TraceRegistry::new(config.max_resident_bytes);
     if let Some(engine) = engine {
-        registry.insert_engine(&parsed.name, Arc::new(engine), TraceSource::Boot);
+        registry.insert_engine(&name, Arc::new(engine), TraceSource::Boot);
     }
     let handle = match spawn_with_registry(registry, config) {
         Ok(handle) => handle,
         Err(err) => {
-            eprintln!("failed to bind {:?}: {err}", parsed.addr);
+            eprintln!("failed to bind {addr:?}: {err}");
             return ExitCode::FAILURE;
         }
     };
-    if !parsed.quiet {
+    if !quiet {
         eprintln!(
-            "hpcfail-serve: listening on {} (trace fingerprint {fingerprint}, {} workers, cache {})",
+            "hpcfail-serve: listening on {} (trace fingerprint {fingerprint}, {workers} workers, cache {cache})",
             handle.addr(),
-            parsed.workers,
-            parsed.cache
         );
     }
     // Machine-readable line for scripts that need the bound port.
@@ -452,14 +285,14 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
     handle.shutdown();
 
-    if let Some(path) = &parsed.manifest {
+    if let Some(path) = &manifest {
         let snapshot = hpcfail_obs::snapshot();
-        let mut sink = ManifestSink::new(path, seed, scale, git_describe());
+        let mut sink = ManifestSink::new(path, seed, source.scale, git_describe());
         if let Err(err) = sink.export(&snapshot) {
             eprintln!("failed to write manifest {path:?}: {err}");
             return ExitCode::FAILURE;
         }
-        if !parsed.quiet {
+        if !quiet {
             eprintln!("wrote manifest to {path}");
         }
     }
@@ -488,11 +321,9 @@ fn cmd_query(args: &[String]) -> ExitCode {
                     Err(format!("invalid --trace-name {v:?}"))
                 }
             }),
-            "--deadline-ms" => take_value("--deadline-ms", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| deadline_ms = Some(n))
-                    .map_err(|_| format!("invalid --deadline-ms {v:?}"))
-            }),
+            "--deadline-ms" => {
+                parse_value("--deadline-ms", &mut iter).map(|n| deadline_ms = Some(n))
+            }
             "--batch" => {
                 batch = true;
                 Ok(())
@@ -501,21 +332,11 @@ fn cmd_query(args: &[String]) -> ExitCode {
                 trace = true;
                 Ok(())
             }
-            "--retries" => take_value("--retries", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| retries = Some(n))
-                    .map_err(|_| format!("invalid --retries {v:?}"))
-            }),
-            "--retry-base-ms" => take_value("--retry-base-ms", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| retry_base_ms = Some(n))
-                    .map_err(|_| format!("invalid --retry-base-ms {v:?}"))
-            }),
-            "--retry-seed" => take_value("--retry-seed", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n| retry_seed = Some(n))
-                    .map_err(|_| format!("invalid --retry-seed {v:?}"))
-            }),
+            "--retries" => parse_value("--retries", &mut iter).map(|n| retries = Some(n)),
+            "--retry-base-ms" => {
+                parse_value("--retry-base-ms", &mut iter).map(|n| retry_base_ms = Some(n))
+            }
+            "--retry-seed" => parse_value("--retry-seed", &mut iter).map(|n| retry_seed = Some(n)),
             other if payload.is_none() && !other.starts_with("--") => {
                 payload = Some(other.to_owned());
                 Ok(())
@@ -760,16 +581,10 @@ fn cmd_top(args: &[String]) -> ExitCode {
     while let Some(arg) = iter.next() {
         let result: Result<(), String> = match arg.as_str() {
             "--addr" => take_value("--addr", &mut iter).map(|v| addr = Some(v.to_owned())),
-            "--interval-ms" => take_value("--interval-ms", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n: u64| interval_ms = n.max(10))
-                    .map_err(|_| format!("invalid --interval-ms {v:?}"))
-            }),
-            "--frames" => take_value("--frames", &mut iter).and_then(|v| {
-                v.parse()
-                    .map(|n: u64| frames = Some(n.max(1)))
-                    .map_err(|_| format!("invalid --frames {v:?}"))
-            }),
+            "--interval-ms" => {
+                parse_value("--interval-ms", &mut iter).map(|n: u64| interval_ms = n.max(10))
+            }
+            "--frames" => parse_value("--frames", &mut iter).map(|n: u64| frames = Some(n.max(1))),
             other => Err(format!("unknown flag {other:?}")),
         };
         if let Err(message) = result {

@@ -1,8 +1,26 @@
-//! The `hpcfail-serve` binary's argument checks, run through the real
-//! executable.
+//! The `hpcfail-serve` binary's argument checks and boot-time audit
+//! lines, run through the real executable.
 
-use std::process::{Command, Stdio};
+use hpcfail_serve::client::Client;
+use hpcfail_store::csv::save_trace;
+use hpcfail_synth::FleetSpec;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+/// Waits for `child` to exit, killing it and failing the test if it is
+/// still running after a minute.
+fn wait_at_most_a_minute(child: &mut Child, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().expect("poll child").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("hpcfail-serve {what} still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
 
 /// `--scale NaN` is refused with a usage error before any trace is
 /// generated or any socket is bound.
@@ -14,16 +32,71 @@ fn serve_refuses_nan_scale_with_a_usage_error() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("hpcfail-serve starts");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while child.try_wait().expect("poll child").is_none() {
-        if Instant::now() > deadline {
-            child.kill().ok();
-            panic!("hpcfail-serve --scale NaN still running after 60 s");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_at_most_a_minute(&mut child, "--scale NaN");
     let output = child.wait_with_output().expect("collect output");
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("--scale must be positive"), "{stderr}");
+}
+
+/// A corrupt snapshot beside a valid CSV directory boots the server
+/// from the CSV, with one typed `ingest:` audit line on stderr.
+#[test]
+fn corrupt_snapshot_boots_from_csv_with_an_ingest_audit_line() {
+    let root = std::env::temp_dir().join(format!("hpcfail-serve-cli-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let dir = root.join("trace");
+    std::fs::create_dir_all(&dir).expect("create trace dir");
+    save_trace(&dir, &FleetSpec::demo().generate(3).into_store()).expect("save trace");
+    let snapshot = root.join("fleet.hpcsnap");
+    std::fs::write(&snapshot, b"NOTASNAP").expect("write bad snapshot");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+        .arg("--snapshot")
+        .arg(&snapshot)
+        .arg("--trace")
+        .arg(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("hpcfail-serve starts");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+            if let Some(addr) = line.strip_prefix("ADDR ") {
+                tx.send(addr.to_owned()).ok();
+            }
+        }
+    });
+    let addr = match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(addr) => addr,
+        Err(_) => {
+            child.kill().ok();
+            let mut stderr = String::new();
+            child
+                .stderr
+                .take()
+                .map(|mut e| e.read_to_string(&mut stderr));
+            panic!("no ADDR line within 60 s; stderr: {stderr}");
+        }
+    };
+    let shutdown = Client::new(addr).post("/v1/shutdown", "", &[]);
+    wait_at_most_a_minute(&mut child, "after /v1/shutdown");
+    let output = child.wait_with_output().expect("collect output");
+    std::fs::remove_dir_all(&root).ok();
+
+    assert_eq!(shutdown.expect("shutdown answered").status, 200);
+    assert_eq!(output.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let audit: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.starts_with("ingest: "))
+        .collect();
+    assert_eq!(audit.len(), 1, "{stderr}");
+    assert!(
+        audit[0].contains("fleet.hpcsnap unusable, falling back to CSV"),
+        "{stderr}"
+    );
 }

@@ -18,6 +18,7 @@ use hpcfail_serve::client::Client;
 use hpcfail_serve::server::{spawn, ServerConfig};
 use hpcfail_serve::slo::SloPolicy;
 use hpcfail_serve::{promtext, top};
+use hpcfail_types::prelude::{NodeId, SystemId};
 use std::time::Duration;
 
 fn engine() -> Engine {
@@ -292,13 +293,13 @@ fn access_log_writes_exactly_one_line_per_request() {
     let client = Client::new(handle.addr().to_string());
 
     let mut expected_lines = 0;
-    // A normal query.
+    // A normal query, of a kind no other test here counts.
+    let request = AnalysisRequest::RootCauseShares {
+        system: SystemId::new(20),
+        nodes: vec![NodeId::new(0), NodeId::new(1)],
+    };
     let ok = client
-        .post(
-            "/v1/traces/default/query",
-            &AnalysisRequest::EnvBreakdown.canonical(),
-            &[],
-        )
+        .post("/v1/traces/default/query", &request.canonical(), &[])
         .expect("query");
     assert_eq!(ok.status, 200);
     expected_lines += 1;
@@ -369,7 +370,7 @@ fn access_log_writes_exactly_one_line_per_request() {
         );
         statuses.push(entry.get("status").and_then(Json::as_u64).unwrap_or(0));
     }
-    assert!(kinds.contains(&"env-breakdown".to_owned()));
+    assert!(kinds.contains(&"root-cause-shares".to_owned()));
     assert_eq!(
         kinds.iter().filter(|k| *k == "http-error").count(),
         2,

@@ -1,10 +1,11 @@
 //! Generate a clean CSV trace directory and/or damage one of its files
-//! with a seed-deterministic mutation. The CI fault-injection smoke run
-//! uses this to hand `repro --trace` a corrupted input with known
-//! damage.
+//! with a seed-deterministic mutation, to hand `repro --trace` a
+//! corrupted input with known damage. `--scale`/`--seed` are parsed by
+//! [`hpcfail_synth::source`]; `--generate` writes that LANL-shaped fleet.
 
 use hpcfail_store::csv::save_trace;
 use hpcfail_synth::corrupt::{corrupt_file, MutationKind};
+use hpcfail_synth::source::{SourceFlags, TraceInput};
 use hpcfail_synth::FleetSpec;
 use std::process::ExitCode;
 
@@ -14,7 +15,7 @@ fn usage() -> String {
      Options:\n\
        --out DIR            trace directory to write or mutate (required)\n\
        --generate           generate a clean fleet trace into DIR first\n\
-       --scale F            fleet scale for --generate (default 0.05)\n\
+       --scale F            fleet scale in (0, 1] for --generate (default 1.0)\n\
        --seed N             fleet seed for --generate (default 42)\n\
        --target FILE        trace file in DIR to corrupt (e.g. failures.csv)\n\
        --kind KIND          mutation: torn-final-line, swap-fields, garbage-utf8,\n\
@@ -30,8 +31,7 @@ fn usage() -> String {
 struct Args {
     out: String,
     generate: bool,
-    scale: f64,
-    seed: u64,
+    source: SourceFlags,
     target: Option<String>,
     kind: Option<MutationKind>,
     mutation_seed: u64,
@@ -41,31 +41,25 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         out: String::new(),
         generate: false,
-        scale: 0.05,
-        seed: 42,
+        source: SourceFlags::default(),
         target: None,
         kind: None,
         mutation_seed: 7,
     };
-    let mut it = std::env::args().skip(1);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut it = argv.iter();
     while let Some(arg) = it.next() {
+        if args.source.take(arg, &mut it).map_err(|e| e.to_string())? {
+            continue;
+        }
         let mut value = |what: &str| {
             it.next()
+                .cloned()
                 .ok_or_else(|| format!("{what} requires a value\n\n{}", usage()))
         };
         match arg.as_str() {
             "--out" => args.out = value("--out")?,
             "--generate" => args.generate = true,
-            "--scale" => {
-                args.scale = value("--scale")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
             "--target" => args.target = Some(value("--target")?),
             "--kind" => args.kind = Some(value("--kind")?.parse()?),
             "--mutation-seed" => {
@@ -96,16 +90,19 @@ fn parse_args() -> Result<Option<Args>, String> {
 }
 
 fn run(args: Args) -> Result<(), String> {
+    let source = args.source.finish().map_err(|e| e.to_string())?;
+    let TraceInput::Fleet { scale, seed } = source.input else {
+        return Err(
+            "--generate writes the LANL-shaped fleet: use --scale/--seed, \
+                    not --scenario, --trace or --snapshot"
+                .to_owned(),
+        );
+    };
     if args.generate {
-        let trace = FleetSpec::lanl_scaled(args.scale)
-            .generate(args.seed)
-            .into_store();
+        let trace = FleetSpec::lanl_scaled(scale).generate(seed).into_store();
         std::fs::create_dir_all(&args.out).map_err(|e| format!("creating {}: {e}", args.out))?;
         save_trace(&args.out, &trace).map_err(|e| format!("saving trace: {e}"))?;
-        println!(
-            "generated {} (scale {}, seed {})",
-            args.out, args.scale, args.seed
-        );
+        println!("generated {} (scale {scale}, seed {seed})", args.out);
     }
     if let (Some(target), Some(kind)) = (args.target, args.kind) {
         let path = std::path::Path::new(&args.out).join(&target);

@@ -52,6 +52,7 @@ pub mod excitation;
 pub mod neutron;
 pub mod scenario;
 pub mod sim;
+pub mod source;
 pub mod spec;
 pub mod workload;
 
