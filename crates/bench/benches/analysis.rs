@@ -1,6 +1,7 @@
-//! Criterion benches over the analysis hot paths: baseline estimation,
-//! conditional window counting at each scope, pairwise summaries, GLM
-//! fits and CSV serialization.
+//! Criterion benches over the analysis hot paths: baseline estimation
+//! (direct scan against the trace's baseline table), conditional
+//! window counting at each scope, pairwise summaries, GLM fits and CSV
+//! serialization.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hpcfail_core::correlation::Scope;
@@ -25,6 +26,11 @@ fn bench_baseline(c: &mut Criterion) {
         b.iter(|| {
             BaselineEstimator::new(system).failure_probability(FailureClass::Any, Window::Week)
         })
+    });
+    // The same baseline read from the table the trace built with
+    // itself: what every analysis pays per lookup.
+    c.bench_function("baseline_week_table_read", |b| {
+        b.iter(|| system.indexed_failure_baseline(FailureClass::Any, Window::Week))
     });
     c.bench_function("baseline_month_memory", |b| {
         b.iter(|| {

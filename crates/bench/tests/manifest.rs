@@ -65,6 +65,21 @@ fn manifest_describes_the_run() {
     assert!(manifest.snapshot.counters["synth.records.failure"] > 0);
     assert!(manifest.snapshot.counters["store.rows_scanned"] > 0);
     assert!(manifest.snapshot.spans.contains_key("repro.generate"));
+
+    // Every system's timeline index is built with its trace, and each
+    // build leaves one sample of its duration.
+    let systems = hpcfail_synth::FleetSpec::lanl_scaled(0.05).systems.len() as u64;
+    let builds = manifest
+        .snapshot
+        .histograms
+        .get("store.index.build_ns")
+        .expect("index builds are timed");
+    assert!(
+        builds.count >= systems,
+        "{} index build samples for {systems} systems",
+        builds.count
+    );
+    assert!(builds.sum > 0, "index builds took time");
 }
 
 #[test]

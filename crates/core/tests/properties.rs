@@ -167,6 +167,41 @@ fn oracle_scoped(
 }
 
 proptest! {
+    /// Figure 6's node-versus-rest split against the direct scans, for
+    /// nodes inside the system and two outside it: an outside node has
+    /// no windows with failures, and its "rest" is the whole system.
+    #[test]
+    fn node_vs_rest_matches_direct_scan(
+        failures in arb_failures(),
+        node in 0u32..NODES + 2,
+        target in 0u8..7,
+    ) {
+        let engine = Engine::new(build_trace(&failures));
+        let system = engine.trace().system(SystemId::new(1)).expect("system 1");
+        let direct = hpcfail_store::query::BaselineEstimator::new(system);
+        let class = match target {
+            6 => FailureClass::Any,
+            r => FailureClass::Root(root_cause(r)),
+        };
+        let node = NodeId::new(node);
+        let rest: Vec<NodeId> = system.nodes().filter(|&n| n != node).collect();
+        for window in Window::ALL {
+            let split = engine.nodes().node_vs_rest(SystemId::new(1), node, class, window);
+            let own = direct.node_failure_probability(node, class, window);
+            let others = direct.subset_failure_probability(&rest, class, window);
+            prop_assert_eq!((split.node.successes(), split.node.trials()), (own.hits, own.total));
+            prop_assert_eq!(
+                (split.rest.successes(), split.rest.trials()),
+                (others.hits, others.total)
+            );
+            if node.raw() >= NODES {
+                prop_assert_eq!(own.hits, 0);
+                let full = direct.failure_probability(class, window);
+                prop_assert_eq!((others.hits, others.total), (full.hits, full.total));
+            }
+        }
+    }
+
     #[test]
     fn conditional_matches_oracle(failures in arb_failures(), trigger in 0u8..6) {
         let engine = Engine::new(build_trace(&failures));

@@ -3,6 +3,7 @@
 //! Exists so the CLI (`hpcfail-serve query`) and CI smoke jobs can
 //! talk to a server without external tooling like `curl`.
 
+use crate::http::{body_length, read_headers, read_line, MAX_UPLOAD_BODY};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -126,53 +127,68 @@ impl Client {
         writer.write_all(&request)?;
         writer.flush()?;
 
-        let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
-        let status = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed status line {status_line:?}"),
-                )
-            })?;
-        let mut response_headers = Vec::new();
-        let mut content_length: Option<usize> = None;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line)?;
-            let line = line.trim_end_matches(['\r', '\n']);
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim().to_ascii_lowercase();
-                let value = value.trim().to_owned();
-                if name == "content-length" {
-                    content_length = value.parse().ok();
-                }
-                response_headers.push((name, value));
-            }
-        }
-        let mut body_bytes = Vec::new();
-        match content_length {
-            Some(n) => {
-                body_bytes.resize(n, 0);
-                reader.read_exact(&mut body_bytes)?;
-            }
-            None => {
-                reader.read_to_end(&mut body_bytes)?;
-            }
-        }
-        let body = String::from_utf8(body_bytes)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response body"))?;
-        Ok(Response {
-            status,
-            headers: response_headers,
-            body,
-        })
+        read_response(&mut BufReader::new(stream))
     }
+}
+
+/// Reads one response with the server's own readers: lines of at most
+/// [`MAX_LINE`](crate::http::MAX_LINE) bytes, at most
+/// [`MAX_HEADERS`](crate::http::MAX_HEADERS) headers and the same
+/// `content-length` rules, then a body of the declared length, or up
+/// to the end of the stream without one.
+///
+/// A body is at most [`MAX_UPLOAD_BODY`] bytes. A larger declared
+/// length is refused before anything is allocated, and the body buffer
+/// grows only as bytes arrive, so a length the peer never sends costs
+/// nothing.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] for a malformed head (a line the
+/// stream cuts short included), limits exceeded, or a non-UTF-8 body;
+/// [`io::ErrorKind::UnexpectedEof`] when the stream ends before the
+/// status line or inside the declared body; [`io::ErrorKind::TimedOut`]
+/// for a read timeout; other socket errors as they come.
+pub fn read_response(reader: &mut impl BufRead) -> io::Result<Response> {
+    let status_line = read_line(reader, false)?.ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before a response",
+        )
+    })?;
+    let status = status_line
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse::<u16>().ok())
+        .ok_or_else(|| invalid_data(format!("malformed status line {status_line:?}")))?;
+    let headers = read_headers(reader)?;
+    // Without a content-length the body runs to the end of the stream.
+    let sized = headers.iter().any(|(name, _)| name == "content-length");
+    let too_large = || invalid_data(format!("response body exceeds {MAX_UPLOAD_BODY} bytes"));
+    let limit = match sized.then(|| body_length(&headers)).transpose()? {
+        Some(n) if n > MAX_UPLOAD_BODY => return Err(too_large()),
+        Some(n) => n,
+        None => MAX_UPLOAD_BODY + 1,
+    };
+    let mut body = Vec::new();
+    reader.take(limit as u64).read_to_end(&mut body)?;
+    if sized && body.len() < limit {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "response body cut short",
+        ));
+    }
+    if body.len() > MAX_UPLOAD_BODY {
+        return Err(too_large());
+    }
+    let body = String::from_utf8(body).map_err(|_| invalid_data("non-UTF-8 response body"))?;
+    Ok(Response {
+        status,
+        headers,
+        body,
+    })
+}
+
+fn invalid_data(message: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.into())
 }

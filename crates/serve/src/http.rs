@@ -95,6 +95,20 @@ impl From<io::Error> for HttpError {
     }
 }
 
+/// For the client, which reads responses with the same functions:
+/// malformed or oversized input is `InvalidData`, a stall `TimedOut`.
+impl From<HttpError> for io::Error {
+    fn from(e: HttpError) -> Self {
+        match e {
+            HttpError::Io(e) => e,
+            HttpError::Timeout(m) => io::Error::new(io::ErrorKind::TimedOut, m),
+            HttpError::Malformed(m) | HttpError::TooLarge(m) => {
+                io::Error::new(io::ErrorKind::InvalidData, m)
+            }
+        }
+    }
+}
+
 /// Reads one line up to CRLF (or bare LF), enforcing [`MAX_LINE`].
 /// `Ok(None)` means the peer closed before sending anything.
 ///
@@ -103,7 +117,10 @@ impl From<io::Error> for HttpError {
 /// connection going quiet); once any byte of a request has arrived, a
 /// stall is a slow client and maps to [`HttpError::Timeout`] so the
 /// server can answer with a typed 408 instead of silently dropping.
-fn read_line(stream: &mut impl BufRead, allow_idle: bool) -> Result<Option<String>, HttpError> {
+pub(crate) fn read_line(
+    stream: &mut impl BufRead,
+    allow_idle: bool,
+) -> Result<Option<String>, HttpError> {
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];
@@ -177,24 +194,7 @@ pub fn read_request_with_limit(
         )));
     }
 
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(stream, false)?
-            .ok_or_else(|| HttpError::Malformed("connection closed mid-headers".to_owned()))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::TooLarge(format!(
-                "more than {MAX_HEADERS} headers"
-            )));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::Malformed(format!("malformed header {line:?}")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-    }
-
+    let headers = read_headers(stream)?;
     let content_length = body_length(&headers)?;
     let max_body = max_body(&method.to_ascii_uppercase(), path);
     if content_length > max_body {
@@ -221,12 +221,35 @@ pub fn read_request_with_limit(
     }))
 }
 
+/// Reads header lines up to the empty line that ends them, at most
+/// [`MAX_HEADERS`] of them; names are lower-cased. Requests and
+/// responses share it.
+pub(crate) fn read_headers(stream: &mut impl BufRead) -> Result<Vec<(String, String)>, HttpError> {
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(stream, false)?
+            .ok_or_else(|| HttpError::Malformed("connection closed mid-headers".to_owned()))?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(HttpError::TooLarge(format!(
+                "more than {MAX_HEADERS} headers"
+            )));
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::Malformed(format!("malformed header {line:?}")));
+        };
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+    }
+}
+
 /// The body length the headers declare, refusing every framing two
 /// readers could disagree on (request smuggling): conflicting
 /// `content-length` headers, a value that is not plain digits (RFC
 /// 9112 allows no sign), and any `transfer-encoding`, whose chunks a
 /// length-only reader would take for the next request.
-fn body_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
+pub(crate) fn body_length(headers: &[(String, String)]) -> Result<usize, HttpError> {
     let mut declared: Option<&str> = None;
     for (name, value) in headers {
         match name.as_str() {

@@ -386,6 +386,66 @@ mod tests {
         assert_eq!(c.stats().retries, 3);
     }
 
+    /// A header value: digits (some past `u64::MAX`), printable noise,
+    /// or a number from anywhere in `u64`.
+    fn hint_value(kind: u8, digits: String, noise: String, number: u64) -> String {
+        match kind {
+            0 => digits,
+            1 => noise,
+            _ => number.to_string(),
+        }
+    }
+
+    /// Plain digits that fit a `u64`: the hint the server sends.
+    fn well_formed(value: &str) -> Option<u64> {
+        let digits = !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit());
+        digits.then(|| value.parse().ok()).flatten()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_hint_and_attempt_gives_a_delay_under_the_ceiling(
+            hints in (0u8..4, 0u8..3, "[0-9]{1,22}", "[ -~]{0,16}", 0u64..=u64::MAX),
+            seconds_hint in (0u8..3, "[0-9]{1,22}", "[ -~]{0,16}", 0u64..=u64::MAX),
+            attempts in 1u32..=64,
+            base_delay_ms in proptest::prop::sample::select(
+                vec![0u64, 1, 10, 1_000, 1 << 40, u64::MAX / 2, u64::MAX]),
+            max_delay_ms in proptest::prop::sample::select(
+                vec![0u64, 1, 50, 1_000, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX]),
+            seed in 0u64..=u64::MAX,
+        ) {
+            let (present, kind, digits, noise, number) = hints;
+            let exact = hint_value(kind, digits, noise, number);
+            let (kind, digits, noise, number) = seconds_hint;
+            let seconds = hint_value(kind, digits, noise, number);
+            let mut headers = Vec::new();
+            if present & 1 == 1 {
+                headers.push(("x-retry-after-ms", exact.as_str()));
+            }
+            if present & 2 == 2 {
+                headers.push(("retry-after", seconds.as_str()));
+            }
+            let policy = RetryPolicy {
+                base_delay_ms,
+                max_delay_ms,
+                seed,
+                ..RetryPolicy::default()
+            };
+            let delay = client(policy).delay_before(attempts, Some(&shed_response(&headers)));
+            let ceiling = Duration::from_millis(max_delay_ms);
+            proptest::prop_assert!(delay <= ceiling, "{:?} over {:?}", delay, ceiling);
+
+            let exact = (present & 1 == 1).then(|| well_formed(&exact)).flatten();
+            let seconds = (present & 2 == 2).then(|| well_formed(&seconds)).flatten();
+            if let Some(ms) = exact {
+                proptest::prop_assert_eq!(delay, Duration::from_millis(ms.min(max_delay_ms)));
+            } else if let Some(secs) = seconds {
+                let ms = secs.saturating_mul(1_000).min(max_delay_ms);
+                proptest::prop_assert_eq!(delay, Duration::from_millis(ms));
+            }
+        }
+    }
+
     #[test]
     fn none_policy_sends_exactly_once() {
         let c = client(RetryPolicy::none());

@@ -269,7 +269,7 @@ pub fn compute_temperature(system: &SystemTrace) -> Vec<Option<TemperatureAggreg
 
 /// The temperature aggregate of a single node, as a typed result.
 ///
-/// Indexing the output of [`compute_temperature`] directly
+/// Indexing [`SystemTrace::indexed_temperature`] directly
 /// (`aggs[i].unwrap()`) turns an out-of-range node or a node without
 /// samples — both routine on sparse or zero-record systems — into an
 /// index or unwrap panic. This accessor reports both conditions as a
@@ -278,7 +278,7 @@ pub fn temperature_aggregate(
     system: &SystemTrace,
     node: NodeId,
 ) -> Result<TemperatureAggregate, FeatureError> {
-    match compute_temperature(system).get(node.index()) {
+    match system.indexed_temperature().get(node.index()) {
         None => Err(FeatureError::NoSuchNode(node)),
         Some(None) => Err(FeatureError::NoSamples(node)),
         Some(Some(agg)) => Ok(*agg),
@@ -314,8 +314,8 @@ pub struct NodeFeatures {
 /// Only nodes with temperature samples and a layout placement produce a
 /// row, mirroring the paper's restriction to system 20.
 pub fn node_features(system: &SystemTrace) -> Vec<NodeFeatures> {
-    let usage = compute_usage(system);
-    let temps = compute_temperature(system);
+    let usage = system.indexed_usage();
+    let temps = system.indexed_temperature();
     let layout = system.layout();
     system
         .nodes()

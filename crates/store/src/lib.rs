@@ -8,8 +8,9 @@
 //!
 //! - [`trace`] — the store itself and its builder.
 //! - [`query`] — window queries and empirical baseline probabilities.
-//! - [`index`] — lazy, thread-safe per-system caches of day vectors and
-//!   memoized baselines (the `indexed_*` methods on `SystemTrace`).
+//! - [`index`] — each system's pooled baselines and temperature
+//!   aggregates, built once with the trace, plus lazy usage and per-user
+//!   slots (the `indexed_*` methods on `SystemTrace`).
 //! - [`features`] — derived per-node features (utilization, job counts,
 //!   temperature aggregates) and per-user failure exposure feeding the
 //!   paper's regressions.

@@ -108,7 +108,7 @@ pub(crate) fn windows_per_node(observation_days: i64, window: Window) -> u64 {
 /// The published ratio is derived from one consistently captured pair
 /// of totals (maintained under a lock), so concurrent scans can never
 /// publish a transient matched > scanned ratio.
-fn record_scan(scanned: u64, matched: u64) {
+pub(crate) fn record_scan(scanned: u64, matched: u64) {
     if !hpcfail_obs::ENABLED {
         return;
     }
@@ -178,12 +178,6 @@ impl<'a> BaselineEstimator<'a> {
         BaselineEstimator { system }
     }
 
-    /// Windows per node: `observation_days - window_days + 1`, clamped
-    /// at zero.
-    fn windows_per_node(&self, window: Window) -> u64 {
-        windows_per_node(self.system.config().observation_days(), window)
-    }
-
     /// The probability that a random node has at least one failure of
     /// `class` in a random window of the given length, with the counts
     /// backing it.
@@ -196,7 +190,7 @@ impl<'a> BaselineEstimator<'a> {
         let columns = self.system.failure_columns();
         let code = ClassCode::new(class);
         let total_days = self.system.config().observation_days();
-        let per_node = self.windows_per_node(window);
+        let per_node = windows_per_node(total_days, window);
         let mut counts = WindowCounts::default();
         let mut days = Vec::new();
         let (mut scanned, mut matched) = (0u64, 0u64);
@@ -217,7 +211,7 @@ impl<'a> BaselineEstimator<'a> {
     pub fn maintenance_probability(&self, window: Window) -> WindowCounts {
         let columns = self.system.maintenance_columns();
         let total_days = self.system.config().observation_days();
-        let per_node = self.windows_per_node(window);
+        let per_node = windows_per_node(total_days, window);
         let mut counts = WindowCounts::default();
         let mut days = Vec::new();
         let (mut scanned, mut matched) = (0u64, 0u64);
@@ -246,7 +240,7 @@ impl<'a> BaselineEstimator<'a> {
         let days = events.failure_days(node, class);
         WindowCounts {
             hits: covered_window_starts(&days, total_days, window.days()),
-            total: self.windows_per_node(window),
+            total: windows_per_node(total_days, window),
         }
     }
 

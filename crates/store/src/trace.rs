@@ -116,15 +116,16 @@ pub struct SystemTrace {
     maintenance: Vec<MaintenanceRecord>,
     maint_columns: MaintenanceColumns,
     layout: Option<MachineLayout>,
-    /// Lazy caches of day vectors and pooled baselines; see
-    /// [`crate::index`]. Cloning yields a cold index.
+    /// Baselines and features derived once from the records; see
+    /// [`crate::index`].
     pub(crate) index: crate::index::TimelineIndex,
 }
 
 impl SystemTrace {
     /// Assembles a trace from pre-validated columnar parts (the builder
-    /// and snapshot load paths). `jobs`, `temperatures` and `maintenance`
-    /// must already be in builder sort order.
+    /// and snapshot load paths) and builds its timeline index. `jobs`,
+    /// `temperatures` and `maintenance` must already be in builder sort
+    /// order.
     pub(crate) fn from_parts(
         config: SystemConfig,
         columns: FailureColumns,
@@ -135,7 +136,7 @@ impl SystemTrace {
     ) -> SystemTrace {
         let maint_columns =
             MaintenanceColumns::from_records(&maintenance, config.nodes, config.start);
-        SystemTrace {
+        let mut trace = SystemTrace {
             config,
             columns,
             jobs,
@@ -143,8 +144,10 @@ impl SystemTrace {
             maintenance,
             maint_columns,
             layout,
-            index: crate::index::TimelineIndex::new(),
-        }
+            index: crate::index::TimelineIndex::default(),
+        };
+        trace.index = crate::index::TimelineIndex::build(&trace);
+        trace
     }
 
     /// The system's static description.
@@ -219,9 +222,10 @@ impl SystemTrace {
 
     /// Approximate heap bytes held by this system's event storage: the
     /// failure and maintenance columns and the job, temperature and
-    /// maintenance vectors. Lazy index caches and the layout are
-    /// excluded — the figure sizes the primary data, not transient
-    /// caches.
+    /// maintenance vectors. The timeline index (a fixed-size baseline
+    /// table, one temperature aggregate per node and the lazy usage
+    /// and per-user slots) and the layout are excluded — the figure
+    /// sizes the primary data, not what is derived from it.
     pub fn resident_bytes(&self) -> u64 {
         fn vec_bytes<T>(v: &[T]) -> u64 {
             std::mem::size_of_val(v) as u64

@@ -5,7 +5,7 @@
 
 use hpcfail_store::csv;
 use hpcfail_store::features::{compute_usage, UserStat};
-use hpcfail_store::query::{covered_window_starts, BaselineEstimator, NodeEvents};
+use hpcfail_store::query::{covered_window_starts, BaselineEstimator, NodeEvents, WindowCounts};
 use hpcfail_store::snapshot::{decode_snapshot, snapshot_bytes};
 use hpcfail_store::trace::{SystemTrace, SystemTraceBuilder, Trace};
 use hpcfail_types::prelude::*;
@@ -62,6 +62,36 @@ fn sub_cause(root: RootCause, pick: u8) -> SubCause {
         (RootCause::Environment, 1) => SubCause::Environment(EnvironmentCause::Ups),
         _ => SubCause::None,
     }
+}
+
+/// A sub-cause consistent with `root`, reaching every component of
+/// its namespace (and `SubCause::None`) as `pick` varies.
+fn any_sub_cause(root: RootCause, pick: u8) -> SubCause {
+    let pick = usize::from(pick);
+    let or_none = |n: usize| (pick % (n + 1)).checked_sub(1);
+    match root {
+        RootCause::Hardware => or_none(HardwareComponent::ALL.len()).map_or(SubCause::None, |i| {
+            SubCause::Hardware(HardwareComponent::ALL[i])
+        }),
+        RootCause::Software => or_none(SoftwareCause::ALL.len()).map_or(SubCause::None, |i| {
+            SubCause::Software(SoftwareCause::ALL[i])
+        }),
+        RootCause::Environment => or_none(EnvironmentCause::ALL.len())
+            .map_or(SubCause::None, |i| {
+                SubCause::Environment(EnvironmentCause::ALL[i])
+            }),
+        _ => SubCause::None,
+    }
+}
+
+/// Every failure class: `Any`, the 6 root causes and the 21 sub-causes.
+fn all_failure_classes() -> Vec<FailureClass> {
+    let mut all = vec![FailureClass::Any];
+    all.extend(RootCause::ALL.map(FailureClass::Root));
+    all.extend(HardwareComponent::ALL.map(FailureClass::Hw));
+    all.extend(SoftwareCause::ALL.map(FailureClass::Sw));
+    all.extend(EnvironmentCause::ALL.map(FailureClass::Env));
+    all
 }
 
 /// The failure classes a query can restrict to, spanning `Any`, root
@@ -173,26 +203,35 @@ proptest! {
         prop_assert_eq!(fast_count, slow_count);
     }
 
+    /// The baseline table built with the trace, against the direct
+    /// scans: all 28 classes × 3 windows, over sub-causes from every
+    /// namespace and observation spans from one day to 100, so spans
+    /// shorter than a week or a month (no window fits: 0 windows per
+    /// node) come up too.
     #[test]
     fn indexed_paths_match_direct_scan(
-        failures in prop::collection::vec((0u32..5, 0i64..100 * 86_400, 0u8..6), 0..60),
+        span_days in 1i64..=100,
+        failures in prop::collection::vec(
+            (0u32..5, 0i64..100 * 86_400, 0u8..6, 0u8..12), 0..60),
         maintenance in prop::collection::vec((0u32..5, 0i64..100 * 86_400, 0u8..2), 0..20),
     ) {
-        let mut b = SystemTraceBuilder::new(config(5, 100));
-        for &(node, sec, root) in &failures {
+        let span = span_days * 86_400;
+        let mut b = SystemTraceBuilder::new(config(5, span_days));
+        for &(node, sec, root, pick) in &failures {
+            let root = root_cause(root);
             b.push_failure(FailureRecord::new(
                 SystemId::new(1),
                 NodeId::new(node),
-                Timestamp::from_seconds(sec),
-                root_cause(root),
-                SubCause::None,
+                Timestamp::from_seconds(sec % span),
+                root,
+                any_sub_cause(root, pick),
             ));
         }
         for &(node, sec, scheduled) in &maintenance {
             b.push_maintenance(MaintenanceRecord {
                 system: SystemId::new(1),
                 node: NodeId::new(node),
-                time: Timestamp::from_seconds(sec),
+                time: Timestamp::from_seconds(sec % span),
                 hardware_related: true,
                 scheduled: scheduled == 1,
             });
@@ -200,28 +239,31 @@ proptest! {
         let t = b.build();
         let est = BaselineEstimator::new(&t);
         let events = NodeEvents::new(&t);
-        let classes = [
-            FailureClass::Any,
-            FailureClass::Root(RootCause::Hardware),
-            FailureClass::Root(RootCause::Software),
-            FailureClass::Root(RootCause::Environment),
-        ];
-        for class in classes {
+        // Node 5 is outside the 5-node system.
+        let outside = NodeId::new(5);
+        for class in all_failure_classes() {
             for window in Window::ALL {
+                let pooled = t.indexed_failure_baseline(class, window);
                 prop_assert_eq!(
-                    t.indexed_failure_baseline(class, window),
+                    pooled,
                     est.failure_probability(class, window),
                     "baseline mismatch for {:?} {:?}", class, window
                 );
-                for node in t.nodes() {
+                let per_node = (span_days - window.days() + 1).max(0) as u64;
+                prop_assert_eq!(pooled.total, 5 * per_node);
+                for node in t.nodes().chain([outside]) {
                     prop_assert_eq!(
                         t.indexed_node_failure_baseline(node, class, window),
                         est.node_failure_probability(node, class, window),
                         "node baseline mismatch for {:?} {:?} {:?}", node, class, window
                     );
                 }
+                prop_assert_eq!(
+                    t.indexed_node_failure_baseline(outside, class, window),
+                    WindowCounts { hits: 0, total: per_node }
+                );
             }
-            for node in t.nodes() {
+            for node in t.nodes().chain([outside]) {
                 let indexed = t.indexed_failure_days(node, class);
                 let direct = events.failure_days(node, class);
                 prop_assert_eq!(
@@ -237,7 +279,7 @@ proptest! {
                 "maintenance baseline mismatch for {:?}", window
             );
         }
-        for node in t.nodes() {
+        for node in t.nodes().chain([outside]) {
             let indexed = t.indexed_maintenance_days(node);
             let direct = events.unscheduled_hw_maintenance_days(node);
             prop_assert_eq!(

@@ -11,25 +11,49 @@ use hpcfail_synth::corrupt::{
     corrupt_csv, corrupt_file, CorruptionReport, MutationKind, TargetCsv,
 };
 use hpcfail_synth::FleetSpec;
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 const SEEDS: std::ops::Range<u64> = 0..10;
 
-/// The clean demo trace's CSV bytes, generated once per test binary.
-fn clean_dir() -> &'static PathBuf {
-    static DIR: OnceLock<PathBuf> = OnceLock::new();
-    DIR.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("hpcfail-fi-clean-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+/// A scratch directory under the build's temp dir, unique to this
+/// process and `name`.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("hpcfail-fi-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// The clean demo trace's CSV files, name and bytes, generated once
+/// per test binary. The directory they were saved to is removed once
+/// they are read, so a run leaves nothing behind.
+fn clean_files() -> &'static [(OsString, Vec<u8>)] {
+    static FILES: OnceLock<Vec<(OsString, Vec<u8>)>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let dir = scratch_dir("clean");
         let trace = FleetSpec::demo().generate(42).into_store();
         save_trace(&dir, &trace).expect("save demo trace");
-        dir
+        let files = std::fs::read_dir(&dir)
+            .expect("list clean dir")
+            .map(|entry| {
+                let entry = entry.expect("dir entry");
+                let bytes = std::fs::read(entry.path()).expect("read clean csv");
+                (entry.file_name(), bytes)
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        files
     })
 }
 
 fn clean_bytes(file: &str) -> Vec<u8> {
-    std::fs::read(clean_dir().join(file)).expect("read clean csv")
+    clean_files()
+        .iter()
+        .find(|(name, _)| name == file)
+        .map(|(_, bytes)| bytes.clone())
+        .unwrap_or_else(|| panic!("the demo trace has no {file}"))
 }
 
 /// Removes the given 1-based lines from a byte buffer, preserving the
@@ -127,14 +151,10 @@ fn strict_policy_rejects_every_damaging_kind() {
 
 #[test]
 fn corrupted_directory_loads_leniently_with_audit_flags() {
-    let base = clean_dir();
     for (case, kind) in MutationKind::ALL.into_iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("hpcfail-fi-dir-{case}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create case dir");
-        for entry in std::fs::read_dir(base).expect("list clean dir") {
-            let entry = entry.expect("dir entry");
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copy csv");
+        let dir = scratch_dir(&format!("dir-{case}"));
+        for (name, bytes) in clean_files() {
+            std::fs::write(dir.join(name), bytes).expect("write csv");
         }
         let report = corrupt_file(dir.join("failures.csv"), kind, 3).expect("corrupt file");
         assert!(report.changed, "{kind}");
