@@ -82,6 +82,54 @@ fn manifest_describes_the_run() {
     assert!(builds.sum > 0, "index builds took time");
 }
 
+/// A run from `--snapshot` loads the snapshot and parses no CSV.
+#[test]
+fn snapshot_run_loads_the_snapshot_and_parses_no_csv() {
+    let dir = std::env::temp_dir().join(format!("hpcfail-manifest-snap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snapshot = dir.join("fleet.hpcsnap");
+    let written = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "--scale",
+            "0.05",
+            "--seed",
+            "42",
+            "--quiet",
+            "--write-snapshot",
+        ])
+        .arg(&snapshot)
+        .output()
+        .expect("repro runs");
+    assert!(
+        written.status.success(),
+        "{}",
+        String::from_utf8_lossy(&written.stderr)
+    );
+    let snapshot = snapshot.to_str().expect("utf-8 temp path");
+    let manifest = manifest_from_run(
+        &[
+            "--snapshot",
+            snapshot,
+            "--scale",
+            "0.05",
+            "--seed",
+            "42",
+            "--quiet",
+            "sec3a",
+        ],
+        &dir.join("manifest.json"),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    if !hpcfail_obs::ENABLED {
+        return;
+    }
+    let snapshot = &manifest.snapshot;
+    assert!(snapshot.spans.contains_key("store.snapshot.load"));
+    assert!(snapshot.counters["store.snapshot.bytes_read"] > 0);
+    assert!(!snapshot.spans.contains_key("store.ingest.load"));
+}
+
 #[test]
 fn written_manifest_round_trips_byte_identically() {
     let path =

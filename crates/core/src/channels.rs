@@ -37,7 +37,7 @@ impl Channel {
     pub fn present_in(self, trace: &Trace) -> bool {
         match self {
             Channel::Temperature => trace.systems().any(|s| !s.temperatures().is_empty()),
-            Channel::JobLog => trace.systems().any(|s| !s.jobs().is_empty()),
+            Channel::JobLog => trace.systems().any(|s| !s.job_columns().is_empty()),
             Channel::Neutron => !trace.neutron_samples().is_empty(),
         }
     }

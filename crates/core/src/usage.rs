@@ -51,7 +51,7 @@ impl<'a> UsageAnalysis<'a> {
         let Some(s) = self.trace.system(system) else {
             return Vec::new();
         };
-        if s.jobs().is_empty() {
+        if s.job_columns().is_empty() {
             return Vec::new();
         }
         // Memoized in the trace's timeline index: the four Figure 7

@@ -404,7 +404,7 @@ fn rebuilt(
 ) -> Trace {
     let mut out = Trace::new();
     for system in trace.systems() {
-        let mut jobs = system.jobs().to_vec();
+        let mut jobs: Vec<JobRecord> = system.jobs().collect();
         let mut layout = system.layout().cloned();
         edit(system.config(), &mut jobs, &mut layout);
         let mut builder = SystemTraceBuilder::new(system.config().clone());

@@ -1,10 +1,13 @@
 //! The `hpcfail-serve` binary's argument checks and boot-time audit
 //! lines, run through the real executable.
 
+use hpcfail_obs::manifest::RunManifest;
 use hpcfail_serve::client::Client;
 use hpcfail_store::csv::save_trace;
+use hpcfail_store::snapshot::write_snapshot;
 use hpcfail_synth::FleetSpec;
 use std::io::{BufRead, BufReader, Read};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -19,6 +22,32 @@ fn wait_at_most_a_minute(child: &mut Child, what: &str) {
             panic!("hpcfail-serve {what} still running after 60 s");
         }
         std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Reads the server's `ADDR` readiness line from its piped stdout,
+/// killing it and failing the test if none comes within a minute.
+fn wait_for_addr(child: &mut Child) -> String {
+    let stdout = child.stdout.take().expect("piped stdout");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
+            if let Some(addr) = line.strip_prefix("ADDR ") {
+                tx.send(addr.to_owned()).ok();
+            }
+        }
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(addr) => addr,
+        Err(_) => {
+            child.kill().ok();
+            let mut stderr = String::new();
+            child
+                .stderr
+                .take()
+                .map(|mut e| e.read_to_string(&mut stderr));
+            panic!("no ADDR line within 60 s; stderr: {stderr}");
+        }
     }
 }
 
@@ -61,27 +90,7 @@ fn corrupt_snapshot_boots_from_csv_with_an_ingest_audit_line() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("hpcfail-serve starts");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        for line in BufReader::new(stdout).lines().map_while(Result::ok) {
-            if let Some(addr) = line.strip_prefix("ADDR ") {
-                tx.send(addr.to_owned()).ok();
-            }
-        }
-    });
-    let addr = match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(addr) => addr,
-        Err(_) => {
-            child.kill().ok();
-            let mut stderr = String::new();
-            child
-                .stderr
-                .take()
-                .map(|mut e| e.read_to_string(&mut stderr));
-            panic!("no ADDR line within 60 s; stderr: {stderr}");
-        }
-    };
+    let addr = wait_for_addr(&mut child);
     let shutdown = Client::new(addr).post("/v1/shutdown", "", &[]);
     wait_at_most_a_minute(&mut child, "after /v1/shutdown");
     let output = child.wait_with_output().expect("collect output");
@@ -99,4 +108,62 @@ fn corrupt_snapshot_boots_from_csv_with_an_ingest_audit_line() {
         audit[0].contains("fleet.hpcsnap unusable, falling back to CSV"),
         "{stderr}"
     );
+}
+
+/// A server booted from a snapshot alone loads it without parsing any
+/// CSV, answers `trace-summary` with the snapshot's fingerprint, and
+/// shuts down cleanly on `/v1/shutdown`.
+#[test]
+fn snapshot_boot_answers_with_its_fingerprint_and_parses_no_csv() {
+    let root = std::env::temp_dir().join(format!("hpcfail-serve-snap-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("create temp dir");
+    let trace = FleetSpec::demo().generate(5).into_store();
+    let snapshot = root.join("fleet.hpcsnap");
+    write_snapshot(&snapshot, &trace).expect("write snapshot");
+    let manifest = root.join("serve-manifest.json");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+        .arg("--snapshot")
+        .arg(&snapshot)
+        .arg("--manifest")
+        .arg(&manifest)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("hpcfail-serve starts");
+    let client = Client::new(wait_for_addr(&mut child));
+    let summary = client.post(
+        "/v1/traces/default/query",
+        r#"{"analysis": "trace-summary"}"#,
+        &[],
+    );
+    let shutdown = client.post("/v1/shutdown", "", &[]);
+    wait_at_most_a_minute(&mut child, "after /v1/shutdown");
+    let output = child.wait_with_output().expect("collect output");
+    let written = read_manifest(&manifest);
+    std::fs::remove_dir_all(&root).ok();
+
+    let summary = summary.expect("trace-summary answered");
+    assert_eq!(summary.status, 200, "{}", summary.body);
+    let fingerprint = format!(r#""fingerprint": "{:016x}""#, trace.fingerprint());
+    assert!(summary.body.contains(&fingerprint), "{}", summary.body);
+    assert_eq!(shutdown.expect("shutdown answered").status, 200);
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    if hpcfail_obs::ENABLED {
+        let spans = &written.snapshot.spans;
+        assert!(spans.contains_key("store.snapshot.load"), "{spans:?}");
+        assert!(!spans.contains_key("store.ingest.load"), "{spans:?}");
+    }
+}
+
+fn read_manifest(path: &Path) -> RunManifest {
+    let text = std::fs::read_to_string(path).expect("manifest written");
+    RunManifest::from_json_str(&text).expect("manifest parses")
 }

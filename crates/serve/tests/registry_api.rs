@@ -193,8 +193,7 @@ fn with_jobs_shifted(trace: &Trace) -> Trace {
         for f in system.failures() {
             builder.push_failure(f);
         }
-        for job in system.jobs() {
-            let mut job = job.clone();
+        for mut job in system.jobs() {
             for node in &mut job.nodes {
                 *node = NodeId::new((node.raw() + 1) % nodes);
             }
@@ -227,7 +226,7 @@ fn reupload_with_moved_jobs_is_not_a_cache_hit() {
     let moved = with_jobs_shifted(&first);
     let system = first
         .systems()
-        .find(|s| !s.jobs().is_empty())
+        .find(|s| !s.job_columns().is_empty())
         .expect("a system with a job log")
         .id();
     let body = format!(

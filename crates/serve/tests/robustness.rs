@@ -441,3 +441,54 @@ fn deeply_nested_json_gets_a_typed_400_and_the_server_stays_up() {
     assert_eq!(health.status, 200);
     handle.shutdown();
 }
+
+/// A snapshot of a 4-node system whose `SYSTEMS` entry is rewritten to
+/// claim 4,000,000,000 nodes, with its section checksums recomputed,
+/// used to make decode ask for one 16 GB allocation and abort the whole
+/// server. It now gets a typed 400 naming the limit, and the server
+/// keeps answering.
+#[test]
+fn upload_declaring_billions_of_nodes_gets_a_typed_400_and_the_server_stays_up() {
+    use hpcfail_store::snapshot::{reseal, snapshot_bytes};
+    use hpcfail_store::trace::{SystemTraceBuilder, Trace};
+    use hpcfail_types::prelude::*;
+
+    let config = SystemConfig {
+        id: SystemId::new(1),
+        name: "probe".into(),
+        nodes: 4,
+        procs_per_node: 4,
+        hardware: HardwareClass::Smp4Way,
+        start: Timestamp::EPOCH,
+        end: Timestamp::from_days(10.0),
+        has_layout: false,
+        has_job_log: false,
+        has_temperature: false,
+    };
+    let mut trace = Trace::new();
+    trace.insert_system(SystemTraceBuilder::new(config).build());
+    let mut bytes = snapshot_bytes(&trace);
+    let field = [b"probe".as_slice(), &4u32.to_le_bytes()].concat();
+    let at = bytes
+        .windows(field.len())
+        .position(|w| w == field)
+        .expect("name then node count")
+        + b"probe".len();
+    bytes[at..at + 4].copy_from_slice(&4_000_000_000u32.to_le_bytes());
+    reseal(&mut bytes).expect("reseals");
+
+    let handle = spawn(engine(), ServerConfig::default()).expect("bind");
+    let client = Client::new(handle.addr().to_string());
+    let response = client
+        .post_bytes("/v1/traces/probe", &bytes, &[])
+        .expect("answered");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response.body.contains("over the limit"),
+        "{}",
+        response.body
+    );
+    let health = client.get("/v1/healthz").expect("server still up");
+    assert_eq!(health.status, 200);
+    handle.shutdown();
+}

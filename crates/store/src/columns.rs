@@ -1,4 +1,5 @@
-//! Struct-of-arrays columnar storage for failure and maintenance events.
+//! Struct-of-arrays columnar storage for failure, maintenance and job
+//! events.
 //!
 //! These columns are the only failure storage a trace has. The query
 //! kernels — per-node day vectors, window membership tests, baseline
@@ -670,6 +671,247 @@ impl MaintenanceColumns {
             .iter()
             .take_while(|&&i| self.times[i as usize] <= until)
             .any(|&i| self.unsched_hw[i as usize])
+    }
+}
+
+/// Dispatch-sorted struct-of-arrays storage for one system's job log.
+///
+/// Each job field is its own array, and the node lists are one CSR
+/// pair: job `i` ran on `node_ids[node_offsets[i]..node_offsets[i + 1]]`.
+/// A job log is then eight allocations however many jobs it holds, so
+/// decoding or dropping one costs a few bulk copies or frees, not one
+/// per job. Node ids are kept exactly as logged: ingest admits jobs
+/// whose nodes lie outside the system's range, and every reader skips
+/// such ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobColumns {
+    job_ids: Vec<u64>,
+    users: Vec<u32>,
+    submits: Vec<i64>,
+    dispatches: Vec<i64>,
+    ends: Vec<i64>,
+    procs: Vec<u32>,
+    node_offsets: Vec<u32>,
+    node_ids: Vec<u32>,
+}
+
+impl Default for JobColumns {
+    fn default() -> Self {
+        JobColumns {
+            job_ids: Vec::new(),
+            users: Vec::new(),
+            submits: Vec::new(),
+            dispatches: Vec::new(),
+            ends: Vec::new(),
+            procs: Vec::new(),
+            node_offsets: vec![0],
+            node_ids: Vec::new(),
+        }
+    }
+}
+
+impl JobColumns {
+    /// Appends one job in arrival order; [`JobColumns::sort_by_dispatch`]
+    /// restores dispatch order afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log would hold 2^32 or more node references.
+    pub(crate) fn push(&mut self, job: &JobRecord) {
+        self.job_ids.push(job.job_id.raw());
+        self.users.push(job.user.raw());
+        self.submits.push(job.submit.as_seconds());
+        self.dispatches.push(job.dispatch.as_seconds());
+        self.ends.push(job.end.as_seconds());
+        self.procs.push(job.procs);
+        self.node_ids.extend(job.nodes.iter().map(|n| n.raw()));
+        let end = u32::try_from(self.node_ids.len())
+            .expect("a job log holds fewer than 2^32 node references");
+        self.node_offsets.push(end);
+    }
+
+    /// Reassembles columns from raw arrays (the snapshot load path),
+    /// checking that the arrays agree in length, that `node_offsets`
+    /// starts at 0, never decreases and ends at `node_ids.len()`, and
+    /// that the jobs are sorted by dispatch time.
+    ///
+    /// # Errors
+    ///
+    /// [`ColumnError`] naming the first check that fails.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_raw_parts(
+        job_ids: Vec<u64>,
+        users: Vec<u32>,
+        submits: Vec<i64>,
+        dispatches: Vec<i64>,
+        ends: Vec<i64>,
+        procs: Vec<u32>,
+        node_offsets: Vec<u32>,
+        node_ids: Vec<u32>,
+    ) -> Result<Self, ColumnError> {
+        let len = job_ids.len();
+        let lens = [
+            users.len(),
+            submits.len(),
+            dispatches.len(),
+            ends.len(),
+            procs.len(),
+        ];
+        if lens != [len; 5] || node_offsets.len() != len + 1 {
+            return Err(ColumnError(format!(
+                "job column length mismatch: {len} jobs, {} node offsets",
+                node_offsets.len()
+            )));
+        }
+        if node_offsets[0] != 0 {
+            return Err(ColumnError("job node offsets do not start at 0".into()));
+        }
+        if let Some(i) = node_offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(ColumnError(format!("job node offsets decrease at job {i}")));
+        }
+        if node_offsets[len] as usize != node_ids.len() {
+            return Err(ColumnError(format!(
+                "last job node offset {} differs from the {} node ids",
+                node_offsets[len],
+                node_ids.len()
+            )));
+        }
+        if let Some(i) = dispatches.windows(2).position(|w| w[0] > w[1]) {
+            return Err(ColumnError(format!(
+                "jobs not sorted by dispatch time at job {}",
+                i + 1
+            )));
+        }
+        Ok(JobColumns {
+            job_ids,
+            users,
+            submits,
+            dispatches,
+            ends,
+            procs,
+            node_offsets,
+            node_ids,
+        })
+    }
+
+    /// Stably sorts the jobs by dispatch time. Input that is already
+    /// sorted costs one comparison per job; otherwise every column is
+    /// gathered through one permutation, a column at a time, so no
+    /// second copy of the whole log ever exists.
+    pub(crate) fn sort_by_dispatch(&mut self) {
+        if self.dispatches.windows(2).all(|w| w[0] <= w[1]) {
+            return;
+        }
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_by_key(|&i| self.dispatches[i as usize]);
+        fn gather<T: Copy>(column: &mut Vec<T>, order: &[u32]) {
+            *column = order.iter().map(|&i| column[i as usize]).collect();
+        }
+        gather(&mut self.job_ids, &order);
+        gather(&mut self.users, &order);
+        gather(&mut self.submits, &order);
+        gather(&mut self.dispatches, &order);
+        gather(&mut self.ends, &order);
+        gather(&mut self.procs, &order);
+        let mut node_ids = Vec::with_capacity(self.node_ids.len());
+        let mut node_offsets = Vec::with_capacity(self.node_offsets.len());
+        node_offsets.push(0);
+        for &i in &order {
+            node_ids.extend_from_slice(self.nodes(i as usize));
+            node_offsets.push(node_ids.len() as u32);
+        }
+        self.node_ids = node_ids;
+        self.node_offsets = node_offsets;
+    }
+
+    /// Heap bytes held by the job column arrays.
+    pub fn resident_bytes(&self) -> u64 {
+        (std::mem::size_of_val(self.job_ids.as_slice())
+            + std::mem::size_of_val(self.users.as_slice())
+            + std::mem::size_of_val(self.submits.as_slice())
+            + std::mem::size_of_val(self.dispatches.as_slice())
+            + std::mem::size_of_val(self.ends.as_slice())
+            + std::mem::size_of_val(self.procs.as_slice())
+            + std::mem::size_of_val(self.node_offsets.as_slice())
+            + std::mem::size_of_val(self.node_ids.as_slice())) as u64
+    }
+
+    /// Number of jobs.
+    pub fn len(&self) -> usize {
+        self.job_ids.len()
+    }
+
+    /// `true` when the log holds no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.job_ids.is_empty()
+    }
+
+    /// Job numbers, in dispatch order.
+    pub fn job_ids(&self) -> &[u64] {
+        &self.job_ids
+    }
+
+    /// Submitting users, aligned with [`JobColumns::job_ids`].
+    pub fn users(&self) -> &[u32] {
+        &self.users
+    }
+
+    /// Submit times in seconds, aligned with the job column.
+    pub fn submits(&self) -> &[i64] {
+        &self.submits
+    }
+
+    /// Dispatch times in seconds, non-decreasing.
+    pub fn dispatches(&self) -> &[i64] {
+        &self.dispatches
+    }
+
+    /// End times in seconds, aligned with the job column.
+    pub fn ends(&self) -> &[i64] {
+        &self.ends
+    }
+
+    /// Requested processor counts, aligned with the job column.
+    pub fn procs(&self) -> &[u32] {
+        &self.procs
+    }
+
+    /// CSR offsets into [`JobColumns::node_ids`]: one per job, plus one.
+    pub fn node_offsets(&self) -> &[u32] {
+        &self.node_offsets
+    }
+
+    /// Every job's node list, concatenated in job order.
+    pub fn node_ids(&self) -> &[u32] {
+        &self.node_ids
+    }
+
+    /// The nodes job `i` ran on.
+    #[inline]
+    pub fn nodes(&self, i: usize) -> &[u32] {
+        &self.node_ids[self.node_offsets[i] as usize..self.node_offsets[i + 1] as usize]
+    }
+
+    /// Processor-days job `i` consumed, computed exactly as
+    /// [`JobRecord::processor_days`].
+    pub fn processor_days(&self, i: usize) -> f64 {
+        let runtime =
+            Duration::from_seconds(self.ends[i].saturating_sub(self.dispatches[i]).max(0));
+        self.procs[i] as f64 * runtime.as_days()
+    }
+
+    /// Decodes job `i` as a [`JobRecord`] owned by `system`.
+    pub fn record(&self, i: usize, system: SystemId) -> JobRecord {
+        JobRecord {
+            system,
+            job_id: JobId::new(self.job_ids[i]),
+            user: UserId::new(self.users[i]),
+            submit: Timestamp::from_seconds(self.submits[i]),
+            dispatch: Timestamp::from_seconds(self.dispatches[i]),
+            end: Timestamp::from_seconds(self.ends[i]),
+            procs: self.procs[i],
+            nodes: self.nodes(i).iter().map(|&n| NodeId::new(n)).collect(),
+        }
     }
 }
 

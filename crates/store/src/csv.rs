@@ -296,7 +296,10 @@ pub fn read_failures<R: Read>(r: R) -> Result<Vec<FailureRecord>, CsvError> {
 /// # Errors
 ///
 /// Any I/O failure from the writer.
-pub fn write_jobs<W: Write>(mut w: W, records: &[JobRecord]) -> Result<(), CsvError> {
+pub fn write_jobs<W: Write>(
+    mut w: W,
+    records: impl IntoIterator<Item = JobRecord>,
+) -> Result<(), CsvError> {
     writeln!(w, "{}", headers::JOBS)?;
     for j in records {
         let nodes: Vec<String> = j.nodes.iter().map(|n| n.raw().to_string()).collect();
@@ -643,6 +646,12 @@ pub(crate) fn parse_system_line(line: &str, lineno: usize) -> Result<SystemConfi
     let id = SystemId::new(f.next("system id")?);
     let name = f.next_str().to_owned();
     let nodes = f.next("node count")?;
+    if nodes > crate::MAX_NODES {
+        return Err(CsvError::Parse {
+            line: lineno,
+            message: format!("node count {nodes} over the limit of {}", crate::MAX_NODES),
+        });
+    }
     let procs_per_node = f.next("procs per node")?;
     let hardware = match f.next_str() {
         "SMP4" => HardwareClass::Smp4Way,
@@ -736,7 +745,7 @@ fn append_failures<W: Write>(
     skip_header_and_copy(w, &buf)
 }
 
-fn append_jobs<W: Write>(w: W, records: &[JobRecord]) -> Result<(), CsvError> {
+fn append_jobs<W: Write>(w: W, records: impl Iterator<Item = JobRecord>) -> Result<(), CsvError> {
     let mut buf = Vec::new();
     write_jobs(&mut buf, records)?;
     skip_header_and_copy(w, &buf)
@@ -852,7 +861,7 @@ mod tests {
             nodes: vec![NodeId::new(3)],
         }];
         let mut buf = Vec::new();
-        write_jobs(&mut buf, &jobs).unwrap();
+        write_jobs(&mut buf, jobs.clone()).unwrap();
         let body = String::from_utf8(buf).unwrap();
         let headerless = body.split_once('\n').unwrap().1;
         assert_eq!(read_jobs(headerless.as_bytes()).unwrap(), jobs);
@@ -935,7 +944,7 @@ mod tests {
             nodes: vec![NodeId::new(1), NodeId::new(2)],
         }];
         let mut buf = Vec::new();
-        write_jobs(&mut buf, &jobs).unwrap();
+        write_jobs(&mut buf, jobs.clone()).unwrap();
         assert_eq!(read_jobs(&buf[..]).unwrap(), jobs);
     }
 

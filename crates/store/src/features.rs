@@ -57,9 +57,9 @@ pub struct NodeUsage {
 ///
 /// Busy time is the union of each node's clipped job intervals
 /// `[max(dispatch, start), min(end, end of span))`, built in one pass
-/// without sorting. [`SystemTrace::jobs`] is sorted by dispatch time
-/// (the builder sorts it and snapshot decode rejects unsorted input),
-/// so each node's intervals arrive ordered by their start. A node then
+/// without sorting. The job columns are sorted by dispatch time (the
+/// builder sorts them and snapshot decode rejects unsorted input), so
+/// each node's intervals arrive ordered by their start. A node then
 /// needs only one open interval: the next interval either overlaps it
 /// and extends it, or starts after it and closes it into the total.
 pub fn compute_usage(system: &SystemTrace) -> Vec<NodeUsage> {
@@ -71,11 +71,13 @@ pub fn compute_usage(system: &SystemTrace) -> Vec<NodeUsage> {
     // The empty starting interval adds nothing when it closes.
     let mut open = vec![(i64::MIN, i64::MIN); n];
     let mut closed = vec![0i64; n];
-    for job in system.jobs() {
-        let lo = job.dispatch.max(config.start).as_seconds();
-        let hi = job.end.min(config.end).as_seconds();
-        for &node in &job.nodes {
-            let i = node.index();
+    let jobs = system.job_columns();
+    let (start, end) = (config.start.as_seconds(), config.end.as_seconds());
+    for (j, (&dispatch, &job_end)) in jobs.dispatches().iter().zip(jobs.ends()).enumerate() {
+        let lo = dispatch.max(start);
+        let hi = job_end.min(end);
+        for &node in jobs.nodes(j) {
+            let i = node as usize;
             if i >= n {
                 continue;
             }
@@ -137,18 +139,20 @@ impl UserStat {
 /// sits on a node that fails: each failure counts once for every job
 /// running on the failed node at that instant.
 pub fn compute_user_stats(system: &SystemTrace) -> Vec<UserStat> {
-    if system.jobs().is_empty() {
+    let jobs = system.job_columns();
+    if jobs.is_empty() {
         return Vec::new();
     }
     let mut stats: BTreeMap<UserId, UserStat> = BTreeMap::new();
-    for job in system.jobs() {
-        let entry = stats.entry(job.user).or_insert(UserStat {
-            user: job.user,
+    for (j, &user) in jobs.users().iter().enumerate() {
+        let user = UserId::new(user);
+        let entry = stats.entry(user).or_insert(UserStat {
+            user,
             processor_days: 0.0,
             jobs: 0,
             node_failures: 0,
         });
-        entry.processor_days += job.processor_days();
+        entry.processor_days += jobs.processor_days(j);
         entry.jobs += 1;
     }
     for (user, hits) in attribute_failures(system) {
@@ -167,16 +171,18 @@ fn attribute_failures(system: &SystemTrace) -> BTreeMap<UserId, u64> {
     let nodes = system.config().nodes as usize;
     let mut intervals: Vec<Vec<(i64, i64, UserId)>> = vec![Vec::new(); nodes];
     let mut max_run = vec![0i64; nodes];
-    for job in system.jobs() {
-        let d = job.dispatch.as_seconds();
-        let e = job.end.as_seconds();
+    let jobs = system.job_columns();
+    for j in 0..jobs.len() {
+        let (d, e) = (jobs.dispatches()[j], jobs.ends()[j]);
         if e <= d {
             continue;
         }
-        for &node in &job.nodes {
-            if node.index() < nodes {
-                intervals[node.index()].push((d, e, job.user));
-                max_run[node.index()] = max_run[node.index()].max(e - d);
+        let user = UserId::new(jobs.users()[j]);
+        for &node in jobs.nodes(j) {
+            let i = node as usize;
+            if i < nodes {
+                intervals[i].push((d, e, user));
+                max_run[i] = max_run[i].max(e - d);
             }
         }
     }

@@ -14,11 +14,12 @@
 //! [`query`](crate::query), so the values are bit-identical to them;
 //! `tests/properties.rs` checks all 28 classes × 3 windows over random
 //! traces. At fleet scale 0.05 the build takes about 0.5 ms a trace,
-//! against ~50 ms for snapshot decode.
+//! against ~20 ms for snapshot decode.
 //!
-//! Usage and per-user exposure stay lazy: they walk the job log, tens
-//! of milliseconds a trace at scale 0.05, which an eager build would
-//! add to every upload. Each is one `OnceLock`: the first caller builds
+//! Usage and per-user exposure stay lazy: they walk the job columns.
+//! At fleet scale 0.05 (seed 42, release build, 2-core VM), usage takes
+//! 6.1-6.5 ms and the users table 27-28 ms for systems 8 and 20
+//! together, which an eager build would add to every upload. Each is one `OnceLock`: the first caller builds
 //! and every later caller gets the stored `Arc`. A cloned trace starts
 //! with both slots empty.
 //!

@@ -484,6 +484,17 @@ pub fn load_trace_with<P: AsRef<Path>>(
     };
 
     let systems = read_system_configs_with(open("systems.csv")?, "systems.csv", policy)?;
+    let total_nodes: u64 = systems.records.iter().map(|c| u64::from(c.nodes)).sum();
+    if total_nodes > u64::from(crate::MAX_NODES) {
+        return Err(CsvError::Parse {
+            line: 0,
+            message: format!(
+                "the systems declare {total_nodes} nodes in all, over the limit of {}",
+                crate::MAX_NODES
+            ),
+        }
+        .in_file("systems.csv"));
+    }
     let mut failures = read_failures_with(open("failures.csv")?, "failures.csv", policy)?;
     let jobs = read_jobs_with(open("jobs.csv")?, "jobs.csv", policy)?;
     let temperatures =
@@ -858,6 +869,34 @@ mod tests {
         let err = load_trace_with(&dir, IngestPolicy::Strict).unwrap_err();
         assert!(err.to_string().contains("failures.csv"), "{err}");
         assert!(err.to_string().contains("unknown system"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A declared node count is a size the loader allocates by, so one
+    /// over [`crate::MAX_NODES`], alone or summed, is refused under
+    /// every policy instead of reaching an allocation.
+    #[test]
+    fn node_counts_over_the_limit_are_refused() {
+        let header = headers::SYSTEMS;
+        let failures = format!("{}\n", headers::FAILURES);
+        let one = format!("{header}\n20,sys20,4000000000,4,SMP4,0,8640000,0,0,0\n");
+        let half = crate::MAX_NODES / 2 + 1;
+        let two =
+            format!("{header}\n1,a,{half},4,SMP4,0,86400,0,0,0\n2,b,{half},4,SMP4,0,86400,0,0,0\n");
+        let dir = temp_dir("max-nodes");
+        write_dir(&dir, &failures, &one).unwrap();
+        let err = load_trace_with(&dir, IngestPolicy::Strict).unwrap_err();
+        assert!(err.to_string().contains("systems.csv"), "{err}");
+        assert!(err.to_string().contains("over the limit"), "{err}");
+        let (trace, report) = load_trace_with(&dir, IngestPolicy::Lenient).unwrap();
+        assert!(trace.is_empty());
+        assert_eq!(report.quarantined.len(), 1);
+        for policy in [IngestPolicy::Strict, IngestPolicy::BestEffort] {
+            write_dir(&dir, &failures, &two).unwrap();
+            let err = load_trace_with(&dir, policy).unwrap_err();
+            assert!(err.to_string().contains("systems.csv"), "{err}");
+            assert!(err.to_string().contains("over the limit"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -64,6 +64,18 @@ pub mod query;
 pub mod snapshot;
 pub mod trace;
 
+/// The most nodes one trace may declare, summed over its systems.
+///
+/// Every system allocates a few words per declared node (postings
+/// offsets, per-node aggregates) whether or not any record names the
+/// node, so a declared count is a size the loader must bound before it
+/// allocates. Snapshot decode refuses a larger total as
+/// [`SnapshotError::Corrupt`](snapshot::SnapshotError::Corrupt), and
+/// CSV ingest refuses it as a parse error. 65,536 is the compute-node
+/// count of the largest Blue Gene/L; LANL's largest system has 1,024
+/// nodes and its whole fleet about 4,750.
+pub const MAX_NODES: u32 = 1 << 16;
+
 /// The most frequently used items.
 pub mod prelude {
     pub use crate::features::{

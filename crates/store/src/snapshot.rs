@@ -2,16 +2,17 @@
 //!
 //! A snapshot is written once after ingest and loaded at boot with a
 //! single bulk read, skipping CSV parsing and per-record validation: the
-//! failure columns are stored exactly as the in-memory
-//! struct-of-arrays layout ([`crate::columns::FailureColumns`]), so a
-//! load is a decode pass plus the O(n) postings rebuild — no row
-//! structs, no sorting, no text.
+//! failure and job columns are stored exactly as the in-memory
+//! struct-of-arrays layouts ([`crate::columns::FailureColumns`],
+//! [`crate::columns::JobColumns`]), so a load is one bulk
+//! little-endian copy per column plus the O(n) postings rebuild — no
+//! row structs, no sorting, no text.
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! ```text
 //! magic      8 bytes  "HPCSNAP\0"
-//! version    u32 LE   2
+//! version    u32 LE   3
 //! fingerprint u64 LE  Trace::fingerprint() of the whole trace
 //! sections   u32 LE   number of section-table entries
 //! table      sections × { id u32, offset u64, len u64, checksum u64 }
@@ -23,12 +24,27 @@
 //! system then contributes `FAILURES` (the five primitive columns,
 //! stored column-wise), `JOBS`, `TEMPERATURES`, `MAINTENANCE` and — when
 //! present — `LAYOUT` sections; one fleet-wide `NEUTRON` section closes
-//! the file. Every payload is integrity-checked by a checksum in the
-//! table (the same word-at-a-time content hash as the fingerprint, over
-//! the payload bytes), and the decoded trace must reproduce the header's
-//! content fingerprint. Version 1 files, whose checksums and fingerprint
-//! used a byte-serial FNV-1a, are refused as
-//! [`SnapshotError::UnsupportedVersion`].
+//! the file. The `JOBS` payload is column-major too:
+//!
+//! ```text
+//! count        u32
+//! job_id       count × u64
+//! user         count × u32
+//! submit       count × i64
+//! dispatch     count × i64, non-decreasing
+//! end          count × i64
+//! procs        count × u32
+//! node_offsets (count + 1) × u32, from 0, non-decreasing
+//! refs         u32, equal to the last node offset
+//! node_ids     refs × u32
+//! ```
+//!
+//! Every payload is integrity-checked by a checksum in the table (the
+//! same word-at-a-time content hash as the fingerprint, over the payload
+//! bytes), and the decoded trace must reproduce the header's content
+//! fingerprint. Older versions are refused as
+//! [`SnapshotError::UnsupportedVersion`]: version 1 checksummed with a
+//! byte-serial FNV-1a, and version 2 stored one row per job.
 //!
 //! # Fallback rules
 //!
@@ -39,8 +55,9 @@
 //! `store.snapshot.fallback` counter so callers can drop to CSV ingest
 //! while recording exactly why.
 
-use crate::columns::FailureColumns;
+use crate::columns::{FailureColumns, JobColumns};
 use crate::trace::{ContentHash, SystemTrace, Trace};
+use crate::MAX_NODES;
 use hpcfail_types::prelude::*;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -50,7 +67,7 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HPCSNAP\0";
 const MAGIC: &[u8; 8] = SNAPSHOT_MAGIC;
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const KIND_SYSTEMS: u32 = 1;
 const KIND_FAILURES: u32 = 2;
@@ -170,18 +187,23 @@ impl Writer {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
     }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    /// Appends one fixed-width little-endian value per item.
+    fn column<T, const W: usize>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = T>,
+        encode: impl Fn(T) -> [u8; W],
+    ) {
+        self.buf.reserve(items.len() * W);
+        for item in items {
+            self.buf.extend_from_slice(&encode(item));
+        }
     }
 }
 
@@ -226,8 +248,24 @@ impl<'a> Reader<'a> {
     fn i64(&mut self) -> Result<i64, SnapshotError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
+
+    /// Reads `n` fixed-width little-endian values with one bulk copy.
+    fn column<T, const W: usize>(
+        &mut self,
+        n: usize,
+        decode: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let Some(len) = n.checked_mul(W) else {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} column of {n} values overflows",
+                self.what
+            )));
+        };
+        Ok(self
+            .take(len)?
+            .chunks_exact(W)
+            .map(|c| decode(c.try_into().expect("chunks_exact yields W bytes")))
+            .collect())
     }
 
     /// Reads a length-prefixed count, guarding against lengths that
@@ -288,67 +326,46 @@ fn encode_systems(trace: &Trace) -> Vec<u8> {
 fn encode_failures(cols: &FailureColumns) -> Vec<u8> {
     let mut w = Writer::default();
     w.u32(cols.len() as u32);
-    for &t in cols.times() {
-        w.i64(t);
-    }
-    for &n in cols.nodes() {
-        w.u32(n);
-    }
+    w.column(cols.times().iter(), |t| t.to_le_bytes());
+    w.column(cols.nodes().iter(), |n| n.to_le_bytes());
     w.buf.extend_from_slice(cols.roots());
-    for &s in cols.subs() {
-        w.u16(s);
-    }
-    for &d in cols.downtimes() {
-        w.i64(d);
-    }
+    w.column(cols.subs().iter(), |s| s.to_le_bytes());
+    w.column(cols.downtimes().iter(), |d| d.to_le_bytes());
     w.buf
 }
 
-fn encode_jobs(jobs: &[JobRecord]) -> Vec<u8> {
+fn encode_jobs(jobs: &JobColumns) -> Vec<u8> {
     let mut w = Writer::default();
     w.u32(jobs.len() as u32);
-    for j in jobs {
-        w.u64(j.job_id.raw());
-        w.u32(j.user.raw());
-        w.i64(j.submit.as_seconds());
-        w.i64(j.dispatch.as_seconds());
-        w.i64(j.end.as_seconds());
-        w.u32(j.procs);
-        w.u32(j.nodes.len() as u32);
-        for n in &j.nodes {
-            w.u32(n.raw());
-        }
-    }
+    w.column(jobs.job_ids().iter(), |v| v.to_le_bytes());
+    w.column(jobs.users().iter(), |v| v.to_le_bytes());
+    w.column(jobs.submits().iter(), |v| v.to_le_bytes());
+    w.column(jobs.dispatches().iter(), |v| v.to_le_bytes());
+    w.column(jobs.ends().iter(), |v| v.to_le_bytes());
+    w.column(jobs.procs().iter(), |v| v.to_le_bytes());
+    w.column(jobs.node_offsets().iter(), |v| v.to_le_bytes());
+    w.u32(jobs.node_ids().len() as u32);
+    w.column(jobs.node_ids().iter(), |v| v.to_le_bytes());
     w.buf
 }
 
 fn encode_temperatures(samples: &[TemperatureSample]) -> Vec<u8> {
     let mut w = Writer::default();
     w.u32(samples.len() as u32);
-    for s in samples {
-        w.u32(s.node.raw());
-    }
-    for s in samples {
-        w.i64(s.time.as_seconds());
-    }
-    for s in samples {
-        w.f64(s.celsius);
-    }
+    w.column(samples.iter(), |s| s.node.raw().to_le_bytes());
+    w.column(samples.iter(), |s| s.time.as_seconds().to_le_bytes());
+    w.column(samples.iter(), |s| s.celsius.to_le_bytes());
     w.buf
 }
 
 fn encode_maintenance(records: &[MaintenanceRecord]) -> Vec<u8> {
     let mut w = Writer::default();
     w.u32(records.len() as u32);
-    for m in records {
-        w.u32(m.node.raw());
-    }
-    for m in records {
-        w.i64(m.time.as_seconds());
-    }
-    for m in records {
-        w.u8(((m.hardware_related as u8) << 1) | m.scheduled as u8);
-    }
+    w.column(records.iter(), |m| m.node.raw().to_le_bytes());
+    w.column(records.iter(), |m| m.time.as_seconds().to_le_bytes());
+    w.column(records.iter(), |m| {
+        [((m.hardware_related as u8) << 1) | m.scheduled as u8]
+    });
     w.buf
 }
 
@@ -368,12 +385,8 @@ fn encode_layout(layout: &MachineLayout) -> Vec<u8> {
 fn encode_neutron(samples: &[NeutronSample]) -> Vec<u8> {
     let mut w = Writer::default();
     w.u32(samples.len() as u32);
-    for s in samples {
-        w.i64(s.time.as_seconds());
-    }
-    for s in samples {
-        w.f64(s.counts_per_minute);
-    }
+    w.column(samples.iter(), |s| s.time.as_seconds().to_le_bytes());
+    w.column(samples.iter(), |s| s.counts_per_minute.to_le_bytes());
     w.buf
 }
 
@@ -387,7 +400,10 @@ pub fn snapshot_bytes(trace: &Trace) -> Vec<u8> {
             section_id(KIND_FAILURES, sys),
             encode_failures(system.failure_columns()),
         ));
-        sections.push((section_id(KIND_JOBS, sys), encode_jobs(system.jobs())));
+        sections.push((
+            section_id(KIND_JOBS, sys),
+            encode_jobs(system.job_columns()),
+        ));
         sections.push((
             section_id(KIND_TEMPERATURES, sys),
             encode_temperatures(system.temperatures()),
@@ -448,7 +464,18 @@ struct Section<'a> {
     bytes: &'a [u8],
 }
 
-fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> {
+/// One section-table entry: the section id, its payload range, the
+/// stored checksum and the file offset that checksum sits at.
+struct TableEntry {
+    id: u32,
+    range: std::ops::Range<usize>,
+    checksum: u64,
+    checksum_at: usize,
+}
+
+/// Reads the header and the section table, checking the magic, the
+/// version and that every payload range lies inside the file.
+fn section_table(buf: &[u8]) -> Result<Vec<TableEntry>, SnapshotError> {
     if buf.len() < MAGIC.len() {
         return Err(SnapshotError::BadMagic);
     }
@@ -462,12 +489,13 @@ fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> 
     }
     let _fingerprint = r.u64()?;
     let count = r.count(28)?;
-    let mut sections = Vec::with_capacity(count);
+    let mut table = Vec::with_capacity(count);
     for _ in 0..count {
         let id = r.u32()?;
         let offset = r.u64()? as usize;
         let len = r.u64()? as usize;
-        let stored = r.u64()?;
+        let checksum_at = MAGIC.len() + r.pos;
+        let checksum = r.u64()?;
         let end = offset.checked_add(len).filter(|&e| e <= buf.len());
         let Some(end) = end else {
             return Err(SnapshotError::Corrupt(format!(
@@ -475,15 +503,48 @@ fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> 
                 buf.len()
             )));
         };
-        let bytes = &buf[offset..end];
-        if checksum(bytes) != stored {
-            return Err(SnapshotError::Corrupt(format!(
-                "section {id:#x} checksum mismatch"
-            )));
-        }
-        sections.push((id, Section { bytes }));
+        table.push(TableEntry {
+            id,
+            range: offset..end,
+            checksum,
+            checksum_at,
+        });
     }
-    Ok(sections)
+    Ok(table)
+}
+
+fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> {
+    section_table(buf)?
+        .into_iter()
+        .map(|entry| {
+            let bytes = &buf[entry.range];
+            if checksum(bytes) != entry.checksum {
+                return Err(SnapshotError::Corrupt(format!(
+                    "section {:#x} checksum mismatch",
+                    entry.id
+                )));
+            }
+            Ok((entry.id, Section { bytes }))
+        })
+        .collect()
+}
+
+/// Recomputes every section checksum of an edited snapshot in place.
+///
+/// The checksums catch damage, not intent: anyone can reseal a file,
+/// so [`decode_snapshot`] checks every declared size and structure
+/// itself. Tests and tools that craft hostile snapshots use this. The
+/// header's content fingerprint is left as it was.
+///
+/// # Errors
+///
+/// [`SnapshotError`] when the header or section table is unreadable.
+pub fn reseal(buf: &mut [u8]) -> Result<(), SnapshotError> {
+    for entry in section_table(buf)? {
+        let sum = checksum(&buf[entry.range]);
+        buf[entry.checksum_at..entry.checksum_at + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+    Ok(())
 }
 
 fn header_fingerprint(buf: &[u8]) -> Result<u64, SnapshotError> {
@@ -496,10 +557,17 @@ fn decode_systems(bytes: &[u8]) -> Result<Vec<SystemConfig>, SnapshotError> {
     let mut r = Reader::new(bytes, "systems");
     let count = r.count(31)?;
     let mut configs = Vec::with_capacity(count);
+    let mut total_nodes = 0u64;
     for _ in 0..count {
         let id = SystemId::new(r.u16()?);
         let name = r.str()?;
         let nodes = r.u32()?;
+        total_nodes += u64::from(nodes);
+        if total_nodes > u64::from(MAX_NODES) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{id} declares {nodes} nodes, which takes the trace over the limit of {MAX_NODES}"
+            )));
+        }
         let procs_per_node = r.u32()?;
         let hardware = match r.u8()? {
             0 => HardwareClass::Smp4Way,
@@ -535,23 +603,11 @@ fn decode_systems(bytes: &[u8]) -> Result<Vec<SystemConfig>, SnapshotError> {
 fn decode_failures(bytes: &[u8], config: &SystemConfig) -> Result<FailureColumns, SnapshotError> {
     let mut r = Reader::new(bytes, "failures");
     let count = r.count(8 + 4 + 1 + 2 + 8)?;
-    let mut times = Vec::with_capacity(count);
-    for _ in 0..count {
-        times.push(r.i64()?);
-    }
-    let mut nodes = Vec::with_capacity(count);
-    for _ in 0..count {
-        nodes.push(r.u32()?);
-    }
+    let times = r.column(count, i64::from_le_bytes)?;
+    let nodes = r.column(count, u32::from_le_bytes)?;
     let roots = r.take(count)?.to_vec();
-    let mut subs = Vec::with_capacity(count);
-    for _ in 0..count {
-        subs.push(r.u16()?);
-    }
-    let mut downtimes = Vec::with_capacity(count);
-    for _ in 0..count {
-        downtimes.push(r.i64()?);
-    }
+    let subs = r.column(count, u16::from_le_bytes)?;
+    let downtimes = r.column(count, i64::from_le_bytes)?;
     r.finish()?;
     Ok(FailureColumns::from_raw_parts(
         times,
@@ -564,42 +620,29 @@ fn decode_failures(bytes: &[u8], config: &SystemConfig) -> Result<FailureColumns
     )?)
 }
 
-fn decode_jobs(bytes: &[u8], config: &SystemConfig) -> Result<Vec<JobRecord>, SnapshotError> {
+fn decode_jobs(bytes: &[u8]) -> Result<JobColumns, SnapshotError> {
     let mut r = Reader::new(bytes, "jobs");
     let count = r.count(8 + 4 + 8 + 8 + 8 + 4 + 4)?;
-    let mut jobs: Vec<JobRecord> = Vec::with_capacity(count);
-    for _ in 0..count {
-        let job_id = JobId::new(r.u64()?);
-        let user = UserId::new(r.u32()?);
-        let submit = Timestamp::from_seconds(r.i64()?);
-        let dispatch = Timestamp::from_seconds(r.i64()?);
-        let end = Timestamp::from_seconds(r.i64()?);
-        let procs = r.u32()?;
-        let node_count = r.count(4)?;
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
-            nodes.push(NodeId::new(r.u32()?));
-        }
-        if let Some(prev) = jobs.last() {
-            if prev.dispatch > dispatch {
-                return Err(SnapshotError::Corrupt(
-                    "jobs not sorted by dispatch time".into(),
-                ));
-            }
-        }
-        jobs.push(JobRecord {
-            system: config.id,
-            job_id,
-            user,
-            submit,
-            dispatch,
-            end,
-            procs,
-            nodes,
-        });
-    }
+    let job_ids = r.column(count, u64::from_le_bytes)?;
+    let users = r.column(count, u32::from_le_bytes)?;
+    let submits = r.column(count, i64::from_le_bytes)?;
+    let dispatches = r.column(count, i64::from_le_bytes)?;
+    let ends = r.column(count, i64::from_le_bytes)?;
+    let procs = r.column(count, u32::from_le_bytes)?;
+    let node_offsets = r.column(count + 1, u32::from_le_bytes)?;
+    let refs = r.count(4)?;
+    let node_ids = r.column(refs, u32::from_le_bytes)?;
     r.finish()?;
-    Ok(jobs)
+    Ok(JobColumns::from_raw_parts(
+        job_ids,
+        users,
+        submits,
+        dispatches,
+        ends,
+        procs,
+        node_offsets,
+        node_ids,
+    )?)
 }
 
 fn decode_temperatures(
@@ -608,30 +651,26 @@ fn decode_temperatures(
 ) -> Result<Vec<TemperatureSample>, SnapshotError> {
     let mut r = Reader::new(bytes, "temperatures");
     let count = r.count(4 + 8 + 8)?;
-    let mut nodes = Vec::with_capacity(count);
-    for _ in 0..count {
-        nodes.push(r.u32()?);
-    }
-    let mut times = Vec::with_capacity(count);
-    for _ in 0..count {
-        times.push(r.i64()?);
-    }
+    let nodes = r.column(count, u32::from_le_bytes)?;
+    let times = r.column(count, i64::from_le_bytes)?;
     if times.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Corrupt(
             "temperature samples not sorted by time".into(),
         ));
     }
-    let mut samples = Vec::with_capacity(count);
-    for i in 0..count {
-        samples.push(TemperatureSample {
-            system: config.id,
-            node: NodeId::new(nodes[i]),
-            time: Timestamp::from_seconds(times[i]),
-            celsius: r.f64()?,
-        });
-    }
+    let celsius = r.column(count, f64::from_le_bytes)?;
     r.finish()?;
-    Ok(samples)
+    Ok(nodes
+        .into_iter()
+        .zip(times)
+        .zip(celsius)
+        .map(|((node, time), celsius)| TemperatureSample {
+            system: config.id,
+            node: NodeId::new(node),
+            time: Timestamp::from_seconds(time),
+            celsius,
+        })
+        .collect())
 }
 
 fn decode_maintenance(
@@ -640,14 +679,8 @@ fn decode_maintenance(
 ) -> Result<Vec<MaintenanceRecord>, SnapshotError> {
     let mut r = Reader::new(bytes, "maintenance");
     let count = r.count(4 + 8 + 1)?;
-    let mut nodes = Vec::with_capacity(count);
-    for _ in 0..count {
-        nodes.push(r.u32()?);
-    }
-    let mut times = Vec::with_capacity(count);
-    for _ in 0..count {
-        times.push(r.i64()?);
-    }
+    let nodes = r.column(count, u32::from_le_bytes)?;
+    let times = r.column(count, i64::from_le_bytes)?;
     if times
         .iter()
         .zip(&nodes)
@@ -658,19 +691,20 @@ fn decode_maintenance(
             "maintenance not sorted by (time, node)".into(),
         ));
     }
-    let mut records = Vec::with_capacity(count);
-    for i in 0..count {
-        let flags = r.u8()?;
-        records.push(MaintenanceRecord {
+    let flags = r.take(count)?;
+    r.finish()?;
+    Ok(nodes
+        .into_iter()
+        .zip(times)
+        .zip(flags)
+        .map(|((node, time), &flags)| MaintenanceRecord {
             system: config.id,
-            node: NodeId::new(nodes[i]),
-            time: Timestamp::from_seconds(times[i]),
+            node: NodeId::new(node),
+            time: Timestamp::from_seconds(time),
             hardware_related: flags & 0b10 != 0,
             scheduled: flags & 0b01 != 0,
-        });
-    }
-    r.finish()?;
-    Ok(records)
+        })
+        .collect())
 }
 
 fn decode_layout(bytes: &[u8]) -> Result<MachineLayout, SnapshotError> {
@@ -700,19 +734,17 @@ fn decode_layout(bytes: &[u8]) -> Result<MachineLayout, SnapshotError> {
 fn decode_neutron(bytes: &[u8]) -> Result<Vec<NeutronSample>, SnapshotError> {
     let mut r = Reader::new(bytes, "neutron");
     let count = r.count(8 + 8)?;
-    let mut times = Vec::with_capacity(count);
-    for _ in 0..count {
-        times.push(r.i64()?);
-    }
-    let mut samples = Vec::with_capacity(count);
-    for &time in &times {
-        samples.push(NeutronSample {
-            time: Timestamp::from_seconds(time),
-            counts_per_minute: r.f64()?,
-        });
-    }
+    let times = r.column(count, i64::from_le_bytes)?;
+    let counts = r.column(count, f64::from_le_bytes)?;
     r.finish()?;
-    Ok(samples)
+    Ok(times
+        .into_iter()
+        .zip(counts)
+        .map(|(time, counts_per_minute)| NeutronSample {
+            time: Timestamp::from_seconds(time),
+            counts_per_minute,
+        })
+        .collect())
 }
 
 /// Decodes a trace from snapshot bytes.
@@ -739,8 +771,8 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<Trace, SnapshotError> {
         })?;
         let columns = decode_failures(failures.bytes, &config)?;
         let jobs = match find(section_id(KIND_JOBS, sys)) {
-            Some(s) => decode_jobs(s.bytes, &config)?,
-            None => Vec::new(),
+            Some(s) => decode_jobs(s.bytes)?,
+            None => JobColumns::default(),
         };
         let temperatures = match find(section_id(KIND_TEMPERATURES, sys)) {
             Some(s) => decode_temperatures(s.bytes, &config)?,
@@ -860,6 +892,39 @@ mod tests {
             procs: 8,
             nodes: vec![NodeId::new(1), NodeId::new(2)],
         });
+        // Pushed out of dispatch order; the builder sorts it first.
+        b.push_job(JobRecord {
+            system: sys,
+            job_id: JobId::new(12),
+            user: UserId::new(5),
+            submit: Timestamp::from_days(0.5),
+            dispatch: Timestamp::from_days(0.75),
+            end: Timestamp::from_days(3.0),
+            procs: 12,
+            nodes: vec![NodeId::new(0), NodeId::new(3), NodeId::new(5)],
+        });
+        // Ties job 11's dispatch (a stable sort keeps it second) and
+        // names a node outside the system, which ingest admits.
+        b.push_job(JobRecord {
+            system: sys,
+            job_id: JobId::new(13),
+            user: UserId::new(4),
+            submit: Timestamp::from_days(1.0),
+            dispatch: Timestamp::from_days(1.25),
+            end: Timestamp::from_days(1.5),
+            procs: 4,
+            nodes: vec![NodeId::new(7)],
+        });
+        b.push_job(JobRecord {
+            system: sys,
+            job_id: JobId::new(14),
+            user: UserId::new(6),
+            submit: Timestamp::from_days(20.0),
+            dispatch: Timestamp::from_days(20.0),
+            end: Timestamp::from_days(21.0),
+            procs: 1,
+            nodes: Vec::new(),
+        });
         b.push_temperature(TemperatureSample {
             system: sys,
             node: NodeId::new(2),
@@ -909,7 +974,7 @@ mod tests {
         for (sa, sb) in a.systems().zip(b.systems()) {
             assert_eq!(sa.config(), sb.config());
             assert!(sa.failures().eq(sb.failures()));
-            assert_eq!(sa.jobs(), sb.jobs());
+            assert_eq!(sa.job_columns(), sb.job_columns());
             assert_eq!(sa.temperatures(), sb.temperatures());
             assert_eq!(sa.maintenance(), sb.maintenance());
             assert_eq!(sa.layout(), sb.layout());
@@ -935,8 +1000,9 @@ mod tests {
         ));
         assert!(matches!(decode_snapshot(&[]), Err(SnapshotError::BadMagic)));
         // The version field sits right after the magic. Version 1 (the
-        // byte-serial FNV-1a format) is refused like an unknown one.
-        for version in [1u32, 0xfe] {
+        // byte-serial FNV-1a format) and version 2 (one row per job) are
+        // refused like an unknown one.
+        for version in [1u32, 2, 0xfe] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
                 decode_snapshot(&bytes),
@@ -944,21 +1010,151 @@ mod tests {
             ));
         }
 
-        // A version-1 file on disk becomes a typed fallback audit entry.
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let dir = std::env::temp_dir().join(format!("hpcsnap-v1-{}", std::process::id()));
+        // An older file on disk becomes a typed fallback audit entry.
+        let dir = std::env::temp_dir().join(format!("hpcsnap-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("old.hpcsnap");
-        std::fs::write(&path, &bytes).unwrap();
-        match try_read_snapshot(&path) {
-            SnapshotLoad::Unusable(f) => {
-                assert!(matches!(f.error, SnapshotError::UnsupportedVersion(1)));
-                assert_eq!(f.path, path);
-                assert!(f.to_string().contains("unsupported snapshot version 1"));
+        for version in [1u32, 2] {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let path = dir.join(format!("v{version}.hpcsnap"));
+            std::fs::write(&path, &bytes).unwrap();
+            match try_read_snapshot(&path) {
+                SnapshotLoad::Unusable(f) => {
+                    assert!(
+                        matches!(f.error, SnapshotError::UnsupportedVersion(v) if v == version)
+                    );
+                    assert_eq!(f.path, path);
+                    assert!(f
+                        .to_string()
+                        .contains(&format!("unsupported snapshot version {version}")));
+                }
+                SnapshotLoad::Loaded(_) => panic!("loaded a version-{version} snapshot"),
             }
-            SnapshotLoad::Loaded(_) => panic!("loaded a version-1 snapshot"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sample_fingerprint_is_pinned() {
+        // The value the row-per-job store computed for this content: the
+        // job columns hash the same words in the same per-job order.
+        let trace = sample_trace();
+        assert_eq!(format!("{:016x}", trace.fingerprint()), "53057ce8e39252ee");
+        let system = trace.systems().next().expect("one system");
+        let ids: Vec<u64> = system.jobs().map(|j| j.job_id.raw()).collect();
+        assert_eq!(ids, [12, 11, 13, 14], "stable sort by dispatch");
+        let decoded = decode_snapshot(&snapshot_bytes(&trace)).expect("decodes");
+        assert_eq!(decoded.fingerprint(), trace.fingerprint());
+    }
+
+    /// The payload range of section `id`.
+    fn section_range(bytes: &[u8], id: u32) -> std::ops::Range<usize> {
+        section_table(bytes)
+            .expect("readable table")
+            .into_iter()
+            .find(|e| e.id == id)
+            .expect("section present")
+            .range
+    }
+
+    /// `bytes` with `edit` applied to section `id`'s payload, resealed.
+    fn edited(bytes: &[u8], id: u32, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        let range = section_range(&out, id);
+        edit(&mut out[range]);
+        reseal(&mut out).expect("reseals");
+        out
+    }
+
+    fn corrupt_message(bytes: &[u8]) -> String {
+        match decode_snapshot(bytes) {
+            Err(SnapshotError::Corrupt(message)) => message,
+            other => panic!("expected a typed Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resealing_an_unedited_snapshot_changes_nothing() {
+        let bytes = snapshot_bytes(&sample_trace());
+        let mut resealed = bytes.clone();
+        reseal(&mut resealed).unwrap();
+        assert_eq!(resealed, bytes);
+    }
+
+    #[test]
+    fn declared_node_counts_over_the_limit_are_refused() {
+        let bytes = snapshot_bytes(&sample_trace());
+        // SYSTEMS payload: count u32, id u16, name (u32 length + bytes),
+        // then the node count.
+        let at = 4 + 2 + 4 + "snap-test".len();
+        let with_nodes = |nodes: u32| {
+            edited(&bytes, section_id(KIND_SYSTEMS, 0), |p| {
+                p[at..at + 4].copy_from_slice(&nodes.to_le_bytes())
+            })
+        };
+        for nodes in [MAX_NODES + 1, 4_000_000_000, u32::MAX] {
+            let message = corrupt_message(&with_nodes(nodes));
+            assert!(message.contains("over the limit"), "{nodes}: {message}");
+        }
+        // At the limit the count is allowed; the content then no longer
+        // matches the header's fingerprint.
+        let message = corrupt_message(&with_nodes(MAX_NODES));
+        assert!(message.contains("fingerprint mismatch"), "{message}");
+    }
+
+    #[test]
+    fn damaged_job_sections_are_typed_corrupt() {
+        let bytes = snapshot_bytes(&sample_trace());
+        let jobs = section_id(KIND_JOBS, 3);
+        let n = 4;
+        // Column starts in the JOBS payload; see the module docs.
+        let dispatch = 4 + n * (8 + 4 + 8);
+        let offsets = 4 + n * (8 + 4 + 8 + 8 + 8 + 4);
+        let refs = offsets + (n + 1) * 4;
+        let put = |at: usize, v: &[u8]| {
+            let v = v.to_vec();
+            edited(&bytes, jobs, move |p| {
+                p[at..at + v.len()].copy_from_slice(&v)
+            })
+        };
+        let offset = |i: usize, v: u32| put(offsets + 4 * i, &v.to_le_bytes());
+        let cases = [
+            ("offset decreases", offset(1, 6), "decrease"),
+            ("offset starts at 1", offset(0, 1), "do not start at 0"),
+            (
+                "last offset past the ids",
+                offset(n, 7),
+                "differs from the 6 node ids",
+            ),
+            (
+                "job count overflows",
+                put(0, &u32::MAX.to_le_bytes()),
+                "exceeds section size",
+            ),
+            (
+                "one job too many",
+                put(0, &5u32.to_le_bytes()),
+                "exceeds section size",
+            ),
+            (
+                "node refs overflow",
+                put(refs, &u32::MAX.to_le_bytes()),
+                "exceeds section size",
+            ),
+            (
+                "one ref too few",
+                put(refs, &5u32.to_le_bytes()),
+                "trailing bytes",
+            ),
+            (
+                "dispatch out of order",
+                put(dispatch, &i64::MAX.to_le_bytes()),
+                "not sorted by dispatch",
+            ),
+        ];
+        for (what, hostile, expected) in cases {
+            let message = corrupt_message(&hostile);
+            assert!(message.contains(expected), "{what}: {message}");
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The trace store: immutable, indexed collections of records.
 //!
-//! Failures are stored only as timestamp-sorted struct-of-arrays
-//! columns ([`crate::columns::FailureColumns`]); [`SystemTrace::failures`]
-//! decodes records from them on demand, in exactly the record order the
-//! builder established.
+//! Failures and jobs are stored only as struct-of-arrays columns
+//! ([`crate::columns::FailureColumns`], [`crate::columns::JobColumns`]);
+//! [`SystemTrace::failures`] and [`SystemTrace::jobs`] decode records
+//! from them on demand, in exactly the record order the builder
+//! established.
 
-use crate::columns::{ClassCode, FailureColumns, MaintenanceColumns};
+use crate::columns::{ClassCode, FailureColumns, JobColumns, MaintenanceColumns};
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -16,7 +17,7 @@ use std::sync::OnceLock;
 pub struct SystemTraceBuilder {
     config: SystemConfig,
     failures: Vec<FailureRecord>,
-    jobs: Vec<JobRecord>,
+    jobs: JobColumns,
     temperatures: Vec<TemperatureSample>,
     maintenance: Vec<MaintenanceRecord>,
     layout: Option<MachineLayout>,
@@ -28,7 +29,7 @@ impl SystemTraceBuilder {
         SystemTraceBuilder {
             config,
             failures: Vec::new(),
-            jobs: Vec::new(),
+            jobs: JobColumns::default(),
             temperatures: Vec::new(),
             maintenance: Vec::new(),
             layout: None,
@@ -53,10 +54,11 @@ impl SystemTraceBuilder {
         self
     }
 
-    /// Adds a job record.
+    /// Adds a job record, appending its fields to the job columns; the
+    /// record itself is dropped here.
     pub fn push_job(&mut self, record: JobRecord) -> &mut Self {
         debug_assert_eq!(record.system, self.config.id, "job from wrong system");
-        self.jobs.push(record);
+        self.jobs.push(&record);
         self
     }
 
@@ -94,7 +96,7 @@ impl SystemTraceBuilder {
             layout,
         } = self;
         failures.sort_by_key(|f| (f.time, f.node));
-        jobs.sort_by_key(|j| j.dispatch);
+        jobs.sort_by_dispatch();
         temperatures.sort_by_key(|t| t.time);
         maintenance.sort_by_key(|m| (m.time, m.node));
 
@@ -111,7 +113,7 @@ impl SystemTraceBuilder {
 pub struct SystemTrace {
     config: SystemConfig,
     columns: FailureColumns,
-    jobs: Vec<JobRecord>,
+    jobs: JobColumns,
     temperatures: Vec<TemperatureSample>,
     maintenance: Vec<MaintenanceRecord>,
     maint_columns: MaintenanceColumns,
@@ -129,7 +131,7 @@ impl SystemTrace {
     pub(crate) fn from_parts(
         config: SystemConfig,
         columns: FailureColumns,
-        jobs: Vec<JobRecord>,
+        jobs: JobColumns,
         temperatures: Vec<TemperatureSample>,
         maintenance: Vec<MaintenanceRecord>,
         layout: Option<MachineLayout>,
@@ -186,8 +188,17 @@ impl SystemTrace {
         self.columns.node_event_count(node)
     }
 
-    /// All jobs, sorted by dispatch time.
-    pub fn jobs(&self) -> &[JobRecord] {
+    /// All jobs, sorted by dispatch time, decoded from the columns as
+    /// the iterator advances (one node-list allocation per job). Only
+    /// export and tests want whole records; analysis kernels read
+    /// [`SystemTrace::job_columns`].
+    pub fn jobs(&self) -> impl ExactSizeIterator<Item = JobRecord> + '_ {
+        (0..self.jobs.len()).map(|i| self.jobs.record(i, self.config.id))
+    }
+
+    /// The columnar job log: dispatch-sorted field arrays plus CSR node
+    /// lists.
+    pub fn job_columns(&self) -> &JobColumns {
         &self.jobs
     }
 
@@ -221,7 +232,7 @@ impl SystemTrace {
     }
 
     /// Approximate heap bytes held by this system's event storage: the
-    /// failure and maintenance columns and the job, temperature and
+    /// failure, maintenance and job columns and the temperature and
     /// maintenance vectors. The timeline index (a fixed-size baseline
     /// table, one temperature aggregate per node and the lazy usage
     /// and per-user slots) and the layout are excluded — the figure
@@ -232,7 +243,7 @@ impl SystemTrace {
         }
         self.columns.resident_bytes()
             + self.maint_columns.resident_bytes()
-            + vec_bytes(&self.jobs)
+            + self.jobs.resident_bytes()
             + vec_bytes(&self.temperatures)
             + vec_bytes(&self.maintenance)
     }
@@ -306,9 +317,9 @@ impl SystemTrace {
                 builder.push_failure(f);
             }
         }
-        for j in &self.jobs {
+        for j in self.jobs() {
             if j.dispatch < end && j.end > start {
-                builder.push_job(j.clone());
+                builder.push_job(j);
             }
         }
         for t in &self.temperatures {
@@ -514,17 +525,19 @@ fn content_fingerprint(trace: &Trace) -> u64 {
             h.u64(cols.subs()[i] as u64);
             h.i64(cols.downtimes()[i]);
         }
-        h.u64(system.jobs().len() as u64);
-        for j in system.jobs() {
-            h.u64(j.job_id.raw());
-            h.u64(j.user.raw() as u64);
-            h.i64(j.submit.as_seconds());
-            h.i64(j.dispatch.as_seconds());
-            h.i64(j.end.as_seconds());
-            h.u64(j.procs as u64);
-            h.u64(j.nodes.len() as u64);
-            for n in &j.nodes {
-                h.u64(n.raw() as u64);
+        let jobs = system.job_columns();
+        h.u64(jobs.len() as u64);
+        for i in 0..jobs.len() {
+            h.u64(jobs.job_ids()[i]);
+            h.u64(jobs.users()[i] as u64);
+            h.i64(jobs.submits()[i]);
+            h.i64(jobs.dispatches()[i]);
+            h.i64(jobs.ends()[i]);
+            h.u64(jobs.procs()[i] as u64);
+            let nodes = jobs.nodes(i);
+            h.u64(nodes.len() as u64);
+            for &n in nodes {
+                h.u64(n as u64);
             }
         }
         h.u64(system.temperatures().len() as u64);
@@ -597,6 +610,31 @@ mod resident_tests {
         let one = trace.resident_bytes();
         trace.insert_system(large);
         assert!(trace.resident_bytes() > one);
+    }
+
+    #[test]
+    fn resident_bytes_count_every_job_node_reference() {
+        let with_nodes_per_job = |per_job: u32| {
+            let mut b = SystemTraceBuilder::new(tests::test_config(1, 1_000, 10.0));
+            for i in 0..10u32 {
+                b.push_job(JobRecord {
+                    system: SystemId::new(1),
+                    job_id: JobId::new(u64::from(i)),
+                    user: UserId::new(0),
+                    submit: Timestamp::from_seconds(i64::from(i)),
+                    dispatch: Timestamp::from_seconds(i64::from(i)),
+                    end: Timestamp::from_seconds(i64::from(i) + 60),
+                    procs: 4,
+                    nodes: (0..per_job).map(NodeId::new).collect(),
+                });
+            }
+            b.build().resident_bytes()
+        };
+        let (wide, narrow) = (with_nodes_per_job(1_000), with_nodes_per_job(1));
+        assert!(
+            wide - narrow >= 10 * 4 * 999,
+            "1,000-node jobs report only {wide} bytes against {narrow}"
+        );
     }
 }
 

@@ -441,7 +441,7 @@ proptest! {
             })
             .collect();
         let mut buf = Vec::new();
-        csv::write_jobs(&mut buf, &records).expect("in-memory write");
+        csv::write_jobs(&mut buf, records.clone()).expect("in-memory write");
         prop_assert_eq!(csv::read_jobs(&buf[..]).expect("parse back"), records);
     }
 
@@ -568,7 +568,7 @@ fn same_user_stats(a: &[UserStat], b: &[UserStat]) -> bool {
 /// moved into the index: per-user totals over the job log, plus each
 /// failure attributed to every job running on the failed node.
 fn user_stats_oracle(system: &SystemTrace) -> Vec<UserStat> {
-    if system.jobs().is_empty() {
+    if system.job_columns().is_empty() {
         return Vec::new();
     }
     let mut stats: BTreeMap<UserId, UserStat> = BTreeMap::new();

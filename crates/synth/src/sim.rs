@@ -813,10 +813,10 @@ mod tests {
         let sys20 = fleet.trace().system(SystemId::new(20)).unwrap();
         assert!(sys20.layout().is_some());
         assert!(!sys20.temperatures().is_empty());
-        assert!(!sys20.jobs().is_empty());
+        assert!(!sys20.job_columns().is_empty());
         let sys18 = fleet.trace().system(SystemId::new(18)).unwrap();
         assert!(sys18.temperatures().is_empty());
-        assert!(sys18.jobs().is_empty());
+        assert!(sys18.job_columns().is_empty());
         let sys2 = fleet.trace().system(SystemId::new(2)).unwrap();
         assert!(sys2.layout().is_none());
     }

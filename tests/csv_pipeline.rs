@@ -18,7 +18,7 @@ fn full_fleet_roundtrip_preserves_analyses() {
     for system in store.systems() {
         let other = loaded.system(system.id()).expect("system exists");
         assert!(other.failures().eq(system.failures()));
-        assert_eq!(other.jobs(), system.jobs());
+        assert_eq!(other.job_columns(), system.job_columns());
         assert_eq!(other.maintenance(), system.maintenance());
         assert_eq!(other.temperatures().len(), system.temperatures().len());
         assert_eq!(
