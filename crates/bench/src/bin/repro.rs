@@ -177,7 +177,17 @@ fn main() -> ExitCode {
     if let Some(fallback) = &loaded.fallback {
         eprintln!("ingest: {fallback}");
     }
-    let ctx = ReproContext::from_trace(loaded.trace, loaded.seed, source.scale);
+    let read = matches!(
+        source.input,
+        TraceInput::Csv { .. } | TraceInput::Snapshot { .. }
+    );
+    if !quiet && read && source.scale.is_none() {
+        eprintln!(
+            "scale {} inferred from the trace's node count (pass --scale to set it)",
+            loaded.scale
+        );
+    }
+    let ctx = ReproContext::from_trace(loaded.trace, loaded.seed, loaded.scale);
     if !quiet {
         eprintln!(
             "loaded {} failures across {} systems\n",

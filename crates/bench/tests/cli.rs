@@ -88,3 +88,26 @@ fn lenient_policy_degrades_with_exit_2_and_records_it() {
     assert_eq!(counters["repro.failed.fig5"], 1);
     assert!(counters["ingest.rows_ok"] > 0);
 }
+
+#[test]
+fn a_csv_trace_without_scale_is_validated_at_its_own_scale() {
+    // What `corrupt --generate --scale 0.1 --seed 42 DIR` writes.
+    let dir = std::env::temp_dir().join(format!("hpcfail-repro-scale-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create trace dir");
+    let trace = FleetSpec::lanl_scaled(0.1).generate(42).into_store();
+    save_trace(&dir, &trace).expect("save trace");
+    let inferred = hpcfail_synth::source::inferred_scale(&trace);
+    let output = repro(dir, &["validate"]);
+    assert_eq!(output.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("6 of 6 checks passed"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "scale {inferred} inferred from the trace's node count"
+        )),
+        "{stderr}"
+    );
+    assert!(inferred > 0.1 && inferred < 0.11, "{inferred}");
+}

@@ -11,6 +11,7 @@ use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One month of one system: average flux and failure probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,15 +40,24 @@ impl<'a> CosmicAnalysis<'a> {
 
     /// Monthly average neutron counts per minute, by month index.
     pub fn monthly_flux(&self) -> BTreeMap<i64, f64> {
-        let mut sums: BTreeMap<i64, (f64, u64)> = BTreeMap::new();
-        for s in self.trace.neutron_samples() {
-            let e = sums.entry(s.time.month_index()).or_insert((0.0, 0));
-            e.0 += s.counts_per_minute;
-            e.1 += 1;
-        }
-        sums.into_iter()
-            .map(|(m, (sum, n))| (m, sum / n as f64))
-            .collect()
+        self.flux_over(i64::MIN..i64::MAX).collect()
+    }
+
+    /// `(month, average counts per minute)` for every month in `months`
+    /// that has samples, in month order. The samples are sorted by
+    /// time, so each month's are adjacent, and they sum in sample
+    /// order.
+    fn flux_over(&self, months: Range<i64>) -> impl Iterator<Item = (i64, f64)> + '_ {
+        let samples = self.trace.neutron_samples();
+        let from = samples.partition_point(|s| s.time.month_index() < months.start);
+        let to = samples.partition_point(|s| s.time.month_index() < months.end);
+        let to = to.max(from);
+        samples[from..to]
+            .chunk_by(|a, b| a.time.month_index() == b.time.month_index())
+            .map(|run| {
+                let sum = run.iter().fold(0.0, |sum, s| sum + s.counts_per_minute);
+                (run[0].time.month_index(), sum / run.len() as f64)
+            })
     }
 
     /// The Figure 14 series for one system and failure class: for
@@ -56,27 +66,34 @@ impl<'a> CosmicAnalysis<'a> {
         let Some(s) = self.trace.system(system) else {
             return Vec::new();
         };
-        let flux = self.monthly_flux();
         let nodes = s.config().nodes as f64;
         if nodes == 0.0 {
             return Vec::new();
         }
         let first_month = s.config().start.month_index();
         let last_month = s.config().end.month_index(); // exclusive if partial
-                                                       // Nodes with >=1 matching failure per month.
-        let mut failing: BTreeMap<i64, std::collections::BTreeSet<NodeId>> = BTreeMap::new();
-        for (time, node) in s.failure_columns().events(ClassCode::new(class)) {
-            failing.entry(time.month_index()).or_default().insert(node);
-        }
-        (first_month..last_month)
-            .filter_map(|month| {
-                let counts = *flux.get(&month)?;
-                let k = failing.get(&month).map_or(0, |set| set.len());
-                Some(MonthlyFluxPoint {
+        let months = first_month..last_month;
+        // Each (month, node) with >=1 matching failure, once, in order.
+        let mut failing: Vec<(i64, NodeId)> = s
+            .failure_columns()
+            .events(ClassCode::new(class))
+            .map(|(time, node)| (time.month_index(), node))
+            .filter(|(month, _)| months.contains(month))
+            .collect();
+        failing.sort_unstable();
+        failing.dedup();
+        let mut failing = failing.chunk_by(|a, b| a.0 == b.0).peekable();
+        self.flux_over(months)
+            .map(|(month, counts)| {
+                while failing.next_if(|run| run[0].0 < month).is_some() {}
+                let k = failing
+                    .next_if(|run| run[0].0 == month)
+                    .map_or(0, <[_]>::len);
+                MonthlyFluxPoint {
                     month,
                     counts_per_minute: counts,
                     probability: k as f64 / nodes,
-                })
+                }
             })
             .collect()
     }

@@ -409,6 +409,41 @@ mod tests {
         assert!(err.to_string().contains("system"));
     }
 
+    #[test]
+    fn checkpoint_intervals_below_the_floor_are_refused() {
+        let uniform = |hours: &str| {
+            format!(
+                r#"{{"analysis": "checkpoint-replay", "group": "group-1", "policy": {{"kind": "uniform", "interval_hours": {hours}}}}}"#
+            )
+        };
+        let adaptive = |base: &str, flagged: &str| {
+            format!(
+                r#"{{"analysis": "checkpoint-replay", "group": "group-2", "policy": {{"kind": "adaptive", "base_hours": {base}, "flagged_hours": {flagged}, "trigger": "any", "window": "week"}}}}"#
+            )
+        };
+        let cases = |bad: &str| {
+            [
+                ("interval_hours", uniform(bad)),
+                ("base_hours", adaptive(bad, "1")),
+                ("flagged_hours", adaptive("1", bad)),
+            ]
+        };
+        for bad in ["0.001", "0", "-1", "1e999", "-1e999"] {
+            for (field, text) in cases(bad) {
+                let err = AnalysisRequest::parse(&text).expect_err(&text);
+                assert!(
+                    err.to_string().contains(&format!("field {field} must be")),
+                    "{text}: {err}"
+                );
+            }
+        }
+        // The floor itself is accepted, and replays as written.
+        for (_, text) in cases("0.01") {
+            let request = AnalysisRequest::parse(&text).expect("at the floor");
+            assert_eq!(AnalysisRequest::parse(&request.canonical()), Ok(request));
+        }
+    }
+
     /// One request per kind, in [`REQUEST_KINDS`] order.
     pub(super) fn sample_requests() -> Vec<AnalysisRequest> {
         use crate::checkpoint::CheckpointPolicy;

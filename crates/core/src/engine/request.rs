@@ -6,7 +6,7 @@
 //! / [`AnalysisRequest::from_json`]) used by `hpcfail-serve`, and the
 //! canonical wire form doubles as the result-cache key.
 
-use crate::checkpoint::CheckpointPolicy;
+use crate::checkpoint::{CheckpointPolicy, MIN_INTERVAL_HOURS};
 use crate::correlation::Scope;
 use crate::power::PowerProblem;
 use crate::predict::AlarmRule;
@@ -620,11 +620,11 @@ fn policy_from_json(json: &Json) -> Result<CheckpointPolicy, RequestError> {
     let o = as_obj(json)?;
     match str_field(o, "kind")? {
         "uniform" => Ok(CheckpointPolicy::Uniform {
-            interval_hours: f64_field(o, "interval_hours")?,
+            interval_hours: interval_field(o, "interval_hours")?,
         }),
         "adaptive" => Ok(CheckpointPolicy::Adaptive {
-            base_hours: f64_field(o, "base_hours")?,
-            flagged_hours: f64_field(o, "flagged_hours")?,
+            base_hours: interval_field(o, "base_hours")?,
+            flagged_hours: interval_field(o, "flagged_hours")?,
             rule: AlarmRule {
                 trigger: parse_field(o, "trigger")?,
                 window: parse_field(o, "window")?,
@@ -666,6 +666,18 @@ fn f64_field(o: &BTreeMap<String, Json>, key: &str) -> Result<f64, RequestError>
             .as_f64()
             .ok_or_else(|| RequestError::new(format!("field {key} must be a number"))),
         None => Err(RequestError::new(format!("missing field {key}"))),
+    }
+}
+
+/// A checkpoint interval: finite and at least [`MIN_INTERVAL_HOURS`].
+fn interval_field(o: &BTreeMap<String, Json>, key: &str) -> Result<f64, RequestError> {
+    let hours = f64_field(o, key)?;
+    if hours.is_finite() && hours >= MIN_INTERVAL_HOURS {
+        Ok(hours)
+    } else {
+        Err(RequestError::new(format!(
+            "field {key} must be a finite number of hours of at least {MIN_INTERVAL_HOURS}, got {hours}"
+        )))
     }
 }
 

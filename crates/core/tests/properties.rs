@@ -3,7 +3,9 @@
 //! algebra, alarm-rule invariants, and the checkpoint replay against
 //! its per-step scan.
 
-use hpcfail_core::checkpoint::{CheckpointOutcome, CheckpointPolicy, CheckpointSimulator};
+use hpcfail_core::checkpoint::{
+    CheckpointOutcome, CheckpointPolicy, CheckpointSimulator, MIN_INTERVAL_HOURS,
+};
 use hpcfail_core::correlation::Scope;
 use hpcfail_core::engine::Engine;
 use hpcfail_core::predict::AlarmRule;
@@ -357,8 +359,15 @@ proptest! {
 }
 
 /// Span of the checkpoint-replay traces: short enough that the
-/// per-step oracle stays cheap at the smallest checkpoint interval.
+/// per-step oracle stays cheap at the smallest checkpoint interval, and
+/// shorter than a month-long alarm window.
 const REPLAY_DAYS: i64 = 20;
+
+/// Span of the long checkpoint-replay traces: over 2^14 hours, so that
+/// runs of checkpoints cross many binades. Their failures spread over
+/// it by stretching the half-hour grid [`LONG_STRETCH`] times.
+const LONG_REPLAY_DAYS: i64 = REPLAY_DAYS * LONG_STRETCH;
+const LONG_STRETCH: i64 = 35;
 
 /// Every trigger granularity an alarm rule can name: any failure, a
 /// root cause, and a sub-cause of each namespace.
@@ -411,6 +420,12 @@ fn arb_replay_failures() -> impl Strategy<Value = Vec<ReplayFailure>> {
 }
 
 fn build_replay_system(failures: &[ReplayFailure]) -> SystemTrace {
+    build_replay_system_over(failures, REPLAY_DAYS, 1)
+}
+
+/// [`build_replay_system`] over `days`, with every failure's half-hour
+/// index multiplied by `stretch`.
+fn build_replay_system_over(failures: &[ReplayFailure], days: i64, stretch: i64) -> SystemTrace {
     let config = SystemConfig {
         id: SystemId::new(1),
         name: "replay".into(),
@@ -418,7 +433,7 @@ fn build_replay_system(failures: &[ReplayFailure]) -> SystemTrace {
         procs_per_node: 4,
         hardware: HardwareClass::Smp4Way,
         start: Timestamp::EPOCH,
-        end: Timestamp::from_seconds(REPLAY_DAYS * 86_400),
+        end: Timestamp::from_seconds(days * 86_400),
         has_layout: false,
         has_job_log: false,
         has_temperature: false,
@@ -435,7 +450,7 @@ fn build_replay_system(failures: &[ReplayFailure]) -> SystemTrace {
         ));
     };
     for &(node, half_hour, offset, root, pick, twin) in failures {
-        let sec = half_hour * 1800 + offset.unwrap_or(0);
+        let sec = half_hour * stretch * 1800 + offset.unwrap_or(0);
         push(node, sec, root, pick);
         if twin < 5 {
             push(node, sec, root + 1 + twin, pick + 1);
@@ -560,6 +575,10 @@ proptest! {
         failures in arb_replay_failures(),
         base_hours in prop::option::of(0.5f64..30.0),
         grid_base_hours in prop::sample::select(vec![0.5, 1.0, 4.0]),
+        // 0-1: the two above; 2: the interval floor; 3: `1 + 2^-k`.
+        base_pick in 0u8..4,
+        tie_exponent in 30i32..46,
+        long_span in prop::sample::select(vec![false, false, false, true]),
         flagged_hours in prop::sample::select(vec![1e-6, 0.01, 0.2, 0.4, 2.5]),
         restart_cost_hours in prop::sample::select(vec![0.0, 0.0, 0.25, 0.5, 1.0]),
         checkpoint_cost_hours in prop::sample::select(vec![0.05, 0.1, 0.3, 0.5]),
@@ -567,17 +586,36 @@ proptest! {
         // A zero restart cost resumes exactly at the failure, where the
         // strict `fh < t` edge of the alarm window decides the flag.
         // Grid intervals with a half-hour checkpoint cost put
-        // checkpoints exactly on failure times.
-        let base_hours = base_hours.unwrap_or(grid_base_hours);
-        let system = build_replay_system(&failures);
+        // checkpoints exactly on failure times. `1 + 2^-k` is worth a
+        // tie in the binade `[2^(53-k), 2^(54-k))`, which the long spans
+        // reach for k >= 39. A month-long alarm window outlasts the
+        // short span.
+        let base_hours = match base_pick {
+            0 => base_hours.unwrap_or(grid_base_hours),
+            1 => grid_base_hours,
+            2 => MIN_INTERVAL_HOURS,
+            _ => 1.0 + 2f64.powi(-tie_exponent),
+        };
+        let system = if long_span {
+            build_replay_system_over(&failures, LONG_REPLAY_DAYS, LONG_STRETCH)
+        } else {
+            build_replay_system(&failures)
+        };
         let sim = CheckpointSimulator { checkpoint_cost_hours, restart_cost_hours };
         let uniform = CheckpointPolicy::Uniform { interval_hours: base_hours };
         prop_assert!(same_outcome(
             &sim.replay_system(&system, uniform),
             &replay_system_oracle(&sim, &system, uniform),
         ));
-        for window in Window::ALL {
-            for &trigger in TRIGGERS {
+        // The oracle scans every failure at every step: over a long
+        // span, two triggers and two windows keep it cheap.
+        let (windows, triggers) = if long_span {
+            (&Window::ALL[..2], &TRIGGERS[..2])
+        } else {
+            (&Window::ALL[..], TRIGGERS)
+        };
+        for &window in windows {
+            for &trigger in triggers {
                 let policy = CheckpointPolicy::Adaptive {
                     base_hours,
                     flagged_hours,
@@ -590,6 +628,120 @@ proptest! {
                     "{:?} {:?}: {:?} != {:?}", window, trigger, got, want
                 );
             }
+        }
+    }
+}
+
+/// A first failure exactly on a checkpoint time, after a run long
+/// enough to be taken in closed form. With interval 1 h, a 0.5 h cost
+/// puts the k-th checkpoint time at `1 + 1.5k` hours (half-hour index
+/// `2 + 3k`); a cost below half an ulp of `t` leaves `t` on whole
+/// hours, so that the run's last step ends exactly where the failure
+/// comes, at `1 + k` hours.
+#[test]
+fn first_failure_on_a_checkpoint_time_after_a_long_run() {
+    let adaptive = CheckpointPolicy::Adaptive {
+        base_hours: 1.0,
+        flagged_hours: 0.25,
+        rule: AlarmRule {
+            trigger: FailureClass::Any,
+            window: Window::Day,
+        },
+    };
+    let uniform = CheckpointPolicy::Uniform {
+        interval_hours: 1.0,
+    };
+    // (checkpoint cost, half hours from one checkpoint time to the next)
+    for (checkpoint_cost_hours, half_hours) in [(0.5, 3), (1e-17, 2)] {
+        let sim = CheckpointSimulator {
+            checkpoint_cost_hours,
+            restart_cost_hours: 0.0,
+        };
+        // k = 10,922 puts the failure on 2^14 hours, a binade edge, for
+        // the first cost.
+        for k in [0, 1, 85, 86, 170, 171, 4000, 10_922, 10_923] {
+            // Node 0 fails on the k-th checkpoint time and again 10.5 h
+            // later, node 1 a second after it, node 2 half an hour
+            // after it.
+            let at = 2 + half_hours * k;
+            let failures = [
+                (0, at, None, 1, 0, 9),
+                (0, at + 21, None, 1, 0, 9),
+                (1, at, Some(1), 1, 0, 9),
+                (2, at + 1, None, 1, 0, 9),
+            ];
+            let system = build_replay_system_over(&failures, LONG_REPLAY_DAYS, 1);
+            for policy in [uniform, adaptive] {
+                assert!(
+                    same_outcome(
+                        &sim.replay_system(&system, policy),
+                        &replay_system_oracle(&sim, &system, policy)
+                    ),
+                    "cost {checkpoint_cost_hours}, k = {k}, {policy:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Every replay of a fixed policy grid on the benchmark's synthetic
+/// fleet, against the per-step oracle: dense and sparse uniform
+/// intervals, a tie interval, and adaptive policies whose alarm
+/// windows hold most of the replay's steps.
+#[test]
+fn checkpoint_replay_matches_per_step_scan_on_the_synthetic_fleet() {
+    let trace = hpcfail_synth::FleetSpec::lanl_scaled(0.05)
+        .generate(42)
+        .into_store();
+    let sim = CheckpointSimulator::typical();
+    let mut policies: Vec<CheckpointPolicy> = [0.5, 1.0, 1.0 + 2f64.powi(-40), 7.3, 24.0, 100.0]
+        .into_iter()
+        .map(|interval_hours| CheckpointPolicy::Uniform { interval_hours })
+        .collect();
+    for (base_hours, flagged_hours, trigger, window) in [
+        (3.0, 0.5, FailureClass::Any, Window::Week),
+        (
+            10.0,
+            0.5,
+            FailureClass::Root(RootCause::Hardware),
+            Window::Month,
+        ),
+        (
+            1e7,
+            0.5,
+            FailureClass::Root(RootCause::Software),
+            Window::Day,
+        ),
+        (24.0, MIN_INTERVAL_HOURS, FailureClass::Any, Window::Day),
+    ] {
+        policies.push(CheckpointPolicy::Adaptive {
+            base_hours,
+            flagged_hours,
+            rule: AlarmRule { trigger, window },
+        });
+    }
+    for group in [SystemGroup::Group1, SystemGroup::Group2] {
+        for &policy in &policies {
+            let mut want = CheckpointOutcome {
+                checkpoint_hours: 0.0,
+                lost_hours: 0.0,
+                restart_hours: 0.0,
+                total_hours: 0.0,
+                failures: 0,
+            };
+            for system in trace.group_systems(group) {
+                let o = replay_system_oracle(&sim, system, policy);
+                want.checkpoint_hours += o.checkpoint_hours;
+                want.lost_hours += o.lost_hours;
+                want.restart_hours += o.restart_hours;
+                want.total_hours += o.total_hours;
+                want.failures += o.failures;
+            }
+            let got = sim.replay_group(&trace, group, policy);
+            assert!(
+                same_outcome(&got, &want),
+                "{group:?} {policy:?}: {got:?} != {want:?}"
+            );
         }
     }
 }

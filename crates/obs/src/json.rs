@@ -8,7 +8,7 @@
 //! for the integer counters below 2^53 that manifests contain.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,9 +187,9 @@ fn write_number(out: &mut String, n: f64) {
         // JSON has no NaN/Inf; null is the conventional stand-in.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 

@@ -209,8 +209,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Err(err) => return usage_error(&err.to_string()),
     };
 
-    let (engine, seed) = if empty {
-        (None, source.seed)
+    let (engine, seed, scale) = if empty {
+        (None, source.seed, source.scale.unwrap_or(1.0))
     } else {
         let loaded = match hpcfail_synth::source::load(&source) {
             Ok(loaded) => loaded,
@@ -233,7 +233,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 );
             }
         }
-        (Some(Engine::new(loaded.trace)), loaded.seed)
+        (Some(Engine::new(loaded.trace)), loaded.seed, loaded.scale)
     };
 
     if let Some(path) = &chaos {
@@ -287,7 +287,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 
     if let Some(path) = &manifest {
         let snapshot = hpcfail_obs::snapshot();
-        let mut sink = ManifestSink::new(path, seed, source.scale, git_describe());
+        let mut sink = ManifestSink::new(path, seed, scale, git_describe());
         if let Err(err) = sink.export(&snapshot) {
             eprintln!("failed to write manifest {path:?}: {err}");
             return ExitCode::FAILURE;

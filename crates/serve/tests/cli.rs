@@ -167,3 +167,140 @@ fn read_manifest(path: &Path) -> RunManifest {
     let text = std::fs::read_to_string(path).expect("manifest written");
     RunManifest::from_json_str(&text).expect("manifest parses")
 }
+
+/// Runs `hpcfail-serve args...` to completion; fails the test unless it
+/// exits 0. Returns its stdout and stderr.
+fn serve_cli(args: &[&str]) -> (String, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
+        .args(args)
+        .output()
+        .expect("hpcfail-serve runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    );
+    assert!(output.status.success(), "{args:?}: {stdout}{stderr}");
+    (stdout, stderr)
+}
+
+/// A server child that is killed if the test fails before shutting it
+/// down.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+fn is_lower_hex(s: &str) -> bool {
+    s.bytes()
+        .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+}
+
+/// The live-telemetry path end to end: traffic from the CLI client, a
+/// traced query, `check-metrics` over the scraped exposition, one `top`
+/// frame, and an access log with one JSON object and a trace id per
+/// request, protocol errors included.
+#[test]
+fn metrics_scrape_dashboard_and_access_log_cover_live_traffic() {
+    let root = std::env::temp_dir().join(format!("hpcfail-serve-scrape-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("create temp dir");
+    let access_log = root.join("access.jsonl");
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "4"])
+            .args(["--scale", "0.05", "--seed", "42", "--access-log"])
+            .arg(&access_log)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("hpcfail-serve starts"),
+    );
+    let addr = wait_for_addr(&mut server.0);
+    let query = |extra: &[&str], body: &str| {
+        let mut args = vec!["query", "--addr", &addr];
+        args.extend_from_slice(extra);
+        args.push(body);
+        serve_cli(&args)
+    };
+
+    for _ in 0..5 {
+        query(&[], r#"{"analysis": "trace-summary"}"#);
+    }
+    query(&[], r#"{"analysis": "env-breakdown"}"#);
+    let (traced, trace_header) = query(&["--trace"], r#"{"analysis": "availability"}"#);
+    assert!(
+        trace_header.lines().any(|line| line
+            .strip_prefix("x-trace-id: ")
+            .is_some_and(|id| id.len() == 16 && is_lower_hex(id))),
+        "{trace_header}"
+    );
+    // Under no-obs the body carries the trace id but no span tree.
+    assert!(
+        traced.contains("\"trace\"") || !hpcfail_obs::ENABLED,
+        "{traced}"
+    );
+
+    // Under no-obs the per-kind series are compiled out.
+    let per_kind = [
+        r#"serve_requests_by_kind_total{kind="trace-summary"}"#,
+        r#"serve_window_latency_ns{kind="trace-summary",quantile="0.99"}"#,
+    ];
+    let mut check = vec!["check-metrics", "--addr", &addr];
+    for series in [
+        "serve_requests_total",
+        r#"serve_cache_requests_total{result="hit"}"#,
+        "serve_slo_healthy",
+        "serve_inflight",
+    ]
+    .into_iter()
+    .chain(per_kind.into_iter().filter(|_| hpcfail_obs::ENABLED))
+    {
+        check.extend(["--require", series]);
+    }
+    serve_cli(&check);
+    let (frame, _) = serve_cli(&["top", "--addr", &addr, "--frames", "1"]);
+    assert!(frame.contains("hpcfail-serve top"), "{frame}");
+    assert!(
+        frame.contains("trace-summary") || !hpcfail_obs::ENABLED,
+        "{frame}"
+    );
+
+    // A health check and a protocol error land in the access log too.
+    let client = Client::new(addr.clone());
+    assert_eq!(client.get("/v1/healthz").expect("healthz").status, 200);
+    let mut garbage = std::net::TcpStream::connect(&addr).expect("connect");
+    std::io::Write::write_all(&mut garbage, b"garbage\r\n\r\n").expect("send garbage");
+    let mut answer = String::new();
+    garbage.read_to_string(&mut answer).ok();
+    assert!(
+        answer.is_empty() || answer.starts_with("HTTP/1.1 400"),
+        "{answer}"
+    );
+    query(&[], r#"{"analysis": "trace-summary"}"#);
+
+    let shutdown = client.post("/v1/shutdown", "", &[]);
+    wait_at_most_a_minute(&mut server.0, "after /v1/shutdown");
+    let status = server.0.wait().expect("exit status");
+    let log = std::fs::read_to_string(&access_log).expect("access log written");
+    std::fs::remove_dir_all(&root).ok();
+
+    assert_eq!(shutdown.expect("shutdown answered").status, 200);
+    assert_eq!(status.code(), Some(0));
+    assert!(log.contains(r#""kind":"trace-summary""#), "{log}");
+    assert!(log.contains(r#""kind":"http-error""#), "{log}");
+    for line in log.lines() {
+        let trace_id = line
+            .split_once(r#""trace_id":""#)
+            .and_then(|(_, rest)| rest.split_once('"'))
+            .map(|(id, _)| id);
+        assert!(
+            line.starts_with('{') && line.ends_with('}') && trace_id.is_some(),
+            "{line}"
+        );
+        assert!(trace_id.is_some_and(is_lower_hex), "{line}");
+    }
+}

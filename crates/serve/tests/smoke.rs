@@ -336,6 +336,21 @@ fn malformed_traffic_gets_typed_errors_not_panics() {
         .expect("round trip");
     assert_eq!(r.status, 400);
 
+    // Out-of-range parameter: refused, not clamped.
+    let r = client
+        .post(
+            "/v1/traces/default/query",
+            r#"{"analysis": "checkpoint-replay", "group": "group1", "policy": {"kind": "uniform", "interval_hours": 0.001}}"#,
+            &[],
+        )
+        .expect("round trip");
+    assert_eq!(r.status, 400);
+    assert!(
+        r.body.contains("field interval_hours must be"),
+        "{}",
+        r.body
+    );
+
     // Batch with one bad item names the index.
     let r = client
         .post(

@@ -13,7 +13,8 @@
 //!   [`ArgError::Scale`]. Nothing clamps.
 //! - `--scale`/`--seed` beside `--trace DIR`/`--snapshot PATH` only
 //!   label the run (manifests, `repro`'s ablation seed and validate
-//!   tolerance).
+//!   tolerance). Without `--scale`, a read trace's scale is inferred
+//!   from its node count ([`inferred_scale`]).
 //! - `--scenario NAME|PATH` runs a pack with its own seed; any other
 //!   source flag beside it is [`ArgError::ScenarioConflict`].
 //! - `--snapshot` with `--trace` reads the snapshot first; an unusable
@@ -82,8 +83,8 @@ impl fmt::Display for TraceInput {
 pub struct SourceArgs {
     /// Where the trace comes from.
     pub input: TraceInput,
-    /// The fleet's scale, else `--scale` (default 1.0).
-    pub scale: f64,
+    /// The fleet's scale (default 1.0), else `--scale` if given.
+    pub scale: Option<f64>,
     /// The fleet's seed, else `--seed` (default 42).
     pub seed: u64,
 }
@@ -172,7 +173,7 @@ impl SourceFlags {
         if self.policy.is_some() && self.trace.is_none() {
             return Err(ArgError::PolicyWithoutTrace);
         }
-        let (scale, seed) = (self.scale.unwrap_or(1.0), self.seed.unwrap_or(42));
+        let seed = self.seed.unwrap_or(42);
         let policy = self.policy.unwrap_or_default();
         let input = match (self.scenario, self.snapshot, self.trace) {
             (Some(pack), snapshot, trace) => {
@@ -192,7 +193,14 @@ impl SourceFlags {
                 csv_fallback: trace.map(|dir| (dir, policy)),
             },
             (None, None, Some(dir)) => TraceInput::Csv { dir, policy },
-            (None, None, None) => TraceInput::Fleet { scale, seed },
+            (None, None, None) => TraceInput::Fleet {
+                scale: self.scale.unwrap_or(1.0),
+                seed,
+            },
+        };
+        let scale = match input {
+            TraceInput::Fleet { scale, .. } => Some(scale),
+            _ => self.scale,
         };
         Ok(SourceArgs { input, scale, seed })
     }
@@ -272,6 +280,9 @@ pub struct Loaded {
     pub trace: Trace,
     /// A generator's own seed, else the `--seed` label.
     pub seed: u64,
+    /// The scale the trace stands for: [`SourceArgs::scale`], else 1.0
+    /// for a scenario and [`inferred_scale`] for a read trace.
+    pub scale: f64,
     /// The CSV ingest report, when CSV was read.
     pub report: Option<IngestReport>,
     /// Why the snapshot was passed over for its CSV fallback.
@@ -281,7 +292,8 @@ pub struct Loaded {
 /// Generates or reads the trace `source` names. An unusable snapshot
 /// with a CSV fallback is not an error: [`Loaded::fallback`] says why.
 pub fn load(source: &SourceArgs) -> Result<Loaded, LoadError> {
-    let loaded = |trace, seed, report, fallback| Loaded {
+    let loaded = |trace: Trace, seed, report, fallback| Loaded {
+        scale: source.scale.unwrap_or_else(|| inferred_scale(&trace)),
         trace,
         seed,
         report,
@@ -289,7 +301,10 @@ pub fn load(source: &SourceArgs) -> Result<Loaded, LoadError> {
     };
     if let Some(g) = source.input.generator()? {
         let trace = g.spec.generate(g.seed).into_store();
-        return Ok(loaded(trace, g.seed, None, None));
+        return Ok(Loaded {
+            scale: source.scale.unwrap_or(1.0),
+            ..loaded(trace, g.seed, None, None)
+        });
     }
     let seed = source.seed;
     match &source.input {
@@ -308,11 +323,32 @@ pub fn load(source: &SourceArgs) -> Result<Loaded, LoadError> {
     }
 }
 
+/// The scale a trace's node count stands for against the full LANL
+/// fleet's ([`FleetSpec::lanl_scaled`] at 1.0), at most 1.0; 1.0 for a
+/// trace without nodes. A CSV directory or a snapshot does not record
+/// the scale it was generated at, and this is close to it: the scaled
+/// fleet rounds each system's nodes down and keeps a floor of a few.
+pub fn inferred_scale(trace: &Trace) -> f64 {
+    let full: u64 = FleetSpec::lanl_scaled(1.0)
+        .systems
+        .iter()
+        .map(|s| u64::from(s.nodes))
+        .sum();
+    let nodes: u64 = trace.systems().map(|s| u64::from(s.config().nodes)).sum();
+    let ratio = nodes as f64 / full as f64;
+    if ratio > 0.0 {
+        ratio.min(1.0)
+    } else {
+        1.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpcfail_store::csv::save_trace;
     use hpcfail_store::snapshot::write_snapshot;
+    use hpcfail_store::trace::SystemTraceBuilder;
     use proptest::prelude::*;
 
     /// Feeds `args` through [`SourceFlags`] the way a binary does,
@@ -329,12 +365,12 @@ mod tests {
     fn fleet(scale: f64, seed: u64) -> SourceArgs {
         SourceArgs {
             input: TraceInput::Fleet { scale, seed },
-            scale,
+            scale: Some(scale),
             seed,
         }
     }
 
-    fn loaded_from(input: TraceInput, scale: f64, seed: u64) -> SourceArgs {
+    fn loaded_from(input: TraceInput, scale: Option<f64>, seed: u64) -> SourceArgs {
         SourceArgs { input, scale, seed }
     }
 
@@ -412,15 +448,15 @@ mod tests {
             // CSV directories and policies.
             (
                 &["--trace", "d"],
-                Ok(loaded_from(csv("d", Strict), 1.0, 42)),
+                Ok(loaded_from(csv("d", Strict), None, 42)),
             ),
             (
                 &["--policy", "lenient", "--trace", "d"],
-                Ok(loaded_from(csv("d", Lenient), 1.0, 42)),
+                Ok(loaded_from(csv("d", Lenient), None, 42)),
             ),
             (
                 &["--trace", "d", "--policy", "best-effort"],
-                Ok(loaded_from(csv("d", BestEffort), 1.0, 42)),
+                Ok(loaded_from(csv("d", BestEffort), None, 42)),
             ),
             (
                 &["--policy", "loose"],
@@ -434,29 +470,29 @@ mod tests {
             // Scale and seed beside a loaded trace are run labels.
             (
                 &["--trace", "d", "--scale", "0.1", "--seed", "9"],
-                Ok(loaded_from(csv("d", Strict), 0.1, 9)),
+                Ok(loaded_from(csv("d", Strict), Some(0.1), 9)),
             ),
             (
                 &["--snapshot", "s", "--scale", "0.1", "--seed", "42"],
-                Ok(loaded_from(snapshot("s", None), 0.1, 42)),
+                Ok(loaded_from(snapshot("s", None), Some(0.1), 42)),
             ),
             // Snapshot first, the CSV directory as its fallback.
             (
                 &["--snapshot", "s"],
-                Ok(loaded_from(snapshot("s", None), 1.0, 42)),
+                Ok(loaded_from(snapshot("s", None), None, 42)),
             ),
             (
                 &["--snapshot", "s", "--trace", "d"],
-                Ok(loaded_from(snapshot("s", Some(("d", Strict))), 1.0, 42)),
+                Ok(loaded_from(snapshot("s", Some(("d", Strict))), None, 42)),
             ),
             (
                 &["--trace", "d", "--policy", "lenient", "--snapshot", "s"],
-                Ok(loaded_from(snapshot("s", Some(("d", Lenient))), 1.0, 42)),
+                Ok(loaded_from(snapshot("s", Some(("d", Lenient))), None, 42)),
             ),
             // A scenario stands alone.
             (
                 &["--scenario", "p"],
-                Ok(loaded_from(scenario("p"), 1.0, 42)),
+                Ok(loaded_from(scenario("p"), None, 42)),
             ),
             (
                 &["--scenario", "p", "--policy", "lenient"],
@@ -486,7 +522,7 @@ mod tests {
             ),
             (
                 &["--trace", "a", "--trace", "b"],
-                Ok(loaded_from(csv("b", Strict), 1.0, 42)),
+                Ok(loaded_from(csv("b", Strict), None, 42)),
             ),
         ];
         for (args, want) in cases {
@@ -592,19 +628,20 @@ mod tests {
             path: good.clone(),
             csv_fallback: Some((missing, IngestPolicy::Strict)),
         };
-        let loaded = load(&loaded_from(input, 1.0, 42)).expect("snapshot loads");
+        let loaded = load(&loaded_from(input, None, 42)).expect("snapshot loads");
         let alone = load(&loaded_from(
             TraceInput::Snapshot {
                 path: good,
                 csv_fallback: None,
             },
-            1.0,
+            None,
             42,
         ))
         .expect("snapshot loads alone");
         std::fs::remove_dir_all(&root).ok();
 
         assert_eq!(loaded.trace.fingerprint(), fingerprint);
+        assert_eq!(loaded.scale, inferred_scale(&loaded.trace));
         assert!(loaded.report.is_none() && loaded.fallback.is_none());
         assert_eq!(alone.trace.fingerprint(), fingerprint);
     }
@@ -620,7 +657,7 @@ mod tests {
                 path: bad.clone(),
                 csv_fallback: None,
             },
-            1.0,
+            None,
             42,
         ));
         let both_bad = load(&loaded_from(
@@ -628,7 +665,7 @@ mod tests {
                 path: bad,
                 csv_fallback: Some((missing.clone(), IngestPolicy::Strict)),
             },
-            1.0,
+            None,
             42,
         ));
         let csv = load(&loaded_from(
@@ -636,11 +673,11 @@ mod tests {
                 dir: missing.clone(),
                 policy: IngestPolicy::Lenient,
             },
-            1.0,
+            None,
             42,
         ));
         let pack = missing.join("pack.json").to_string_lossy().into_owned();
-        let scenario = load(&loaded_from(TraceInput::Scenario { pack }, 1.0, 42));
+        let scenario = load(&loaded_from(TraceInput::Scenario { pack }, None, 42));
         std::fs::remove_dir_all(&root).ok();
 
         assert!(matches!(snapshot, Err(LoadError::Snapshot(..))));
@@ -673,6 +710,7 @@ mod tests {
 
         assert_eq!(generator.label, "scenario=tiny");
         assert_eq!((generator.seed, loaded.seed), (5, 5));
+        assert_eq!(loaded.scale, 1.0);
         assert_eq!(
             loaded.trace.fingerprint(),
             generator.spec.generate(5).into_store().fingerprint()
@@ -688,6 +726,24 @@ mod tests {
             .generator()
             .expect("no IO")
             .is_none());
+    }
+
+    #[test]
+    fn a_read_trace_without_scale_gets_its_node_count_scale() {
+        for scale in [1.0, 0.5, 0.1, 0.05] {
+            // The systems alone: the inference reads node counts only.
+            let mut trace = Trace::new();
+            for spec in &FleetSpec::lanl_scaled(scale).systems {
+                trace.insert_system(SystemTraceBuilder::new(spec.to_config()).build());
+            }
+            let inferred = inferred_scale(&trace);
+            // The scaled fleet rounds nodes down but keeps a floor.
+            assert!(
+                inferred >= scale * 0.99 && inferred <= scale * 1.1,
+                "{scale}: {inferred}"
+            );
+        }
+        assert_eq!(inferred_scale(&Trace::new()), 1.0);
     }
 
     /// Source flags and values that exercise every rule, mixed with
@@ -731,12 +787,12 @@ mod tests {
                 .collect();
             match parse(&argv) {
                 Ok(source) => {
-                    prop_assert!(source.scale > 0.0 && source.scale <= 1.0, "{:?}", argv);
+                    prop_assert!(source.scale.is_none_or(|s| s > 0.0 && s <= 1.0), "{:?}", argv);
                     if let TraceInput::Fleet { scale, seed } = source.input {
-                        prop_assert_eq!((scale, seed), (source.scale, source.seed));
+                        prop_assert_eq!((Some(scale), seed), (source.scale, source.seed));
                     }
                     if let TraceInput::Scenario { .. } = source.input {
-                        prop_assert_eq!((source.scale, source.seed), (1.0, 42));
+                        prop_assert_eq!((source.scale, source.seed), (None, 42));
                     }
                 }
                 Err(err) => prop_assert!(!err.to_string().is_empty()),
