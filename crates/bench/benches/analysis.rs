@@ -10,6 +10,7 @@ use hpcfail_core::predict::AlarmRule;
 use hpcfail_core::regression_study::StudyFamily;
 use hpcfail_stats::glm::{fit_negative_binomial, Family, GlmModel};
 use hpcfail_store::csv;
+use hpcfail_store::ingest::{read_failures_with, IngestPolicy};
 use hpcfail_store::query::{covered_window_starts, BaselineEstimator};
 use hpcfail_store::trace::Trace;
 use hpcfail_synth::spec::FleetSpec;
@@ -163,7 +164,9 @@ fn bench_csv(c: &mut Criterion) {
     let mut encoded = Vec::new();
     csv::write_failures(&mut encoded, system.failures()).expect("in-memory write");
     c.bench_function("csv_read_failures", |b| {
-        b.iter(|| csv::read_failures(&encoded[..]).expect("parse"))
+        b.iter(|| {
+            read_failures_with(&encoded[..], "failures.csv", IngestPolicy::Strict).expect("parse")
+        })
     });
 }
 

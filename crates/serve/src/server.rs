@@ -845,17 +845,9 @@ fn parse_csv_upload(request: &Request, name: &str) -> Result<(Trace, Json), Box<
         ("quarantined", Json::Num(read.quarantined.len() as f64)),
         ("defaulted_fields", Json::Num(read.defaulted_fields as f64)),
         ("duplicates", Json::Num(read.duplicates as f64)),
-        ("policy", Json::Str(policy_label(policy).to_owned())),
+        ("policy", Json::Str(policy.label().to_owned())),
     ]);
     Ok((assemble_trace(read.records, &[]), ingest))
-}
-
-fn policy_label(policy: IngestPolicy) -> &'static str {
-    match policy {
-        IngestPolicy::Strict => "strict",
-        IngestPolicy::Lenient => "lenient",
-        IngestPolicy::BestEffort => "best-effort",
-    }
 }
 
 fn handle_query(

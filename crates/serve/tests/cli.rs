@@ -171,16 +171,23 @@ fn read_manifest(path: &Path) -> RunManifest {
 /// Runs `hpcfail-serve args...` to completion; fails the test unless it
 /// exits 0. Returns its stdout and stderr.
 fn serve_cli(args: &[&str]) -> (String, String) {
+    let (ok, stdout, stderr) = serve_cli_status(args);
+    assert!(ok, "{args:?}: {stdout}{stderr}");
+    (stdout, stderr)
+}
+
+/// Runs `hpcfail-serve args...` to completion. Returns whether it
+/// exited 0, its stdout and its stderr.
+fn serve_cli_status(args: &[&str]) -> (bool, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
         .args(args)
         .output()
         .expect("hpcfail-serve runs");
-    let (stdout, stderr) = (
+    (
+        output.status.success(),
         String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
-    );
-    assert!(output.status.success(), "{args:?}: {stdout}{stderr}");
-    (stdout, stderr)
+    )
 }
 
 /// A server child that is killed if the test fails before shutting it
@@ -302,5 +309,159 @@ fn metrics_scrape_dashboard_and_access_log_cover_live_traffic() {
             "{line}"
         );
         assert!(trace_id.is_some_and(is_lower_hex), "{line}");
+    }
+}
+
+/// Boots `hpcfail-serve serve` with `args` and waits for its address.
+fn boot(args: &[&str]) -> (Server, String) {
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("hpcfail-serve starts"),
+    );
+    let addr = wait_for_addr(&mut server.0);
+    (server, addr)
+}
+
+/// Stops a server through `/v1/shutdown` and returns its exit code.
+fn shut_down(mut server: Server, addr: &str) -> Option<i32> {
+    let shutdown = Client::new(addr).post("/v1/shutdown", "", &[]);
+    assert_eq!(shutdown.expect("shutdown answered").status, 200);
+    wait_at_most_a_minute(&mut server.0, "after /v1/shutdown");
+    server.0.wait().expect("exit status").code()
+}
+
+/// The multi-trace registry end to end through the CLI: CSV and
+/// snapshot uploads into an empty server, the same bytes as a server
+/// booted from that snapshot, typed 404s for unversioned paths and
+/// evicted traces, the registry series, and the shutdown manifest.
+#[test]
+fn registry_uploads_queries_evictions_and_manifest_through_the_cli() {
+    let root = std::env::temp_dir().join(format!("hpcfail-serve-registry-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("create temp dir");
+    let snapshot = root.join("fleet.hpcsnap");
+    write_snapshot(&snapshot, &FleetSpec::demo().generate(42).into_store())
+        .expect("write snapshot");
+    let snapshot = snapshot.to_str().expect("utf-8 path");
+    let sample = "System,NodeNum,Prob Started,Prob Fixed,Cause,SubCause\n\
+                  20,0,10/23/2003 14:55,10/23/2003 18:20,Hardware,Memory Dimm\n\
+                  20,17,11/02/2003 03:10,,Facilities,Power Outage\n\
+                  2,5,01/15/1997 09:00,01/15/1997 10:30,Human Error,\n";
+    let csv = root.join("lanl.csv");
+    std::fs::write(&csv, sample).expect("write csv");
+    let csv = csv.to_str().expect("utf-8 path");
+    // The same rows plus one that is not UTF-8.
+    let dirty = root.join("dirty.csv");
+    let mut bytes = sample.as_bytes().to_vec();
+    bytes.extend_from_slice(b"20,3,11/05/2003 08:00,,Hard\xFFware,\n");
+    std::fs::write(&dirty, bytes).expect("write dirty csv");
+    let dirty = dirty.to_str().expect("utf-8 path");
+    let manifest = root.join("registry-manifest.json");
+    let manifest_arg = manifest.to_str().expect("utf-8 path");
+
+    let (server, addr) = boot(&["--empty", "--manifest", manifest_arg]);
+    let client = Client::new(addr.clone());
+    let health = client.get("/v1/healthz").expect("healthz");
+    assert!(health.body.contains(r#""traces": 0"#), "{}", health.body);
+
+    let upload = |name: &str, source: &[&str]| {
+        let mut args = vec!["upload", "--addr", &addr, "--name", name];
+        args.extend_from_slice(source);
+        serve_cli(&args).0
+    };
+    let strict = upload("lanl-sample", &["--csv", csv, "--policy", "strict"]);
+    assert!(strict.contains(r#""rows_ok": 3"#), "{strict}");
+    assert!(strict.contains(r#""source": "csv""#), "{strict}");
+    // The default policy is lenient: the bad row costs only itself.
+    let lenient = upload("lenient-sample", &["--csv", dirty]);
+    assert!(lenient.contains(r#""rows_ok": 3"#), "{lenient}");
+    assert!(lenient.contains(r#""quarantined": 1"#), "{lenient}");
+    let uploaded = upload("fleet", &["--snapshot", snapshot]);
+    assert!(uploaded.contains(r#""source": "snapshot""#), "{uploaded}");
+    let (traces, _) = serve_cli(&["traces", "--addr", &addr]);
+    for name in ["lanl-sample", "lenient-sample", "fleet"] {
+        assert!(traces.contains(&format!(r#""name": "{name}""#)), "{traces}");
+    }
+
+    let (direct, direct_addr) = boot(&["--snapshot", snapshot]);
+    for kind in ["trace-summary", "env-breakdown", "availability"] {
+        let body = format!(r#"{{"analysis": "{kind}"}}"#);
+        let (from_upload, _) =
+            serve_cli(&["query", "--addr", &addr, "--trace-name", "fleet", &body]);
+        let (from_boot, _) = serve_cli(&["query", "--addr", &direct_addr, &body]);
+        assert_eq!(from_upload, from_boot, "{kind}");
+    }
+    assert_eq!(shut_down(direct, &direct_addr), Some(0));
+    let summary = r#"{"analysis": "trace-summary"}"#;
+    let (lanl, _) = serve_cli(&[
+        "query",
+        "--addr",
+        &addr,
+        "--trace-name",
+        "lanl-sample",
+        summary,
+    ]);
+    assert!(lanl.contains(r#""fingerprint""#), "{lanl}");
+
+    assert_eq!(client.get("/healthz").expect("unversioned").status, 404);
+    let health = client.get("/v1/healthz").expect("healthz");
+    assert!(health.header("x-api-deprecated").is_none());
+
+    let evict = ["evict", "--addr", &addr, "--name", "lanl-sample"];
+    assert!(serve_cli(&evict).0.contains(r#""evicted""#));
+    let (ok, again, _) = serve_cli_status(&evict);
+    assert!(!ok && again.contains(r#""error""#), "{again}");
+    let (ok, gone, _) = serve_cli_status(&[
+        "query",
+        "--addr",
+        &addr,
+        "--trace-name",
+        "lanl-sample",
+        summary,
+    ]);
+    assert!(!ok && gone.contains("no trace named"), "{gone}");
+
+    // Under no-obs the registry series are compiled out.
+    let mut check = vec![
+        "check-metrics",
+        "--addr",
+        &addr,
+        "--require",
+        "serve_requests_total",
+    ];
+    if hpcfail_obs::ENABLED {
+        for series in [
+            "serve_registry_traces",
+            "serve_registry_resident_bytes",
+            "serve_registry_uploads_total",
+            r#"serve_trace_requests_total{trace="fleet"}"#,
+        ] {
+            check.extend(["--require", series]);
+        }
+    }
+    serve_cli(&check);
+
+    assert_eq!(shut_down(server, &addr), Some(0));
+    let written = read_manifest(&manifest);
+    std::fs::remove_dir_all(&root).ok();
+    if hpcfail_obs::ENABLED {
+        let counters = &written.snapshot.counters;
+        assert_eq!(
+            counters.get("serve.registry.uploads"),
+            Some(&3),
+            "{counters:?}"
+        );
+        assert_eq!(
+            counters.get("serve.registry.removals"),
+            Some(&1),
+            "{counters:?}"
+        );
+        let gauges = &written.snapshot.gauges;
+        assert!(gauges.contains_key("serve.registry.traces"), "{gauges:?}");
     }
 }

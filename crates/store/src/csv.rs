@@ -16,12 +16,15 @@
 //!
 //! Sub-causes are namespaced (`HW:CPU`, `SW:DST`, `ENV:UPS`, `-`).
 //! All timestamps are integer seconds since the trace epoch.
+//!
+//! This module holds the writers and the per-line parsers. Files are
+//! read by [`crate::ingest`]'s `read_*_with` functions, which run these
+//! parsers in the one shared read loop under an ingestion policy.
 
 use crate::trace::{SystemTrace, Trace};
 use hpcfail_types::prelude::*;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Expected header lines, shared by writers and readers. A reader
@@ -44,12 +47,6 @@ pub mod headers {
     /// `systems.csv` header.
     pub const SYSTEMS: &str =
         "id,name,nodes,procs_per_node,hardware,start,end,has_layout,has_job_log,has_temperature";
-}
-
-/// True for lines a reader should skip: blank lines anywhere, and the
-/// expected header on line 1 (`idx` is the 0-based line index).
-fn skip_line(line: &str, idx: usize, header: &str) -> bool {
-    line.is_empty() || (idx == 0 && line == header)
 }
 
 /// Errors from CSV reading or writing.
@@ -272,25 +269,6 @@ pub(crate) fn parse_failure_line(
     Ok((record, defaulted))
 }
 
-/// Reads failure records written by [`write_failures`].
-///
-/// # Errors
-///
-/// I/O failures and malformed lines.
-pub fn read_failures<R: Read>(r: R) -> Result<Vec<FailureRecord>, CsvError> {
-    let mut out = Vec::new();
-    for (idx, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        if skip_line(&line, idx, headers::FAILURES) {
-            continue;
-        }
-        let (record, _) = parse_failure_line(&line, idx + 1, false)?;
-        out.push(record);
-    }
-    hpcfail_obs::counter("store.csv_rows_read").add(out.len() as u64);
-    Ok(out)
-}
-
 /// Writes job records.
 ///
 /// # Errors
@@ -317,24 +295,6 @@ pub fn write_jobs<W: Write>(
         )?;
     }
     Ok(())
-}
-
-/// Reads job records written by [`write_jobs`].
-///
-/// # Errors
-///
-/// I/O failures and malformed lines.
-pub fn read_jobs<R: Read>(r: R) -> Result<Vec<JobRecord>, CsvError> {
-    let mut out = Vec::new();
-    for (idx, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        if skip_line(&line, idx, headers::JOBS) {
-            continue;
-        }
-        out.push(parse_job_line(&line, idx + 1)?);
-    }
-    hpcfail_obs::counter("store.csv_rows_read").add(out.len() as u64);
-    Ok(out)
 }
 
 /// Parses one `jobs.csv` data line.
@@ -391,24 +351,6 @@ pub fn write_temperatures<W: Write>(
     Ok(())
 }
 
-/// Reads temperature samples written by [`write_temperatures`].
-///
-/// # Errors
-///
-/// I/O failures and malformed lines.
-pub fn read_temperatures<R: Read>(r: R) -> Result<Vec<TemperatureSample>, CsvError> {
-    let mut out = Vec::new();
-    for (idx, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        if skip_line(&line, idx, headers::TEMPERATURES) {
-            continue;
-        }
-        out.push(parse_temperature_line(&line, idx + 1)?);
-    }
-    hpcfail_obs::counter("store.csv_rows_read").add(out.len() as u64);
-    Ok(out)
-}
-
 /// Parses one `temperatures.csv` data line.
 pub(crate) fn parse_temperature_line(
     line: &str,
@@ -447,24 +389,6 @@ pub fn write_maintenance<W: Write>(
     Ok(())
 }
 
-/// Reads maintenance records written by [`write_maintenance`].
-///
-/// # Errors
-///
-/// I/O failures and malformed lines.
-pub fn read_maintenance<R: Read>(r: R) -> Result<Vec<MaintenanceRecord>, CsvError> {
-    let mut out = Vec::new();
-    for (idx, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        if skip_line(&line, idx, headers::MAINTENANCE) {
-            continue;
-        }
-        out.push(parse_maintenance_line(&line, idx + 1)?);
-    }
-    hpcfail_obs::counter("store.csv_rows_read").add(out.len() as u64);
-    Ok(out)
-}
-
 /// Parses one `maintenance.csv` data line.
 pub(crate) fn parse_maintenance_line(
     line: &str,
@@ -496,24 +420,6 @@ pub fn write_neutron<W: Write>(mut w: W, samples: &[NeutronSample]) -> Result<()
         writeln!(w, "{},{}", s.time.as_seconds(), s.counts_per_minute)?;
     }
     Ok(())
-}
-
-/// Reads neutron-monitor samples written by [`write_neutron`].
-///
-/// # Errors
-///
-/// I/O failures and malformed lines.
-pub fn read_neutron<R: Read>(r: R) -> Result<Vec<NeutronSample>, CsvError> {
-    let mut out = Vec::new();
-    for (idx, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        if skip_line(&line, idx, headers::NEUTRON) {
-            continue;
-        }
-        out.push(parse_neutron_line(&line, idx + 1)?);
-    }
-    hpcfail_obs::counter("store.csv_rows_read").add(out.len() as u64);
-    Ok(out)
 }
 
 /// Parses one `neutron.csv` data line.
@@ -549,28 +455,6 @@ pub fn write_layout<W: Write>(
         )?;
     }
     Ok(())
-}
-
-/// Reads layouts written by [`write_layout`] (possibly several systems
-/// concatenated), keyed by system id.
-///
-/// # Errors
-///
-/// I/O failures and malformed lines.
-pub fn read_layouts<R: Read>(r: R) -> Result<BTreeMap<SystemId, MachineLayout>, CsvError> {
-    let mut out: BTreeMap<SystemId, MachineLayout> = BTreeMap::new();
-    for (idx, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        // Concatenated per-system sections repeat the header mid-file;
-        // skip it wherever it appears, but only on exact match so a
-        // data-bearing first line is never dropped.
-        if line.is_empty() || line == headers::LAYOUT {
-            continue;
-        }
-        let (system, node, loc) = parse_layout_line(&line, idx + 1)?;
-        out.entry(system).or_default().place(node, loc);
-    }
-    Ok(out)
 }
 
 /// Parses one `layout.csv` data line into its placement triple.
@@ -621,23 +505,6 @@ pub fn write_system_configs<W: Write>(mut w: W, configs: &[SystemConfig]) -> Res
         )?;
     }
     Ok(())
-}
-
-/// Reads system configurations written by [`write_system_configs`].
-///
-/// # Errors
-///
-/// I/O failures and malformed lines.
-pub fn read_system_configs<R: Read>(r: R) -> Result<Vec<SystemConfig>, CsvError> {
-    let mut out = Vec::new();
-    for (idx, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        if skip_line(&line, idx, headers::SYSTEMS) {
-            continue;
-        }
-        out.push(parse_system_line(&line, idx + 1)?);
-    }
-    Ok(out)
 }
 
 /// Parses one `systems.csv` data line.
@@ -803,6 +670,21 @@ pub fn system_to_csv_strings(system: &SystemTrace) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::IngestPolicy::Strict;
+    use crate::ingest::{
+        read_failures_with, read_jobs_with, read_layout_rows_with, read_maintenance_with,
+        read_neutron_with, read_system_configs_with, read_temperatures_with,
+    };
+    use std::collections::BTreeMap;
+
+    fn layouts(bytes: &[u8]) -> BTreeMap<SystemId, MachineLayout> {
+        let mut out: BTreeMap<SystemId, MachineLayout> = BTreeMap::new();
+        let rows = read_layout_rows_with(bytes, "layout.csv", Strict).unwrap();
+        for (system, node, loc) in rows.records {
+            out.entry(system).or_default().place(node, loc);
+        }
+        out
+    }
 
     fn sample_failures() -> Vec<FailureRecord> {
         vec![
@@ -836,7 +718,9 @@ mod tests {
         let records = sample_failures();
         let mut buf = Vec::new();
         write_failures(&mut buf, records.iter().copied()).unwrap();
-        let parsed = read_failures(&buf[..]).unwrap();
+        let parsed = read_failures_with(&buf[..], "failures.csv", Strict)
+            .unwrap()
+            .records;
         assert_eq!(parsed, records);
     }
 
@@ -848,7 +732,12 @@ mod tests {
         write_failures(&mut buf, records.iter().copied()).unwrap();
         let body = String::from_utf8(buf).unwrap();
         let headerless = body.split_once('\n').unwrap().1;
-        assert_eq!(read_failures(headerless.as_bytes()).unwrap(), records);
+        assert_eq!(
+            read_failures_with(headerless.as_bytes(), "failures.csv", Strict)
+                .unwrap()
+                .records,
+            records
+        );
 
         let jobs = vec![JobRecord {
             system: SystemId::new(8),
@@ -864,15 +753,20 @@ mod tests {
         write_jobs(&mut buf, jobs.clone()).unwrap();
         let body = String::from_utf8(buf).unwrap();
         let headerless = body.split_once('\n').unwrap().1;
-        assert_eq!(read_jobs(headerless.as_bytes()).unwrap(), jobs);
+        assert_eq!(
+            read_jobs_with(headerless.as_bytes(), "jobs.csv", Strict)
+                .unwrap()
+                .records,
+            jobs
+        );
     }
 
     #[test]
     fn malformed_header_is_a_parse_error_at_line_1() {
         // Neither the expected header nor parseable data.
         let csv = "node,system,time\n20,0,10,HW,-,\n";
-        let err = read_failures(csv.as_bytes()).unwrap_err();
-        assert!(matches!(err, CsvError::Parse { line: 1, .. }), "{err}");
+        let err = read_failures_with(csv.as_bytes(), "failures.csv", Strict).unwrap_err();
+        assert!(err.to_string().contains("parse error at line 1:"), "{err}");
     }
 
     #[test]
@@ -880,8 +774,8 @@ mod tests {
         // A jobs header atop failure data means a mixed-up export;
         // surface it instead of silently dropping a line.
         let csv = format!("{}\n20,0,10,HW,-,\n", super::headers::JOBS);
-        let err = read_failures(csv.as_bytes()).unwrap_err();
-        assert!(matches!(err, CsvError::Parse { line: 1, .. }), "{err}");
+        let err = read_failures_with(csv.as_bytes(), "failures.csv", Strict).unwrap_err();
+        assert!(err.to_string().contains("parse error at line 1:"), "{err}");
     }
 
     #[test]
@@ -904,7 +798,7 @@ mod tests {
         let mut buf = Vec::new();
         write_layout(&mut buf, SystemId::new(1), &a).unwrap();
         write_layout(&mut buf, SystemId::new(2), &b).unwrap();
-        let parsed = read_layouts(&buf[..]).unwrap();
+        let parsed = layouts(&buf);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[&SystemId::new(1)], a);
         assert_eq!(parsed[&SystemId::new(2)], b);
@@ -913,21 +807,21 @@ mod tests {
     #[test]
     fn failures_reject_bad_root_cause() {
         let csv = "system,node,time,root_cause,sub_cause,downtime\n20,0,10,BOGUS,-,\n";
-        let err = read_failures(csv.as_bytes()).unwrap_err();
-        assert!(matches!(err, CsvError::Parse { line: 2, .. }), "{err}");
+        let err = read_failures_with(csv.as_bytes(), "failures.csv", Strict).unwrap_err();
+        assert!(err.to_string().contains("parse error at line 2:"), "{err}");
     }
 
     #[test]
     fn failures_reject_inconsistent_subcause() {
         let csv = "system,node,time,root_cause,sub_cause,downtime\n20,0,10,NET,HW:CPU,\n";
-        let err = read_failures(csv.as_bytes()).unwrap_err();
+        let err = read_failures_with(csv.as_bytes(), "failures.csv", Strict).unwrap_err();
         assert!(err.to_string().contains("inconsistent"));
     }
 
     #[test]
     fn failures_reject_wrong_field_count() {
         let csv = "system,node,time,root_cause,sub_cause,downtime\n20,0,10,HW\n";
-        let err = read_failures(csv.as_bytes()).unwrap_err();
+        let err = read_failures_with(csv.as_bytes(), "failures.csv", Strict).unwrap_err();
         assert!(err.to_string().contains("expected 6 fields"));
     }
 
@@ -945,7 +839,12 @@ mod tests {
         }];
         let mut buf = Vec::new();
         write_jobs(&mut buf, jobs.clone()).unwrap();
-        assert_eq!(read_jobs(&buf[..]).unwrap(), jobs);
+        assert_eq!(
+            read_jobs_with(&buf[..], "jobs.csv", Strict)
+                .unwrap()
+                .records,
+            jobs
+        );
     }
 
     #[test]
@@ -958,7 +857,12 @@ mod tests {
         }];
         let mut buf = Vec::new();
         write_temperatures(&mut buf, &temps).unwrap();
-        assert_eq!(read_temperatures(&buf[..]).unwrap(), temps);
+        assert_eq!(
+            read_temperatures_with(&buf[..], "temperatures.csv", Strict)
+                .unwrap()
+                .records,
+            temps
+        );
 
         let neutron = vec![NeutronSample {
             time: Timestamp::from_seconds(1),
@@ -966,7 +870,12 @@ mod tests {
         }];
         let mut buf = Vec::new();
         write_neutron(&mut buf, &neutron).unwrap();
-        assert_eq!(read_neutron(&buf[..]).unwrap(), neutron);
+        assert_eq!(
+            read_neutron_with(&buf[..], "neutron.csv", Strict)
+                .unwrap()
+                .records,
+            neutron
+        );
     }
 
     #[test]
@@ -980,7 +889,12 @@ mod tests {
         }];
         let mut buf = Vec::new();
         write_maintenance(&mut buf, &records).unwrap();
-        assert_eq!(read_maintenance(&buf[..]).unwrap(), records);
+        assert_eq!(
+            read_maintenance_with(&buf[..], "maintenance.csv", Strict)
+                .unwrap()
+                .records,
+            records
+        );
     }
 
     #[test]
@@ -999,7 +913,7 @@ mod tests {
         }
         let mut buf = Vec::new();
         write_layout(&mut buf, SystemId::new(18), &layout).unwrap();
-        let parsed = read_layouts(&buf[..]).unwrap();
+        let parsed = layouts(&buf);
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[&SystemId::new(18)], layout);
     }
@@ -1020,7 +934,12 @@ mod tests {
         }];
         let mut buf = Vec::new();
         write_system_configs(&mut buf, &configs).unwrap();
-        assert_eq!(read_system_configs(&buf[..]).unwrap(), configs);
+        assert_eq!(
+            read_system_configs_with(&buf[..], "system_configs.csv", Strict)
+                .unwrap()
+                .records,
+            configs
+        );
     }
 
     #[test]

@@ -32,9 +32,7 @@ use crate::features::{
     compute_temperature, compute_usage, compute_user_stats, NodeUsage, TemperatureAggregate,
     UserStat,
 };
-use crate::query::{
-    covered_window_starts, record_scan, windows_per_node, NodeEvents, WindowCounts,
-};
+use crate::query::{covered_window_starts, record_scan, windows_per_node, WindowCounts};
 use crate::trace::SystemTrace;
 use hpcfail_types::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -175,14 +173,29 @@ fn lazy_slot<V>(slot: &OnceLock<Arc<V>>, build: impl FnOnce() -> V) -> Arc<V> {
 }
 
 impl SystemTrace {
-    /// [`NodeEvents::failure_days`] of this trace.
+    /// Sorted, deduplicated day indices (relative to the observation
+    /// start) on which `node` had a failure of `class`, gathered from
+    /// its column postings (already in time order).
     pub fn indexed_failure_days(&self, node: NodeId, class: FailureClass) -> Vec<i64> {
-        NodeEvents::new(self).failure_days(node, class)
+        let mut days = Vec::new();
+        let (scanned, matched) =
+            self.failure_columns()
+                .collect_node_days(node, ClassCode::new(class), &mut days);
+        record_scan(scanned as u64, matched as u64);
+        days.dedup();
+        days
     }
 
-    /// [`NodeEvents::unscheduled_hw_maintenance_days`] of this trace.
+    /// Sorted, deduplicated day indices on which `node` had unscheduled
+    /// hardware maintenance.
     pub fn indexed_maintenance_days(&self, node: NodeId) -> Vec<i64> {
-        NodeEvents::new(self).unscheduled_hw_maintenance_days(node)
+        let mut days = Vec::new();
+        let (scanned, matched) = self
+            .maintenance_columns()
+            .collect_unsched_hw_days(node, &mut days);
+        record_scan(scanned as u64, matched as u64);
+        days.dedup();
+        days
     }
 
     /// The system-pooled baseline probability of a `class` failure in a
@@ -329,27 +342,6 @@ mod tests {
                 est.maintenance_probability(window),
             );
         }
-    }
-
-    #[test]
-    fn indexed_day_vectors_match_direct_scan() {
-        let t = build_sample();
-        let events = NodeEvents::new(&t);
-        for node in t.nodes() {
-            assert_eq!(
-                t.indexed_failure_days(node, FailureClass::Any),
-                events.failure_days(node, FailureClass::Any),
-            );
-            assert_eq!(
-                t.indexed_maintenance_days(node),
-                events.unscheduled_hw_maintenance_days(node),
-            );
-        }
-        assert_eq!(
-            t.indexed_failure_days(NodeId::new(0), FailureClass::Any),
-            [10]
-        );
-        assert_eq!(t.indexed_maintenance_days(NodeId::new(1)), [30]);
     }
 
     #[test]

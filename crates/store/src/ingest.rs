@@ -3,12 +3,12 @@
 //!
 //! Real failure logs are messy — LANL's release carries unknown root
 //! causes, missing repair times and the occasional torn or re-encoded
-//! line. The strict readers in [`crate::csv`] abort a nine-year load on
-//! the first malformed byte; this module adds two recovery policies on
-//! top of the same per-line parsers:
+//! line. Every CSV reader, the LANL importer's included, runs its
+//! per-line parser through one read loop here, under one of three
+//! policies:
 //!
-//! - [`IngestPolicy::Strict`] — today's fail-fast behavior, now with
-//!   the offending file name attached to every error.
+//! - [`IngestPolicy::Strict`] — fail fast on the first malformed line,
+//!   with the offending file name attached to the error.
 //! - [`IngestPolicy::Lenient`] — malformed lines are set aside in a
 //!   [`QuarantinedLine`] (file, 1-based line, reason, raw bytes) and
 //!   the load continues. Consecutive exact duplicates are dropped.
@@ -201,7 +201,7 @@ pub struct FileRead<T> {
 }
 
 impl<T> FileRead<T> {
-    pub(crate) fn quarantine(&mut self, file: &str, line: usize, message: String, raw: &[u8]) {
+    fn quarantine(&mut self, file: &str, line: usize, message: String, raw: &[u8]) {
         let mut snippet = String::from_utf8_lossy(raw).into_owned();
         if snippet.len() > RAW_SNIPPET_BYTES {
             let mut cut = RAW_SNIPPET_BYTES;
@@ -219,14 +219,85 @@ impl<T> FileRead<T> {
     }
 }
 
-/// The shared reading engine: raw byte lines (so invalid UTF-8 is a
-/// per-line problem, not a stream abort), header skipping, and
-/// policy-driven error handling around a per-line parser.
-fn read_records<R, T, F>(
-    r: R,
+/// Raw byte lines of one CSV input: one `read_until` per line into a
+/// reused buffer, so invalid UTF-8 is a per-line problem, not a stream
+/// abort. The line ending (`\n` or `\r\n`) is dropped and lines are
+/// numbered from 1.
+pub(crate) struct RawLines<R> {
+    reader: BufReader<R>,
+    buf: Vec<u8>,
+    lineno: usize,
+}
+
+impl<R: Read> RawLines<R> {
+    pub(crate) fn new(r: R) -> Self {
+        RawLines {
+            reader: BufReader::new(r),
+            buf: Vec::new(),
+            lineno: 0,
+        }
+    }
+
+    /// Reads the next line; `false` at the end of the input.
+    pub(crate) fn advance(&mut self, file: &str) -> Result<bool, CsvError> {
+        self.buf.clear();
+        let n = self
+            .reader
+            .read_until(b'\n', &mut self.buf)
+            .map_err(|e| CsvError::from(e).in_file(file))?;
+        if n == 0 {
+            return Ok(false);
+        }
+        self.lineno += 1;
+        if self.buf.last() == Some(&b'\n') {
+            self.buf.pop();
+            if self.buf.last() == Some(&b'\r') {
+                self.buf.pop();
+            }
+        }
+        Ok(true)
+    }
+
+    /// The current line as text, or a parse error naming its number.
+    pub(crate) fn text(&self) -> Result<&str, CsvError> {
+        std::str::from_utf8(&self.buf).map_err(|_| CsvError::Parse {
+            line: self.lineno,
+            message: "invalid UTF-8".into(),
+        })
+    }
+}
+
+/// Which lines [`read_records`] skips as a header.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Header<'a> {
+    /// This exact text on line 1 only, so a headerless file keeps its
+    /// first record.
+    Line1(&'a str),
+    /// This exact text wherever it appears (concatenated per-system
+    /// sections repeat it).
+    Anywhere(&'a str),
+    /// None: the caller already read and interpreted the header.
+    Consumed,
+}
+
+impl Header<'_> {
+    fn skips(self, line: &str, lineno: usize) -> bool {
+        match self {
+            Header::Line1(h) => lineno == 1 && line == h,
+            Header::Anywhere(h) => line == h,
+            Header::Consumed => false,
+        }
+    }
+}
+
+/// The one CSV read loop, shared by every reader: blank-line and header
+/// skipping, then policy-driven error handling around a per-line
+/// parser. A line is blank only when it is empty once its line ending
+/// is dropped; a whitespace-only line is data, so it fails to parse.
+pub(crate) fn read_records<R, T, F>(
+    mut lines: RawLines<R>,
     file: &str,
-    header: &str,
-    header_anywhere: bool,
+    header: Header<'_>,
     policy: IngestPolicy,
     mut parse: F,
 ) -> Result<FileRead<T>, CsvError>
@@ -235,48 +306,21 @@ where
     T: PartialEq,
     F: FnMut(&str, usize, bool) -> Result<(T, u32), CsvError>,
 {
-    let mut reader = BufReader::new(r);
     let mut out = FileRead {
         records: Vec::new(),
         quarantined: Vec::new(),
         defaulted_fields: 0,
         duplicates: 0,
     };
-    let mut buf: Vec<u8> = Vec::new();
-    let mut lineno = 0usize;
-    loop {
-        buf.clear();
-        let n = reader
-            .read_until(b'\n', &mut buf)
-            .map_err(|e| CsvError::from(e).in_file(file))?;
-        if n == 0 {
-            break;
-        }
-        lineno += 1;
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            if policy.recovers() {
-                out.quarantine(file, lineno, "invalid UTF-8".into(), &buf);
-                continue;
-            }
-            return Err(CsvError::Parse {
-                line: lineno,
-                message: "invalid UTF-8".into(),
-            }
-            .in_file(file));
+    while lines.advance(file)? {
+        let lineno = lines.lineno;
+        let parsed = match lines.text() {
+            Ok("") => continue,
+            Ok(line) if header.skips(line, lineno) => continue,
+            Ok(line) => parse(line, lineno, policy.relaxed()),
+            Err(e) => Err(e),
         };
-        if line.is_empty() {
-            continue;
-        }
-        if line == header && (lineno == 1 || header_anywhere) {
-            continue;
-        }
-        match parse(line, lineno, policy.relaxed()) {
+        match parsed {
             Ok((record, defaulted)) => {
                 out.defaulted_fields += u64::from(defaulted);
                 if out.records.last() == Some(&record) {
@@ -295,7 +339,7 @@ where
                     CsvError::Parse { message, .. } => message.clone(),
                     other => other.to_string(),
                 };
-                out.quarantine(file, lineno, message, &buf);
+                out.quarantine(file, lineno, message, &lines.buf);
             }
         }
     }
@@ -316,10 +360,9 @@ pub fn read_failures_with<R: Read>(
     policy: IngestPolicy,
 ) -> Result<FileRead<FailureRecord>, CsvError> {
     read_records(
-        r,
+        RawLines::new(r),
         file,
-        headers::FAILURES,
-        false,
+        Header::Line1(headers::FAILURES),
         policy,
         csv::parse_failure_line,
     )
@@ -335,9 +378,13 @@ pub fn read_jobs_with<R: Read>(
     file: &str,
     policy: IngestPolicy,
 ) -> Result<FileRead<JobRecord>, CsvError> {
-    read_records(r, file, headers::JOBS, false, policy, |l, n, _| {
-        csv::parse_job_line(l, n).map(|r| (r, 0))
-    })
+    read_records(
+        RawLines::new(r),
+        file,
+        Header::Line1(headers::JOBS),
+        policy,
+        |l, n, _| csv::parse_job_line(l, n).map(|r| (r, 0)),
+    )
 }
 
 /// Reads `temperatures.csv` under the given policy.
@@ -350,9 +397,13 @@ pub fn read_temperatures_with<R: Read>(
     file: &str,
     policy: IngestPolicy,
 ) -> Result<FileRead<TemperatureSample>, CsvError> {
-    read_records(r, file, headers::TEMPERATURES, false, policy, |l, n, _| {
-        csv::parse_temperature_line(l, n).map(|r| (r, 0))
-    })
+    read_records(
+        RawLines::new(r),
+        file,
+        Header::Line1(headers::TEMPERATURES),
+        policy,
+        |l, n, _| csv::parse_temperature_line(l, n).map(|r| (r, 0)),
+    )
 }
 
 /// Reads `maintenance.csv` under the given policy.
@@ -365,9 +416,13 @@ pub fn read_maintenance_with<R: Read>(
     file: &str,
     policy: IngestPolicy,
 ) -> Result<FileRead<MaintenanceRecord>, CsvError> {
-    read_records(r, file, headers::MAINTENANCE, false, policy, |l, n, _| {
-        csv::parse_maintenance_line(l, n).map(|r| (r, 0))
-    })
+    read_records(
+        RawLines::new(r),
+        file,
+        Header::Line1(headers::MAINTENANCE),
+        policy,
+        |l, n, _| csv::parse_maintenance_line(l, n).map(|r| (r, 0)),
+    )
 }
 
 /// Reads `neutron.csv` under the given policy.
@@ -380,9 +435,13 @@ pub fn read_neutron_with<R: Read>(
     file: &str,
     policy: IngestPolicy,
 ) -> Result<FileRead<NeutronSample>, CsvError> {
-    read_records(r, file, headers::NEUTRON, false, policy, |l, n, _| {
-        csv::parse_neutron_line(l, n).map(|r| (r, 0))
-    })
+    read_records(
+        RawLines::new(r),
+        file,
+        Header::Line1(headers::NEUTRON),
+        policy,
+        |l, n, _| csv::parse_neutron_line(l, n).map(|r| (r, 0)),
+    )
 }
 
 /// Reads `systems.csv` under the given policy.
@@ -395,9 +454,13 @@ pub fn read_system_configs_with<R: Read>(
     file: &str,
     policy: IngestPolicy,
 ) -> Result<FileRead<SystemConfig>, CsvError> {
-    read_records(r, file, headers::SYSTEMS, false, policy, |l, n, _| {
-        csv::parse_system_line(l, n).map(|r| (r, 0))
-    })
+    read_records(
+        RawLines::new(r),
+        file,
+        Header::Line1(headers::SYSTEMS),
+        policy,
+        |l, n, _| csv::parse_system_line(l, n).map(|r| (r, 0)),
+    )
 }
 
 /// Reads `layout.csv` placement rows under the given policy. The header
@@ -412,9 +475,13 @@ pub fn read_layout_rows_with<R: Read>(
     file: &str,
     policy: IngestPolicy,
 ) -> Result<FileRead<(SystemId, NodeId, NodeLocation)>, CsvError> {
-    read_records(r, file, headers::LAYOUT, true, policy, |l, n, _| {
-        csv::parse_layout_line(l, n).map(|r| (r, 0))
-    })
+    read_records(
+        RawLines::new(r),
+        file,
+        Header::Anywhere(headers::LAYOUT),
+        policy,
+        |l, n, _| csv::parse_layout_line(l, n).map(|r| (r, 0)),
+    )
 }
 
 /// Decides whether a record belongs to a known system and (when `node`
@@ -717,12 +784,11 @@ mod tests {
 
     #[test]
     fn clean_input_agrees_with_strict_reader() {
-        let strict = csv::read_failures(CLEAN.as_bytes()).unwrap();
-        for policy in [
-            IngestPolicy::Strict,
-            IngestPolicy::Lenient,
-            IngestPolicy::BestEffort,
-        ] {
+        let strict = read_failures_with(CLEAN.as_bytes(), "failures.csv", IngestPolicy::Strict)
+            .unwrap()
+            .records;
+        assert_eq!(strict.len(), 3);
+        for policy in [IngestPolicy::Lenient, IngestPolicy::BestEffort] {
             let read = read_failures_with(CLEAN.as_bytes(), "failures.csv", policy).unwrap();
             assert_eq!(read.records, strict, "{policy}");
             assert!(read.quarantined.is_empty(), "{policy}");

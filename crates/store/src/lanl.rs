@@ -25,9 +25,9 @@
 //! (default 1996-01-01, the start of the LANL observation period).
 
 use crate::csv::CsvError;
-use crate::ingest::{FileRead, IngestPolicy};
+use crate::ingest::{read_records, FileRead, Header, IngestPolicy, RawLines};
 use hpcfail_types::prelude::*;
-use std::io::{BufRead, BufReader, Read};
+use std::io::Read;
 
 /// Importer options: the epoch that maps calendar time onto trace time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,26 +301,13 @@ impl LanlLayout {
     }
 }
 
-/// Reads CFDR-style LANL failure records.
+/// Reads CFDR-style LANL failure records under an ingestion policy.
 ///
-/// Rows with unknown root causes or malformed timestamps are rejected
-/// with their line number; blank lines are skipped.
-///
-/// # Errors
-///
-/// I/O failures and malformed rows.
-pub fn read_lanl_failures<R: Read>(
-    r: R,
-    options: LanlImportOptions,
-) -> Result<Vec<FailureRecord>, CsvError> {
-    let read = read_lanl_failures_with(r, "lanl.csv", options, IngestPolicy::Strict)?;
-    Ok(read.records)
-}
-
-/// Reads CFDR-style LANL failure records under an ingestion policy,
-/// routing malformed rows through the same quarantine/audit machinery
-/// as the native readers ([`crate::ingest`]): under
-/// [`IngestPolicy::Lenient`] bad rows are set aside as
+/// Line 1 is the header and names the columns. It and every data row
+/// go through the same read loop as the native readers
+/// ([`crate::ingest`]), so blank lines are skipped and every error
+/// names `file`. Under [`IngestPolicy::Lenient`] bad rows, invalid
+/// UTF-8 included, are set aside as
 /// [`QuarantinedLine`](crate::ingest::QuarantinedLine)s and consecutive
 /// exact duplicates dropped; under [`IngestPolicy::BestEffort`] unknown
 /// root causes default to `Undetermined` and malformed repair
@@ -328,7 +315,7 @@ pub fn read_lanl_failures<R: Read>(
 ///
 /// # Errors
 ///
-/// I/O failures and a missing/defective header row always; per-row
+/// I/O failures and a missing or defective header row always; per-row
 /// parse failures only under [`IngestPolicy::Strict`].
 pub fn read_lanl_failures_with<R: Read>(
     r: R,
@@ -336,71 +323,25 @@ pub fn read_lanl_failures_with<R: Read>(
     options: LanlImportOptions,
     policy: IngestPolicy,
 ) -> Result<FileRead<FailureRecord>, CsvError> {
-    let mut lines = BufReader::new(r).lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| CsvError::Parse {
-        line: 1,
-        message: "empty file".into(),
-    })?;
-    let layout = LanlLayout::from_header(&header?, options)?;
-    let relaxed = matches!(policy, IngestPolicy::BestEffort);
-
-    let mut out = FileRead {
-        records: Vec::new(),
-        quarantined: Vec::new(),
-        defaulted_fields: 0,
-        duplicates: 0,
-    };
-    for (idx, line) in lines {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut lines = RawLines::new(r);
+    if !lines.advance(file)? {
+        return Err(CsvError::Parse {
+            line: 1,
+            message: "empty file".into(),
         }
-        let lineno = idx + 1;
-        match layout.parse_line(&line, lineno, relaxed) {
-            Ok((record, defaulted)) => {
-                out.defaulted_fields += u64::from(defaulted);
-                if out.records.last() == Some(&record) {
-                    out.duplicates += 1;
-                    if policy.recovers() {
-                        continue;
-                    }
-                }
-                out.records.push(record);
-            }
-            Err(e) => {
-                if !policy.recovers() {
-                    return Err(e);
-                }
-                let message = match &e {
-                    CsvError::Parse { message, .. } => message.clone(),
-                    other => other.to_string(),
-                };
-                out.quarantine(file, lineno, message, line.as_bytes());
-            }
-        }
+        .in_file(file));
     }
-    hpcfail_obs::counter("store.lanl_rows_read").add(out.records.len() as u64);
-    hpcfail_obs::counter("ingest.rows_ok").add(out.records.len() as u64);
-    hpcfail_obs::counter("ingest.quarantined").add(out.quarantined.len() as u64);
-    hpcfail_obs::counter("ingest.defaulted").add(out.defaulted_fields);
-    Ok(out)
-}
-
-/// Reads CFDR-style LANL failure records from a file, attaching the
-/// path to any error so "line 12" names which CSV it came from.
-///
-/// # Errors
-///
-/// Same as [`read_lanl_failures`], wrapped in
-/// [`CsvError::InFile`].
-pub fn read_lanl_failures_from_path<P: AsRef<std::path::Path>>(
-    path: P,
-    options: LanlImportOptions,
-) -> Result<Vec<FailureRecord>, CsvError> {
-    let path = path.as_ref();
-    let file_label = path.display().to_string();
-    let file = std::fs::File::open(path).map_err(|e| CsvError::from(e).in_file(&*file_label))?;
-    read_lanl_failures(file, options).map_err(|e| e.in_file(file_label))
+    let layout = lines
+        .text()
+        .and_then(|header| LanlLayout::from_header(header, options))
+        .map_err(|e| e.in_file(file))?;
+    read_records(
+        lines,
+        file,
+        Header::Consumed,
+        policy,
+        |line, lineno, relaxed| layout.parse_line(line, lineno, relaxed),
+    )
 }
 
 /// Assembles imported failure records into a [`Trace`](crate::trace::Trace), inferring a
@@ -476,6 +417,13 @@ pub fn assemble_trace(records: Vec<FailureRecord>, numa_systems: &[u16]) -> crat
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The records of a strict read with the default epoch.
+    fn strict(csv: &str) -> Result<Vec<FailureRecord>, CsvError> {
+        let options = LanlImportOptions::default();
+        read_lanl_failures_with(csv.as_bytes(), "lanl.csv", options, IngestPolicy::Strict)
+            .map(|read| read.records)
+    }
 
     #[test]
     fn civil_date_reference_points() {
@@ -564,7 +512,7 @@ System,NodeNum,Prob Started,Prob Fixed,Cause,SubCause
 
     #[test]
     fn sample_rows_imported() {
-        let records = read_lanl_failures(SAMPLE.as_bytes(), LanlImportOptions::default()).unwrap();
+        let records = strict(SAMPLE).unwrap();
         assert_eq!(records.len(), 3);
 
         let r0 = &records[0];
@@ -604,7 +552,7 @@ System,NodeNum,Prob Started,Prob Fixed,Cause,SubCause
 cause,prob started,system,nodenum
 Software,05/05/2000 12:00,8,3
 ";
-        let records = read_lanl_failures(csv.as_bytes(), LanlImportOptions::default()).unwrap();
+        let records = strict(csv).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].system, SystemId::new(8));
         assert_eq!(records[0].root_cause, RootCause::Software);
@@ -613,7 +561,7 @@ Software,05/05/2000 12:00,8,3
     #[test]
     fn missing_column_reported() {
         let csv = "system,nodenum\n1,2\n";
-        let err = read_lanl_failures(csv.as_bytes(), LanlImportOptions::default()).unwrap_err();
+        let err = strict(csv).unwrap_err();
         assert!(err.to_string().contains("missing column"), "{err}");
     }
 
@@ -623,14 +571,14 @@ Software,05/05/2000 12:00,8,3
 system,nodenum,prob started,cause
 20,0,10/23/2003 14:55,Gremlins
 ";
-        let err = read_lanl_failures(csv.as_bytes(), LanlImportOptions::default()).unwrap_err();
+        let err = strict(csv).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
         assert!(err.to_string().contains("Gremlins"), "{err}");
     }
 
     #[test]
     fn assemble_infers_configs() {
-        let records = read_lanl_failures(SAMPLE.as_bytes(), LanlImportOptions::default()).unwrap();
+        let records = strict(SAMPLE).unwrap();
         let trace = assemble_trace(records, &[2]);
         assert_eq!(trace.len(), 2);
         let sys20 = trace.system(SystemId::new(20)).unwrap();
@@ -658,7 +606,7 @@ system,nodenum,prob started,cause
 9,5000,11/02/2003 03:10,Software
 9,1000,11/03/2003 08:00,Hardware
 ";
-        let records = read_lanl_failures(csv.as_bytes(), LanlImportOptions::default()).unwrap();
+        let records = strict(csv).unwrap();
         let trace = assemble_trace(records, &[]);
         let sys = trace.system(SystemId::new(9)).unwrap();
         assert_eq!(sys.config().nodes, 2);
@@ -690,8 +638,10 @@ System,NodeNum,Prob Started,Prob Fixed,Cause,SubCause
         assert_eq!(read.quarantined[0].file, "upload.csv");
         assert!(read.quarantined[1].message.contains("Gremlins"));
 
-        // Strict matches the historical reader: first bad row is fatal.
-        let err = read_lanl_failures(csv.as_bytes(), LanlImportOptions::default()).unwrap_err();
+        // Under Strict the first bad row is fatal, and the error names
+        // the file.
+        let err = strict(csv).unwrap_err();
+        assert!(err.to_string().starts_with("lanl.csv: "), "{err}");
         assert!(err.to_string().contains("line 3"), "{err}");
     }
 
@@ -733,8 +683,7 @@ System,NodeNum,Prob Started,Cause
         .unwrap();
         assert_eq!(lenient.records.len(), 2);
         assert_eq!(lenient.duplicates, 1);
-        let strict = read_lanl_failures(csv.as_bytes(), LanlImportOptions::default()).unwrap();
-        assert_eq!(strict.len(), 3, "strict keeps today's behavior");
+        assert_eq!(strict(csv).unwrap().len(), 3, "strict keeps every copy");
     }
 
     #[test]
@@ -743,13 +692,83 @@ System,NodeNum,Prob Started,Cause
 system,nodenum,prob started,cause
 1,0,01/02/2000 00:00,Hardware
 ";
-        let records = read_lanl_failures(
+        let read = read_lanl_failures_with(
             csv.as_bytes(),
+            "lanl.csv",
             LanlImportOptions {
                 epoch: (2000, 1, 1),
             },
+            IngestPolicy::Strict,
         )
         .unwrap();
-        assert_eq!(records[0].time, Timestamp::from_days(1.0));
+        assert_eq!(read.records[0].time, Timestamp::from_days(1.0));
+    }
+
+    /// A row that is not UTF-8 costs that row only: quarantined under
+    /// the recovering policies, a typed parse error naming the file and
+    /// the line under Strict.
+    #[test]
+    fn invalid_utf8_row_is_quarantined_or_a_typed_error() {
+        let mut body = SAMPLE.as_bytes().to_vec();
+        body.extend_from_slice(b"20,3,11/05/2003 08:00,,Hard\xFF\xFEware,\n");
+        body.extend_from_slice(b"20,4,11/06/2003 08:00,,Software,OS\n");
+        let options = LanlImportOptions::default();
+        for policy in [IngestPolicy::Lenient, IngestPolicy::BestEffort] {
+            let read = read_lanl_failures_with(&body[..], "up.csv", options, policy).unwrap();
+            assert_eq!(read.records.len(), 4, "{policy}");
+            assert_eq!(read.quarantined.len(), 1, "{policy}");
+            assert_eq!(read.quarantined[0].line, 5, "{policy}");
+            assert_eq!(read.quarantined[0].message, "invalid UTF-8", "{policy}");
+        }
+        let err = read_lanl_failures_with(&body[..], "up.csv", options, IngestPolicy::Strict)
+            .unwrap_err();
+        match err {
+            CsvError::InFile { file, source } => {
+                assert_eq!(file, "up.csv");
+                assert!(
+                    matches!(*source, CsvError::Parse { line: 5, ref message } if message == "invalid UTF-8"),
+                    "{source}"
+                );
+            }
+            other => panic!("expected a file-qualified parse error, got {other}"),
+        }
+    }
+
+    /// The header is read by the same loop: a non-UTF-8 or empty one is
+    /// refused under every policy, naming the file and line 1.
+    #[test]
+    fn defective_header_is_refused_under_every_policy() {
+        let options = LanlImportOptions::default();
+        for policy in [
+            IngestPolicy::Strict,
+            IngestPolicy::Lenient,
+            IngestPolicy::BestEffort,
+        ] {
+            for body in [&b"System,Node\xFFNum,Cause\n1,2,Hardware\n"[..], b""] {
+                let err = read_lanl_failures_with(body, "up.csv", options, policy).unwrap_err();
+                let text = err.to_string();
+                assert!(text.starts_with("up.csv: parse error at line 1:"), "{text}");
+            }
+        }
+    }
+
+    /// Empty lines are skipped; a whitespace-only line is data, as in
+    /// the native readers.
+    #[test]
+    fn blank_lines_skip_and_whitespace_lines_are_data() {
+        let blank = format!("{SAMPLE}\n\r\n");
+        assert_eq!(strict(&blank).unwrap().len(), 3);
+        let spaces = format!("{SAMPLE}   \n");
+        let err = strict(&spaces).unwrap_err();
+        assert!(err.to_string().contains("line 5"), "{err}");
+        let read = read_lanl_failures_with(
+            spaces.as_bytes(),
+            "lanl.csv",
+            LanlImportOptions::default(),
+            IngestPolicy::Lenient,
+        )
+        .unwrap();
+        assert_eq!(read.records.len(), 3);
+        assert_eq!(read.quarantined.len(), 1);
     }
 }

@@ -14,9 +14,11 @@
 //! - [`features`] — derived per-node features (utilization, job counts,
 //!   temperature aggregates) and per-user failure exposure feeding the
 //!   paper's regressions.
-//! - [`csv`] — the toolkit's native CSV schema (ingest and export).
-//! - [`ingest`] — policy-driven loading (strict / lenient / best-effort)
-//!   with per-line quarantine and a cross-record data-quality audit.
+//! - [`csv`] — the toolkit's native CSV schema (writers and per-line
+//!   parsers).
+//! - [`ingest`] — the one CSV read loop, policy-driven loading (strict /
+//!   lenient / best-effort) with per-line quarantine, and a
+//!   cross-record data-quality audit.
 //! - [`lanl`] — importer for CFDR-style LANL failure records
 //!   (`MM/DD/YYYY HH:MM` timestamps, `Facilities`/`Human Error` cause
 //!   labels).
@@ -70,11 +72,13 @@ pub mod trace;
 /// offsets, per-node aggregates) whether or not any record names the
 /// node, so a declared count is a size the loader must bound before it
 /// allocates. Snapshot decode refuses a larger total as
-/// [`SnapshotError::Corrupt`](snapshot::SnapshotError::Corrupt), and
-/// CSV ingest refuses it as a parse error. 65,536 is the compute-node
-/// count of the largest Blue Gene/L; LANL's largest system has 1,024
-/// nodes and its whole fleet about 4,750.
-pub const MAX_NODES: u32 = 1 << 16;
+/// [`SnapshotError::Corrupt`](snapshot::SnapshotError::Corrupt), CSV
+/// ingest refuses it as a parse error, and a scenario pack that
+/// declares more is refused when it is parsed. 131,072 is the first
+/// power of two that holds every shipped scenario pack (`fleet-100k`
+/// declares 100,352 nodes); LANL's largest system has 1,024 nodes and
+/// its whole fleet about 4,750.
+pub const MAX_NODES: u32 = 1 << 17;
 
 /// The most frequently used items.
 pub mod prelude {
@@ -84,7 +88,7 @@ pub mod prelude {
     pub use crate::ingest::{
         load_trace_with, DataQualityReport, IngestPolicy, IngestReport, QuarantinedLine,
     };
-    pub use crate::query::{BaselineEstimator, NodeEvents};
+    pub use crate::query::BaselineEstimator;
     pub use crate::snapshot::{read_snapshot, write_snapshot, SnapshotError};
     pub use crate::trace::{SystemTrace, SystemTraceBuilder, Trace};
 }

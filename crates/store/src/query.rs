@@ -40,61 +40,6 @@ impl WindowCounts {
     }
 }
 
-/// Per-node event views over one system trace.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeEvents<'a> {
-    system: &'a SystemTrace,
-}
-
-impl<'a> NodeEvents<'a> {
-    /// Creates a view over `system`.
-    pub fn new(system: &'a SystemTrace) -> Self {
-        NodeEvents { system }
-    }
-
-    /// Sorted, deduplicated day indices (relative to the observation
-    /// start) on which `node` had a failure of `class`.
-    ///
-    /// Reads the precomputed day column through the per-node postings
-    /// index — no row structs are materialized and no per-event day
-    /// arithmetic runs.
-    pub fn failure_days(&self, node: NodeId, class: FailureClass) -> Vec<i64> {
-        let mut days = Vec::new();
-        let (scanned, matched) =
-            self.system
-                .failure_columns()
-                .collect_node_days(node, ClassCode::new(class), &mut days);
-        record_scan(scanned as u64, matched as u64);
-        // The gather is already non-decreasing; this is a dedup pass.
-        sorted_unique_days(days)
-    }
-
-    /// Sorted, deduplicated day indices on which `node` had unscheduled
-    /// hardware maintenance.
-    pub fn unscheduled_hw_maintenance_days(&self, node: NodeId) -> Vec<i64> {
-        let mut days = Vec::new();
-        let (scanned, matched) = self
-            .system
-            .maintenance_columns()
-            .collect_unsched_hw_days(node, &mut days);
-        record_scan(scanned as u64, matched as u64);
-        sorted_unique_days(days)
-    }
-}
-
-/// Sorts and deduplicates a day vector, establishing the sorted-unique
-/// contract that [`covered_window_starts`] requires.
-///
-/// The per-node iterators of [`SystemTrace`] yield events in time order
-/// (the builder sorts by `(time, node)`), so the input is normally
-/// already sorted and the sort is a near-linear verification pass — but
-/// the contract must not depend on the iteration source.
-pub fn sorted_unique_days(mut days: Vec<i64>) -> Vec<i64> {
-    days.sort_unstable();
-    days.dedup();
-    days
-}
-
 /// Windows per node for a given observation length:
 /// `observation_days - window_days + 1`, clamped at zero.
 pub(crate) fn windows_per_node(observation_days: i64, window: Window) -> u64 {
@@ -235,9 +180,8 @@ impl<'a> BaselineEstimator<'a> {
         class: FailureClass,
         window: Window,
     ) -> WindowCounts {
-        let events = NodeEvents::new(self.system);
         let total_days = self.system.config().observation_days();
-        let days = events.failure_days(node, class);
+        let days = self.system.indexed_failure_days(node, class);
         WindowCounts {
             hits: covered_window_starts(&days, total_days, window.days()),
             total: windows_per_node(total_days, window),
@@ -410,17 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_unique_days_handles_out_of_order_input() {
-        // Out-of-order iteration with duplicates — the shape a non-builder
-        // source (or a future index change) could feed the day pipeline.
-        assert_eq!(
-            sorted_unique_days(vec![9, 3, 3, 7, 1, 9, 1]),
-            vec![1, 3, 7, 9]
-        );
-        assert_eq!(sorted_unique_days(Vec::new()), Vec::<i64>::new());
-    }
-
-    #[test]
     fn failure_days_sorted_unique_from_out_of_order_pushes() {
         // Records pushed far out of time order; both day paths must come
         // back sorted and deduplicated regardless.
@@ -443,10 +376,9 @@ mod tests {
             scheduled: false,
         });
         let t = b.build();
-        let events = NodeEvents::new(&t);
-        let days = events.failure_days(NodeId::new(0), FailureClass::Any);
+        let days = t.indexed_failure_days(NodeId::new(0), FailureClass::Any);
         assert_eq!(days, vec![10, 30, 50]);
-        let maint = events.unscheduled_hw_maintenance_days(NodeId::new(0));
+        let maint = t.indexed_maintenance_days(NodeId::new(0));
         assert_eq!(maint, vec![20, 40]);
     }
 

@@ -2,11 +2,12 @@
 //! must never panic, lenient reads must never fail on parse errors, and
 //! strict and lenient must agree on clean input.
 
-use hpcfail_store::csv::{self, headers};
+use hpcfail_store::csv::{headers, CsvError};
 use hpcfail_store::ingest::{
     read_failures_with, read_jobs_with, read_layout_rows_with, read_maintenance_with,
     read_neutron_with, read_system_configs_with, read_temperatures_with, IngestPolicy,
 };
+use hpcfail_store::lanl::{read_lanl_failures_with, LanlImportOptions};
 use proptest::prelude::*;
 
 /// Biases raw fuzz bytes toward CSV-looking content (digits, commas,
@@ -29,6 +30,20 @@ fn mutate_failures(line: usize, junk: &[u8]) -> Vec<u8> {
         "{}\n20,0,1000,HW,HW:CPU,3600\n20,5,2000,ENV,ENV:UPS,\n20,7,3000,UNDET,-,\n",
         headers::FAILURES
     );
+    mutate_line(&clean, line, junk)
+}
+
+/// A clean LANL export with one line replaced by arbitrary bytes.
+fn mutate_lanl(line: usize, junk: &[u8]) -> Vec<u8> {
+    let clean = "System,NodeNum,Prob Started,Prob Fixed,Cause,SubCause\n\
+                 20,0,10/23/2003 14:55,10/23/2003 18:20,Hardware,Memory Dimm\n\
+                 20,17,11/02/2003 03:10,,Facilities,Power Outage\n\
+                 2,5,01/15/1997 09:00,01/15/1997 10:30,Human Error,\n";
+    mutate_line(clean, line, junk)
+}
+
+/// `clean` with its 0-based line `line` replaced by `junk`.
+fn mutate_line(clean: &str, line: usize, junk: &[u8]) -> Vec<u8> {
     let mut lines: Vec<Vec<u8>> = clean
         .trim_end()
         .split('\n')
@@ -62,13 +77,19 @@ proptest! {
         prop_assert!(read_layout_rows_with(&bytes[..], "l", IngestPolicy::Lenient).is_ok());
         prop_assert!(read_failures_with(&bytes[..], "f", IngestPolicy::BestEffort).is_ok());
         // Strict may reject, but must return an error, not panic.
-        let _ = csv::read_failures(&bytes[..]);
-        let _ = csv::read_jobs(&bytes[..]);
-        let _ = csv::read_temperatures(&bytes[..]);
-        let _ = csv::read_maintenance(&bytes[..]);
-        let _ = csv::read_neutron(&bytes[..]);
-        let _ = csv::read_system_configs(&bytes[..]);
-        let _ = csv::read_layouts(&bytes[..]);
+        let strict = IngestPolicy::Strict;
+        let _ = read_failures_with(&bytes[..], "f", strict);
+        let _ = read_jobs_with(&bytes[..], "j", strict);
+        let _ = read_temperatures_with(&bytes[..], "t", strict);
+        let _ = read_maintenance_with(&bytes[..], "m", strict);
+        let _ = read_neutron_with(&bytes[..], "n", strict);
+        let _ = read_system_configs_with(&bytes[..], "s", strict);
+        let _ = read_layout_rows_with(&bytes[..], "l", strict);
+        // Line 1 of a LANL export is its header, which every policy
+        // refuses when it is defective.
+        for policy in [strict, IngestPolicy::Lenient, IngestPolicy::BestEffort] {
+            let _ = read_lanl_failures_with(&bytes[..], "u", LanlImportOptions::default(), policy);
+        }
     }
 
     #[test]
@@ -84,7 +105,41 @@ proptest! {
         // at least two of the three data lines are untouched.
         prop_assert!(lenient.quarantined.len() <= 1);
         prop_assert!(lenient.records.len() >= 2);
-        let _ = csv::read_failures(&bytes[..]);
+        let _ = read_failures_with(&bytes[..], "failures.csv", IngestPolicy::Strict);
+    }
+
+    /// The LANL importer keeps the same contract with arbitrary bytes,
+    /// invalid UTF-8 included, on one data row: the recovering policies
+    /// never fail and lose at most that row; Strict fails only with a
+    /// parse error that names the file and that row.
+    #[test]
+    fn lenient_lanl_reads_never_fail_on_one_bad_row(
+        line in 1usize..4,
+        junk in prop::collection::vec(0u8..=255, 0..60),
+    ) {
+        let bytes = mutate_lanl(line, &junk);
+        let options = LanlImportOptions::default();
+        for policy in [IngestPolicy::Lenient, IngestPolicy::BestEffort] {
+            let read = read_lanl_failures_with(&bytes[..], "up.csv", options, policy);
+            prop_assert!(read.is_ok(), "{}: {:?}", policy, read.err());
+            let read = read.unwrap();
+            prop_assert!(read.quarantined.len() <= 1);
+            prop_assert!(read.records.len() >= 2);
+            for q in &read.quarantined {
+                prop_assert_eq!(q.line, line + 1);
+                prop_assert_eq!(q.file.as_str(), "up.csv");
+            }
+        }
+        if let Err(err) =
+            read_lanl_failures_with(&bytes[..], "up.csv", options, IngestPolicy::Strict)
+        {
+            let CsvError::InFile { file, source } = err else {
+                return Err(TestCaseError::fail(format!("no file named: {err}")));
+            };
+            prop_assert_eq!(file, "up.csv");
+            let is_row_parse_error = matches!(*source, CsvError::Parse { line: l, .. } if l == line + 1);
+            prop_assert!(is_row_parse_error, "{}", source);
+        }
     }
 
     #[test]
@@ -103,7 +158,9 @@ proptest! {
                 labels[causes[i] as usize],
             ));
         }
-        let strict = csv::read_failures(text.as_bytes()).expect("clean input");
+        let strict = read_failures_with(text.as_bytes(), "f", IngestPolicy::Strict)
+            .expect("clean input")
+            .records;
         let lenient = read_failures_with(text.as_bytes(), "f", IngestPolicy::Lenient)
             .expect("lenient never fails on content");
         let best = read_failures_with(text.as_bytes(), "f", IngestPolicy::BestEffort)

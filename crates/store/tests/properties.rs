@@ -5,7 +5,8 @@
 
 use hpcfail_store::csv;
 use hpcfail_store::features::{compute_usage, UserStat};
-use hpcfail_store::query::{covered_window_starts, BaselineEstimator, NodeEvents, WindowCounts};
+use hpcfail_store::ingest::{read_failures_with, read_jobs_with, IngestPolicy};
+use hpcfail_store::query::{covered_window_starts, BaselineEstimator, WindowCounts};
 use hpcfail_store::snapshot::{decode_snapshot, snapshot_bytes};
 use hpcfail_store::trace::{SystemTrace, SystemTraceBuilder, Trace};
 use hpcfail_types::prelude::*;
@@ -238,7 +239,6 @@ proptest! {
         }
         let t = b.build();
         let est = BaselineEstimator::new(&t);
-        let events = NodeEvents::new(&t);
         // Node 5 is outside the 5-node system.
         let outside = NodeId::new(5);
         for class in all_failure_classes() {
@@ -263,28 +263,12 @@ proptest! {
                     WindowCounts { hits: 0, total: per_node }
                 );
             }
-            for node in t.nodes().chain([outside]) {
-                let indexed = t.indexed_failure_days(node, class);
-                let direct = events.failure_days(node, class);
-                prop_assert_eq!(
-                    indexed.as_slice(), direct.as_slice(),
-                    "day vector mismatch for {:?} {:?}", node, class
-                );
-            }
         }
         for window in Window::ALL {
             prop_assert_eq!(
                 t.indexed_maintenance_baseline(window),
                 est.maintenance_probability(window),
                 "maintenance baseline mismatch for {:?}", window
-            );
-        }
-        for node in t.nodes().chain([outside]) {
-            let indexed = t.indexed_maintenance_days(node);
-            let direct = events.unscheduled_hw_maintenance_days(node);
-            prop_assert_eq!(
-                indexed.as_slice(), direct.as_slice(),
-                "maintenance days mismatch for {:?}", node
             );
         }
     }
@@ -302,7 +286,6 @@ proptest! {
         span in 1i64..30 * 86_400,
     ) {
         let t = build_trace(&failures, &maintenance);
-        let events = NodeEvents::new(&t);
         let rows: Vec<FailureRecord> = t.failures().collect();
         let t0 = Timestamp::from_seconds(after);
         let t1 = Timestamp::from_seconds(after + span);
@@ -316,7 +299,7 @@ proptest! {
                 oracle_days.sort_unstable();
                 oracle_days.dedup();
                 prop_assert_eq!(
-                    events.failure_days(node, class),
+                    t.indexed_failure_days(node, class),
                     oracle_days,
                     "day vector mismatch for {:?} {:?}", node, class
                 );
@@ -348,7 +331,7 @@ proptest! {
             oracle_days.sort_unstable();
             oracle_days.dedup();
             prop_assert_eq!(
-                events.unscheduled_hw_maintenance_days(node),
+                t.indexed_maintenance_days(node),
                 oracle_days,
                 "maintenance day mismatch for {:?}", node
             );
@@ -415,7 +398,9 @@ proptest! {
             .collect();
         let mut buf = Vec::new();
         csv::write_failures(&mut buf, failures.iter().copied()).expect("in-memory write");
-        let parsed = csv::read_failures(&buf[..]).expect("parse back");
+        let parsed = read_failures_with(&buf[..], "failures.csv", IngestPolicy::Strict)
+            .expect("parse back")
+            .records;
         prop_assert_eq!(parsed, failures);
     }
 
@@ -442,7 +427,8 @@ proptest! {
             .collect();
         let mut buf = Vec::new();
         csv::write_jobs(&mut buf, records.clone()).expect("in-memory write");
-        prop_assert_eq!(csv::read_jobs(&buf[..]).expect("parse back"), records);
+        let parsed = read_jobs_with(&buf[..], "jobs.csv", IngestPolicy::Strict).expect("parse back");
+        prop_assert_eq!(parsed.records, records);
     }
 
     #[test]

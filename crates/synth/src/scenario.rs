@@ -27,6 +27,7 @@ use crate::spec::{
     TemperatureSpec, WorkloadSpec,
 };
 use hpcfail_obs::json::Json;
+use hpcfail_store::MAX_NODES;
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -234,8 +235,20 @@ impl Scenario {
             return Err(schema("scenario.systems", "must list at least one system"));
         }
         let mut systems = Vec::with_capacity(systems_json.len());
+        let mut total_nodes = 0u64;
         for (i, item) in systems_json.iter().enumerate() {
-            systems.push(parse_system(item, &format!("systems[{i}]"))?);
+            let system = parse_system(item, &format!("systems[{i}]"))?;
+            total_nodes += u64::from(system.spec.nodes);
+            if total_nodes > u64::from(MAX_NODES) {
+                return Err(schema(
+                    format!("systems[{i}].nodes"),
+                    format!(
+                        "{} nodes take the fleet to {total_nodes}, over the limit of {MAX_NODES}",
+                        system.spec.nodes
+                    ),
+                ));
+            }
+            systems.push(system);
         }
         let mut seen = std::collections::BTreeSet::new();
         for s in &systems {

@@ -5,10 +5,15 @@
 //! committed), and generate a non-trivial trace whose episodes are
 //! visible in the failure record. Malformed documents — unknown keys,
 //! negative rates, zero nodes, out-of-range episodes — must come back
-//! as typed [`ScenarioError`]s, never panics.
+//! as typed [`ScenarioError`]s, never panics, and so must arbitrary
+//! text and single-byte or single-field mutations of the packs.
 
+use hpcfail_obs::json::Json;
+use hpcfail_store::snapshot::{decode_snapshot, snapshot_bytes};
+use hpcfail_store::MAX_NODES;
 use hpcfail_synth::scenario::{self, Scenario, ScenarioError};
 use hpcfail_types::ids::SystemId;
+use proptest::prelude::*;
 
 const PACKS: [&str; 4] = [
     "fleet-100k",
@@ -237,4 +242,154 @@ fn rejection_battery_returns_typed_errors() {
         parse_err(&probe("").replace("\"smp\"", "\"mainframe\"")),
         ScenarioError::Schema { .. }
     ));
+}
+
+/// Every shipped pack's trace fits the store's node limit, so its
+/// snapshot decodes back to the same trace.
+#[test]
+fn every_builtin_pack_round_trips_through_a_snapshot() {
+    for pack in PACKS {
+        let trace = scenario::load(pack).expect(pack).generate().into_store();
+        let decoded = decode_snapshot(&snapshot_bytes(&trace))
+            .unwrap_or_else(|e| panic!("{pack}: snapshot must decode: {e}"));
+        assert_eq!(decoded.fingerprint(), trace.fingerprint(), "{pack}");
+    }
+}
+
+/// A pack that declares more nodes than a trace may hold, alone or
+/// summed over its systems, is refused at parse time with a typed error
+/// naming the system that crosses the limit.
+#[test]
+fn packs_over_the_node_limit_are_refused_at_parse_time() {
+    let fleet = |nodes: &[u64]| {
+        let systems: Vec<String> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| format!(r#"{{"id": {i}, "template": "smp", "nodes": {n}, "days": 1}}"#))
+            .collect();
+        format!(
+            r#"{{"scenario": "x", "version": 1, "seed": 1, "systems": [{}]}}"#,
+            systems.join(", ")
+        )
+    };
+    let max = u64::from(MAX_NODES);
+    assert!(Scenario::parse(&fleet(&[max])).is_ok());
+    assert!(Scenario::parse(&fleet(&[max / 2, max / 2])).is_ok());
+    for (nodes, system) in [
+        (vec![max + 1], 0),
+        (vec![max / 2, max / 2 + 1], 1),
+        (vec![1, max, 1], 1),
+        (vec![u64::from(u32::MAX)], 0),
+    ] {
+        match parse_err(&fleet(&nodes)) {
+            ScenarioError::Schema { path, message } => {
+                assert_eq!(path, format!("systems[{system}].nodes"), "{nodes:?}");
+                assert!(message.contains("over the limit"), "{message}");
+            }
+            other => panic!("expected a Schema error for {nodes:?}, got {other}"),
+        }
+    }
+}
+
+/// Replaces the `n`-th scalar (in document order) of `json` with
+/// `value`; returns `false` when the document has `n` or fewer scalars.
+fn replace_nth_scalar(json: &mut Json, n: &mut usize, value: &Json) -> bool {
+    match json {
+        Json::Arr(items) => items.iter_mut().any(|v| replace_nth_scalar(v, n, value)),
+        Json::Obj(map) => map.values_mut().any(|v| replace_nth_scalar(v, n, value)),
+        scalar => {
+            if *n == 0 {
+                *scalar = value.clone();
+                return true;
+            }
+            *n -= 1;
+            false
+        }
+    }
+}
+
+/// One JSON value of each kind the schema could meet, picked by
+/// `kind` and filled from `num` and `text`.
+fn json_value(kind: u8, num: f64, text: &[u8]) -> Json {
+    match kind % 9 {
+        0 => Json::Null,
+        1 => Json::Bool(num > 0.0),
+        2 => Json::Num(num),
+        3 => Json::Num(num.trunc()),
+        4 => Json::Num(num * 1e300),
+        5 => Json::Num(-num.abs()),
+        6 => Json::Str(String::from_utf8_lossy(text).into_owned()),
+        7 => Json::Arr(vec![Json::Num(num)]),
+        _ => Json::Obj(Default::default()),
+    }
+}
+
+/// Biases fuzz bytes toward JSON syntax so arbitrary text often gets
+/// past the tokenizer into the schema checks.
+fn jsonish(raw: Vec<u8>) -> String {
+    const PALETTE: &[u8] = b"{}[]:,\"0.-e ";
+    let bytes: Vec<u8> = raw
+        .into_iter()
+        .map(|b| match b % 3 {
+            0 => PALETTE[(b as usize / 3) % PALETTE.len()],
+            _ => b,
+        })
+        .collect();
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary text parses to a scenario or a typed error, never a
+    /// panic.
+    #[test]
+    fn arbitrary_text_never_panics(raw in prop::collection::vec(0u8..=255, 0..300)) {
+        let _ = Scenario::parse(&jsonish(raw));
+    }
+
+    /// A shipped pack with one byte changed parses or is refused with a
+    /// typed error. Only parsed: a mutated `nodes` or `days` can ask
+    /// for a fleet of any size.
+    #[test]
+    fn single_byte_mutations_of_the_packs_never_panic(
+        pack in 0usize..4,
+        at in 0usize..1_000_000,
+        byte in 0u8..=255,
+    ) {
+        let source = scenario::builtin_source(PACKS[pack]).expect("builtin");
+        let mut bytes = source.as_bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let _ = Scenario::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// A shipped pack with one scalar replaced by a value of any JSON
+    /// kind parses or is refused with a typed error, and whatever
+    /// parses stays within the node limit.
+    #[test]
+    fn single_field_mutations_of_the_packs_never_panic(
+        pack in 0usize..4,
+        field in 0usize..400,
+        kind in 0u8..9,
+        num in -1.0e6f64..1.0e6,
+        text in prop::collection::vec(0u8..=255, 0..12),
+    ) {
+        let source = scenario::builtin_source(PACKS[pack]).expect("builtin");
+        let mut json = hpcfail_obs::json::parse(source).expect("pack is JSON");
+        let mut n = field % (count_scalars(&json));
+        prop_assert!(replace_nth_scalar(&mut json, &mut n, &json_value(kind, num, &text)));
+        if let Ok(parsed) = Scenario::parse(&json.pretty()) {
+            let nodes: u64 = parsed.systems.iter().map(|s| u64::from(s.spec.nodes)).sum();
+            prop_assert!(nodes <= u64::from(MAX_NODES));
+        }
+    }
+}
+
+fn count_scalars(json: &Json) -> usize {
+    match json {
+        Json::Arr(items) => items.iter().map(count_scalars).sum(),
+        Json::Obj(map) => map.values().map(count_scalars).sum(),
+        _ => 1,
+    }
 }

@@ -3,7 +3,7 @@
 //! injected lines, and the surviving records must match the clean data
 //! minus those lines.
 
-use hpcfail_store::csv::{headers, read_failures, save_trace};
+use hpcfail_store::csv::{headers, save_trace, CsvError};
 use hpcfail_store::ingest::{
     load_trace_with, read_failures_with, read_jobs_with, read_temperatures_with, IngestPolicy,
 };
@@ -11,6 +11,7 @@ use hpcfail_synth::corrupt::{
     corrupt_csv, corrupt_file, CorruptionReport, MutationKind, TargetCsv,
 };
 use hpcfail_synth::FleetSpec;
+use hpcfail_types::prelude::FailureRecord;
 use std::ffi::OsString;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -54,6 +55,11 @@ fn clean_bytes(file: &str) -> Vec<u8> {
         .find(|(name, _)| name == file)
         .map(|(_, bytes)| bytes.clone())
         .unwrap_or_else(|| panic!("the demo trace has no {file}"))
+}
+
+/// The failure records of a strict read.
+fn read_failures(bytes: &[u8]) -> Result<Vec<FailureRecord>, CsvError> {
+    read_failures_with(bytes, "failures.csv", IngestPolicy::Strict).map(|read| read.records)
 }
 
 /// Removes the given 1-based lines from a byte buffer, preserving the
