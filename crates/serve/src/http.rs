@@ -6,7 +6,7 @@
 //! status to answer with — parsing never panics, whatever the bytes.
 
 use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Longest accepted request line or header line, bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -202,15 +202,21 @@ pub fn read_request_with_limit(
             "body of {content_length} bytes exceeds {max_body}"
         )));
     }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        stream.read_exact(&mut body).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => HttpError::Malformed("truncated body".to_owned()),
-            kind if is_timeout(kind) => {
+    // Reserved, not zero-filled: the read writes every byte once.
+    let mut body = Vec::with_capacity(content_length);
+    stream
+        .by_ref()
+        .take(content_length as u64)
+        .read_to_end(&mut body)
+        .map_err(|e| {
+            if is_timeout(e.kind()) {
                 HttpError::Timeout("read timeout mid-body (slow client)".to_owned())
+            } else {
+                HttpError::Io(e)
             }
-            _ => HttpError::Io(e),
         })?;
+    if body.len() < content_length {
+        return Err(HttpError::Malformed("truncated body".to_owned()));
     }
 
     Ok(Some(Request {
@@ -371,6 +377,23 @@ mod tests {
             .expect("identical duplicates parse")
             .expect("present");
         assert_eq!(req.body, b"ab");
+    }
+
+    #[test]
+    fn a_body_shorter_than_its_declared_length_is_truncated() {
+        for bytes in [
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nabcd".as_slice(),
+            b"POST /x HTTP/1.1\r\nContent-Length: 20000000\r\n\r\nabcd".as_slice(),
+            b"POST /x HTTP/1.1\r\nContent-Length: 1\r\n\r\n".as_slice(),
+        ] {
+            let err = read_request_with_limit(&mut BufReader::new(bytes), |_, _| usize::MAX)
+                .expect_err("short body");
+            assert!(
+                matches!(&err, HttpError::Malformed(m) if m == "truncated body"),
+                "{}",
+                err.message()
+            );
+        }
     }
 
     #[test]

@@ -62,6 +62,7 @@ use crate::slo::{SloPolicy, SloTracker};
 use hpcfail_core::engine::{AnalysisRequest, Engine, REQUEST_KINDS};
 use hpcfail_obs::json::Json;
 use hpcfail_obs::TraceRecording;
+use hpcfail_store::csv::CsvError;
 use hpcfail_store::ingest::IngestPolicy;
 use hpcfail_store::lanl::{assemble_trace, read_lanl_failures_with, LanlImportOptions};
 use hpcfail_store::snapshot::{decode_snapshot, SNAPSHOT_MAGIC};
@@ -812,14 +813,7 @@ fn parse_csv_upload(request: &Request, name: &str) -> Result<(Trace, Json), Box<
         })?,
         None => IngestPolicy::Lenient,
     };
-    let file = format!("upload:{name}");
-    let read = read_lanl_failures_with(
-        request.body.as_slice(),
-        &file,
-        LanlImportOptions::default(),
-        policy,
-    )
-    .map_err(|err| {
+    let rejected = |err: CsvError| {
         Box::new(Reply::error(
             400,
             "Bad Request",
@@ -827,7 +821,15 @@ fn parse_csv_upload(request: &Request, name: &str) -> Result<(Trace, Json), Box<
             false,
             "upload",
         ))
-    })?;
+    };
+    let file = format!("upload:{name}");
+    let read = read_lanl_failures_with(
+        request.body.as_slice(),
+        &file,
+        LanlImportOptions::default(),
+        policy,
+    )
+    .map_err(rejected)?;
     if read.records.is_empty() {
         return Err(Box::new(Reply::error(
             400,
@@ -847,7 +849,7 @@ fn parse_csv_upload(request: &Request, name: &str) -> Result<(Trace, Json), Box<
         ("duplicates", Json::Num(read.duplicates as f64)),
         ("policy", Json::Str(policy.label().to_owned())),
     ]);
-    Ok((assemble_trace(read.records, &[]), ingest))
+    Ok((assemble_trace(read.records, &[]).map_err(rejected)?, ingest))
 }
 
 fn handle_query(

@@ -12,6 +12,42 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+/// A server child that is killed if the test fails before shutting it
+/// down.
+struct Server(Child);
+
+impl Server {
+    /// Spawns `command`, with stdout and stderr piped, under the guard.
+    fn spawn(command: &mut Command) -> Server {
+        Server(
+            command
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("hpcfail-serve starts"),
+        )
+    }
+
+    /// Waits at most a minute for the server to exit, then returns its
+    /// exit code and everything it wrote to stderr.
+    fn exit_code_and_stderr(&mut self, what: &str) -> (Option<i32>, String) {
+        wait_at_most_a_minute(&mut self.0, what);
+        let code = self.0.wait().expect("exit status").code();
+        let mut stderr = String::new();
+        if let Some(mut pipe) = self.0.stderr.take() {
+            pipe.read_to_string(&mut stderr).ok();
+        }
+        (code, stderr)
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
 /// Waits for `child` to exit, killing it and failing the test if it is
 /// still running after a minute.
 fn wait_at_most_a_minute(child: &mut Child, what: &str) {
@@ -80,25 +116,21 @@ fn corrupt_snapshot_boots_from_csv_with_an_ingest_audit_line() {
     let snapshot = root.join("fleet.hpcsnap");
     std::fs::write(&snapshot, b"NOTASNAP").expect("write bad snapshot");
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
-        .arg("--snapshot")
-        .arg(&snapshot)
-        .arg("--trace")
-        .arg(&dir)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("hpcfail-serve starts");
-    let addr = wait_for_addr(&mut child);
+    let mut server = Server::spawn(
+        Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+            .arg("--snapshot")
+            .arg(&snapshot)
+            .arg("--trace")
+            .arg(&dir),
+    );
+    let addr = wait_for_addr(&mut server.0);
     let shutdown = Client::new(addr).post("/v1/shutdown", "", &[]);
-    wait_at_most_a_minute(&mut child, "after /v1/shutdown");
-    let output = child.wait_with_output().expect("collect output");
+    let (code, stderr) = server.exit_code_and_stderr("after /v1/shutdown");
     std::fs::remove_dir_all(&root).ok();
 
     assert_eq!(shutdown.expect("shutdown answered").status, 200);
-    assert_eq!(output.status.code(), Some(0));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(code, Some(0));
     let audit: Vec<&str> = stderr
         .lines()
         .filter(|line| line.starts_with("ingest: "))
@@ -123,25 +155,22 @@ fn snapshot_boot_answers_with_its_fingerprint_and_parses_no_csv() {
     write_snapshot(&snapshot, &trace).expect("write snapshot");
     let manifest = root.join("serve-manifest.json");
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
-        .arg("--snapshot")
-        .arg(&snapshot)
-        .arg("--manifest")
-        .arg(&manifest)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("hpcfail-serve starts");
-    let client = Client::new(wait_for_addr(&mut child));
+    let mut server = Server::spawn(
+        Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+            .arg("--snapshot")
+            .arg(&snapshot)
+            .arg("--manifest")
+            .arg(&manifest),
+    );
+    let client = Client::new(wait_for_addr(&mut server.0));
     let summary = client.post(
         "/v1/traces/default/query",
         r#"{"analysis": "trace-summary"}"#,
         &[],
     );
     let shutdown = client.post("/v1/shutdown", "", &[]);
-    wait_at_most_a_minute(&mut child, "after /v1/shutdown");
-    let output = child.wait_with_output().expect("collect output");
+    let (code, stderr) = server.exit_code_and_stderr("after /v1/shutdown");
     let written = read_manifest(&manifest);
     std::fs::remove_dir_all(&root).ok();
 
@@ -150,12 +179,7 @@ fn snapshot_boot_answers_with_its_fingerprint_and_parses_no_csv() {
     let fingerprint = format!(r#""fingerprint": "{:016x}""#, trace.fingerprint());
     assert!(summary.body.contains(&fingerprint), "{}", summary.body);
     assert_eq!(shutdown.expect("shutdown answered").status, 200);
-    assert_eq!(
-        output.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
+    assert_eq!(code, Some(0), "{stderr}");
     if hpcfail_obs::ENABLED {
         let spans = &written.snapshot.spans;
         assert!(spans.contains_key("store.snapshot.load"), "{spans:?}");
@@ -190,17 +214,6 @@ fn serve_cli_status(args: &[&str]) -> (bool, String, String) {
     )
 }
 
-/// A server child that is killed if the test fails before shutting it
-/// down.
-struct Server(Child);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.0.kill().ok();
-        self.0.wait().ok();
-    }
-}
-
 fn is_lower_hex(s: &str) -> bool {
     s.bytes()
         .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
@@ -216,15 +229,11 @@ fn metrics_scrape_dashboard_and_access_log_cover_live_traffic() {
     std::fs::remove_dir_all(&root).ok();
     std::fs::create_dir_all(&root).expect("create temp dir");
     let access_log = root.join("access.jsonl");
-    let mut server = Server(
+    let mut server = Server::spawn(
         Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
             .args(["serve", "--addr", "127.0.0.1:0", "--workers", "4"])
             .args(["--scale", "0.05", "--seed", "42", "--access-log"])
-            .arg(&access_log)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("hpcfail-serve starts"),
+            .arg(&access_log),
     );
     let addr = wait_for_addr(&mut server.0);
     let query = |extra: &[&str], body: &str| {
@@ -290,13 +299,12 @@ fn metrics_scrape_dashboard_and_access_log_cover_live_traffic() {
     query(&[], r#"{"analysis": "trace-summary"}"#);
 
     let shutdown = client.post("/v1/shutdown", "", &[]);
-    wait_at_most_a_minute(&mut server.0, "after /v1/shutdown");
-    let status = server.0.wait().expect("exit status");
+    let (code, stderr) = server.exit_code_and_stderr("after /v1/shutdown");
     let log = std::fs::read_to_string(&access_log).expect("access log written");
     std::fs::remove_dir_all(&root).ok();
 
     assert_eq!(shutdown.expect("shutdown answered").status, 200);
-    assert_eq!(status.code(), Some(0));
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(log.contains(r#""kind":"trace-summary""#), "{log}");
     assert!(log.contains(r#""kind":"http-error""#), "{log}");
     for line in log.lines() {
@@ -312,16 +320,14 @@ fn metrics_scrape_dashboard_and_access_log_cover_live_traffic() {
     }
 }
 
-/// Boots `hpcfail-serve serve` with `args` and waits for its address.
+/// Boots `hpcfail-serve serve` with two workers and `args`, and waits
+/// for its address. A `--workers` in `args` wins: the last value of a
+/// flag counts.
 fn boot(args: &[&str]) -> (Server, String) {
-    let mut server = Server(
+    let mut server = Server::spawn(
         Command::new(env!("CARGO_BIN_EXE_hpcfail-serve"))
             .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("hpcfail-serve starts"),
+            .args(args),
     );
     let addr = wait_for_addr(&mut server.0);
     (server, addr)
@@ -331,8 +337,7 @@ fn boot(args: &[&str]) -> (Server, String) {
 fn shut_down(mut server: Server, addr: &str) -> Option<i32> {
     let shutdown = Client::new(addr).post("/v1/shutdown", "", &[]);
     assert_eq!(shutdown.expect("shutdown answered").status, 200);
-    wait_at_most_a_minute(&mut server.0, "after /v1/shutdown");
-    server.0.wait().expect("exit status").code()
+    server.exit_code_and_stderr("after /v1/shutdown").0
 }
 
 /// The multi-trace registry end to end through the CLI: CSV and
@@ -463,5 +468,96 @@ fn registry_uploads_queries_evictions_and_manifest_through_the_cli() {
         );
         let gauges = &written.snapshot.gauges;
         assert!(gauges.contains_key("serve.registry.traces"), "{gauges:?}");
+    }
+}
+
+/// The eleven mixed queries of the serve smoke check: every analysis
+/// family, both groups, and a checkpoint replay.
+const SMOKE_QUERIES: [&str; 11] = [
+    r#"{"analysis": "trace-summary"}"#,
+    r#"{"analysis": "conditional", "group": "group1", "trigger": "any", "target": "any", "window": "week", "scope": "SameNode"}"#,
+    r#"{"analysis": "conditional", "group": "group2", "trigger": "root:HW", "target": "any", "window": "day", "scope": "SameNode"}"#,
+    r#"{"analysis": "fleet-conditional", "trigger": "any", "target": "any", "window": "week", "scope": "SameNode"}"#,
+    r#"{"analysis": "same-type-summaries", "group": "group1", "window": "week", "scope": "SameNode"}"#,
+    r#"{"analysis": "env-breakdown"}"#,
+    r#"{"analysis": "power-conditional", "problem": "PowerOutage", "target": "root:HW", "window": "month"}"#,
+    r#"{"analysis": "maintenance-after-power", "problem": "PowerOutage"}"#,
+    r#"{"analysis": "alarm-evaluation", "group": "group1", "trigger": "any", "window": "week"}"#,
+    r#"{"analysis": "checkpoint-replay", "group": "group1", "policy": {"kind": "uniform", "interval_hours": 24}}"#,
+    r#"{"analysis": "availability"}"#,
+];
+
+/// Concurrent CLI clients against the real binary: one reference pass
+/// of [`SMOKE_QUERIES`] through the `query` subcommand, then 64 client
+/// threads re-ask all of them, each running one `query` child at a
+/// time, and every body must be byte-identical to its reference. Then
+/// `/v1/shutdown` stops the server cleanly, and its manifest counts the
+/// requests and the cache hits.
+#[test]
+fn sixty_four_concurrent_cli_clients_get_byte_identical_answers() {
+    let root = std::env::temp_dir().join(format!("hpcfail-serve-smoke-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("create temp dir");
+    let manifest = root.join("serve-manifest.json");
+    let manifest_arg = manifest.to_str().expect("utf-8 path");
+    let (server, addr) = boot(&[
+        "--workers",
+        "8",
+        "--scale",
+        "0.05",
+        "--seed",
+        "42",
+        "--manifest",
+        manifest_arg,
+    ]);
+
+    // The reference pass also warms the cache.
+    let reference: Vec<String> = SMOKE_QUERIES
+        .iter()
+        .map(|q| serve_cli(&["query", "--addr", &addr, q]).0)
+        .collect();
+    for (q, body) in SMOKE_QUERIES.iter().zip(&reference) {
+        assert!(
+            body.starts_with('{') && !body.contains(r#""error""#),
+            "{q}: {body}"
+        );
+    }
+    let mismatches: Vec<String> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..64)
+            .map(|client| {
+                let (addr, reference) = (&addr, &reference);
+                scope.spawn(move || {
+                    SMOKE_QUERIES
+                        .iter()
+                        .zip(reference)
+                        .enumerate()
+                        .filter(|(_, (q, expected))| {
+                            serve_cli(&["query", "--addr", addr, q]).0 != **expected
+                        })
+                        .map(|(i, _)| format!("client {client} query {i}"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    assert!(mismatches.is_empty(), "{mismatches:?}");
+
+    assert_eq!(shut_down(server, &addr), Some(0));
+    let written = read_manifest(&manifest);
+    std::fs::remove_dir_all(&root).ok();
+    // Under no-obs the counters are compiled out.
+    if hpcfail_obs::ENABLED {
+        let counters = &written.snapshot.counters;
+        assert!(
+            counters
+                .get("serve.cache.hit")
+                .is_some_and(|&hits| hits >= 1),
+            "{counters:?}"
+        );
+        assert!(counters.contains_key("serve.requests"), "{counters:?}");
     }
 }

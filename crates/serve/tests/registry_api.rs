@@ -92,7 +92,7 @@ fn three_named_traces_serve_with_byte_identity() {
                     )
                     .expect("csv");
                     direct_body(
-                        hpcfail_store::lanl::assemble_trace(read.records, &[]),
+                        hpcfail_store::lanl::assemble_trace(read.records, &[]).expect("span"),
                         &body,
                     )
                 }

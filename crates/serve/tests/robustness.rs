@@ -492,3 +492,66 @@ fn upload_declaring_billions_of_nodes_gets_a_typed_400_and_the_server_stays_up()
     assert_eq!(health.status, 200);
     handle.shutdown();
 }
+
+/// A 4-node system with 200 failures that declares an `end` of 10^15 s
+/// is a valid, correctly fingerprinted snapshot of under 5 KB. Decode
+/// used to accept it, and its first `arrival-profile` query asked for a
+/// 92 GB daily-count vector and aborted the whole server. The upload
+/// now gets a typed 400 naming the span limit, and the server keeps
+/// answering.
+#[test]
+fn upload_declaring_a_span_of_millions_of_years_gets_a_typed_400_and_the_server_stays_up() {
+    use hpcfail_store::snapshot::snapshot_bytes;
+    use hpcfail_store::trace::{SystemTraceBuilder, Trace};
+    use hpcfail_types::prelude::*;
+
+    let config = SystemConfig {
+        id: SystemId::new(1),
+        name: "span".into(),
+        nodes: 4,
+        procs_per_node: 4,
+        hardware: HardwareClass::Smp4Way,
+        start: Timestamp::EPOCH,
+        end: Timestamp::from_seconds(1_000_000_000_000_000),
+        has_layout: false,
+        has_job_log: false,
+        has_temperature: false,
+    };
+    let mut builder = SystemTraceBuilder::new(config);
+    for i in 0..200u32 {
+        builder.push_failure(FailureRecord::new(
+            SystemId::new(1),
+            NodeId::new(i % 4),
+            Timestamp::from_seconds(i64::from(i) * 3_600),
+            RootCause::Hardware,
+            SubCause::None,
+        ));
+    }
+    let mut trace = Trace::new();
+    trace.insert_system(builder.build());
+    let bytes = snapshot_bytes(&trace);
+    assert!(bytes.len() < 5_000, "{} bytes", bytes.len());
+
+    let handle = spawn(engine(), ServerConfig::default()).expect("bind");
+    let client = Client::new(handle.addr().to_string());
+    let response = client
+        .post_bytes("/v1/traces/span", &bytes, &[])
+        .expect("answered");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response.body.contains("over the limit"),
+        "{}",
+        response.body
+    );
+    let query = client
+        .post(
+            "/v1/traces/span/query",
+            r#"{"analysis": "arrival-profile", "system": 1, "class": "any"}"#,
+            &[],
+        )
+        .expect("answered");
+    assert_eq!(query.status, 404, "{}", query.body);
+    let health = client.get("/v1/healthz").expect("server still up");
+    assert_eq!(health.status, 200);
+    handle.shutdown();
+}

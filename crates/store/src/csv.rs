@@ -532,6 +532,10 @@ pub(crate) fn parse_system_line(line: &str, lineno: usize) -> Result<SystemConfi
     };
     let start = Timestamp::from_seconds(f.next("start")?);
     let end = Timestamp::from_seconds(f.next("end")?);
+    crate::check_span(start, end).map_err(|message| CsvError::Parse {
+        line: lineno,
+        message,
+    })?;
     let has_layout = f.next::<u8>("has_layout")? != 0;
     let has_job_log = f.next::<u8>("has_job_log")? != 0;
     let has_temperature = f.next::<u8>("has_temperature")? != 0;

@@ -965,4 +965,33 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// A declared span is a size too: one over
+    /// [`crate::MAX_SPAN_DAYS`], or one that ends before it starts, is
+    /// a parse error under `Strict` and a quarantined line otherwise.
+    #[test]
+    fn spans_over_the_limit_or_backwards_are_refused() {
+        let failures = format!("{}\n", headers::FAILURES);
+        let limit = crate::MAX_SPAN_DAYS * 86_400;
+        let dir = temp_dir("max-span");
+        for (end, expected) in [
+            (limit + 1, "over the limit"),
+            (1_000_000_000_000_000, "over the limit"),
+            (-86_400, "before its start"),
+        ] {
+            let systems = format!("{}\n1,a,4,4,SMP4,0,{end},0,0,0\n", headers::SYSTEMS);
+            write_dir(&dir, &failures, &systems).unwrap();
+            let err = load_trace_with(&dir, IngestPolicy::Strict).unwrap_err();
+            assert!(err.to_string().contains("systems.csv"), "{err}");
+            assert!(err.to_string().contains(expected), "{err}");
+            let (trace, report) = load_trace_with(&dir, IngestPolicy::Lenient).unwrap();
+            assert!(trace.is_empty());
+            assert_eq!(report.quarantined.len(), 1);
+        }
+        let systems = format!("{}\n1,a,4,4,SMP4,0,{limit},0,0,0\n", headers::SYSTEMS);
+        write_dir(&dir, &failures, &systems).unwrap();
+        let (trace, _) = load_trace_with(&dir, IngestPolicy::Strict).unwrap();
+        assert_eq!(trace.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

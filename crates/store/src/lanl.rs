@@ -104,7 +104,8 @@ pub fn parse_lanl_datetime(s: &str) -> Result<i64, String> {
     if !(0..24).contains(&hh) || !(0..60).contains(&mm) || !(0..60).contains(&ss) {
         return Err(format!("time {time:?} out of range"));
     }
-    Ok(days_from_civil(y as i32, m as u32, d as u32) * 86_400 + hh * 3600 + mm * 60 + ss)
+    let y = i32::try_from(y).map_err(|_| format!("year in {date:?} out of range"))?;
+    Ok(days_from_civil(y, m as u32, d as u32) * 86_400 + hh * 3600 + mm * 60 + ss)
 }
 
 fn next_num<'a, I: Iterator<Item = &'a str>>(
@@ -257,8 +258,15 @@ impl LanlLayout {
             .trim()
             .parse()
             .map_err(|_| parse_err(format!("bad node {:?}", fields[self.c_node])))?;
-        let start =
-            parse_lanl_datetime(get(self.c_start, "start")?).map_err(&parse_err)? - self.epoch_secs;
+        let raw_start = get(self.c_start, "start")?;
+        let start = parse_lanl_datetime(raw_start).map_err(&parse_err)? - self.epoch_secs;
+        if (start / 86_400).abs() > crate::MAX_SPAN_DAYS {
+            return Err(parse_err(format!(
+                "start {:?} is more than {} days from the import epoch",
+                raw_start.trim(),
+                crate::MAX_SPAN_DAYS
+            )));
+        }
         let cause_label = get(self.c_cause, "cause")?;
         let root = match map_root_cause(cause_label) {
             Some(root) => root,
@@ -311,7 +319,9 @@ impl LanlLayout {
 /// [`QuarantinedLine`](crate::ingest::QuarantinedLine)s and consecutive
 /// exact duplicates dropped; under [`IngestPolicy::BestEffort`] unknown
 /// root causes default to `Undetermined` and malformed repair
-/// timestamps to a missing downtime before a row is given up on.
+/// timestamps to a missing downtime before a row is given up on. A row
+/// that starts more than [`MAX_SPAN_DAYS`](crate::MAX_SPAN_DAYS) from
+/// the import epoch fits no system's span and is a parse error.
 ///
 /// # Errors
 ///
@@ -358,7 +368,15 @@ pub fn read_lanl_failures_with<R: Read>(
 ///
 /// The inferred configs default to 4-way SMP hardware; adjust group-2
 /// systems via `numa_systems` so the group split matches your site.
-pub fn assemble_trace(records: Vec<FailureRecord>, numa_systems: &[u16]) -> crate::trace::Trace {
+///
+/// # Errors
+///
+/// A parse error naming the system when its records span more than
+/// [`MAX_SPAN_DAYS`](crate::MAX_SPAN_DAYS).
+pub fn assemble_trace(
+    records: Vec<FailureRecord>,
+    numa_systems: &[u16],
+) -> Result<crate::trace::Trace, CsvError> {
     use std::collections::{BTreeMap, BTreeSet};
     let mut by_system: BTreeMap<SystemId, Vec<FailureRecord>> = BTreeMap::new();
     for r in records {
@@ -388,6 +406,10 @@ pub fn assemble_trace(records: Vec<FailureRecord>, numa_systems: &[u16]) -> crat
             .unwrap_or(Timestamp::EPOCH);
         let start = Timestamp::from_seconds(first.day_index().min(0) * 86_400);
         let end = Timestamp::from_seconds((last.day_index() + 2) * 86_400);
+        crate::check_span(start, end).map_err(|e| CsvError::Parse {
+            line: 0,
+            message: format!("{system}: {e}"),
+        })?;
         let numa = numa_systems.contains(&system.raw());
         let config = SystemConfig {
             id: system,
@@ -411,7 +433,7 @@ pub fn assemble_trace(records: Vec<FailureRecord>, numa_systems: &[u16]) -> crat
         }
         trace.insert_system(builder.build());
     }
-    trace
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -579,7 +601,7 @@ system,nodenum,prob started,cause
     #[test]
     fn assemble_infers_configs() {
         let records = strict(SAMPLE).unwrap();
-        let trace = assemble_trace(records, &[2]);
+        let trace = assemble_trace(records, &[2]).unwrap();
         assert_eq!(trace.len(), 2);
         let sys20 = trace.system(SystemId::new(20)).unwrap();
         assert_eq!(sys20.config().nodes, 2); // two distinct nodes (0, 17)
@@ -596,6 +618,42 @@ system,nodenum,prob started,cause
         }
     }
 
+    /// A row dated too far from the import epoch cannot fit in a span,
+    /// so it is a parse error: quarantined under `Lenient`, typed under
+    /// `Strict`. Rows that fit alone but not together fail assembly.
+    #[test]
+    fn rows_beyond_the_span_limit_are_refused() {
+        let header = "System,NodeNum,Prob Started,Cause\n";
+        for (date, expected) in [
+            ("01/01/100000000000 00:00", "year"),
+            ("01/01/2100 00:00", "days from the import epoch"),
+            ("01/01/1900 00:00", "days from the import epoch"),
+        ] {
+            let csv = format!("{header}20,0,10/23/2003 14:55,Hardware\n20,1,{date},Hardware\n");
+            let err = strict(&csv).unwrap_err();
+            assert!(err.to_string().contains("line 3"), "{err}");
+            assert!(err.to_string().contains(expected), "{err}");
+            let read = read_lanl_failures_with(
+                csv.as_bytes(),
+                "upload.csv",
+                LanlImportOptions::default(),
+                IngestPolicy::Lenient,
+            )
+            .expect("lenient quarantines the row");
+            assert_eq!(read.records.len(), 1);
+            assert_eq!(read.quarantined.len(), 1);
+            assert_eq!(read.quarantined[0].line, 3);
+        }
+
+        // 1970 and 2030 are each within the limit of 1996, but not of
+        // each other.
+        let csv =
+            format!("{header}20,0,01/01/1970 00:00,Hardware\n20,1,01/01/2030 00:00,Hardware\n");
+        let err = assemble_trace(strict(&csv).unwrap(), &[]).unwrap_err();
+        assert!(err.to_string().contains("over the limit"), "{err}");
+        assert!(err.to_string().contains("sys20"), "{err}");
+    }
+
     #[test]
     fn assemble_compacts_gappy_node_ids() {
         // Regression: sparse raw node numbering (1000, 5000) used to
@@ -607,7 +665,7 @@ system,nodenum,prob started,cause
 9,1000,11/03/2003 08:00,Hardware
 ";
         let records = strict(csv).unwrap();
-        let trace = assemble_trace(records, &[]);
+        let trace = assemble_trace(records, &[]).unwrap();
         let sys = trace.system(SystemId::new(9)).unwrap();
         assert_eq!(sys.config().nodes, 2);
         // Remap is order-preserving: 1000 -> 0, 5000 -> 1.

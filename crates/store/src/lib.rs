@@ -80,6 +80,44 @@ pub mod trace;
 /// its whole fleet about 4,750.
 pub const MAX_NODES: u32 = 1 << 17;
 
+/// The longest observation span one system may declare, in days.
+///
+/// Analyses allocate per day of a system's span (daily failure counts,
+/// day windows) whether or not any record falls on the day, so a
+/// declared span is a size the loader must bound before it allocates,
+/// as [`MAX_NODES`] bounds node counts. Snapshot decode, CSV ingest,
+/// the LANL importer and scenario packs all refuse a longer span, and
+/// the loaders one that ends before it starts. 16,384 days
+/// (almost 45 years) is the first power of two that holds every
+/// shipped scenario pack (the longest observes 1,096 days) and the
+/// full LANL fleet (3,200 days at most).
+pub const MAX_SPAN_DAYS: i64 = 1 << 14;
+
+/// Checks that a system observed from `start` to `end` declares a span
+/// of at most [`MAX_SPAN_DAYS`] that does not end before it starts.
+///
+/// # Errors
+///
+/// A description of the violation, for the caller to wrap in its own
+/// typed error.
+pub(crate) fn check_span(
+    start: hpcfail_types::time::Timestamp,
+    end: hpcfail_types::time::Timestamp,
+) -> Result<(), String> {
+    let (start, end) = (start.as_seconds(), end.as_seconds());
+    if end < start {
+        return Err(format!(
+            "span ends at {end} s, before its start at {start} s"
+        ));
+    }
+    match end.checked_sub(start) {
+        Some(span) if span <= MAX_SPAN_DAYS * hpcfail_types::time::SECONDS_PER_DAY => Ok(()),
+        _ => Err(format!(
+            "span from {start} s to {end} s is over the limit of {MAX_SPAN_DAYS} days"
+        )),
+    }
+}
+
 /// The most frequently used items.
 pub mod prelude {
     pub use crate::features::{

@@ -8,11 +8,11 @@
 //! little-endian copy per column plus the O(n) postings rebuild — no
 //! row structs, no sorting, no text.
 //!
-//! # File format (version 3)
+//! # File format (version 4)
 //!
 //! ```text
 //! magic      8 bytes  "HPCSNAP\0"
-//! version    u32 LE   3
+//! version    u32 LE   4
 //! fingerprint u64 LE  Trace::fingerprint() of the whole trace
 //! sections   u32 LE   number of section-table entries
 //! table      sections × { id u32, offset u64, len u64, checksum u64 }
@@ -40,11 +40,12 @@
 //! ```
 //!
 //! Every payload is integrity-checked by a checksum in the table (the
-//! same word-at-a-time content hash as the fingerprint, over the payload
+//! same four-lane content hash as the fingerprint, over the payload
 //! bytes), and the decoded trace must reproduce the header's content
 //! fingerprint. Older versions are refused as
 //! [`SnapshotError::UnsupportedVersion`]: version 1 checksummed with a
-//! byte-serial FNV-1a, and version 2 stored one row per job.
+//! byte-serial FNV-1a, version 2 stored one row per job, and version 3
+//! hashed one word at a time in a single chain.
 //!
 //! # Fallback rules
 //!
@@ -57,7 +58,7 @@
 
 use crate::columns::{FailureColumns, JobColumns};
 use crate::trace::{ContentHash, SystemTrace, Trace};
-use crate::MAX_NODES;
+use crate::{check_span, MAX_NODES};
 use hpcfail_types::prelude::*;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -67,7 +68,7 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HPCSNAP\0";
 const MAGIC: &[u8; 8] = SNAPSHOT_MAGIC;
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const KIND_SYSTEMS: u32 = 1;
 const KIND_FAILURES: u32 = 2;
@@ -580,6 +581,7 @@ fn decode_systems(bytes: &[u8]) -> Result<Vec<SystemConfig>, SnapshotError> {
         };
         let start = Timestamp::from_seconds(r.i64()?);
         let end = Timestamp::from_seconds(r.i64()?);
+        check_span(start, end).map_err(|e| SnapshotError::Corrupt(format!("{id}: {e}")))?;
         let has_layout = r.u8()? != 0;
         let has_job_log = r.u8()? != 0;
         let has_temperature = r.u8()? != 0;
@@ -1000,9 +1002,10 @@ mod tests {
         ));
         assert!(matches!(decode_snapshot(&[]), Err(SnapshotError::BadMagic)));
         // The version field sits right after the magic. Version 1 (the
-        // byte-serial FNV-1a format) and version 2 (one row per job) are
-        // refused like an unknown one.
-        for version in [1u32, 2, 0xfe] {
+        // byte-serial FNV-1a format), version 2 (one row per job) and
+        // version 3 (the single-chain hash) are refused like an unknown
+        // one.
+        for version in [1u32, 2, 3, 0xfe] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
                 decode_snapshot(&bytes),
@@ -1013,7 +1016,7 @@ mod tests {
         // An older file on disk becomes a typed fallback audit entry.
         let dir = std::env::temp_dir().join(format!("hpcsnap-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for version in [1u32, 2] {
+        for version in [1u32, 2, 3] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             let path = dir.join(format!("v{version}.hpcsnap"));
             std::fs::write(&path, &bytes).unwrap();
@@ -1035,10 +1038,10 @@ mod tests {
 
     #[test]
     fn sample_fingerprint_is_pinned() {
-        // The value the row-per-job store computed for this content: the
-        // job columns hash the same words in the same per-job order.
+        // The format-4 value: each column hashed in four lanes. It moves
+        // only with a `SNAPSHOT_VERSION` bump.
         let trace = sample_trace();
-        assert_eq!(format!("{:016x}", trace.fingerprint()), "53057ce8e39252ee");
+        assert_eq!(format!("{:016x}", trace.fingerprint()), "44fac9bd63cedf61");
         let system = trace.systems().next().expect("one system");
         let ids: Vec<u64> = system.jobs().map(|j| j.job_id.raw()).collect();
         assert_eq!(ids, [12, 11, 13, 14], "stable sort by dispatch");
@@ -1099,6 +1102,58 @@ mod tests {
         // matches the header's fingerprint.
         let message = corrupt_message(&with_nodes(MAX_NODES));
         assert!(message.contains("fingerprint mismatch"), "{message}");
+    }
+
+    /// A 4-node system with 200 failures that declares an `end` of
+    /// 10^15 s: a valid, correctly fingerprinted snapshot of under 5 KB
+    /// whose first daily-count query would allocate 92 GB.
+    fn span_probe(end: Timestamp) -> Trace {
+        let config = SystemConfig {
+            id: SystemId::new(1),
+            name: "span".into(),
+            nodes: 4,
+            procs_per_node: 4,
+            hardware: HardwareClass::Smp4Way,
+            start: Timestamp::EPOCH,
+            end,
+            has_layout: false,
+            has_job_log: false,
+            has_temperature: false,
+        };
+        let mut b = SystemTraceBuilder::new(config);
+        for i in 0..200u32 {
+            b.push_failure(FailureRecord::new(
+                SystemId::new(1),
+                NodeId::new(i % 4),
+                Timestamp::from_seconds(i64::from(i) * 3_600),
+                RootCause::Hardware,
+                SubCause::None,
+            ));
+        }
+        let mut trace = Trace::new();
+        trace.insert_system(b.build());
+        trace
+    }
+
+    #[test]
+    fn declared_spans_over_the_limit_or_backwards_are_refused() {
+        let probe = snapshot_bytes(&span_probe(Timestamp::from_seconds(1_000_000_000_000_000)));
+        assert!(probe.len() < 5_000, "{} bytes", probe.len());
+        let message = corrupt_message(&probe);
+        assert!(message.contains("over the limit"), "{message}");
+
+        let day = crate::MAX_SPAN_DAYS * 86_400;
+        let at_limit = span_probe(Timestamp::from_seconds(day));
+        let decoded = decode_snapshot(&snapshot_bytes(&at_limit)).expect("a span at the limit");
+        assert_eq!(decoded.fingerprint(), at_limit.fingerprint());
+        for end in [day + 1, i64::MAX, -1] {
+            let message =
+                corrupt_message(&snapshot_bytes(&span_probe(Timestamp::from_seconds(end))));
+            assert!(
+                message.contains("over the limit") || message.contains("before its start"),
+                "{end}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -447,17 +447,32 @@ impl Trace {
 /// The streaming content hash behind [`Trace::fingerprint`] and the
 /// snapshot section checksums.
 ///
-/// Each call mixes one 64-bit word into the state with an xor, a
-/// multiply by an odd constant and a rotate, so a pass costs one
-/// dependent multiply per word instead of one per byte.
-/// [`ContentHash::finish`] applies the SplitMix64 finalizer. Every
-/// step is a bijection of the state for a fixed input word, so two
-/// inputs of equal length that differ in exactly one word never hash
-/// alike: a single damaged byte cannot pass a section checksum.
+/// One step mixes a 64-bit word into a lane with an xor, a multiply by
+/// an odd constant and a rotate. Scalar fields step the state itself.
+/// [`ContentHash::bytes`] and [`ContentHash::column`] mix their length
+/// into the state, then spread their words over four independent
+/// lanes (word `i` to lane `i % 4`, each lane from its own seed), and
+/// fold the lanes into the state with the same step. The four chains
+/// do not wait on each other, so a pass runs about four words per
+/// multiply latency instead of one. [`ContentHash::finish`] applies
+/// the SplitMix64 finalizer.
+///
+/// Every step is a bijection of its lane for a fixed input word, and
+/// the fold is a bijection in each lane value, so two inputs of equal
+/// length that differ in exactly one word never hash alike: a single
+/// damaged byte cannot pass a section checksum.
 pub(crate) struct ContentHash(u64);
 
 impl ContentHash {
     const SEED: u64 = 0x243f_6a88_85a3_08d3;
+    /// One seed per lane, so equal words in different lanes do not
+    /// cancel in the fold.
+    const LANE_SEEDS: [u64; 4] = [
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+        0x4528_21e6_38d0_1377,
+    ];
     /// Odd, so the multiply is invertible modulo 2^64.
     const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
@@ -465,31 +480,61 @@ impl ContentHash {
         ContentHash(Self::SEED)
     }
 
+    fn step(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(Self::MUL).rotate_left(27)
+    }
+
     fn u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(Self::MUL).rotate_left(27);
+        self.0 = Self::step(self.0, v);
     }
 
     fn i64(&mut self, v: i64) {
         self.u64(v as u64);
     }
 
+    /// Runs `values` through the four lanes, value `i` into lane
+    /// `i % 4`, and returns the lanes.
+    fn lanes<T>(values: &[T], word: impl Fn(&T) -> u64) -> [u64; 4] {
+        let mut lanes = Self::LANE_SEEDS;
+        let (blocks, tail) = values.as_chunks::<4>();
+        for block in blocks {
+            for (lane, value) in lanes.iter_mut().zip(block) {
+                *lane = Self::step(*lane, word(value));
+            }
+        }
+        for (lane, value) in lanes.iter_mut().zip(tail) {
+            *lane = Self::step(*lane, word(value));
+        }
+        lanes
+    }
+
+    fn fold(&mut self, lanes: [u64; 4]) {
+        for lane in lanes {
+            self.u64(lane);
+        }
+    }
+
     /// Mixes the length, then the bytes as 8-byte little-endian words
-    /// with the last word zero-padded. The length prefix keeps inputs
-    /// that differ only in trailing zero bytes apart.
+    /// in four lanes, with the last word zero-padded. The length prefix
+    /// keeps inputs that differ only in trailing zero bytes apart.
     pub(crate) fn bytes(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.u64(u64::from_le_bytes(
-                word.try_into().expect("chunks_exact yields 8 bytes"),
-            ));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
+        let (words, rest) = bytes.as_chunks::<8>();
+        let mut lanes = Self::lanes(words, |w| u64::from_le_bytes(*w));
+        if !rest.is_empty() {
             let mut last = [0u8; 8];
-            last[..tail.len()].copy_from_slice(tail);
-            self.u64(u64::from_le_bytes(last));
+            last[..rest.len()].copy_from_slice(rest);
+            let lane = &mut lanes[words.len() % 4];
+            *lane = Self::step(*lane, u64::from_le_bytes(last));
         }
+        self.fold(lanes);
+    }
+
+    /// Mixes the column's length, then one word per value in four
+    /// lanes, as [`ContentHash::bytes`] does.
+    pub(crate) fn column<T>(&mut self, values: &[T], word: impl Fn(&T) -> u64) {
+        self.u64(values.len() as u64);
+        self.fold(Self::lanes(values, word));
     }
 
     pub(crate) fn finish(&self) -> u64 {
@@ -517,29 +562,21 @@ fn content_fingerprint(trace: &Trace) -> u64 {
         );
 
         let cols = system.failure_columns();
-        h.u64(cols.len() as u64);
-        for i in 0..cols.len() {
-            h.i64(cols.times()[i]);
-            h.u64(cols.nodes()[i] as u64);
-            h.u64(cols.roots()[i] as u64);
-            h.u64(cols.subs()[i] as u64);
-            h.i64(cols.downtimes()[i]);
-        }
+        h.column(cols.times(), |&t| t as u64);
+        h.column(cols.nodes(), |&n| n.into());
+        h.column(cols.roots(), |&r| r.into());
+        h.column(cols.subs(), |&s| s.into());
+        h.column(cols.downtimes(), |&d| d as u64);
+        // The node offsets and ids carry each job's node list.
         let jobs = system.job_columns();
-        h.u64(jobs.len() as u64);
-        for i in 0..jobs.len() {
-            h.u64(jobs.job_ids()[i]);
-            h.u64(jobs.users()[i] as u64);
-            h.i64(jobs.submits()[i]);
-            h.i64(jobs.dispatches()[i]);
-            h.i64(jobs.ends()[i]);
-            h.u64(jobs.procs()[i] as u64);
-            let nodes = jobs.nodes(i);
-            h.u64(nodes.len() as u64);
-            for &n in nodes {
-                h.u64(n as u64);
-            }
-        }
+        h.column(jobs.job_ids(), |&j| j);
+        h.column(jobs.users(), |&u| u.into());
+        h.column(jobs.submits(), |&t| t as u64);
+        h.column(jobs.dispatches(), |&t| t as u64);
+        h.column(jobs.ends(), |&t| t as u64);
+        h.column(jobs.procs(), |&p| p.into());
+        h.column(jobs.node_offsets(), |&o| o.into());
+        h.column(jobs.node_ids(), |&n| n.into());
         h.u64(system.temperatures().len() as u64);
         for t in system.temperatures() {
             h.u64(t.node.raw() as u64);
@@ -866,17 +903,48 @@ mod tests {
 
     #[test]
     fn content_hash_reads_a_length_then_zero_padded_words() {
-        let mut words = ContentHash::new();
-        words.u64(10);
-        words.u64(u64::from_le_bytes(*b"abcdefgh"));
-        words.u64(u64::from_le_bytes(*b"ij\0\0\0\0\0\0"));
-        assert_eq!(hash_bytes(b"abcdefghij"), words.finish());
+        // 42 bytes: five whole words and a two-byte tail.
+        let bytes: Vec<u8> = (0..42).collect();
+        let word = |i: usize| {
+            let mut w = [0u8; 8];
+            let chunk = &bytes[8 * i..(8 * i + 8).min(bytes.len())];
+            w[..chunk.len()].copy_from_slice(chunk);
+            u64::from_le_bytes(w)
+        };
+        let step = ContentHash::step;
+        let [s0, s1, s2, s3] = ContentHash::LANE_SEEDS;
+        // Words 0..4 fill one block; word 4 and the padded word 5 start
+        // the next from lane 0.
+        let lanes = [
+            step(step(s0, word(0)), word(4)),
+            step(step(s1, word(1)), word(5)),
+            step(s2, word(2)),
+            step(s3, word(3)),
+        ];
+        // The length first, then the lanes folded in order.
+        let expected = |len: u64| {
+            let mut h = ContentHash::new();
+            h.u64(len);
+            for lane in lanes {
+                h.u64(lane);
+            }
+            h.finish()
+        };
+        assert_eq!(hash_bytes(&bytes), expected(42));
+        // A column of the same six words fills the same lanes; only
+        // its length differs.
+        let words: Vec<u64> = (0..6).map(word).collect();
+        let mut column = ContentHash::new();
+        column.column(&words, |&w| w);
+        assert_eq!(column.finish(), expected(6));
 
         // Padding alone would make these collide; the length prefix
         // keeps them apart.
         assert_ne!(hash_bytes(b"a"), hash_bytes(b"a\0"));
         assert_ne!(hash_bytes(b""), hash_bytes(&[0; 8]));
         assert_ne!(hash_bytes(&[0; 7]), hash_bytes(&[0; 8]));
+        // Equal words in different lanes do not cancel.
+        assert_ne!(hash_bytes(&[0; 16]), hash_bytes(&[0; 24]));
 
         let fingerprint = |name: &str| {
             let mut config = test_config(1, 4, 10.0);
@@ -888,6 +956,39 @@ mod tests {
         assert_ne!(fingerprint("sys"), fingerprint("sys\0"));
         // Eight bytes: the same single word as "sys" zero-padded.
         assert_ne!(fingerprint("sys"), fingerprint("sys\0\0\0\0\0"));
+    }
+
+    /// Lengths up to 80 bytes cover every lane, a second and a third
+    /// block, each tail length and the padded last word.
+    #[test]
+    fn one_changed_byte_or_word_always_changes_the_hash() {
+        for len in 0..=80usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let base = hash_bytes(&bytes);
+            for pos in 0..len {
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut damaged = bytes.clone();
+                    damaged[pos] ^= flip;
+                    assert_ne!(hash_bytes(&damaged), base, "len {len}, byte {pos}");
+                }
+            }
+        }
+        let hash_column = |values: &[u64]| {
+            let mut h = ContentHash::new();
+            h.column(values, |&v| v);
+            h.finish()
+        };
+        for len in 0..=9u64 {
+            let values: Vec<u64> = (0..len).map(|i| i.wrapping_mul(ContentHash::MUL)).collect();
+            let base = hash_column(&values);
+            for pos in 0..values.len() {
+                for flip in [1, 1 << 63, u64::MAX] {
+                    let mut damaged = values.clone();
+                    damaged[pos] ^= flip;
+                    assert_ne!(hash_column(&damaged), base, "len {len}, value {pos}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::spec::{
     TemperatureSpec, WorkloadSpec,
 };
 use hpcfail_obs::json::Json;
-use hpcfail_store::MAX_NODES;
+use hpcfail_store::{MAX_NODES, MAX_SPAN_DAYS};
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -531,8 +531,11 @@ fn parse_system(json: &Json, path: &str) -> Result<ScenarioSystem, ScenarioError
             "must observe at least one day",
         ));
     }
-    if days > u64::from(u32::MAX) {
-        return Err(schema(format!("{path}.days"), "must fit in 32 bits"));
+    if days > MAX_SPAN_DAYS as u64 {
+        return Err(schema(
+            format!("{path}.days"),
+            format!("{days} days is over the limit of {MAX_SPAN_DAYS}"),
+        ));
     }
 
     let mut spec = template.base(id as u16, nodes as u32, days as u32);

@@ -574,6 +574,12 @@ mod tests {
         assert!(fleet.system(20).unwrap().workload.is_some());
         assert!(fleet.system(20).unwrap().temperature.is_some());
         assert!(fleet.system(18).unwrap().temperature.is_none());
+        // Every loader would refuse a longer span.
+        let longest = fleet.systems.iter().map(|s| s.days).max().unwrap();
+        assert!(
+            i64::from(longest) <= hpcfail_store::MAX_SPAN_DAYS,
+            "{longest}"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use hpcfail_obs::json::Json;
 use hpcfail_store::snapshot::{decode_snapshot, snapshot_bytes};
-use hpcfail_store::MAX_NODES;
+use hpcfail_store::{MAX_NODES, MAX_SPAN_DAYS};
 use hpcfail_synth::scenario::{self, Scenario, ScenarioError};
 use hpcfail_types::ids::SystemId;
 use proptest::prelude::*;
@@ -291,6 +291,30 @@ fn packs_over_the_node_limit_are_refused_at_parse_time() {
     }
 }
 
+/// A pack that observes a system for longer than a trace may span is
+/// refused at parse time with a typed error naming that system's days.
+#[test]
+fn packs_over_the_span_limit_are_refused_at_parse_time() {
+    let fleet = |days: u64| {
+        format!(
+            r#"{{"scenario": "x", "version": 1, "seed": 1, "systems": [
+                {{"id": 1, "template": "smp", "nodes": 4, "days": 30}},
+                {{"id": 2, "template": "smp", "nodes": 4, "days": {days}}}]}}"#
+        )
+    };
+    let max = MAX_SPAN_DAYS as u64;
+    assert!(Scenario::parse(&fleet(max)).is_ok());
+    for days in [max + 1, u64::from(u32::MAX), 1 << 53] {
+        match parse_err(&fleet(days)) {
+            ScenarioError::Schema { path, message } => {
+                assert_eq!(path, "systems[1].days", "{days}");
+                assert!(message.contains("over the limit"), "{message}");
+            }
+            other => panic!("expected a Schema error for {days} days, got {other}"),
+        }
+    }
+}
+
 /// Replaces the `n`-th scalar (in document order) of `json` with
 /// `value`; returns `false` when the document has `n` or fewer scalars.
 fn replace_nth_scalar(json: &mut Json, n: &mut usize, value: &Json) -> bool {
@@ -366,7 +390,7 @@ proptest! {
 
     /// A shipped pack with one scalar replaced by a value of any JSON
     /// kind parses or is refused with a typed error, and whatever
-    /// parses stays within the node limit.
+    /// parses stays within the node and span limits.
     #[test]
     fn single_field_mutations_of_the_packs_never_panic(
         pack in 0usize..4,
@@ -382,6 +406,7 @@ proptest! {
         if let Ok(parsed) = Scenario::parse(&json.pretty()) {
             let nodes: u64 = parsed.systems.iter().map(|s| u64::from(s.spec.nodes)).sum();
             prop_assert!(nodes <= u64::from(MAX_NODES));
+            prop_assert!(parsed.systems.iter().all(|s| i64::from(s.spec.days) <= MAX_SPAN_DAYS));
         }
     }
 }
