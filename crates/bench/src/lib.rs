@@ -95,13 +95,6 @@ pub enum ExperimentOutcome {
     },
 }
 
-impl ExperimentOutcome {
-    /// `true` only for [`ExperimentOutcome::Failed`].
-    pub fn is_failure(&self) -> bool {
-        matches!(self, ExperimentOutcome::Failed { .. })
-    }
-}
-
 /// One experiment: id, the paper artifact it reproduces, the optional
 /// data channels it needs, and its implementation.
 pub struct Experiment {
@@ -123,13 +116,8 @@ impl Experiment {
     /// become a typed skip and a panic is caught and reported as
     /// [`ExperimentOutcome::Failed`] (with a `repro.failed.<id>`
     /// counter) instead of tearing down the whole run.
-    pub fn execute(&self, ctx: &ReproContext) -> ExperimentOutcome {
-        self.execute_opts(ctx, false)
-    }
-
-    /// [`Experiment::execute`] with an optional injected failure, used
-    /// by the degradation smoke tests to exercise the failure path
-    /// deterministically.
+    /// `inject_failure` panics inside the run, so the degradation smoke
+    /// tests exercise the failure path deterministically.
     pub fn execute_opts(&self, ctx: &ReproContext, inject_failure: bool) -> ExperimentOutcome {
         let missing = missing_channels(ctx.trace(), self.requires);
         if !missing.is_empty() {

@@ -130,11 +130,6 @@ impl<'a> CorrelationAnalysis<'a> {
         CorrelationAnalysis { trace }
     }
 
-    /// The underlying trace.
-    pub fn trace(&self) -> &'a Trace {
-        self.trace
-    }
-
     /// Conditional probability of a `target` failure in the `window`
     /// after a `trigger` failure at the given `scope`, for one system.
     ///
@@ -192,27 +187,6 @@ impl<'a> CorrelationAnalysis<'a> {
             .map(|s| conditional_for_system(s, trigger, target, window, scope))
             .collect();
         merge_stratified(&parts)
-    }
-
-    /// Figure 1(a)/2(left)/3 as data: for every trigger class of
-    /// [`FailureClass::FIGURE1`], the probability of *any* follow-up
-    /// failure in the week after, at the given scope, plus the random
-    /// baseline (shared across bars).
-    pub fn figure_any_followup(
-        &self,
-        group: SystemGroup,
-        window: Window,
-        scope: Scope,
-    ) -> Vec<(FailureClass, ConditionalEstimate)> {
-        FailureClass::FIGURE1
-            .iter()
-            .map(|&class| {
-                (
-                    class,
-                    self.group_conditional(group, class, FailureClass::Any, window, scope),
-                )
-            })
-            .collect()
     }
 }
 
@@ -517,17 +491,5 @@ mod tests {
             Scope::SameNode,
         );
         assert!(g2.is_empty());
-    }
-
-    #[test]
-    fn figure_any_followup_has_eight_bars() {
-        let mut trace = Trace::new();
-        let mut b = SystemTraceBuilder::new(config(1, 2, 50.0, false));
-        b.push_failure(failure(1, 0, 10.0, RootCause::Hardware));
-        trace.insert_system(b.build());
-        let a = CorrelationAnalysis::over(&trace);
-        let bars = a.figure_any_followup(SystemGroup::Group1, Window::Week, Scope::SameNode);
-        assert_eq!(bars.len(), 8);
-        assert_eq!(bars[1].0, FailureClass::Root(RootCause::Hardware));
     }
 }

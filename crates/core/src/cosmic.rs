@@ -10,7 +10,6 @@ use hpcfail_stats::corr::{pearson, spearman};
 use hpcfail_store::columns::ClassCode;
 use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// One month of one system: average flux and failure probability.
@@ -36,11 +35,6 @@ impl<'a> CosmicAnalysis<'a> {
     /// [`crate::engine::Engine::cosmic`].
     pub(crate) fn over(trace: &'a Trace) -> Self {
         CosmicAnalysis { trace }
-    }
-
-    /// Monthly average neutron counts per minute, by month index.
-    pub fn monthly_flux(&self) -> BTreeMap<i64, f64> {
-        self.flux_over(i64::MIN..i64::MAX).collect()
     }
 
     /// `(month, average counts per minute)` for every month in `months`
@@ -163,6 +157,7 @@ pub fn series_correlations(series: &[MonthlyFluxPoint]) -> (Option<f64>, Option<
 mod tests {
     use super::*;
     use hpcfail_store::trace::SystemTraceBuilder;
+    use std::collections::BTreeMap;
 
     /// 10 nodes, 300 days; flux alternates low/high per month; CPU
     /// failures only in high-flux months, DRAM failures uniform.
@@ -224,7 +219,7 @@ mod tests {
     fn monthly_flux_aggregation() {
         let trace = build();
         let a = CosmicAnalysis::over(&trace);
-        let flux = a.monthly_flux();
+        let flux: BTreeMap<i64, f64> = a.flux_over(i64::MIN..i64::MAX).collect();
         assert_eq!(flux.len(), 10);
         assert_eq!(flux[&0], 3600.0);
         assert_eq!(flux[&1], 4500.0);

@@ -236,11 +236,6 @@ impl RequestError {
             message: message.into(),
         }
     }
-
-    /// What went wrong.
-    pub fn message(&self) -> &str {
-        &self.message
-    }
 }
 
 impl fmt::Display for RequestError {

@@ -44,35 +44,10 @@ impl ConditionalEstimate {
         self.conditional.wilson_ci(0.95)
     }
 
-    /// 95% Wilson interval on the baseline probability.
-    pub fn baseline_ci(&self) -> ConfidenceInterval {
-        self.baseline.wilson_ci(0.95)
-    }
-
     /// Two-sample proportion z-test of conditional vs baseline — the
     /// paper's significance test for every conditional comparison.
     pub fn test(&self) -> ProportionTest {
         self.conditional.two_sample_z_test(self.baseline)
-    }
-
-    /// 95% confidence interval on the *factor* (risk ratio), by the
-    /// delta method on the log scale:
-    /// `Var(ln RR) ~ (1-p1)/(n1 p1) + (1-p2)/(n2 p2)`.
-    ///
-    /// Returns `None` when either side has zero successes or trials
-    /// (the log-ratio is undefined there).
-    pub fn factor_ci(&self) -> Option<(f64, f64)> {
-        let (s1, n1) = (self.conditional.successes(), self.conditional.trials());
-        let (s2, n2) = (self.baseline.successes(), self.baseline.trials());
-        if s1 == 0 || s2 == 0 || n1 == 0 || n2 == 0 {
-            return None;
-        }
-        let p1 = self.conditional.estimate();
-        let p2 = self.baseline.estimate();
-        let var = (1.0 - p1) / (s1 as f64) + (1.0 - p2) / (s2 as f64);
-        let log_rr = (p1 / p2).ln();
-        let half = 1.96 * var.sqrt();
-        Some(((log_rr - half).exp(), (log_rr + half).exp()))
     }
 
     /// `true` if the conditional probability differs significantly from
@@ -160,67 +135,6 @@ mod tests {
         assert_eq!(e.factor(), None);
         assert!(!e.significant_at(0.05));
         assert_eq!(e.to_string(), "0.0000 vs 0.0000 (NA, n=0)");
-    }
-
-    #[test]
-    fn factor_ci_brackets_factor() {
-        let e = ConditionalEstimate::from_counts(
-            WindowCounts {
-                hits: 72,
-                total: 1000,
-            },
-            WindowCounts {
-                hits: 310,
-                total: 100_000,
-            },
-        );
-        let (lo, hi) = e.factor_ci().expect("both sides have successes");
-        let f = e.factor().unwrap();
-        assert!(lo < f && f < hi, "[{lo}, {hi}] around {f}");
-        assert!(lo > 1.0, "significantly above 1: lo = {lo}");
-    }
-
-    #[test]
-    fn factor_ci_narrows_with_sample_size() {
-        let small = ConditionalEstimate::from_counts(
-            WindowCounts {
-                hits: 7,
-                total: 100,
-            },
-            WindowCounts {
-                hits: 31,
-                total: 10_000,
-            },
-        );
-        let large = ConditionalEstimate::from_counts(
-            WindowCounts {
-                hits: 700,
-                total: 10_000,
-            },
-            WindowCounts {
-                hits: 3100,
-                total: 1_000_000,
-            },
-        );
-        let (slo, shi) = small.factor_ci().unwrap();
-        let (llo, lhi) = large.factor_ci().unwrap();
-        assert!(lhi / llo < shi / slo, "large-sample CI is tighter");
-    }
-
-    #[test]
-    fn factor_ci_undefined_without_successes() {
-        let e = ConditionalEstimate::from_counts(
-            WindowCounts {
-                hits: 0,
-                total: 100,
-            },
-            WindowCounts {
-                hits: 5,
-                total: 100,
-            },
-        );
-        assert_eq!(e.factor_ci(), None);
-        assert_eq!(ConditionalEstimate::empty().factor_ci(), None);
     }
 
     #[test]

@@ -201,18 +201,6 @@ impl<'a> RegressionStudy<'a> {
         }
     }
 
-    /// Tables II and III in one call: `(poisson, negative_binomial)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first fitting error.
-    pub fn both_tables(&self, system: SystemId) -> Result<(GlmFit, GlmFit), GlmError> {
-        Ok((
-            self.fit(system, StudyFamily::Poisson, false)?,
-            self.fit(system, StudyFamily::NegativeBinomial, false)?,
-        ))
-    }
-
     /// Names of predictors significant at `alpha` in a fit, in table
     /// order.
     pub fn significant_predictors(fit: &GlmFit, alpha: f64) -> Vec<&'static str> {
@@ -341,12 +329,17 @@ mod tests {
     fn nb_table_fits_too() {
         let trace = build();
         let study = RegressionStudy::over(&trace);
-        let (pois, nb) = study.both_tables(SystemId::new(20)).unwrap();
+        let pois = study
+            .fit(SystemId::new(20), StudyFamily::Poisson, false)
+            .unwrap();
+        let nb = study
+            .fit(SystemId::new(20), StudyFamily::NegativeBinomial, false)
+            .unwrap();
         // Intercept + 7 predictors, minus any constant column that was
         // dropped (num_hightemp is all zero in this fixture).
-        assert_eq!(pois.n_params(), 7);
+        assert_eq!(pois.coefficients.len(), 7);
         assert!(pois.coefficient("num_hightemp").is_none());
-        assert_eq!(nb.n_params(), 7);
+        assert_eq!(nb.coefficients.len(), 7);
         assert!(matches!(nb.family, Family::NegativeBinomial { .. }));
         // Same sign on the load coefficient.
         let p = pois.coefficient("num_jobs").unwrap().estimate;
@@ -365,7 +358,7 @@ mod tests {
             .refit_significant_only(SystemId::new(20), StudyFamily::Poisson, &full, 0.01)
             .unwrap();
         // Fewer parameters, and the load signal survives.
-        assert!(refit.n_params() < full.n_params());
+        assert!(refit.coefficients.len() < full.coefficients.len());
         assert!(refit
             .coefficient("num_jobs")
             .is_some_and(|c| c.significant_at(0.01)));

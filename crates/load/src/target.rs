@@ -182,11 +182,6 @@ impl Http {
         self.query_path = format!("/v1/traces/{name}/query");
         self.batch_path = format!("/v1/traces/{name}/batch");
     }
-
-    /// The underlying retrying client (for `/shutdown` etc.).
-    pub fn client(&self) -> &RetryingClient {
-        &self.client
-    }
 }
 
 impl Target for Http {

@@ -93,15 +93,9 @@ mod front_door {
     }
 
     /// Starts capturing a request-scoped trace on this thread: opens
-    /// the root span `name` and returns the guard. See
+    /// the root span `name` under `context` (propagated or freshly
+    /// drawn trace ids) and returns the guard. See
     /// [`crate::trace::ActiveTrace`].
-    #[must_use = "the trace records only until its guard drops; call finish() to collect it"]
-    pub fn start_trace(name: &str) -> ActiveTrace {
-        ActiveTrace::start(name)
-    }
-
-    /// Starts capturing a trace with an explicit context (propagated or
-    /// seeded trace ids).
     #[must_use = "the trace records only until its guard drops; call finish() to collect it"]
     pub fn start_trace_with(name: &str, context: TraceContext) -> ActiveTrace {
         ActiveTrace::start_with(name, context)
@@ -232,21 +226,6 @@ mod front_door {
     pub struct NoopTrace;
 
     impl NoopTrace {
-        /// A zeroed context.
-        #[inline(always)]
-        pub fn context(&self) -> crate::trace::TraceContext {
-            crate::trace::TraceContext {
-                trace_id: 0,
-                span_id: 0,
-            }
-        }
-
-        /// Sixteen zeros: no ids are allocated without instrumentation.
-        #[inline(always)]
-        pub fn trace_id_hex(&self) -> String {
-            "0000000000000000".to_owned()
-        }
-
         /// No-op.
         #[inline(always)]
         pub fn attr(&self, _key: &str, _value: &str) {}
@@ -256,13 +235,6 @@ mod front_door {
         pub fn finish(self) -> Option<crate::trace::TraceRecording> {
             None
         }
-    }
-
-    /// No-op; see the instrumented variant.
-    #[inline(always)]
-    #[must_use = "the trace records only until its guard drops; call finish() to collect it"]
-    pub fn start_trace(_name: &str) -> NoopTrace {
-        NoopTrace
     }
 
     /// No-op; see the instrumented variant.

@@ -171,23 +171,6 @@ impl Histogram {
         }
         Some(self.max() as f64)
     }
-
-    /// The width of the bucket containing `value` — callers can use it
-    /// as the quantile estimate's error bound.
-    pub fn bucket_width(&self, value: u64) -> u64 {
-        let idx = self.core.bounds.partition_point(|&b| b <= value);
-        let lo = if idx == 0 {
-            0
-        } else {
-            self.core.bounds[idx - 1]
-        };
-        let hi = if idx < self.core.bounds.len() {
-            self.core.bounds[idx]
-        } else {
-            u64::MAX
-        };
-        hi - lo
-    }
 }
 
 /// Accumulated wall time for one span name.
@@ -487,6 +470,15 @@ mod tests {
         assert_eq!(reg.counter("concurrent").get(), 8 * per_thread);
     }
 
+    /// The width of the bucket containing `value`.
+    fn bucket_width(h: &Histogram, value: u64) -> u64 {
+        let bounds = &h.core.bounds;
+        let idx = bounds.partition_point(|&b| b <= value);
+        let lo = if idx == 0 { 0 } else { bounds[idx - 1] };
+        let hi = bounds.get(idx).copied().unwrap_or(u64::MAX);
+        hi - lo
+    }
+
     #[test]
     fn quantile_estimates_within_one_bucket_width() {
         // Uniform values over [0, 1000) against the default exponential
@@ -500,7 +492,7 @@ mod tests {
         for q in [0.5, 0.9, 0.99] {
             let exact = q * (n - 1) as f64;
             let estimate = h.quantile(q).expect("non-empty");
-            let width = h.bucket_width(exact as u64) as f64;
+            let width = bucket_width(&h, exact as u64) as f64;
             assert!(
                 (estimate - exact).abs() <= width,
                 "q{q}: estimate {estimate} vs exact {exact}, bucket width {width}"

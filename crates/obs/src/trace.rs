@@ -11,15 +11,13 @@
 //! what `hpcfail-serve` returns inline when a client sends
 //! `x-trace: 1`.
 //!
-//! Trace ids come from a process-global splitmix64 stream. By default
-//! the stream is seeded from wall-clock entropy; tests call
-//! [`seed_trace_ids`] to make the ids (and therefore access logs and
-//! trace echoes) deterministic. Span ids are allocated sequentially
-//! within a trace (the root is span 1), so a recording is
-//! deterministic given a deterministic execution.
+//! Trace ids come from a process-global splitmix64 stream seeded from
+//! wall-clock entropy. Span ids are allocated sequentially within a
+//! trace (the root is span 1), so a recording is deterministic given a
+//! deterministic execution.
 //!
 //! Like the rest of the crate, the capture path is reached through the
-//! front door (`hpcfail_obs::start_trace`) and compiles down to an
+//! front door (`hpcfail_obs::start_trace_with`) and compiles down to an
 //! inert stand-in under the `no-obs` feature.
 
 use crate::json::Json;
@@ -39,12 +37,6 @@ fn id_state() -> &'static AtomicU64 {
             .unwrap_or(0);
         AtomicU64::new(nanos ^ (u64::from(std::process::id()) << 32))
     })
-}
-
-/// Reseeds the trace-id stream so subsequent ids are deterministic.
-/// Test hook; production processes keep the entropy-seeded default.
-pub fn seed_trace_ids(seed: u64) {
-    id_state().store(seed, Ordering::SeqCst);
 }
 
 /// The next trace id from the process-global stream: unique within the
@@ -87,12 +79,6 @@ impl TraceContext {
             trace_id: trace_id.max(1),
             span_id: 1,
         }
-    }
-
-    /// The trace id as 16 lowercase hex digits, the wire form used in
-    /// `x-trace-id` headers and access logs.
-    pub fn trace_id_hex(&self) -> String {
-        format!("{:016x}", self.trace_id)
     }
 }
 
@@ -183,7 +169,7 @@ impl TraceRecording {
 }
 
 /// An installed trace capture: opened by
-/// [`start_trace`](crate::start_trace) (or [`ActiveTrace::start`]),
+/// [`start_trace_with`](crate::start_trace_with) (or [`ActiveTrace::start_with`]),
 /// closed by [`ActiveTrace::finish`].
 ///
 /// The guard owns the trace's root span. While it lives, spans entered
@@ -195,39 +181,21 @@ impl TraceRecording {
 /// records nothing (`finish` returns `None`).
 #[derive(Debug)]
 pub struct ActiveTrace {
-    context: TraceContext,
     /// Present only while capture is installed and unfinished.
     root: Option<Span>,
     owns_collector: bool,
 }
 
 impl ActiveTrace {
-    /// Installs capture on this thread with a fresh trace id and opens
-    /// the root span `name`.
-    pub fn start(name: &str) -> ActiveTrace {
-        ActiveTrace::start_with(name, TraceContext::new())
-    }
-
     /// Installs capture with an explicit context (deterministic tests,
     /// propagated ids).
     pub fn start_with(name: &str, context: TraceContext) -> ActiveTrace {
         let owns_collector = span::install_collector(context.trace_id);
         let root = Some(Span::enter(name));
         ActiveTrace {
-            context,
             root,
             owns_collector,
         }
-    }
-
-    /// The trace's identity.
-    pub fn context(&self) -> TraceContext {
-        self.context
-    }
-
-    /// The trace id as 16 lowercase hex digits.
-    pub fn trace_id_hex(&self) -> String {
-        self.context.trace_id_hex()
     }
 
     /// Sets a `key=value` attribute on the trace's root span.
@@ -264,10 +232,10 @@ mod tests {
 
     #[test]
     fn trace_ids_are_deterministic_after_seeding() {
-        seed_trace_ids(99);
+        id_state().store(99, Ordering::SeqCst);
         let a = next_trace_id();
         let b = next_trace_id();
-        seed_trace_ids(99);
+        id_state().store(99, Ordering::SeqCst);
         assert_eq!(next_trace_id(), a);
         assert_eq!(next_trace_id(), b);
         assert_ne!(a, b);
@@ -277,8 +245,11 @@ mod tests {
     #[test]
     fn context_hex_is_sixteen_digits() {
         let ctx = TraceContext::with_id(0xabc);
-        assert_eq!(ctx.trace_id_hex(), "0000000000000abc");
         assert_eq!(ctx.span_id, 1);
+        let recording = ActiveTrace::start_with("hex", ctx)
+            .finish()
+            .expect("owning guard records");
+        assert_eq!(recording.trace_id_hex(), "0000000000000abc");
     }
 
     #[test]

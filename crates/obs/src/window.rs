@@ -286,11 +286,6 @@ impl WindowCounter {
         }
     }
 
-    /// The window length in milliseconds.
-    pub fn window_ms(&self) -> u64 {
-        self.slot_ms * self.slots.len() as u64
-    }
-
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }

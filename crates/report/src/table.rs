@@ -1,4 +1,4 @@
-//! Aligned plain-text tables with TSV export.
+//! Aligned plain-text tables.
 
 use std::fmt;
 
@@ -120,17 +120,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as tab-separated values (header row included).
-    pub fn to_tsv(&self) -> String {
-        let mut out = self.headers.join("\t");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -167,12 +156,6 @@ mod tests {
     fn header_rule_present() {
         let text = sample().render();
         assert!(text.lines().nth(1).unwrap().chars().all(|c| c == '-'));
-    }
-
-    #[test]
-    fn tsv_export() {
-        let tsv = sample().to_tsv();
-        assert_eq!(tsv, "name\tvalue\nalpha\t1\nbeta-long-name\t22\n");
     }
 
     #[test]

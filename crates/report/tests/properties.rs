@@ -1,5 +1,5 @@
-//! Property-based tests for the text renderers: alignment invariants,
-//! TSV structure, chart bounds.
+//! Property-based tests for the text renderers: alignment invariants
+//! and chart bounds.
 
 use hpcfail_report::chart::{BarChart, ScatterPlot};
 use hpcfail_report::fmt::{factor, p_value, pct, stars};
@@ -29,21 +29,6 @@ proptest! {
         let header_w = widths[0];
         for (i, w) in widths.iter().enumerate().skip(2) {
             prop_assert_eq!(*w, header_w, "line {} width", i);
-        }
-    }
-
-    #[test]
-    fn tsv_has_one_line_per_row(
-        rows in prop::collection::vec(prop::collection::vec(cell(), 2..3usize), 0..10),
-    ) {
-        let mut t = Table::new(&["x", "y"]);
-        for row in &rows {
-            t.row(&[row[0].as_str(), row[1].as_str()]);
-        }
-        let tsv = t.to_tsv();
-        prop_assert_eq!(tsv.lines().count(), rows.len() + 1);
-        for line in tsv.lines() {
-            prop_assert_eq!(line.split('\t').count(), 2);
         }
     }
 

@@ -17,7 +17,7 @@ use crate::phase::PHASES;
 use hpcfail_obs::json::Json;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// Default rotation threshold: 16 MiB per file.
@@ -109,11 +109,6 @@ impl AccessLog {
             max_bytes: max_bytes.max(1),
             state: Mutex::new(LogState { file, bytes }),
         })
-    }
-
-    /// The live log path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The rotated path (`<path>.1`).

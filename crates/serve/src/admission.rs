@@ -316,11 +316,6 @@ impl AdmissionGate {
         self.available.notify_all();
     }
 
-    /// `true` once [`AdmissionGate::begin_drain`] has been called.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
-
     /// Requests currently admitted (holding a [`Permit`]).
     pub fn inflight(&self) -> usize {
         self.lock().inflight

@@ -100,14 +100,6 @@ pub enum ChaosPoint {
     Respond,
 }
 
-/// Every injection point, in wire order.
-pub const CHAOS_POINTS: [ChaosPoint; 4] = [
-    ChaosPoint::Accept,
-    ChaosPoint::Admission,
-    ChaosPoint::Engine,
-    ChaosPoint::Respond,
-];
-
 impl ChaosPoint {
     /// The wire label (`accept` / `admission` / `engine` / `respond`).
     pub fn label(self) -> &'static str {
@@ -434,11 +426,6 @@ impl ChaosEngine {
         }
     }
 
-    /// The spec this engine runs.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
-    }
-
     /// Registers one arrival at `point` and decides whether it faults.
     ///
     /// The first rule (in file order) whose hash fires and whose `max`
@@ -487,11 +474,6 @@ impl ChaosEngine {
             });
         }
         None
-    }
-
-    /// Arrivals registered at `point` so far.
-    pub fn arrivals(&self, point: ChaosPoint) -> u64 {
-        self.arrivals[point.index()].load(Ordering::SeqCst)
     }
 
     /// Firings per rule, in rule order.
@@ -677,7 +659,6 @@ mod tests {
             .count();
         assert_eq!(fired, 5);
         assert_eq!(engine.fired(), vec![5]);
-        assert_eq!(engine.arrivals(ChaosPoint::Accept), 100);
     }
 
     #[test]

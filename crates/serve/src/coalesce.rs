@@ -116,11 +116,6 @@ impl Coalescer {
             .expect("coalescer lock")
             .remove(&guard.key);
     }
-
-    /// Flights currently in the air.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.lock().expect("coalescer lock").len()
-    }
 }
 
 #[cfg(test)]
@@ -143,9 +138,7 @@ mod tests {
             Claim::Follower(f) => f,
             Claim::Leader(_) => panic!("second claim must follow"),
         };
-        assert_eq!(c.in_flight(), 1);
         c.complete(leader, Arc::new("body".to_owned()));
-        assert_eq!(c.in_flight(), 0);
         let got = follower.wait(Instant::now() + Duration::from_secs(1));
         assert_eq!(got.as_deref().map(String::as_str), Some("body"));
         // The key is free again.
@@ -176,7 +169,6 @@ mod tests {
             Claim::Follower(_) => panic!("first claim must lead"),
         };
         c.abandon(leader);
-        assert_eq!(c.in_flight(), 0);
         assert!(matches!(c.claim(&key()), Claim::Leader(_)));
     }
 

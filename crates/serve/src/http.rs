@@ -5,6 +5,7 @@
 //! malformed input maps to a typed [`HttpError`] carrying the 4xx
 //! status to answer with — parsing never panics, whatever the bytes.
 
+use crate::routes::{self, Endpoint, Routed};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Read, Write};
 
@@ -15,10 +16,9 @@ pub const MAX_HEADERS: usize = 64;
 /// Largest accepted request body on analysis/control endpoints, bytes.
 pub const MAX_BODY: usize = 1024 * 1024;
 /// Largest accepted request body on trace-upload endpoints, bytes.
-/// The server's per-request limit callback returns this for
-/// `POST /v1/traces/{name}` and [`MAX_BODY`] everywhere else, so an
-/// oversized declaration still gets its typed 413 before any body
-/// byte is read.
+/// [`body_limit`] grants this to `POST /v1/traces/{name}` and
+/// [`MAX_BODY`] everywhere else, so an oversized declaration still
+/// gets its typed 413 before any body byte is read.
 pub const MAX_UPLOAD_BODY: usize = 64 * 1024 * 1024;
 
 /// A parsed request.
@@ -160,18 +160,22 @@ pub(crate) fn read_line(
     }
 }
 
-/// Reads one request under the default [`MAX_BODY`] limit. `Ok(None)`
-/// means the connection closed cleanly between requests (normal
-/// keep-alive end).
-pub fn read_request(stream: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-    read_request_with_limit(stream, |_, _| MAX_BODY)
+/// The server's body limit for one request: only trace uploads get the
+/// enlarged [`MAX_UPLOAD_BODY`]; everything else keeps [`MAX_BODY`]
+/// with its immediate typed 413.
+pub fn body_limit(method: &str, path: &str) -> usize {
+    match routes::resolve(method, path) {
+        Routed::Matched(m) if m.endpoint == Endpoint::TraceUpload => MAX_UPLOAD_BODY,
+        _ => MAX_BODY,
+    }
 }
 
 /// Reads one request, asking `max_body(method, path)` — called once
 /// the request line is parsed, before any body byte is read — how
-/// large a body this endpoint accepts. The server grants
-/// [`MAX_UPLOAD_BODY`] to trace uploads and [`MAX_BODY`] to everything
-/// else; over-limit declarations answer a typed 413 immediately.
+/// large a body this endpoint accepts (the server passes
+/// [`body_limit`]); over-limit declarations answer a typed 413
+/// immediately. `Ok(None)` means the connection closed cleanly between
+/// requests (normal keep-alive end).
 pub fn read_request_with_limit(
     stream: &mut impl BufRead,
     max_body: impl FnOnce(&str, &str) -> usize,
@@ -327,7 +331,7 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(bytes: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(bytes))
+        read_request_with_limit(&mut BufReader::new(bytes), body_limit)
     }
 
     #[test]
@@ -428,7 +432,7 @@ mod tests {
     }
 
     fn parse_stalling(data: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(Stalling { data, pos: 0 }))
+        read_request_with_limit(&mut BufReader::new(Stalling { data, pos: 0 }), body_limit)
     }
 
     #[test]

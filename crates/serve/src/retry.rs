@@ -62,15 +62,6 @@ impl RetryPolicy {
             ..RetryPolicy::default()
         }
     }
-
-    /// `attempts` total attempts, everything else default.
-    #[must_use]
-    pub fn with_attempts(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: attempts.max(1),
-            ..RetryPolicy::default()
-        }
-    }
 }
 
 /// What one request cost through the retrying client.
@@ -124,11 +115,6 @@ impl RetryingClient {
         }
     }
 
-    /// The policy this client runs.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
     /// Lifetime retry/shed/gave-up totals.
     pub fn stats(&self) -> RetryStats {
         RetryStats {
@@ -147,23 +133,14 @@ impl RetryingClient {
         self.get_detailed(path).result
     }
 
-    /// Sends a POST, retrying sheds and transport failures.
-    ///
-    /// # Errors
-    ///
-    /// The final transport error once retries are exhausted.
-    pub fn post(&self, path: &str, body: &str, headers: &[(&str, &str)]) -> io::Result<Response> {
-        self.post_detailed(path, body, headers).result
-    }
-
     /// Like [`RetryingClient::get`], reporting the full
     /// [`RetryOutcome`].
     pub fn get_detailed(&self, path: &str) -> RetryOutcome {
         self.run(|| self.client.get(path))
     }
 
-    /// Like [`RetryingClient::post`], reporting the full
-    /// [`RetryOutcome`].
+    /// Sends a POST, retrying sheds and transport failures, and reports
+    /// the full [`RetryOutcome`].
     pub fn post_detailed(&self, path: &str, body: &str, headers: &[(&str, &str)]) -> RetryOutcome {
         self.run(|| self.client.post(path, body, headers))
     }

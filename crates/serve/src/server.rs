@@ -164,14 +164,6 @@ impl ServerHandle {
         &self.shared.registry
     }
 
-    /// The `default` trace's current engine, when one is registered.
-    pub fn engine(&self) -> Option<Arc<Engine>> {
-        self.shared
-            .registry
-            .resolve(DEFAULT_TRACE)
-            .map(|resolved| resolved.engine)
-    }
-
     /// Requests currently being handled (the live `serve_inflight`
     /// gauge).
     pub fn inflight(&self) -> u64 {
@@ -311,13 +303,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             Err(_) => return,
         }
         let mut stamps = Stamps::new(Instant::now());
-        // Only trace uploads get the enlarged body limit; everything
-        // else keeps the original cap with its immediate typed 413.
-        let limit = |method: &str, path: &str| match routes::resolve(method, path) {
-            Routed::Matched(m) if m.endpoint == Endpoint::TraceUpload => http::MAX_UPLOAD_BODY,
-            _ => http::MAX_BODY,
-        };
-        let read = http::read_request_with_limit(&mut reader, limit);
+        let read = http::read_request_with_limit(&mut reader, http::body_limit);
         stamps.mark(Phase::Read);
         let request = match read {
             Ok(Some(request)) => request,

@@ -78,11 +78,6 @@ impl SloTracker {
         }
     }
 
-    /// The policy being evaluated.
-    pub fn policy(&self) -> SloPolicy {
-        self.policy
-    }
-
     /// Records one served request.
     pub fn record(&self, kind: &str, latency_ns: u64, error: bool) {
         let mut kinds = match self.kinds.lock() {

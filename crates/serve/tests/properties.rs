@@ -5,7 +5,7 @@
 
 use hpcfail_core::engine::{AnalysisRequest, REQUEST_KINDS};
 use hpcfail_serve::chaos::{ChaosConfig, ChaosFault};
-use hpcfail_serve::http::{read_request, MAX_BODY};
+use hpcfail_serve::http::{body_limit, read_request_with_limit, MAX_BODY, MAX_UPLOAD_BODY};
 use hpcfail_serve::promtext;
 use hpcfail_serve::routes::{resolve, Endpoint, Routed};
 use proptest::prelude::*;
@@ -21,6 +21,11 @@ const SEGMENTS: &[&str] = &[
 /// A well-formed request each mutation starts from.
 const VALID_REQUEST: &[u8] = b"POST /v1/traces/default/query HTTP/1.1\r\nhost: x\r\n\
 content-length: 30\r\nconnection: close\r\n\r\n{\"analysis\": \"trace-summary\"}";
+
+/// A well-formed trace upload, the one route [`body_limit`] grants
+/// [`MAX_UPLOAD_BODY`].
+const VALID_UPLOAD: &[u8] = b"POST /v1/traces/lanl HTTP/1.1\r\nhost: x\r\n\
+content-length: 12\r\ncontent-type: text/csv\r\n\r\nSystem,Node\n";
 
 /// The chaos spec CI runs its storm under; mutations start from it.
 const VALID_CHAOS: &str = include_str!("../../../tests/chaos/ci-storm.json");
@@ -82,10 +87,13 @@ fn check_scrape(text: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Parses `bytes` as one request and checks the reader's contract.
+/// Parses `bytes` as one request under the server's body limits and
+/// checks the reader's contract.
 fn check_read(bytes: &[u8]) -> Result<(), TestCaseError> {
-    match read_request(&mut BufReader::new(bytes)) {
-        Ok(Some(request)) => prop_assert!(request.body.len() <= MAX_BODY),
+    match read_request_with_limit(&mut BufReader::new(bytes), body_limit) {
+        Ok(Some(request)) => {
+            prop_assert!(request.body.len() <= body_limit(&request.method, &request.path))
+        }
         Ok(None) => {}
         Err(err) => {
             let status = err.status().map(|(status, _)| status);
@@ -156,6 +164,24 @@ proptest! {
         edits in prop::collection::vec((0usize..200, 0u8..=255, 0u8..3), 1..6),
     ) {
         check_read(&mutate(VALID_REQUEST, &edits))?;
+        check_read(&mutate(VALID_UPLOAD, &edits))?;
+    }
+
+    /// A declared length between the two limits passes the limit only
+    /// on an upload, where the missing body is then a truncated 400;
+    /// every other route answers 413 before reading the body. Past
+    /// the upload limit both answer 413.
+    #[test]
+    fn body_limit_grants_the_upload_limit_only_to_uploads(
+        length in MAX_BODY + 1..=MAX_UPLOAD_BODY + 1,
+        path in prop::sample::select(vec!["/v1/traces/lanl", "/v1/traces/lanl/query"]),
+    ) {
+        let upload = path == "/v1/traces/lanl";
+        let head = format!("POST {path} HTTP/1.1\r\ncontent-length: {length}\r\n\r\n");
+        let err = read_request_with_limit(&mut BufReader::new(head.as_bytes()), body_limit)
+            .expect_err("no body follows the head");
+        let expected = if upload && length <= MAX_UPLOAD_BODY { 400 } else { 413 };
+        prop_assert_eq!(err.status().map(|(status, _)| status), Some(expected), "{}", err.message());
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl ChiSquared {
         );
         ChiSquared { k }
     }
-
-    /// Degrees of freedom.
-    pub fn df(&self) -> f64 {
-        self.k
-    }
 }
 
 impl Distribution for ChiSquared {

@@ -30,7 +30,6 @@
 //! # Ok::<(), hpcfail_stats::glm::GlmError>(())
 //! ```
 
-use crate::dist::{ChiSquared, Distribution};
 use crate::linalg::{LinalgError, Matrix};
 use crate::special::{digamma, ln_gamma, standard_normal_cdf, trigamma};
 use std::fmt;
@@ -209,68 +208,15 @@ impl GlmFit {
     pub fn coefficient(&self, name: &str) -> Option<&Coefficient> {
         self.coefficients.iter().find(|c| c.name == name)
     }
-
-    /// Number of estimated regression coefficients.
-    pub fn n_params(&self) -> usize {
-        self.coefficients.len()
-    }
-
-    /// Pearson dispersion estimate `sum((y - mu)^2 / V(mu)) / (n - p)`.
-    ///
-    /// Values well above 1 under a Poisson fit indicate overdispersion —
-    /// the diagnostic that motivates refitting with the negative
-    /// binomial (as the paper does for Tables II/III).
-    ///
-    /// Requires the response used for fitting, since the fit stores only
-    /// fitted means.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != n` or the model has no residual degrees of
-    /// freedom.
-    pub fn pearson_dispersion(&self, y: &[f64]) -> f64 {
-        assert_eq!(y.len(), self.n, "response length must match the fit");
-        assert!(self.n > self.n_params(), "no residual degrees of freedom");
-        let var = |mu: f64| match self.family {
-            Family::Poisson => mu,
-            Family::NegativeBinomial { theta } => mu + mu * mu / theta,
-        };
-        let chi2: f64 = y
-            .iter()
-            .zip(&self.fitted)
-            .map(|(&yi, &mui)| {
-                let v = var(mui).max(1e-12);
-                (yi - mui) * (yi - mui) / v
-            })
-            .sum();
-        chi2 / (self.n - self.n_params()) as f64
-    }
-
-    /// Likelihood-ratio test against a nested fit (same family, fewer
-    /// terms). Returns `(statistic, df, p_value)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reduced` does not have strictly fewer parameters.
-    pub fn lrt_against(&self, reduced: &GlmFit) -> (f64, f64, f64) {
-        assert!(
-            self.n_params() > reduced.n_params(),
-            "reduced model must have fewer parameters"
-        );
-        let stat = (2.0 * (self.log_likelihood - reduced.log_likelihood)).max(0.0);
-        let df = (self.n_params() - reduced.n_params()) as f64;
-        (stat, df, ChiSquared::new(df).sf(stat))
-    }
 }
 
 /// A GLM specification under construction (non-consuming builder).
 ///
-/// Terms are added column-by-column; an intercept is included by
-/// default. Call [`GlmModel::fit`] with the response to estimate.
+/// Terms are added column-by-column after an intercept, which every
+/// model includes. Call [`GlmModel::fit`] with the response to estimate.
 #[derive(Debug, Clone)]
 pub struct GlmModel {
     family: Family,
-    intercept: bool,
     names: Vec<String>,
     columns: Vec<Vec<f64>>,
     offset: Option<Vec<f64>>,
@@ -281,7 +227,6 @@ impl GlmModel {
     pub fn new(family: Family) -> Self {
         GlmModel {
             family,
-            intercept: true,
             names: Vec::new(),
             columns: Vec::new(),
             offset: None,
@@ -292,12 +237,6 @@ impl GlmModel {
     pub fn term(&mut self, name: &str, values: &[f64]) -> &mut Self {
         self.names.push(name.to_owned());
         self.columns.push(values.to_vec());
-        self
-    }
-
-    /// Includes or excludes the intercept (included by default).
-    pub fn intercept(&mut self, include: bool) -> &mut Self {
-        self.intercept = include;
         self
     }
 
@@ -341,28 +280,19 @@ impl GlmModel {
                 });
             }
         }
-        let p = self.columns.len() + usize::from(self.intercept);
-        if p == 0 {
-            return Err(GlmError::DimensionMismatch {
-                what: "model with no terms".into(),
-            });
-        }
+        let p = self.columns.len() + 1;
         if n < p {
             return Err(GlmError::Underdetermined);
         }
         let mut x = Matrix::zeros(n, p);
         let mut names = Vec::with_capacity(p);
-        let mut j0 = 0;
-        if self.intercept {
-            for i in 0..n {
-                x[(i, 0)] = 1.0;
-            }
-            names.push("(Intercept)".to_owned());
-            j0 = 1;
+        for i in 0..n {
+            x[(i, 0)] = 1.0;
         }
+        names.push("(Intercept)".to_owned());
         for (j, (name, col)) in self.names.iter().zip(&self.columns).enumerate() {
             for i in 0..n {
-                x[(i, j0 + j)] = col[i];
+                x[(i, 1 + j)] = col[i];
             }
             names.push(name.clone());
         }
@@ -646,6 +576,7 @@ fn newton_theta(y: &[f64], mu: &[f64], mut theta: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::dist::{Distribution, NegativeBinomial, Poisson as PoissonDist};
+    use crate::htest::anova_lrt;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -751,10 +682,15 @@ mod tests {
             .fit(&y)
             .unwrap();
         let reduced = GlmModel::new(Family::Poisson).fit(&y).unwrap();
-        let (stat, df, p) = full.lrt_against(&reduced);
-        assert_eq!(df, 1.0);
-        assert!(stat > 10.0);
-        assert!(p < 0.001);
+        let t = anova_lrt(
+            full.log_likelihood,
+            full.coefficients.len(),
+            reduced.log_likelihood,
+            reduced.coefficients.len(),
+        );
+        assert_eq!(t.df, 1.0);
+        assert!(t.statistic > 10.0);
+        assert!(t.p_value < 0.001);
     }
 
     #[test]
@@ -867,31 +803,6 @@ mod tests {
             .unwrap();
         // The useless term should not improve AIC by more than ~2.
         assert!(with_noise.aic > base.aic - 2.0);
-    }
-
-    #[test]
-    fn dispersion_near_one_for_poisson_data() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let y: Vec<f64> = (0..500)
-            .map(|_| PoissonDist::new(4.0).sample(&mut rng))
-            .collect();
-        let fit = GlmModel::new(Family::Poisson).fit(&y).unwrap();
-        let d = fit.pearson_dispersion(&y);
-        assert!(d > 0.8 && d < 1.25, "dispersion {d}");
-    }
-
-    #[test]
-    fn dispersion_flags_overdispersed_counts() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let y: Vec<f64> = (0..500)
-            .map(|_| NegativeBinomial::new(4.0, 0.7).sample(&mut rng))
-            .collect();
-        let pois = GlmModel::new(Family::Poisson).fit(&y).unwrap();
-        assert!(pois.pearson_dispersion(&y) > 2.0);
-        // Refit with ML theta: dispersion returns near 1.
-        let nb = fit_negative_binomial(&GlmModel::new(Family::Poisson), &y).unwrap();
-        let d = nb.pearson_dispersion(&y);
-        assert!(d > 0.6 && d < 1.5, "NB dispersion {d}");
     }
 
     #[test]

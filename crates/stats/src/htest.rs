@@ -1,5 +1,5 @@
-//! Hypothesis tests: chi-square tests for equal proportions and
-//! goodness of fit, and likelihood-ratio (ANOVA) tests for nested models.
+//! Hypothesis tests: the chi-square test for equal proportions and
+//! likelihood-ratio (ANOVA) tests for nested models.
 //!
 //! Section IV of the paper uses a chi-square test for differences
 //! between proportions to reject "all nodes fail at equal rates";
@@ -82,37 +82,6 @@ pub fn chi_square_equal_proportions(counts: &[f64], exposure: &[f64]) -> TestRes
         statistic: stat,
         df,
         p_value,
-    }
-}
-
-/// Chi-square goodness-of-fit test of observed counts against expected
-/// counts.
-///
-/// # Panics
-///
-/// Panics if lengths differ, fewer than 2 cells, or any expected count
-/// is not strictly positive.
-pub fn chi_square_goodness_of_fit(observed: &[f64], expected: &[f64]) -> TestResult {
-    assert_eq!(
-        observed.len(),
-        expected.len(),
-        "observed and expected lengths differ"
-    );
-    assert!(observed.len() >= 2, "need at least two cells");
-    assert!(
-        expected.iter().all(|&e| e > 0.0),
-        "expected counts must be positive"
-    );
-    let stat: f64 = observed
-        .iter()
-        .zip(expected)
-        .map(|(&o, &e)| (o - e) * (o - e) / e)
-        .sum();
-    let df = (observed.len() - 1) as f64;
-    TestResult {
-        statistic: stat,
-        df,
-        p_value: ChiSquared::new(df).sf(stat),
     }
 }
 
@@ -241,17 +210,6 @@ mod tests {
     fn zero_counts_give_p_one() {
         let t = chi_square_equal_proportions(&[0.0, 0.0], &[1.0, 1.0]);
         assert_eq!(t.p_value, 1.0);
-    }
-
-    #[test]
-    fn goodness_of_fit_textbook_example() {
-        // Fair die, 60 rolls: observed vs expected 10 each.
-        let obs = [5.0, 8.0, 9.0, 8.0, 10.0, 20.0];
-        let exp = [10.0; 6];
-        let t = chi_square_goodness_of_fit(&obs, &exp);
-        assert!((t.statistic - 13.4).abs() < 1e-9);
-        assert_eq!(t.df, 5.0);
-        assert!(t.p_value > 0.01 && t.p_value < 0.05);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - [`dist`] — probability distributions (normal, chi-square, Student-t,
 //!   F, Poisson, negative binomial, gamma, exponential, Weibull) with
 //!   CDFs and `rand`-based samplers.
-//! - [`linalg`] — small dense matrices with Cholesky and LU solvers.
+//! - [`linalg`] — small dense matrices with a Cholesky solver.
 //! - [`summary`] — descriptive statistics.
 //! - [`proportion`] — binomial proportions with Wilson/Wald confidence
 //!   intervals and the two-sample proportion z-test the paper uses for

@@ -1,5 +1,5 @@
-//! Small dense linear algebra: row-major matrices, Cholesky and LU
-//! factorizations, solves and inversion.
+//! Small dense linear algebra: row-major matrices, the Cholesky
+//! factorization, symmetric positive-definite solves and inversion.
 //!
 //! The GLM engine solves normal equations `(XᵀWX) β = XᵀWz` whose
 //! dimension equals the predictor count (≤ 10 in every analysis), so a
@@ -38,8 +38,8 @@ impl std::error::Error for LinalgError {}
 /// ```
 /// use hpcfail_stats::linalg::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-/// let x = a.solve(&[1.0, 2.0])?;
+/// let a = Matrix::from_vec(2, 2, vec![4.0, 1.0, 1.0, 3.0]);
+/// let x = a.solve_spd(&[1.0, 2.0])?;
 /// assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-12);
 /// assert!((x[0] + 3.0 * x[1] - 2.0).abs() < 1e-12);
 /// # Ok::<(), hpcfail_stats::linalg::LinalgError>(())
@@ -58,34 +58,6 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have unequal lengths or there are no rows.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        assert!(!rows.is_empty(), "matrix needs at least one row");
-        let cols = rows[0].len();
-        assert!(
-            rows.iter().all(|r| r.len() == cols),
-            "rows must have equal lengths"
-        );
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data: rows.concat(),
         }
     }
 
@@ -243,64 +215,6 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Solves `A x = b` for general square `A` via LU with partial
-    /// pivoting.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::NotSquare`], [`LinalgError::DimensionMismatch`] or
-    /// [`LinalgError::Singular`].
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare);
-        }
-        if b.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch);
-        }
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut x: Vec<f64> = b.to_vec();
-        for col in 0..n {
-            // Partial pivot.
-            let mut pivot = col;
-            for r in col + 1..n {
-                if a[(r, col)].abs() > a[(pivot, col)].abs() {
-                    pivot = r;
-                }
-            }
-            if a[(pivot, col)].abs() < 1e-300 {
-                return Err(LinalgError::Singular);
-            }
-            if pivot != col {
-                for j in 0..n {
-                    let tmp = a[(col, j)];
-                    a[(col, j)] = a[(pivot, j)];
-                    a[(pivot, j)] = tmp;
-                }
-                x.swap(col, pivot);
-            }
-            for r in col + 1..n {
-                let f = a[(r, col)] / a[(col, col)];
-                if f == 0.0 {
-                    continue;
-                }
-                for j in col..n {
-                    a[(r, j)] -= f * a[(col, j)];
-                }
-                x[r] -= f * x[col];
-            }
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for j in i + 1..n {
-                sum -= a[(i, j)] * x[j];
-            }
-            x[i] = sum / a[(i, i)];
-        }
-        Ok(x)
-    }
-
     /// Inverse of a symmetric positive-definite matrix via Cholesky,
     /// used for GLM covariance `(XᵀWX)⁻¹`.
     ///
@@ -363,6 +277,14 @@ impl fmt::Display for Matrix {
 mod tests {
     use super::*;
 
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = 1.0;
+        }
+        m
+    }
+
     fn close_vec(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -372,7 +294,7 @@ mod tests {
 
     #[test]
     fn identity_and_indexing() {
-        let i3 = Matrix::identity(3);
+        let i3 = identity(3);
         assert_eq!(i3[(0, 0)], 1.0);
         assert_eq!(i3[(0, 1)], 0.0);
         assert_eq!(i3.rows(), 3);
@@ -381,16 +303,16 @@ mod tests {
 
     #[test]
     fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.matmul(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+        assert_eq!(c, Matrix::from_vec(2, 2, vec![19.0, 22.0, 43.0, 50.0]));
     }
 
     #[test]
     fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[&[1.5, -2.0, 0.3], &[0.0, 4.0, 1.0]]);
-        let prod = a.matmul(&Matrix::identity(3)).unwrap();
+        let a = Matrix::from_vec(2, 3, vec![1.5, -2.0, 0.3, 0.0, 4.0, 1.0]);
+        let prod = a.matmul(&identity(3)).unwrap();
         assert_eq!(prod, a);
     }
 
@@ -403,21 +325,21 @@ mod tests {
 
     #[test]
     fn matvec_known_result() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         close_vec(&a.matvec(&[1.0, 1.0]).unwrap(), &[3.0, 7.0], 1e-12);
         assert!(a.matvec(&[1.0]).is_err());
     }
 
     #[test]
     fn transpose_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose()[(2, 1)], 6.0);
     }
 
     #[test]
     fn cholesky_known_factor() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 5.0]]);
+        let a = Matrix::from_vec(2, 2, vec![4.0, 2.0, 2.0, 5.0]);
         let l = a.cholesky().unwrap();
         // L = [[2, 0], [1, 2]].
         assert!((l[(0, 0)] - 2.0).abs() < 1e-12);
@@ -428,35 +350,21 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 1.0]);
         assert_eq!(a.cholesky().unwrap_err(), LinalgError::Singular);
     }
 
     #[test]
     fn solve_spd_recovers_solution() {
-        let a = Matrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]);
+        let a = Matrix::from_vec(3, 3, vec![6.0, 2.0, 1.0, 2.0, 5.0, 2.0, 1.0, 2.0, 4.0]);
         let x_true = vec![1.0, -2.0, 3.0];
         let b = a.matvec(&x_true).unwrap();
         close_vec(&a.solve_spd(&b).unwrap(), &x_true, 1e-10);
     }
 
     #[test]
-    fn solve_lu_with_pivoting() {
-        // Leading zero forces a pivot.
-        let a = Matrix::from_rows(&[&[0.0, 2.0], &[1.0, 1.0]]);
-        let x = a.solve(&[4.0, 3.0]).unwrap();
-        close_vec(&x, &[1.0, 2.0], 1e-12);
-    }
-
-    #[test]
-    fn solve_singular_detected() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!(a.solve(&[1.0, 2.0]).unwrap_err(), LinalgError::Singular);
-    }
-
-    #[test]
     fn inverse_spd_roundtrip() {
-        let a = Matrix::from_rows(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 0.2], &[0.5, 0.2, 2.0]]);
+        let a = Matrix::from_vec(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, 0.2, 0.5, 0.2, 2.0]);
         let inv = a.inverse_spd().unwrap();
         let prod = a.matmul(&inv).unwrap();
         for i in 0..3 {

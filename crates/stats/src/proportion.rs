@@ -25,11 +25,6 @@ impl ConfidenceInterval {
     pub fn half_width(&self) -> f64 {
         (self.high - self.low) / 2.0
     }
-
-    /// `true` if `p` lies inside the closed interval.
-    pub fn contains(&self, p: f64) -> bool {
-        self.low <= p && p <= self.high
-    }
 }
 
 /// Result of a two-sided two-sample proportion z-test.
@@ -165,37 +160,6 @@ impl Proportion {
         ConfidenceInterval { low, high, level }
     }
 
-    /// Wald (normal approximation) interval, clamped to `[0, 1]`.
-    ///
-    /// Provided for comparison with the Wilson interval; prefer
-    /// [`Proportion::wilson_ci`] for rare events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is outside the open interval `(0, 1)`.
-    pub fn wald_ci(&self, level: f64) -> ConfidenceInterval {
-        assert!(
-            level > 0.0 && level < 1.0,
-            "confidence level must be in (0,1), got {level}"
-        );
-        if self.trials == 0 {
-            return ConfidenceInterval {
-                low: 0.0,
-                high: 1.0,
-                level,
-            };
-        }
-        let z = inverse_normal_cdf(1.0 - (1.0 - level) / 2.0);
-        let n = self.trials as f64;
-        let p = self.estimate();
-        let half = z * (p * (1.0 - p) / n).sqrt();
-        ConfidenceInterval {
-            low: (p - half).max(0.0),
-            high: (p + half).min(1.0),
-            level,
-        }
-    }
-
     /// Two-sided two-sample z-test of `H0: p_self = p_other` with a
     /// pooled standard error — the significance test the paper applies
     /// to every conditional-vs-baseline comparison.
@@ -285,23 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn wilson_narrower_than_wald_near_boundary() {
-        let p = Proportion::new(1, 1000);
-        let wilson = p.wilson_ci(0.95);
-        let wald = p.wald_ci(0.95);
-        // Wald collapses around the estimate and gets clamped at 0; Wilson
-        // stays inside (0, 1) with positive lower mass.
-        assert!(wald.low == 0.0 || wald.low < wilson.low + 1e-9);
-        assert!(wilson.high <= 1.0 && wilson.low >= 0.0);
-    }
-
-    #[test]
     fn interval_contains_estimate() {
         for &(s, n) in &[(0u64, 10u64), (5, 10), (10, 10), (1, 1000)] {
             let p = Proportion::new(s, n);
             for level in [0.9, 0.95, 0.99] {
                 let ci = p.wilson_ci(level);
-                assert!(ci.contains(p.estimate()), "{s}/{n} at {level}");
+                let e = p.estimate();
+                assert!(ci.low <= e && e <= ci.high, "{s}/{n} at {level}");
                 assert!(ci.half_width() >= 0.0);
             }
         }

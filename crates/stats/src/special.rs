@@ -109,31 +109,8 @@ pub fn trigamma(x: f64) -> f64 {
                                 - inv2 * (1.0 / 30.0 - inv2 * (1.0 / 42.0 - inv2 / 30.0)))))
 }
 
-/// The error function `erf(x)`.
-///
-/// Computed through the regularized incomplete gamma function:
+/// The complementary error function `erfc(x) = 1 - erf(x)`, where
 /// `erf(x) = sign(x) · P(1/2, x²)`.
-///
-/// # Examples
-///
-/// ```
-/// use hpcfail_stats::special::erf;
-///
-/// assert!((erf(0.0)).abs() < 1e-14);
-/// assert!((erf(1.0) - 0.8427007929497149).abs() < 1e-10);
-/// assert!((erf(-1.0) + 0.8427007929497149).abs() < 1e-10);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        0.0
-    } else if x > 0.0 {
-        reg_gamma_p(0.5, x * x)
-    } else {
-        -reg_gamma_p(0.5, x * x)
-    }
-}
-
-/// The complementary error function `erfc(x) = 1 - erf(x)`.
 ///
 /// Uses the continued-fraction tail for large positive `x`, avoiding the
 /// catastrophic cancellation of computing `1 - erf(x)` directly.
@@ -471,10 +448,11 @@ mod tests {
 
     #[test]
     fn erf_reference_values() {
-        close(erf(0.5), 0.520_499_877_813_046_5, 1e-10);
-        close(erf(1.0), 0.842_700_792_949_714_9, 1e-10);
-        close(erf(2.0), 0.995_322_265_018_952_7, 1e-10);
-        close(erf(-2.0), -0.995_322_265_018_952_7, 1e-10);
+        // erf(x) = 1 - erfc(x).
+        close(1.0 - erfc(0.5), 0.520_499_877_813_046_5, 1e-10);
+        close(1.0 - erfc(1.0), 0.842_700_792_949_714_9, 1e-10);
+        close(1.0 - erfc(2.0), 0.995_322_265_018_952_7, 1e-10);
+        close(1.0 - erfc(-2.0), -0.995_322_265_018_952_7, 1e-10);
     }
 
     #[test]

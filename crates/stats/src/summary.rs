@@ -60,16 +60,6 @@ impl Summary {
             sum,
         }
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        self.std_dev() / (self.n as f64).sqrt()
-    }
 }
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of a sample using linear interpolation
@@ -151,7 +141,6 @@ mod tests {
         assert_eq!(s.mean, 5.0);
         assert_eq!(s.n, 8);
         assert!((s.variance - 32.0 / 7.0).abs() < 1e-12);
-        assert!((s.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

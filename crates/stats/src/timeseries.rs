@@ -75,12 +75,6 @@ pub fn ljung_box(xs: &[f64], max_lag: usize) -> TestResult {
     }
 }
 
-/// Approximate 95% white-noise band for sample autocorrelations:
-/// `±1.96 / sqrt(n)`.
-pub fn white_noise_band(n: usize) -> f64 {
-    1.96 / (n as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,7 +110,8 @@ mod tests {
     fn white_noise_acf_small() {
         let xs = white_noise(5000, 2);
         let r = acf(&xs, 20);
-        let band = white_noise_band(xs.len());
+        // The 95% white-noise band, ±1.96 / sqrt(n).
+        let band = 1.96 / (xs.len() as f64).sqrt();
         let outside = r[1..].iter().filter(|v| v.abs() > band).count();
         // ~5% expected outside; allow up to 15%.
         assert!(outside <= 3, "{outside} of 20 lags outside the band");

@@ -21,7 +21,7 @@
 //! read by [`crate::ingest`]'s `read_*_with` functions, which run these
 //! parsers in the one shared read loop under an ingestion policy.
 
-use crate::trace::{SystemTrace, Trace};
+use crate::trace::Trace;
 use hpcfail_types::prelude::*;
 use std::fmt;
 use std::io::Write;
@@ -656,19 +656,6 @@ fn skip_header_and_copy<W: Write>(mut w: W, buf: &[u8]) -> Result<(), CsvError> 
 /// rejected.
 pub fn load_trace<P: AsRef<Path>>(dir: P) -> Result<Trace, CsvError> {
     crate::ingest::load_trace_with(dir, crate::ingest::IngestPolicy::Strict).map(|(t, _)| t)
-}
-
-/// Convenience: one system's records round-tripped through buffers,
-/// used by tests and the quickstart example.
-pub fn system_to_csv_strings(system: &SystemTrace) -> (String, String) {
-    let mut failures = Vec::new();
-    write_failures(&mut failures, system.failures()).expect("in-memory write cannot fail");
-    let mut jobs = Vec::new();
-    write_jobs(&mut jobs, system.jobs()).expect("in-memory write cannot fail");
-    (
-        String::from_utf8(failures).expect("CSV output is UTF-8"),
-        String::from_utf8(jobs).expect("CSV output is UTF-8"),
-    )
 }
 
 #[cfg(test)]

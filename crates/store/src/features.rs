@@ -5,31 +5,6 @@
 use crate::trace::SystemTrace;
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// Why a per-node feature could not be produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeatureError {
-    /// The node id is outside the system's configured node range.
-    NoSuchNode(NodeId),
-    /// The node exists but the trace has no temperature samples for it.
-    NoSamples(NodeId),
-}
-
-impl fmt::Display for FeatureError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FeatureError::NoSuchNode(node) => {
-                write!(f, "node {} is outside the system's node range", node.raw())
-            }
-            FeatureError::NoSamples(node) => {
-                write!(f, "node {} has no temperature samples", node.raw())
-            }
-        }
-    }
-}
-
-impl std::error::Error for FeatureError {}
 
 /// Per-node usage metrics (Section V).
 ///
@@ -273,24 +248,6 @@ pub fn compute_temperature(system: &SystemTrace) -> Vec<Option<TemperatureAggreg
         .collect()
 }
 
-/// The temperature aggregate of a single node, as a typed result.
-///
-/// Indexing [`SystemTrace::indexed_temperature`] directly
-/// (`aggs[i].unwrap()`) turns an out-of-range node or a node without
-/// samples — both routine on sparse or zero-record systems — into an
-/// index or unwrap panic. This accessor reports both conditions as a
-/// [`FeatureError`] instead.
-pub fn temperature_aggregate(
-    system: &SystemTrace,
-    node: NodeId,
-) -> Result<TemperatureAggregate, FeatureError> {
-    match system.indexed_temperature().get(node.index()) {
-        None => Err(FeatureError::NoSuchNode(node)),
-        Some(None) => Err(FeatureError::NoSamples(node)),
-        Some(Some(agg)) => Ok(*agg),
-    }
-}
-
 /// One row of the Table I feature matrix for the joint regression
 /// (Section X): the response (`fails_count`) plus every predictor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -440,7 +397,8 @@ mod tests {
         b.push_temperature(temp(0, 2.0, 34.0));
         b.push_temperature(temp(0, 3.0, 44.0));
         let t = b.build();
-        let a = temperature_aggregate(&t, NodeId::new(0)).unwrap();
+        let aggs = t.indexed_temperature();
+        let a = aggs[0].unwrap();
         assert_eq!(a.samples, 3);
         assert!((a.avg - 36.0).abs() < 1e-9);
         assert_eq!(a.max, 44.0);
@@ -448,10 +406,7 @@ mod tests {
         let expected_var =
             ((30.0f64 - 36.0).powi(2) + (34.0f64 - 36.0).powi(2) + (44.0f64 - 36.0).powi(2)) / 3.0;
         assert!((a.variance - expected_var).abs() < 1e-9);
-        assert_eq!(
-            temperature_aggregate(&t, NodeId::new(1)),
-            Err(FeatureError::NoSamples(NodeId::new(1)))
-        );
+        assert_eq!(aggs[1], None);
     }
 
     #[test]
@@ -462,10 +417,7 @@ mod tests {
         assert!(compute_usage(&t).is_empty());
         assert!(compute_temperature(&t).is_empty());
         assert!(node_features(&t).is_empty());
-        assert_eq!(
-            temperature_aggregate(&t, NodeId::new(0)),
-            Err(FeatureError::NoSuchNode(NodeId::new(0)))
-        );
+        assert!(t.indexed_temperature().is_empty());
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl IngestReport {
             quality: DataQualityReport::default(),
         }
     }
-
-    /// `true` if anything at all was quarantined, defaulted or flagged.
-    pub fn is_degraded(&self) -> bool {
-        !self.quarantined.is_empty() || self.defaulted_fields > 0 || !self.quality.is_clean()
-    }
 }
 
 /// One file's records plus what recovery set aside.

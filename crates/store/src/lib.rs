@@ -120,9 +120,7 @@ pub(crate) fn check_span(
 
 /// The most frequently used items.
 pub mod prelude {
-    pub use crate::features::{
-        FeatureError, NodeFeatures, NodeUsage, TemperatureAggregate, UserStat,
-    };
+    pub use crate::features::{NodeFeatures, NodeUsage, TemperatureAggregate, UserStat};
     pub use crate::ingest::{
         load_trace_with, DataQualityReport, IngestPolicy, IngestReport, QuarantinedLine,
     };

@@ -6,6 +6,14 @@
 //! of windows containing at least one matching event. This module
 //! implements that counting in `O(#events)` per node via interval
 //! unions rather than scanning every day.
+//!
+//! The analyses read baselines from the timeline index
+//! (`SystemTrace::indexed_*`). [`BaselineEstimator`] computes the same
+//! counts by a direct scan of the columns and is the reference the index
+//! is checked against: the `indexed_*` unit tests, the property tests
+//! of `hpcfail-store` and `hpcfail-core` and the `analysis` criterion
+//! bench all compare with it. It is public because integration tests
+//! and benches are separate crates and cannot see `#[cfg(test)]` items.
 
 use crate::columns::ClassCode;
 use crate::trace::SystemTrace;
@@ -111,7 +119,13 @@ pub fn covered_window_starts(days: &[i64], total_days: i64, window_days: i64) ->
     covered as u64
 }
 
-/// Empirical baseline probabilities over one system.
+/// Empirical baseline probabilities over one system, by a direct scan
+/// of its columns.
+///
+/// This is the reference implementation of the baselines the timeline
+/// index serves (see the [module docs](self)): tests and benches in
+/// other crates compare the `indexed_*` answers with it, so it stays
+/// public although no analysis calls it.
 #[derive(Debug, Clone, Copy)]
 pub struct BaselineEstimator<'a> {
     system: &'a SystemTrace,

@@ -56,7 +56,7 @@
 //! `store.snapshot.fallback` counter so callers can drop to CSV ingest
 //! while recording exactly why.
 
-use crate::columns::{FailureColumns, JobColumns};
+use crate::columns::{day_index, FailureColumns, JobColumns};
 use crate::trace::{ContentHash, SystemTrace, Trace};
 use crate::{check_span, MAX_NODES};
 use hpcfail_types::prelude::*;
@@ -693,6 +693,12 @@ fn decode_maintenance(
             "maintenance not sorted by (time, node)".into(),
         ));
     }
+    let start = config.start.as_seconds();
+    if let Some(t) = times.iter().find(|&&t| day_index(t, start).is_none()) {
+        return Err(SnapshotError::Corrupt(format!(
+            "maintenance time {t} is too far from the start {start}"
+        )));
+    }
     let flags = r.take(count)?;
     r.finish()?;
     Ok(nodes
@@ -1153,6 +1159,44 @@ mod tests {
                 message.contains("over the limit") || message.contains("before its start"),
                 "{end}: {message}"
             );
+        }
+    }
+
+    #[test]
+    fn times_too_far_from_the_start_to_subtract_are_typed_corrupt() {
+        let start = Timestamp::from_seconds(i64::MAX - 86_400);
+        let probe = span_probe(Timestamp::EPOCH);
+        let mut config = probe.systems().next().expect("one system").config().clone();
+        config.start = start;
+        config.end = Timestamp::from_seconds(i64::MAX);
+        let mut b = SystemTraceBuilder::new(config);
+        b.push_failure(FailureRecord::new(
+            SystemId::new(1),
+            NodeId::new(0),
+            start + Duration::from_hours(1.0),
+            RootCause::Hardware,
+            SubCause::None,
+        ));
+        b.push_maintenance(MaintenanceRecord {
+            system: SystemId::new(1),
+            node: NodeId::new(0),
+            time: start + Duration::from_hours(2.0),
+            hardware_related: true,
+            scheduled: false,
+        });
+        let mut trace = Trace::new();
+        trace.insert_system(b.build());
+        let bytes = snapshot_bytes(&trace);
+        decode_snapshot(&bytes).expect("in-span times decode");
+        // FAILURES payload: count u32, then the times column; the
+        // MAINTENANCE payload: count u32, node u32, then the times.
+        let min = i64::MIN.to_le_bytes();
+        for (kind, at) in [(KIND_FAILURES, 4), (KIND_MAINTENANCE, 8)] {
+            let hostile = edited(&bytes, section_id(kind, 1), |p| {
+                p[at..at + 8].copy_from_slice(&min)
+            });
+            let message = corrupt_message(&hostile);
+            assert!(message.contains("too far from the start"), "{message}");
         }
     }
 

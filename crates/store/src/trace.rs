@@ -212,14 +212,6 @@ impl SystemTrace {
         &self.maintenance
     }
 
-    /// Maintenance events of one node, in time order.
-    pub fn node_maintenance(&self, node: NodeId) -> impl Iterator<Item = &MaintenanceRecord> + '_ {
-        self.maint_columns
-            .node_postings(node)
-            .iter()
-            .map(move |&i| &self.maintenance[i as usize])
-    }
-
     /// The columnar maintenance view (postings and unscheduled-hardware
     /// day column).
     pub(crate) fn maintenance_columns(&self) -> &MaintenanceColumns {
@@ -271,22 +263,6 @@ impl SystemTrace {
         until: Timestamp,
     ) -> bool {
         self.columns.any_in_window(
-            node,
-            ClassCode::new(class),
-            after.as_seconds(),
-            until.as_seconds(),
-        )
-    }
-
-    /// Counts node failures of `class` in `(after, until]`.
-    pub fn node_failures_in(
-        &self,
-        node: NodeId,
-        class: FailureClass,
-        after: Timestamp,
-        until: Timestamp,
-    ) -> usize {
-        self.columns.count_in_window(
             node,
             ClassCode::new(class),
             after.as_seconds(),
@@ -767,7 +743,7 @@ mod tests {
             after,
             until
         ));
-        assert_eq!(t.node_failures_in(node, FailureClass::Any, after, until), 2);
+        assert!(t.node_has_failure_in(node, FailureClass::Any, after, until));
     }
 
     #[test]
@@ -807,7 +783,7 @@ mod tests {
             Timestamp::from_days(8.0),
             Timestamp::from_days(10.0),
         ));
-        assert_eq!(t.node_maintenance(NodeId::new(1)).count(), 2);
+        assert_eq!(t.maintenance().len(), 2);
     }
 
     #[test]

@@ -198,10 +198,6 @@ proptest! {
         let fast = t.node_has_failure_in(node, FailureClass::Any, t0, t1);
         let slow = failures.iter().any(|&(sec, _)| sec > after && sec <= after + span);
         prop_assert_eq!(fast, slow);
-        let fast_count = t.node_failures_in(node, FailureClass::Any, t0, t1);
-        let slow_count =
-            failures.iter().filter(|&&(sec, _)| sec > after && sec <= after + span).count();
-        prop_assert_eq!(fast_count, slow_count);
     }
 
     /// The baseline table built with the trace, against the direct
@@ -303,20 +299,12 @@ proptest! {
                     oracle_days,
                     "day vector mismatch for {:?} {:?}", node, class
                 );
-                let oracle_count = rows
-                    .iter()
-                    .filter(|r| {
-                        r.node == node && class.matches(r) && r.time > t0 && r.time <= t1
-                    })
-                    .count();
-                prop_assert_eq!(
-                    t.node_failures_in(node, class, t0, t1),
-                    oracle_count,
-                    "window count mismatch for {:?} {:?}", node, class
-                );
+                let oracle_any = rows.iter().any(|r| {
+                    r.node == node && class.matches(r) && r.time > t0 && r.time <= t1
+                });
                 prop_assert_eq!(
                     t.node_has_failure_in(node, class, t0, t1),
-                    oracle_count > 0,
+                    oracle_any,
                     "window presence mismatch for {:?} {:?}", node, class
                 );
             }

@@ -118,12 +118,6 @@ pub struct ClusterEvent {
 }
 
 impl ClusterEvent {
-    /// `true` if the node is in the affected range.
-    pub fn affects(&self, node: NodeId) -> bool {
-        let n = node.raw();
-        self.affected.0 <= n && n < self.affected.1
-    }
-
     /// `true` if the node may log an ENV record for this event.
     pub fn in_record_zone(&self, node: NodeId) -> bool {
         let n = node.raw();
@@ -427,21 +421,6 @@ mod tests {
             }
             assert_eq!(e.time.day_index(), e.day as i64);
         }
-    }
-
-    #[test]
-    fn affects_respects_range() {
-        let e = ClusterEvent {
-            kind: ClusterEventKind::UpsFailure,
-            day: 0,
-            time: Timestamp::EPOCH,
-            affected: (10, 20),
-            record_zone: (10, 15),
-        };
-        assert!(e.affects(NodeId::new(10)));
-        assert!(e.affects(NodeId::new(19)));
-        assert!(!e.affects(NodeId::new(20)));
-        assert!(!e.affects(NodeId::new(0)));
     }
 
     #[test]

@@ -59,21 +59,6 @@ pub fn generate_neutron<R: Rng + ?Sized>(
     out
 }
 
-/// Monthly (30-day) average counts per minute from a sample series:
-/// the statistic Figure 14's x-axis uses.
-pub fn monthly_averages(samples: &[NeutronSample]) -> Vec<(i64, f64)> {
-    let mut sums: std::collections::BTreeMap<i64, (f64, u64)> = std::collections::BTreeMap::new();
-    for s in samples {
-        let month = s.time.month_index();
-        let e = sums.entry(month).or_insert((0.0, 0));
-        e.0 += s.counts_per_minute;
-        e.1 += 1;
-    }
-    sums.into_iter()
-        .map(|(m, (sum, n))| (m, sum / n as f64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,13 +85,13 @@ mod tests {
         let spec = NeutronSpec::default();
         let mut rng = StdRng::seed_from_u64(4);
         let samples = generate_neutron(&mut rng, &spec, 3300);
-        let monthly = monthly_averages(&samples);
+        let monthly: Vec<f64> = samples
+            .chunk_by(|a, b| a.time.month_index() == b.time.month_index())
+            .map(|run| run.iter().map(|s| s.counts_per_minute).sum::<f64>() / run.len() as f64)
+            .collect();
         assert_eq!(monthly.len(), 110);
-        let min = monthly
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(f64::INFINITY, f64::min);
-        let max = monthly.iter().map(|&(_, v)| v).fold(0.0, f64::max);
+        let min = monthly.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = monthly.iter().copied().fold(0.0, f64::max);
         // The sinusoid's swing should survive averaging.
         assert!(
             max - min > 0.8 * 2.0 * spec.cycle_amplitude * 0.8,
@@ -121,25 +106,5 @@ mod tests {
         let a = base_flux(&spec, 100.0);
         let b = base_flux(&spec, 100.0 + spec.cycle_days);
         assert!((a - b).abs() < 1e-6);
-    }
-
-    #[test]
-    fn monthly_average_bucketing() {
-        let samples = vec![
-            NeutronSample {
-                time: Timestamp::from_days(0.0),
-                counts_per_minute: 100.0,
-            },
-            NeutronSample {
-                time: Timestamp::from_days(29.0),
-                counts_per_minute: 200.0,
-            },
-            NeutronSample {
-                time: Timestamp::from_days(31.0),
-                counts_per_minute: 400.0,
-            },
-        ];
-        let monthly = monthly_averages(&samples);
-        assert_eq!(monthly, vec![(0, 150.0), (1, 400.0)]);
     }
 }

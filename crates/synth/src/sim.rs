@@ -963,7 +963,7 @@ mod scale_diag {
     #[ignore]
     fn diag_full_scale() {
         let t0 = std::time::Instant::now();
-        let fleet = FleetSpec::lanl().generate(42);
+        let fleet = FleetSpec::lanl_scaled(1.0).generate(42);
         println!("generation took {:?}", t0.elapsed());
         let mut nd1 = 0f64;
         let mut f1 = 0f64;
@@ -1021,7 +1021,7 @@ mod env_diag {
     #[test]
     #[ignore]
     fn diag_env_other_sources() {
-        let fleet = FleetSpec::lanl().generate(42);
+        let fleet = FleetSpec::lanl_scaled(1.0).generate(42);
         let mut by_sys_node0 = std::collections::BTreeMap::new();
         for sys in fleet.trace().systems() {
             let mut node0 = 0u32;
@@ -1054,7 +1054,7 @@ mod share_diag {
     #[test]
     #[ignore]
     fn diag_component_shares() {
-        let fleet = FleetSpec::lanl().generate(42);
+        let fleet = FleetSpec::lanl_scaled(1.0).generate(42);
         let mut counts = std::collections::BTreeMap::new();
         let mut hw_total = 0u64;
         for sys in fleet.trace().systems() {

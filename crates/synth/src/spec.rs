@@ -449,18 +449,13 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// The LANL-scale fleet: the seven group-1 systems (ids 3, 4, 5, 6,
-    /// 18, 19, 20), the three group-2 systems (ids 2, 16, 23) and
-    /// system 8 (which, with system 20, carries a job log). Systems 18,
-    /// 19 and 20 are the three largest (1024/1024/512 nodes); system 20
-    /// also carries temperature sensors, as in the paper.
-    pub fn lanl() -> Self {
-        FleetSpec::lanl_scaled(1.0)
-    }
-
     /// The LANL fleet with node counts and observation spans scaled by
     /// `scale` (for fast tests and examples). `scale = 1.0` is the full
-    /// nine-year fleet.
+    /// nine-year fleet: the seven group-1 systems (ids 3, 4, 5, 6, 18,
+    /// 19, 20), the three group-2 systems (ids 2, 16, 23) and system 8
+    /// (which, with system 20, carries a job log). Systems 18, 19 and 20
+    /// are the three largest (1024/1024/512 nodes); system 20 also
+    /// carries temperature sensors, as in the paper.
     ///
     /// # Panics
     ///
@@ -556,7 +551,7 @@ mod tests {
 
     #[test]
     fn lanl_fleet_composition() {
-        let fleet = FleetSpec::lanl();
+        let fleet = FleetSpec::lanl_scaled(1.0);
         assert_eq!(fleet.systems.len(), 11);
         let group1 = fleet
             .systems
@@ -590,7 +585,7 @@ mod tests {
             assert!(spec.nodes >= 3);
             assert!(spec.days >= 365);
         }
-        let full = FleetSpec::lanl();
+        let full = FleetSpec::lanl_scaled(1.0);
         assert!(s.system(18).unwrap().nodes < full.system(18).unwrap().nodes / 10);
     }
 

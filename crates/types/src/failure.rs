@@ -503,15 +503,6 @@ impl FailureClass {
         FailureClass::Hw(HardwareComponent::MemoryDimm),
         FailureClass::Hw(HardwareComponent::Cpu),
     ];
-
-    /// The four power-problem trigger classes of Figures 10-12: power
-    /// outage, power spike, power-supply(-unit) failure and UPS failure.
-    pub const POWER_TRIGGERS: [FailureClass; 4] = [
-        FailureClass::Env(EnvironmentCause::PowerOutage),
-        FailureClass::Env(EnvironmentCause::PowerSpike),
-        FailureClass::Hw(HardwareComponent::PowerSupply),
-        FailureClass::Env(EnvironmentCause::Ups),
-    ];
 }
 
 impl fmt::Display for FailureClass {

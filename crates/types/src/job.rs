@@ -59,12 +59,6 @@ impl JobRecord {
         self.procs as f64 * self.runtime().as_days()
     }
 
-    /// `true` if the job occupied `node` at trace time `t`
-    /// (dispatch inclusive, end exclusive).
-    pub fn occupies(&self, node: NodeId, t: Timestamp) -> bool {
-        self.dispatch <= t && t < self.end && self.nodes.contains(&node)
-    }
-
     /// `true` if the record is internally consistent: dispatch not before
     /// submit, end not before dispatch, at least one processor and node.
     pub fn is_well_formed(&self) -> bool {
@@ -103,16 +97,6 @@ mod tests {
     fn processor_days() {
         let j = job();
         assert!((j.processor_days() - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn occupies_respects_interval_and_nodes() {
-        let j = job();
-        assert!(j.occupies(NodeId::new(10), Timestamp::from_days(2.0)));
-        assert!(j.occupies(NodeId::new(10), Timestamp::from_days(1.5)));
-        assert!(!j.occupies(NodeId::new(10), Timestamp::from_days(3.5)));
-        assert!(!j.occupies(NodeId::new(10), Timestamp::from_days(1.0)));
-        assert!(!j.occupies(NodeId::new(99), Timestamp::from_days(2.0)));
     }
 
     #[test]

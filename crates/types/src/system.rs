@@ -48,14 +48,6 @@ impl SystemGroup {
         }
     }
 
-    /// The hardware class of the group's nodes.
-    pub const fn hardware_class(self) -> HardwareClass {
-        match self {
-            SystemGroup::Group1 => HardwareClass::Smp4Way,
-            SystemGroup::Group2 => HardwareClass::Numa,
-        }
-    }
-
     /// The compact wire form used by serialized analysis requests
     /// (`"group1"` / `"group2"`); round-trips through [`FromStr`](std::str::FromStr).
     pub const fn wire(self) -> &'static str {
@@ -139,11 +131,6 @@ impl SystemConfig {
         }
     }
 
-    /// Total processors in the system.
-    pub const fn total_procs(&self) -> u64 {
-        self.nodes as u64 * self.procs_per_node as u64
-    }
-
     /// The observation span.
     pub fn observation_span(&self) -> Duration {
         self.end - self.start
@@ -185,7 +172,6 @@ mod tests {
     #[test]
     fn totals_and_span() {
         let c = config();
-        assert_eq!(c.total_procs(), 2048);
         assert_eq!(c.observation_days(), 1825);
         assert_eq!(c.observation_span(), Duration::from_days(1825.0));
     }
@@ -193,7 +179,6 @@ mod tests {
     #[test]
     fn group_labels() {
         assert_eq!(SystemGroup::Group1.label(), "LANL Group-1");
-        assert_eq!(SystemGroup::Group2.hardware_class(), HardwareClass::Numa);
         assert_eq!(HardwareClass::Smp4Way.to_string(), "4-way SMP");
     }
 
