@@ -62,8 +62,8 @@ where
                 let results = &results;
                 let next = &next;
                 let f = &f;
-                let items_counter = items_counter.clone();
-                let worker_items = worker_items.clone();
+                let items_counter = &items_counter;
+                let worker_items = &worker_items;
                 let busy_cell = &busy_ns[worker];
                 scope.spawn(move || {
                     let started = Instant::now();

@@ -16,65 +16,3 @@ pub trait Sink {
     /// Exports `snapshot`.
     fn export(&mut self, snapshot: &Snapshot) -> io::Result<()>;
 }
-
-/// Writes `pretty`-style debug lines to any [`io::Write`] — the
-/// smallest possible sink, useful in tests and ad-hoc debugging.
-pub struct DebugSink<W: io::Write> {
-    writer: W,
-}
-
-impl<W: io::Write> DebugSink<W> {
-    /// Wraps `writer`.
-    pub fn new(writer: W) -> Self {
-        DebugSink { writer }
-    }
-}
-
-impl<W: io::Write> Sink for DebugSink<W> {
-    fn export(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        for (name, span) in &snapshot.spans {
-            writeln!(
-                self.writer,
-                "span {name}: count {} total {}ns self {}ns",
-                span.count, span.total_ns, span.self_ns
-            )?;
-        }
-        for (name, value) in &snapshot.counters {
-            writeln!(self.writer, "counter {name}: {value}")?;
-        }
-        for (name, value) in &snapshot.gauges {
-            writeln!(self.writer, "gauge {name}: {value}")?;
-        }
-        for (name, h) in &snapshot.histograms {
-            writeln!(
-                self.writer,
-                "histogram {name}: count {} p50 {:.0} p90 {:.0} p99 {:.0} max {}",
-                h.count, h.p50, h.p90, h.p99, h.max
-            )?;
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::registry::Registry;
-
-    #[test]
-    fn debug_sink_writes_every_metric_kind() {
-        let registry = Registry::new();
-        registry.counter("c").add(3);
-        registry.gauge("g").set(1.5);
-        registry.histogram("h").record(100);
-        drop(crate::span::Span::enter_in(&registry, "s"));
-        let mut buf = Vec::new();
-        DebugSink::new(&mut buf)
-            .export(&registry.snapshot())
-            .expect("in-memory write");
-        let text = String::from_utf8(buf).expect("utf-8");
-        for needle in ["counter c: 3", "gauge g: 1.5", "histogram h", "span s"] {
-            assert!(text.contains(needle), "missing {needle:?} in {text}");
-        }
-    }
-}

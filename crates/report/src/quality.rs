@@ -47,6 +47,7 @@ pub fn render_ingest_report(report: &IngestReport) -> String {
             ("overlapping repair windows", q.overlapping_repairs),
             ("duplicate records", q.duplicate_records),
             ("unknown-system records", q.unknown_system_records),
+            ("records outside their span", q.out_of_span_records),
         ] {
             if value > 0 {
                 table.row(&[name, &value.to_string()]);

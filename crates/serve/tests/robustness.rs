@@ -555,3 +555,59 @@ fn upload_declaring_a_span_of_millions_of_years_gets_a_typed_400_and_the_server_
     assert_eq!(health.status, 200);
     handle.shutdown();
 }
+
+/// A snapshot of about 300 bytes whose one failure lies 10^9 days
+/// before its system's start used to decode, and one `checkpoint-replay`
+/// on it then ran for longer than 30 s. Decode now refuses a record
+/// outside its system's span, so the upload gets a typed 400 and the
+/// server keeps answering.
+#[test]
+fn upload_with_a_failure_eons_before_its_span_gets_a_typed_400_and_the_server_stays_up() {
+    use hpcfail_store::snapshot::snapshot_bytes;
+    use hpcfail_store::trace::{SystemTraceBuilder, Trace};
+    use hpcfail_types::prelude::*;
+
+    let config = SystemConfig {
+        id: SystemId::new(1),
+        name: "eons".into(),
+        nodes: 4,
+        procs_per_node: 4,
+        hardware: HardwareClass::Smp4Way,
+        start: Timestamp::EPOCH,
+        end: Timestamp::from_days(10.0),
+        has_layout: false,
+        has_job_log: false,
+        has_temperature: false,
+    };
+    let mut builder = SystemTraceBuilder::new(config);
+    builder.push_failure(FailureRecord::new(
+        SystemId::new(1),
+        NodeId::new(0),
+        Timestamp::from_seconds(-1_000_000_000 * 86_400),
+        RootCause::Hardware,
+        SubCause::None,
+    ));
+    let mut trace = Trace::new();
+    trace.insert_system(builder.build());
+    let bytes = snapshot_bytes(&trace);
+    assert!(bytes.len() < 400, "{} bytes", bytes.len());
+
+    let handle = spawn(engine(), ServerConfig::default()).expect("bind");
+    let client = Client::new(handle.addr().to_string());
+    let response = client
+        .post_bytes("/v1/traces/eons", &bytes, &[])
+        .expect("answered");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(
+        response.body.contains("outside its system's span"),
+        "{}",
+        response.body
+    );
+    assert!(
+        !handle.registry().contains("eons"),
+        "refused upload registered"
+    );
+    let health = client.get("/v1/healthz").expect("server still up");
+    assert_eq!(health.status, 200);
+    handle.shutdown();
+}

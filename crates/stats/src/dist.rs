@@ -4,13 +4,12 @@
 //! density/mass, CDF, survival function, mean and variance; continuous
 //! distributions additionally sample through [`Distribution::sample`].
 //!
-//! These back both the hypothesis tests (chi-square, normal, t, F tails)
+//! These back both the hypothesis tests (chi-square and normal tails)
 //! and the synthetic trace generator (Poisson counts, gamma frailty,
 //! Weibull/lognormal job durations).
 
 use crate::special::{
-    inverse_normal_cdf, ln_factorial, ln_gamma, reg_beta, reg_gamma_p, reg_gamma_q,
-    standard_normal_cdf,
+    ln_factorial, ln_gamma, reg_beta, reg_gamma_p, reg_gamma_q, standard_normal_cdf,
 };
 use rand::Rng;
 
@@ -51,7 +50,7 @@ pub trait Distribution {
 ///
 /// let z = Normal::standard();
 /// assert!((z.cdf(0.0) - 0.5).abs() < 1e-12);
-/// assert!((z.quantile(0.975) - 1.96).abs() < 0.001);
+/// assert!((z.cdf(1.96) - 0.975).abs() < 0.001);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
@@ -81,15 +80,6 @@ impl Normal {
             mu: 0.0,
             sigma: 1.0,
         }
-    }
-
-    /// The quantile function (inverse CDF).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside the open interval `(0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        self.mu + self.sigma * inverse_normal_cdf(p)
     }
 }
 
@@ -204,137 +194,6 @@ impl Distribution for ChiSquared {
 
 // ---------------------------------------------------------------------------
 // Student t
-// ---------------------------------------------------------------------------
-
-/// Student's t distribution with `nu` degrees of freedom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StudentT {
-    nu: f64,
-}
-
-impl StudentT {
-    /// Creates a t distribution with `nu > 0` degrees of freedom.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nu <= 0` or not finite.
-    pub fn new(nu: f64) -> Self {
-        assert!(
-            nu.is_finite() && nu > 0.0,
-            "t df must be positive, got {nu}"
-        );
-        StudentT { nu }
-    }
-}
-
-impl Distribution for StudentT {
-    fn pdf(&self, x: f64) -> f64 {
-        let nu = self.nu;
-        (ln_gamma((nu + 1.0) / 2.0)
-            - ln_gamma(nu / 2.0)
-            - 0.5 * (nu * std::f64::consts::PI).ln()
-            - (nu + 1.0) / 2.0 * (1.0 + x * x / nu).ln())
-        .exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        let nu = self.nu;
-        let ib = reg_beta(nu / 2.0, 0.5, nu / (nu + x * x));
-        if x >= 0.0 {
-            1.0 - 0.5 * ib
-        } else {
-            0.5 * ib
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        assert!(self.nu > 1.0, "t mean undefined for df <= 1");
-        0.0
-    }
-
-    fn variance(&self) -> f64 {
-        assert!(self.nu > 2.0, "t variance undefined for df <= 2");
-        self.nu / (self.nu - 2.0)
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let z = Normal::standard().sample(rng);
-        let chi = ChiSquared::new(self.nu).sample(rng);
-        z / (chi / self.nu).sqrt()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fisher F
-// ---------------------------------------------------------------------------
-
-/// Fisher's F distribution with `d1` and `d2` degrees of freedom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FisherF {
-    d1: f64,
-    d2: f64,
-}
-
-impl FisherF {
-    /// Creates an F distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either degrees-of-freedom parameter is not positive.
-    pub fn new(d1: f64, d2: f64) -> Self {
-        assert!(
-            d1 > 0.0 && d2 > 0.0,
-            "F dfs must be positive, got {d1}, {d2}"
-        );
-        FisherF { d1, d2 }
-    }
-}
-
-impl Distribution for FisherF {
-    fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        let (d1, d2) = (self.d1, self.d2);
-        let ln_b = ln_gamma(d1 / 2.0) + ln_gamma(d2 / 2.0) - ln_gamma((d1 + d2) / 2.0);
-        ((d1 / 2.0) * (d1 / d2).ln() + (d1 / 2.0 - 1.0) * x.ln()
-            - ((d1 + d2) / 2.0) * (1.0 + d1 * x / d2).ln()
-            - ln_b)
-            .exp()
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            reg_beta(
-                self.d1 / 2.0,
-                self.d2 / 2.0,
-                self.d1 * x / (self.d1 * x + self.d2),
-            )
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        assert!(self.d2 > 2.0, "F mean undefined for d2 <= 2");
-        self.d2 / (self.d2 - 2.0)
-    }
-
-    fn variance(&self) -> f64 {
-        assert!(self.d2 > 4.0, "F variance undefined for d2 <= 4");
-        let (d1, d2) = (self.d1, self.d2);
-        2.0 * d2 * d2 * (d1 + d2 - 2.0) / (d1 * (d2 - 2.0) * (d2 - 2.0) * (d2 - 4.0))
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let a = ChiSquared::new(self.d1).sample(rng) / self.d1;
-        let b = ChiSquared::new(self.d2).sample(rng) / self.d2;
-        a / b
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gamma
 // ---------------------------------------------------------------------------
 
 /// Gamma distribution with shape `alpha` and scale `theta`.
@@ -801,7 +660,6 @@ mod tests {
         let n = Normal::new(10.0, 2.0);
         close(n.cdf(10.0), 0.5, 1e-12);
         close(n.cdf(13.92), 0.975, 1e-3);
-        close(n.quantile(n.cdf(12.3)), 12.3, 1e-8);
         close(n.sf(12.0) + n.cdf(12.0), 1.0, 1e-12);
     }
 
@@ -827,28 +685,6 @@ mod tests {
         let (m, v) = sample_moments(&c, 100_000, 2);
         close(m, 4.0, 0.03);
         close(v, 8.0, 0.08);
-    }
-
-    #[test]
-    fn student_t_matches_normal_for_large_df() {
-        let t = StudentT::new(1e6);
-        let z = Normal::standard();
-        for &x in &[-2.0, -0.5, 0.0, 1.0, 2.5] {
-            close(t.cdf(x), z.cdf(x), 1e-5);
-        }
-    }
-
-    #[test]
-    fn student_t_critical_values() {
-        // t_{0.975, 10} = 2.228.
-        close(StudentT::new(10.0).cdf(2.228), 0.975, 1e-3);
-        close(StudentT::new(1.0).cdf(0.0), 0.5, 1e-12);
-    }
-
-    #[test]
-    fn fisher_f_critical_values() {
-        // F_{0.95}(5, 10) = 3.326.
-        close(FisherF::new(5.0, 10.0).cdf(3.326), 0.95, 1e-3);
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub mod timeseries;
 pub mod prelude {
     pub use crate::corr::{pearson, spearman};
     pub use crate::dist::{
-        ChiSquared, Distribution, Exponential, FisherF, GammaDist, LogNormal, NegativeBinomial,
-        Normal, Poisson, StudentT, Weibull,
+        ChiSquared, Distribution, Exponential, GammaDist, LogNormal, NegativeBinomial, Normal,
+        Poisson, Weibull,
     };
     pub use crate::glm::{Family, GlmFit, GlmModel};
     pub use crate::htest::{anova_lrt, chi_square_equal_proportions, TestResult};

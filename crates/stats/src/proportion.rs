@@ -109,14 +109,6 @@ impl Proportion {
         }
     }
 
-    /// Records one more trial with the given outcome.
-    pub fn record(&mut self, success: bool) {
-        self.trials += 1;
-        if success {
-            self.successes += 1;
-        }
-    }
-
     /// Wilson score interval — well-behaved even for extreme proportions
     /// and small samples, which the paper's rare-event probabilities
     /// (e.g. 0.21% memory-failure weeks) require.
@@ -219,9 +211,9 @@ mod tests {
     fn estimate_and_record() {
         let mut p = Proportion::default();
         assert_eq!(p.estimate(), 0.0);
-        p.record(true);
-        p.record(false);
-        p.record(true);
+        for success in [1, 0, 1] {
+            p = p.merge(Proportion::new(success, 1));
+        }
         assert_eq!(p.successes(), 2);
         assert_eq!(p.trials(), 3);
         assert!((p.estimate() - 2.0 / 3.0).abs() < 1e-12);

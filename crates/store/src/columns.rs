@@ -198,21 +198,15 @@ impl fmt::Display for ColumnError {
 
 impl std::error::Error for ColumnError {}
 
-/// Whole days from `start_secs` to `t` (rounded down), or `None` when
-/// `t - start_secs` does not fit in an `i64`.
-pub(crate) fn day_index(t: i64, start_secs: i64) -> Option<i64> {
-    t.checked_sub(start_secs)
-        .map(|secs| secs.div_euclid(SECONDS_PER_DAY))
-}
-
-/// [`day_index`] for builder input, which is not span-checked: a time
-/// too far from the start to subtract saturates instead of wrapping.
+/// Whole days from `start_secs` to `t` (rounded down) for builder
+/// input, which is not span-checked: a time too far from the start to
+/// subtract saturates instead of wrapping.
 fn saturating_day_index(t: i64, start_secs: i64) -> i64 {
-    day_index(t, start_secs).unwrap_or(if t < start_secs {
-        i64::MIN / SECONDS_PER_DAY
-    } else {
-        i64::MAX / SECONDS_PER_DAY
-    })
+    match t.checked_sub(start_secs) {
+        Some(secs) => secs.div_euclid(SECONDS_PER_DAY),
+        None if t < start_secs => i64::MIN / SECONDS_PER_DAY,
+        None => i64::MAX / SECONDS_PER_DAY,
+    }
 }
 
 /// Timestamp-sorted struct-of-arrays storage for one system's failures.
@@ -278,8 +272,12 @@ impl FailureColumns {
     ///
     /// [`ColumnError`] when array lengths disagree, a code does not
     /// decode, a node index is out of range, the arrays are not
-    /// `(time, node)`-sorted, or a time is too far from `start` for
-    /// its day index to be computed.
+    /// `(time, node)`-sorted, or a time lies outside
+    /// `[start, end + SPAN_SLACK_DAYS]` (see
+    /// [`SPAN_SLACK_DAYS`](crate::SPAN_SLACK_DAYS)). `start` to `end`
+    /// must be a span of at most [`MAX_SPAN_DAYS`](crate::MAX_SPAN_DAYS)
+    /// that does not end before it starts.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         times: Vec<i64>,
         nodes: Vec<u32>,
@@ -288,6 +286,7 @@ impl FailureColumns {
         downtimes: Vec<i64>,
         node_count: u32,
         start: Timestamp,
+        end: Timestamp,
     ) -> Result<Self, ColumnError> {
         let len = times.len();
         if nodes.len() != len || roots.len() != len || subs.len() != len || downtimes.len() != len {
@@ -341,18 +340,14 @@ impl FailureColumns {
         {
             return Err(ColumnError("rows not sorted by (time, node)".into()));
         }
+        crate::check_in_span("failure", times.iter().copied(), start, end).map_err(ColumnError)?;
+        // In the span, `t - start` is at most a few tens of thousands
+        // of days of seconds: no overflow.
         let start_secs = start.as_seconds();
         let days = times
             .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                day_index(t, start_secs).ok_or_else(|| {
-                    ColumnError(format!(
-                        "time {t} at row {i} is too far from the start {start_secs}"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
+            .map(|&t| (t - start_secs).div_euclid(SECONDS_PER_DAY))
+            .collect();
         let mut cols = FailureColumns {
             times,
             nodes,
@@ -737,8 +732,10 @@ impl JobColumns {
 
     /// Reassembles columns from raw arrays (the snapshot load path),
     /// checking that the arrays agree in length, that `node_offsets`
-    /// starts at 0, never decreases and ends at `node_ids.len()`, and
-    /// that the jobs are sorted by dispatch time.
+    /// starts at 0, never decreases and ends at `node_ids.len()`, that
+    /// the jobs are sorted by dispatch time, and that every submit,
+    /// dispatch and end lies in `[start, end + SPAN_SLACK_DAYS]` (see
+    /// [`SPAN_SLACK_DAYS`](crate::SPAN_SLACK_DAYS)).
     ///
     /// # Errors
     ///
@@ -753,6 +750,8 @@ impl JobColumns {
         procs: Vec<u32>,
         node_offsets: Vec<u32>,
         node_ids: Vec<u32>,
+        start: Timestamp,
+        end: Timestamp,
     ) -> Result<Self, ColumnError> {
         let len = job_ids.len();
         let lens = [
@@ -786,6 +785,13 @@ impl JobColumns {
                 "jobs not sorted by dispatch time at job {}",
                 i + 1
             )));
+        }
+        for (what, times) in [
+            ("job submit", &submits),
+            ("job dispatch", &dispatches),
+            ("job end", &ends),
+        ] {
+            crate::check_in_span(what, times.iter().copied(), start, end).map_err(ColumnError)?;
         }
         Ok(JobColumns {
             job_ids,
@@ -1118,6 +1124,7 @@ mod tests {
             cols.downtimes().to_vec(),
             5,
             Timestamp::EPOCH,
+            Timestamp::from_days(100.0),
         )
         .expect("valid columns");
         assert_eq!(rebuilt, cols);
@@ -1130,6 +1137,7 @@ mod tests {
             vec![-1],
             5,
             Timestamp::EPOCH,
+            Timestamp::from_days(100.0),
         );
         assert!(bad_root.is_err());
 
@@ -1141,6 +1149,7 @@ mod tests {
             vec![-1],
             5,
             Timestamp::EPOCH,
+            Timestamp::from_days(100.0),
         );
         assert!(bad_node.is_err());
 
@@ -1152,6 +1161,7 @@ mod tests {
             vec![-1, -1],
             5,
             Timestamp::EPOCH,
+            Timestamp::from_days(100.0),
         );
         assert!(unsorted.is_err());
 
@@ -1164,6 +1174,7 @@ mod tests {
             vec![-1],
             5,
             Timestamp::EPOCH,
+            Timestamp::from_days(100.0),
         );
         assert!(inconsistent.is_err());
     }

@@ -14,13 +14,15 @@
 //! [`query`](crate::query), so the values are bit-identical to them;
 //! `tests/properties.rs` checks all 28 classes × 3 windows over random
 //! traces. At fleet scale 0.05 the build takes about 0.5 ms a trace,
-//! against 10.6-13.1 ms to decode the same trace's snapshot (seed 42,
-//! release build, 2-core VM).
+//! against 5-6 ms to decode the same trace's snapshot (seeds 42 and
+//! 43, release build, 2-core VM).
 //!
 //! Usage and per-user exposure stay lazy: they walk the job columns.
-//! At fleet scale 0.05 (seed 42, release build, 2-core VM), usage takes
-//! 6.1-6.5 ms and the users table 27-28 ms for systems 8 and 20
-//! together, which an eager build would add to every upload. Each is one `OnceLock`: the first caller builds
+//! At fleet scale 0.05 (seeds 42 and 43, release build, 2-core VM,
+//! min of 5), usage takes 2.3-3.9 ms and the users table 8-23 ms per
+//! system (systems 8 and 20, about 150,000-210,000 jobs each), which an
+//! eager build would add to every upload. Each is one `OnceLock`: the
+//! first caller builds
 //! and every later caller gets the stored `Arc`. A cloned trace starts
 //! with both slots empty.
 //!

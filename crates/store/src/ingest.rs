@@ -133,6 +133,10 @@ pub struct DataQualityReport {
     /// Records naming a system absent from `systems.csv`. Fatal under
     /// `Strict`; dropped otherwise.
     pub unknown_system_records: u64,
+    /// Records with a time outside their system's span plus
+    /// [`crate::SPAN_SLACK_DAYS`]. Fatal under `Strict`; dropped
+    /// otherwise.
+    pub out_of_span_records: u64,
 }
 
 impl DataQualityReport {
@@ -144,6 +148,7 @@ impl DataQualityReport {
             + self.overlapping_repairs
             + self.duplicate_records
             + self.unknown_system_records
+            + self.out_of_span_records
     }
 
     /// `true` if the audit found nothing.
@@ -484,14 +489,15 @@ pub fn read_layout_rows_with<R: Read>(
 /// violation is an error; under recovering policies it is counted in
 /// the quality report and the record dropped.
 fn admit(
-    configs: &BTreeMap<SystemId, u32>,
+    configs: &BTreeMap<SystemId, SystemConfig>,
     policy: IngestPolicy,
     quality: &mut DataQualityReport,
     file: &'static str,
     system: SystemId,
     node: Option<NodeId>,
+    times: &[Timestamp],
 ) -> Result<bool, CsvError> {
-    let Some(&nodes) = configs.get(&system) else {
+    let Some(config) = configs.get(&system) else {
         if policy.recovers() {
             quality.unknown_system_records += 1;
             return Ok(false);
@@ -503,6 +509,7 @@ fn admit(
         .in_file(file));
     };
     if let Some(node) = node {
+        let nodes = config.nodes;
         if node.index() >= nodes as usize {
             if policy.recovers() {
                 quality.unresolvable_nodes += 1;
@@ -514,6 +521,19 @@ fn admit(
             }
             .in_file(file));
         }
+    }
+    let what = file.trim_end_matches(".csv");
+    let times = times.iter().map(|t| t.as_seconds());
+    if let Err(message) = crate::check_in_span(what, times, config.start, config.end) {
+        if policy.recovers() {
+            quality.out_of_span_records += 1;
+            return Ok(false);
+        }
+        return Err(CsvError::Parse {
+            line: 0,
+            message: format!("{system}: {message}"),
+        }
+        .in_file(file));
     }
     Ok(true)
 }
@@ -636,8 +656,8 @@ pub fn load_trace_with<P: AsRef<Path>>(
     }
 
     // Resolve records against the configured systems and build.
-    let configs: BTreeMap<SystemId, u32> =
-        systems.records.iter().map(|c| (c.id, c.nodes)).collect();
+    let configs: BTreeMap<SystemId, SystemConfig> =
+        systems.records.iter().map(|c| (c.id, c.clone())).collect();
     let mut builders: BTreeMap<SystemId, SystemTraceBuilder> = systems
         .records
         .into_iter()
@@ -652,6 +672,7 @@ pub fn load_trace_with<P: AsRef<Path>>(
             "failures.csv",
             f.system,
             Some(f.node),
+            &[f.time],
         )? {
             if let Some(b) = builders.get_mut(&f.system) {
                 b.push_failure(f);
@@ -659,7 +680,15 @@ pub fn load_trace_with<P: AsRef<Path>>(
         }
     }
     for j in jobs.records {
-        if admit(&configs, policy, quality, "jobs.csv", j.system, None)? {
+        if admit(
+            &configs,
+            policy,
+            quality,
+            "jobs.csv",
+            j.system,
+            None,
+            &[j.submit, j.dispatch, j.end],
+        )? {
             if let Some(b) = builders.get_mut(&j.system) {
                 b.push_job(j);
             }
@@ -673,6 +702,7 @@ pub fn load_trace_with<P: AsRef<Path>>(
             "temperatures.csv",
             t.system,
             Some(t.node),
+            &[t.time],
         )? {
             if let Some(b) = builders.get_mut(&t.system) {
                 b.push_temperature(t);
@@ -687,6 +717,7 @@ pub fn load_trace_with<P: AsRef<Path>>(
             "maintenance.csv",
             m.system,
             Some(m.node),
+            &[m.time],
         )? {
             if let Some(b) = builders.get_mut(&m.system) {
                 b.push_maintenance(m);
@@ -695,7 +726,15 @@ pub fn load_trace_with<P: AsRef<Path>>(
     }
     let mut layouts: BTreeMap<SystemId, MachineLayout> = BTreeMap::new();
     for (system, node, loc) in layout_rows.records {
-        if admit(&configs, policy, quality, "layout.csv", system, Some(node))? {
+        if admit(
+            &configs,
+            policy,
+            quality,
+            "layout.csv",
+            system,
+            Some(node),
+            &[],
+        )? {
             layouts.entry(system).or_default().place(node, loc);
         }
     }
@@ -719,6 +758,7 @@ pub fn load_trace_with<P: AsRef<Path>>(
         ("quality.overlapping_repairs", q.overlapping_repairs),
         ("quality.duplicate_records", q.duplicate_records),
         ("quality.unknown_system_records", q.unknown_system_records),
+        ("quality.out_of_span_records", q.out_of_span_records),
     ] {
         hpcfail_obs::counter(name).add(value);
     }
@@ -987,6 +1027,49 @@ mod tests {
         write_dir(&dir, &failures, &systems).unwrap();
         let (trace, _) = load_trace_with(&dir, IngestPolicy::Strict).unwrap();
         assert_eq!(trace.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record outside its system's span plus
+    /// [`crate::SPAN_SLACK_DAYS`] is a parse error under `Strict` and a
+    /// dropped, counted record otherwise.
+    #[test]
+    fn records_outside_their_span_are_refused() {
+        let end = 10 * 86_400;
+        let systems = format!("{}\n1,a,4,4,SMP4,0,{end},0,0,0\n", headers::SYSTEMS);
+        let last = end + crate::SPAN_SLACK_DAYS * 86_400;
+        let dir = temp_dir("out-of-span");
+        for (time, inside) in [
+            (-1, false),
+            (0, true),
+            (last, true),
+            (last + 1, false),
+            (-86_400_000_000_000, false),
+        ] {
+            let failures = format!(
+                "{}\n1,0,{time},HW,HW:CPU,3600\n1,1,1000,HW,HW:CPU,3600\n",
+                headers::FAILURES
+            );
+            write_dir(&dir, &failures, &systems).unwrap();
+            match load_trace_with(&dir, IngestPolicy::Strict) {
+                Ok((trace, _)) => {
+                    assert!(inside, "{time} loaded");
+                    assert_eq!(trace.total_failures(), 2);
+                }
+                Err(err) => {
+                    assert!(!inside, "{time}: {err}");
+                    assert!(err.to_string().contains("failures.csv"), "{err}");
+                    assert!(
+                        err.to_string().contains("outside its system's span"),
+                        "{err}"
+                    );
+                }
+            }
+            let (trace, report) = load_trace_with(&dir, IngestPolicy::Lenient).unwrap();
+            let dropped = u64::from(!inside);
+            assert_eq!(report.quality.out_of_span_records, dropped, "{time}");
+            assert_eq!(trace.total_failures() as u64, 2 - dropped, "{time}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

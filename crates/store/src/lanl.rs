@@ -406,10 +406,16 @@ pub fn assemble_trace(
             .unwrap_or(Timestamp::EPOCH);
         let start = Timestamp::from_seconds(first.day_index().min(0) * 86_400);
         let end = Timestamp::from_seconds((last.day_index() + 2) * 86_400);
-        crate::check_span(start, end).map_err(|e| CsvError::Parse {
-            line: 0,
-            message: format!("{system}: {e}"),
-        })?;
+        // The span is derived from the records, so they lie inside it
+        // by construction; the check keeps that true if the derivation
+        // changes.
+        let times = records.iter().map(|r| r.time.as_seconds());
+        crate::check_span(start, end)
+            .and_then(|()| crate::check_in_span("failure", times, start, end))
+            .map_err(|e| CsvError::Parse {
+                line: 0,
+                message: format!("{system}: {e}"),
+            })?;
         let numa = numa_systems.contains(&system.raw());
         let config = SystemConfig {
             id: system,

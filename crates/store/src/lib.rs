@@ -93,6 +93,58 @@ pub const MAX_NODES: u32 = 1 << 17;
 /// full LANL fleet (3,200 days at most).
 pub const MAX_SPAN_DAYS: i64 = 1 << 14;
 
+/// How long after its system's declared end a record may still fall,
+/// in days.
+///
+/// A loaded trace keeps every failure, job (submit, dispatch and end),
+/// maintenance and temperature time in `[start, end + SPAN_SLACK_DAYS]`
+/// of its system, so analyses that walk from a record to the end of the
+/// span (checkpoint replay, day windows) cover at most
+/// `MAX_SPAN_DAYS + SPAN_SLACK_DAYS` days. Snapshot decode, CSV ingest
+/// and the LANL importer refuse a record outside it. The slack admits
+/// what the generator writes past the end: a job submitted on the last
+/// day waits in the queue (about an hour on average) and runs for up to
+/// 14 days, and an unscheduled maintenance follows its failure by up to
+/// 29 days (the generated fleets and the shipped scenario packs reach
+/// 26 days). 32 days is the first power of two above both.
+pub const SPAN_SLACK_DAYS: i64 = 32;
+
+/// Checks that every time in `times` (seconds) lies in
+/// `[start, end + SPAN_SLACK_DAYS]`; see [`SPAN_SLACK_DAYS`].
+///
+/// # Errors
+///
+/// A description naming `what` and the first time outside, for the
+/// caller to wrap in its own typed error.
+pub(crate) fn check_in_span(
+    what: &str,
+    times: impl IntoIterator<Item = i64> + Clone,
+    start: hpcfail_types::time::Timestamp,
+    end: hpcfail_types::time::Timestamp,
+) -> Result<(), String> {
+    let first = start.as_seconds();
+    let last = end
+        .as_seconds()
+        .saturating_add(SPAN_SLACK_DAYS * hpcfail_types::time::SECONDS_PER_DAY);
+    // One pass without an early exit, which vectorizes over a column;
+    // only a failing column is searched for its first offender.
+    let inside = |t: i64| t >= first && t <= last;
+    if times
+        .clone()
+        .into_iter()
+        .fold(true, |all, t| all & inside(t))
+    {
+        return Ok(());
+    }
+    match times.into_iter().find(|&t| !inside(t)) {
+        None => Ok(()),
+        Some(t) => Err(format!(
+            "{what} time {t} s lies outside its system's span {first}..={last} s \
+             (start to end plus {SPAN_SLACK_DAYS} days)"
+        )),
+    }
+}
+
 /// Checks that a system observed from `start` to `end` declares a span
 /// of at most [`MAX_SPAN_DAYS`] that does not end before it starts.
 ///

@@ -8,23 +8,24 @@
 //! little-endian copy per column plus the O(n) postings rebuild — no
 //! row structs, no sorting, no text.
 //!
-//! # File format (version 4)
+//! # File format (version 5)
 //!
 //! ```text
 //! magic      8 bytes  "HPCSNAP\0"
-//! version    u32 LE   4
+//! version    u32 LE   5
 //! fingerprint u64 LE  Trace::fingerprint() of the whole trace
 //! sections   u32 LE   number of section-table entries
 //! table      sections × { id u32, offset u64, len u64, checksum u64 }
-//! ...section payloads at their recorded offsets...
+//! ...section payloads, back to back in table order, to the end of the file...
 //! ```
 //!
 //! Section ids combine a kind (high 16 bits) and a system id (low 16
-//! bits). One `SYSTEMS` section carries every [`SystemConfig`]; each
-//! system then contributes `FAILURES` (the five primitive columns,
-//! stored column-wise), `JOBS`, `TEMPERATURES`, `MAINTENANCE` and — when
-//! present — `LAYOUT` sections; one fleet-wide `NEUTRON` section closes
-//! the file. The `JOBS` payload is column-major too:
+//! bits). The table lists the sections in one canonical order: one
+//! `SYSTEMS` section carrying every [`SystemConfig`] in id order; then,
+//! for each system in id order, `FAILURES` (the five primitive columns,
+//! stored column-wise), `JOBS`, `TEMPERATURES`, `MAINTENANCE` and, when
+//! the system has a layout, `LAYOUT`; and one fleet-wide `NEUTRON`
+//! section last. The `JOBS` payload is column-major too:
 //!
 //! ```text
 //! count        u32
@@ -39,13 +40,35 @@
 //! node_ids     refs × u32
 //! ```
 //!
-//! Every payload is integrity-checked by a checksum in the table (the
-//! same four-lane content hash as the fingerprint, over the payload
-//! bytes), and the decoded trace must reproduce the header's content
-//! fingerprint. Older versions are refused as
-//! [`SnapshotError::UnsupportedVersion`]: version 1 checksummed with a
-//! byte-serial FNV-1a, version 2 stored one row per job, and version 3
-//! hashed one word at a time in a single chain.
+//! # Integrity and the content fingerprint
+//!
+//! Each table entry carries a checksum of its payload: the four-lane
+//! content hash (`ContentHash` in [`crate::trace`]) over the payload
+//! bytes. The content fingerprint is
+//! the same hash over the table's `(id, checksum)` pairs, each written
+//! as two little-endian `u64` words, in table order. A trace that was
+//! generated or ingested from CSV gets its fingerprint by streaming its
+//! encoding through the hash, section by section, without building it
+//! ([`Trace::fingerprint`]); [`decode_snapshot`] gets it from the
+//! checksums it verifies, so every upload and every rehydration is
+//! hashed once.
+//!
+//! That is sound because decode is canonical: it accepts only the bytes
+//! [`snapshot_bytes`] writes for the trace it returns. The sections
+//! must come in canonical order with no gaps, unknown or duplicate
+//! entries, every per-system section present; every row must be in the
+//! order the builder sorts it into; and every flag must be one the
+//! encoder writes. Equal content therefore has one encoding and one
+//! fingerprint, whether it was uploaded, booted from CSV or demoted and
+//! rehydrated. Decode also checks every declared size and every record
+//! time against its system's span (see [`crate::SPAN_SLACK_DAYS`]),
+//! and compares the header's fingerprint with the checksum fold.
+//!
+//! Older versions are refused as [`SnapshotError::UnsupportedVersion`]:
+//! version 1 checksummed with a byte-serial FNV-1a, version 2 stored one
+//! row per job, version 3 hashed one word at a time in a single chain,
+//! and version 4 fingerprinted a second, typed walk of the decoded
+//! trace.
 //!
 //! # Fallback rules
 //!
@@ -56,9 +79,9 @@
 //! `store.snapshot.fallback` counter so callers can drop to CSV ingest
 //! while recording exactly why.
 
-use crate::columns::{day_index, FailureColumns, JobColumns};
+use crate::columns::{FailureColumns, JobColumns};
 use crate::trace::{ContentHash, SystemTrace, Trace};
-use crate::{check_span, MAX_NODES};
+use crate::{check_in_span, check_span, MAX_NODES};
 use hpcfail_types::prelude::*;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -68,7 +91,7 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HPCSNAP\0";
 const MAGIC: &[u8; 8] = SNAPSHOT_MAGIC;
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const KIND_SYSTEMS: u32 = 1;
 const KIND_FAILURES: u32 = 2;
@@ -82,6 +105,12 @@ const fn section_id(kind: u32, system: u16) -> u32 {
     (kind << 16) | system as u32
 }
 
+/// Bytes before the first payload: magic, version, fingerprint, section
+/// count and the table.
+const fn header_len(sections: usize) -> usize {
+    MAGIC.len() + 4 + 8 + 4 + sections * (4 + 8 + 8 + 8)
+}
+
 /// Error raised when writing or loading a snapshot fails.
 #[derive(Debug)]
 pub enum SnapshotError {
@@ -92,7 +121,7 @@ pub enum SnapshotError {
     /// The file is a snapshot, but of a version this build cannot read.
     UnsupportedVersion(u32),
     /// The file is structurally damaged: truncated, checksum mismatch,
-    /// undecodable payload or inconsistent content.
+    /// undecodable payload, inconsistent or non-canonical content.
     Corrupt(String),
 }
 
@@ -169,42 +198,79 @@ pub enum SnapshotLoad {
 
 fn checksum(bytes: &[u8]) -> u64 {
     let mut h = ContentHash::new();
-    h.bytes(bytes);
+    h.write(bytes);
     h.finish()
 }
 
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
+/// Adds one table entry to the content fingerprint.
+fn fold_entry(fingerprint: &mut ContentHash, id: u32, checksum: u64) {
+    fingerprint.u64(u64::from(id));
+    fingerprint.u64(checksum);
 }
 
-impl Writer {
+/// Where the encoder writes: the snapshot buffer, the hash of one
+/// section, or a byte count. Every value is little-endian and fixed
+/// width; a string is its `u32` length, then its bytes.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
+    }
+    fn u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
     }
     fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
     fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
-    /// Appends one fixed-width little-endian value per item.
-    fn column<T, const W: usize>(
-        &mut self,
-        items: impl ExactSizeIterator<Item = T>,
-        encode: impl Fn(T) -> [u8; W],
-    ) {
-        self.buf.reserve(items.len() * W);
-        for item in items {
-            self.buf.extend_from_slice(&encode(item));
+
+    /// Writes one value per item, staged in 4 KiB chunks so the sink
+    /// sees a few large writes.
+    fn column<T, const W: usize>(&mut self, items: &[T], encode: impl Fn(&T) -> [u8; W]) {
+        let mut chunk = [0u8; 4096];
+        for items in items.chunks(chunk.len() / W) {
+            let staged = &mut chunk[..items.len() * W];
+            for (bytes, item) in staged.chunks_exact_mut(W).zip(items) {
+                bytes.copy_from_slice(&encode(item));
+            }
+            self.put(staged);
         }
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for ContentHash {
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
+
+/// Counts the bytes an encoding takes, so the snapshot buffer is
+/// allocated once at its final size.
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn column<T, const W: usize>(&mut self, items: &[T], _: impl Fn(&T) -> [u8; W]) {
+        self.0 += items.len() * W;
     }
 }
 
@@ -248,6 +314,18 @@ impl<'a> Reader<'a> {
     }
     fn i64(&mut self) -> Result<i64, SnapshotError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Reads a flag byte the encoder writes as 0 or 1.
+    fn bool(&mut self, field: &str) -> Result<bool, SnapshotError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(SnapshotError::Corrupt(format!(
+                "{}: {field} flag is {other}, not 0 or 1",
+                self.what
+            ))),
+        }
     }
 
     /// Reads `n` fixed-width little-endian values with one bulk copy.
@@ -305,8 +383,66 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------
 // Writing
 
-fn encode_systems(trace: &Trace) -> Vec<u8> {
-    let mut w = Writer::default();
+/// One section's content, borrowed from the trace.
+enum Payload<'a> {
+    Systems(&'a Trace),
+    Failures(&'a FailureColumns),
+    Jobs(&'a JobColumns),
+    Temperatures(&'a [TemperatureSample]),
+    Maintenance(&'a [MaintenanceRecord]),
+    Layout(&'a MachineLayout),
+    Neutron(&'a [NeutronSample]),
+}
+
+/// The trace's sections in canonical table order (see the module docs).
+fn sections(trace: &Trace) -> Vec<(u32, Payload<'_>)> {
+    let mut sections = vec![(section_id(KIND_SYSTEMS, 0), Payload::Systems(trace))];
+    for system in trace.systems() {
+        let sys = system.id().raw();
+        sections.extend([
+            (
+                section_id(KIND_FAILURES, sys),
+                Payload::Failures(system.failure_columns()),
+            ),
+            (
+                section_id(KIND_JOBS, sys),
+                Payload::Jobs(system.job_columns()),
+            ),
+            (
+                section_id(KIND_TEMPERATURES, sys),
+                Payload::Temperatures(system.temperatures()),
+            ),
+            (
+                section_id(KIND_MAINTENANCE, sys),
+                Payload::Maintenance(system.maintenance()),
+            ),
+        ]);
+        if let Some(layout) = system.layout() {
+            sections.push((section_id(KIND_LAYOUT, sys), Payload::Layout(layout)));
+        }
+    }
+    sections.push((
+        section_id(KIND_NEUTRON, 0),
+        Payload::Neutron(trace.neutron_samples()),
+    ));
+    sections
+}
+
+impl Payload<'_> {
+    fn write(&self, w: &mut impl Sink) {
+        match *self {
+            Payload::Systems(trace) => encode_systems(w, trace),
+            Payload::Failures(cols) => encode_failures(w, cols),
+            Payload::Jobs(jobs) => encode_jobs(w, jobs),
+            Payload::Temperatures(samples) => encode_temperatures(w, samples),
+            Payload::Maintenance(records) => encode_maintenance(w, records),
+            Payload::Layout(layout) => encode_layout(w, layout),
+            Payload::Neutron(samples) => encode_neutron(w, samples),
+        }
+    }
+}
+
+fn encode_systems(w: &mut impl Sink, trace: &Trace) {
     w.u32(trace.len() as u32);
     for system in trace.systems() {
         let c = system.config();
@@ -321,57 +457,47 @@ fn encode_systems(trace: &Trace) -> Vec<u8> {
         w.u8(c.has_job_log as u8);
         w.u8(c.has_temperature as u8);
     }
-    w.buf
 }
 
-fn encode_failures(cols: &FailureColumns) -> Vec<u8> {
-    let mut w = Writer::default();
+fn encode_failures(w: &mut impl Sink, cols: &FailureColumns) {
     w.u32(cols.len() as u32);
-    w.column(cols.times().iter(), |t| t.to_le_bytes());
-    w.column(cols.nodes().iter(), |n| n.to_le_bytes());
-    w.buf.extend_from_slice(cols.roots());
-    w.column(cols.subs().iter(), |s| s.to_le_bytes());
-    w.column(cols.downtimes().iter(), |d| d.to_le_bytes());
-    w.buf
+    w.column(cols.times(), |t| t.to_le_bytes());
+    w.column(cols.nodes(), |n| n.to_le_bytes());
+    w.put(cols.roots());
+    w.column(cols.subs(), |s| s.to_le_bytes());
+    w.column(cols.downtimes(), |d| d.to_le_bytes());
 }
 
-fn encode_jobs(jobs: &JobColumns) -> Vec<u8> {
-    let mut w = Writer::default();
+fn encode_jobs(w: &mut impl Sink, jobs: &JobColumns) {
     w.u32(jobs.len() as u32);
-    w.column(jobs.job_ids().iter(), |v| v.to_le_bytes());
-    w.column(jobs.users().iter(), |v| v.to_le_bytes());
-    w.column(jobs.submits().iter(), |v| v.to_le_bytes());
-    w.column(jobs.dispatches().iter(), |v| v.to_le_bytes());
-    w.column(jobs.ends().iter(), |v| v.to_le_bytes());
-    w.column(jobs.procs().iter(), |v| v.to_le_bytes());
-    w.column(jobs.node_offsets().iter(), |v| v.to_le_bytes());
+    w.column(jobs.job_ids(), |v| v.to_le_bytes());
+    w.column(jobs.users(), |v| v.to_le_bytes());
+    w.column(jobs.submits(), |v| v.to_le_bytes());
+    w.column(jobs.dispatches(), |v| v.to_le_bytes());
+    w.column(jobs.ends(), |v| v.to_le_bytes());
+    w.column(jobs.procs(), |v| v.to_le_bytes());
+    w.column(jobs.node_offsets(), |v| v.to_le_bytes());
     w.u32(jobs.node_ids().len() as u32);
-    w.column(jobs.node_ids().iter(), |v| v.to_le_bytes());
-    w.buf
+    w.column(jobs.node_ids(), |v| v.to_le_bytes());
 }
 
-fn encode_temperatures(samples: &[TemperatureSample]) -> Vec<u8> {
-    let mut w = Writer::default();
+fn encode_temperatures(w: &mut impl Sink, samples: &[TemperatureSample]) {
     w.u32(samples.len() as u32);
-    w.column(samples.iter(), |s| s.node.raw().to_le_bytes());
-    w.column(samples.iter(), |s| s.time.as_seconds().to_le_bytes());
-    w.column(samples.iter(), |s| s.celsius.to_le_bytes());
-    w.buf
+    w.column(samples, |s| s.node.raw().to_le_bytes());
+    w.column(samples, |s| s.time.as_seconds().to_le_bytes());
+    w.column(samples, |s| s.celsius.to_le_bytes());
 }
 
-fn encode_maintenance(records: &[MaintenanceRecord]) -> Vec<u8> {
-    let mut w = Writer::default();
+fn encode_maintenance(w: &mut impl Sink, records: &[MaintenanceRecord]) {
     w.u32(records.len() as u32);
-    w.column(records.iter(), |m| m.node.raw().to_le_bytes());
-    w.column(records.iter(), |m| m.time.as_seconds().to_le_bytes());
-    w.column(records.iter(), |m| {
+    w.column(records, |m| m.node.raw().to_le_bytes());
+    w.column(records, |m| m.time.as_seconds().to_le_bytes());
+    w.column(records, |m| {
         [((m.hardware_related as u8) << 1) | m.scheduled as u8]
     });
-    w.buf
 }
 
-fn encode_layout(layout: &MachineLayout) -> Vec<u8> {
-    let mut w = Writer::default();
+fn encode_layout(w: &mut impl Sink, layout: &MachineLayout) {
     w.u32(layout.len() as u32);
     for (node, loc) in layout.iter() {
         w.u32(node.raw());
@@ -380,66 +506,57 @@ fn encode_layout(layout: &MachineLayout) -> Vec<u8> {
         w.u16(loc.room_row);
         w.u16(loc.room_col);
     }
-    w.buf
 }
 
-fn encode_neutron(samples: &[NeutronSample]) -> Vec<u8> {
-    let mut w = Writer::default();
+fn encode_neutron(w: &mut impl Sink, samples: &[NeutronSample]) {
     w.u32(samples.len() as u32);
-    w.column(samples.iter(), |s| s.time.as_seconds().to_le_bytes());
-    w.column(samples.iter(), |s| s.counts_per_minute.to_le_bytes());
-    w.buf
+    w.column(samples, |s| s.time.as_seconds().to_le_bytes());
+    w.column(samples, |s| s.counts_per_minute.to_le_bytes());
+}
+
+/// The content fingerprint of `trace` (see the module docs), streamed:
+/// each section is encoded straight into its hash, so no section and no
+/// snapshot buffer is built.
+pub(crate) fn content_fingerprint(trace: &Trace) -> u64 {
+    let mut fingerprint = ContentHash::new();
+    for (id, payload) in sections(trace) {
+        let mut section = ContentHash::new();
+        payload.write(&mut section);
+        fold_entry(&mut fingerprint, id, section.finish());
+    }
+    fingerprint.finish()
 }
 
 /// Serializes the trace into the `.hpcsnap` byte format.
 pub fn snapshot_bytes(trace: &Trace) -> Vec<u8> {
-    let mut sections: Vec<(u32, Vec<u8>)> =
-        vec![(section_id(KIND_SYSTEMS, 0), encode_systems(trace))];
-    for system in trace.systems() {
-        let sys = system.id().raw();
-        sections.push((
-            section_id(KIND_FAILURES, sys),
-            encode_failures(system.failure_columns()),
-        ));
-        sections.push((
-            section_id(KIND_JOBS, sys),
-            encode_jobs(system.job_columns()),
-        ));
-        sections.push((
-            section_id(KIND_TEMPERATURES, sys),
-            encode_temperatures(system.temperatures()),
-        ));
-        sections.push((
-            section_id(KIND_MAINTENANCE, sys),
-            encode_maintenance(system.maintenance()),
-        ));
-        if let Some(layout) = system.layout() {
-            sections.push((section_id(KIND_LAYOUT, sys), encode_layout(layout)));
-        }
+    let sections = sections(trace);
+    let mut len = Len(header_len(sections.len()));
+    for (_, payload) in &sections {
+        payload.write(&mut len);
     }
-    sections.push((
-        section_id(KIND_NEUTRON, 0),
-        encode_neutron(trace.neutron_samples()),
-    ));
-
-    let header_len = MAGIC.len() + 4 + 8 + 4 + sections.len() * (4 + 8 + 8 + 8);
-    let mut out =
-        Vec::with_capacity(header_len + sections.iter().map(|(_, b)| b.len()).sum::<usize>());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&trace.fingerprint().to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    let mut offset = header_len as u64;
-    for (id, bytes) in &sections {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum(bytes).to_le_bytes());
-        offset += bytes.len() as u64;
+    let mut out = Vec::with_capacity(len.0);
+    out.resize(header_len(sections.len()), 0);
+    let mut table = Vec::with_capacity(sections.len());
+    let mut fingerprint = ContentHash::new();
+    for (id, payload) in &sections {
+        let offset = out.len();
+        payload.write(&mut out);
+        let sum = checksum(&out[offset..]);
+        fold_entry(&mut fingerprint, *id, sum);
+        table.push((*id, offset, out.len() - offset, sum));
     }
-    for (_, bytes) in &sections {
-        out.extend_from_slice(bytes);
+    let mut header = Vec::with_capacity(header_len(table.len()));
+    header.put(MAGIC);
+    header.u32(SNAPSHOT_VERSION);
+    header.u64(fingerprint.finish());
+    header.u32(table.len() as u32);
+    for (id, offset, len, sum) in table {
+        header.u32(id);
+        header.u64(offset as u64);
+        header.u64(len as u64);
+        header.u64(sum);
     }
+    out[..header.len()].copy_from_slice(&header);
     out
 }
 
@@ -461,10 +578,6 @@ pub fn write_snapshot<P: AsRef<Path>>(path: P, trace: &Trace) -> Result<(), Snap
 // ---------------------------------------------------------------------
 // Loading
 
-struct Section<'a> {
-    bytes: &'a [u8],
-}
-
 /// One section-table entry: the section id, its payload range, the
 /// stored checksum and the file offset that checksum sits at.
 struct TableEntry {
@@ -475,8 +588,9 @@ struct TableEntry {
 }
 
 /// Reads the header and the section table, checking the magic, the
-/// version and that every payload range lies inside the file.
-fn section_table(buf: &[u8]) -> Result<Vec<TableEntry>, SnapshotError> {
+/// version and that every payload range lies inside the file; returns
+/// the header's fingerprint and the table.
+fn section_table(buf: &[u8]) -> Result<(u64, Vec<TableEntry>), SnapshotError> {
     if buf.len() < MAGIC.len() {
         return Err(SnapshotError::BadMagic);
     }
@@ -488,7 +602,7 @@ fn section_table(buf: &[u8]) -> Result<Vec<TableEntry>, SnapshotError> {
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let _fingerprint = r.u64()?;
+    let fingerprint = r.u64()?;
     let count = r.count(28)?;
     let mut table = Vec::with_capacity(count);
     for _ in 0..count {
@@ -511,23 +625,7 @@ fn section_table(buf: &[u8]) -> Result<Vec<TableEntry>, SnapshotError> {
             checksum_at,
         });
     }
-    Ok(table)
-}
-
-fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> {
-    section_table(buf)?
-        .into_iter()
-        .map(|entry| {
-            let bytes = &buf[entry.range];
-            if checksum(bytes) != entry.checksum {
-                return Err(SnapshotError::Corrupt(format!(
-                    "section {:#x} checksum mismatch",
-                    entry.id
-                )));
-            }
-            Ok((entry.id, Section { bytes }))
-        })
-        .collect()
+    Ok((fingerprint, table))
 }
 
 /// Recomputes every section checksum of an edited snapshot in place.
@@ -541,26 +639,99 @@ fn parse_sections(buf: &[u8]) -> Result<Vec<(u32, Section<'_>)>, SnapshotError> 
 ///
 /// [`SnapshotError`] when the header or section table is unreadable.
 pub fn reseal(buf: &mut [u8]) -> Result<(), SnapshotError> {
-    for entry in section_table(buf)? {
+    for entry in section_table(buf)?.1 {
         let sum = checksum(&buf[entry.range]);
         buf[entry.checksum_at..entry.checksum_at + 8].copy_from_slice(&sum.to_le_bytes());
     }
     Ok(())
 }
 
-fn header_fingerprint(buf: &[u8]) -> Result<u64, SnapshotError> {
-    let mut r = Reader::new(&buf[MAGIC.len()..], "header");
-    let _version = r.u32()?;
-    r.u64()
+/// The verified payloads of a snapshot, handed out in canonical order.
+struct Sections<'a> {
+    entries: std::iter::Peekable<std::vec::IntoIter<(u32, &'a [u8])>>,
+}
+
+impl<'a> Sections<'a> {
+    /// The next section, which must be `id`.
+    fn take(&mut self, id: u32) -> Result<&'a [u8], SnapshotError> {
+        match self.entries.next() {
+            Some((found, bytes)) if found == id => Ok(bytes),
+            Some((found, _)) => Err(SnapshotError::Corrupt(format!(
+                "section {found:#x} where section {id:#x} belongs"
+            ))),
+            None => Err(SnapshotError::Corrupt(format!("missing section {id:#x}"))),
+        }
+    }
+
+    /// The next section if it is `id`.
+    fn take_if(&mut self, id: u32) -> Option<&'a [u8]> {
+        self.entries
+            .next_if(|&(found, _)| found == id)
+            .map(|(_, bytes)| bytes)
+    }
+
+    /// Checks that no section is left after the neutron section.
+    fn finish(mut self) -> Result<(), SnapshotError> {
+        match self.entries.next() {
+            None => Ok(()),
+            Some((id, _)) => Err(SnapshotError::Corrupt(format!(
+                "section {id:#x} after the neutron section"
+            ))),
+        }
+    }
+}
+
+/// Reads the table, checks that the payloads lie back to back from the
+/// end of the table to the end of the file and that every checksum
+/// matches, and returns the header's fingerprint, the checksum fold and
+/// the payloads.
+fn verified_sections(buf: &[u8]) -> Result<(u64, u64, Sections<'_>), SnapshotError> {
+    let (header, table) = section_table(buf)?;
+    let mut at = header_len(table.len());
+    let mut fingerprint = ContentHash::new();
+    let mut payloads = Vec::with_capacity(table.len());
+    for entry in table {
+        if entry.range.start != at {
+            return Err(SnapshotError::Corrupt(format!(
+                "section {:#x} starts at byte {}, not at byte {at}",
+                entry.id, entry.range.start
+            )));
+        }
+        at = entry.range.end;
+        let bytes = &buf[entry.range];
+        if checksum(bytes) != entry.checksum {
+            return Err(SnapshotError::Corrupt(format!(
+                "section {:#x} checksum mismatch",
+                entry.id
+            )));
+        }
+        fold_entry(&mut fingerprint, entry.id, entry.checksum);
+        payloads.push((entry.id, bytes));
+    }
+    if at != buf.len() {
+        return Err(SnapshotError::Corrupt(format!(
+            "{} bytes after the last section",
+            buf.len() - at
+        )));
+    }
+    let sections = Sections {
+        entries: payloads.into_iter().peekable(),
+    };
+    Ok((header, fingerprint.finish(), sections))
 }
 
 fn decode_systems(bytes: &[u8]) -> Result<Vec<SystemConfig>, SnapshotError> {
     let mut r = Reader::new(bytes, "systems");
     let count = r.count(31)?;
-    let mut configs = Vec::with_capacity(count);
+    let mut configs: Vec<SystemConfig> = Vec::with_capacity(count);
     let mut total_nodes = 0u64;
     for _ in 0..count {
         let id = SystemId::new(r.u16()?);
+        if configs.last().is_some_and(|prev| prev.id >= id) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{id} is listed out of id order or twice"
+            )));
+        }
         let name = r.str()?;
         let nodes = r.u32()?;
         total_nodes += u64::from(nodes);
@@ -582,9 +753,9 @@ fn decode_systems(bytes: &[u8]) -> Result<Vec<SystemConfig>, SnapshotError> {
         let start = Timestamp::from_seconds(r.i64()?);
         let end = Timestamp::from_seconds(r.i64()?);
         check_span(start, end).map_err(|e| SnapshotError::Corrupt(format!("{id}: {e}")))?;
-        let has_layout = r.u8()? != 0;
-        let has_job_log = r.u8()? != 0;
-        let has_temperature = r.u8()? != 0;
+        let has_layout = r.bool("has_layout")?;
+        let has_job_log = r.bool("has_job_log")?;
+        let has_temperature = r.bool("has_temperature")?;
         configs.push(SystemConfig {
             id,
             name,
@@ -619,10 +790,11 @@ fn decode_failures(bytes: &[u8], config: &SystemConfig) -> Result<FailureColumns
         downtimes,
         config.nodes,
         config.start,
+        config.end,
     )?)
 }
 
-fn decode_jobs(bytes: &[u8]) -> Result<JobColumns, SnapshotError> {
+fn decode_jobs(bytes: &[u8], config: &SystemConfig) -> Result<JobColumns, SnapshotError> {
     let mut r = Reader::new(bytes, "jobs");
     let count = r.count(8 + 4 + 8 + 8 + 8 + 4 + 4)?;
     let job_ids = r.column(count, u64::from_le_bytes)?;
@@ -644,6 +816,8 @@ fn decode_jobs(bytes: &[u8]) -> Result<JobColumns, SnapshotError> {
         procs,
         node_offsets,
         node_ids,
+        config.start,
+        config.end,
     )?)
 }
 
@@ -660,6 +834,13 @@ fn decode_temperatures(
             "temperature samples not sorted by time".into(),
         ));
     }
+    check_in_span(
+        "temperature",
+        times.iter().copied(),
+        config.start,
+        config.end,
+    )
+    .map_err(SnapshotError::Corrupt)?;
     let celsius = r.column(count, f64::from_le_bytes)?;
     r.finish()?;
     Ok(nodes
@@ -682,6 +863,12 @@ fn decode_maintenance(
     let mut r = Reader::new(bytes, "maintenance");
     let count = r.count(4 + 8 + 1)?;
     let nodes = r.column(count, u32::from_le_bytes)?;
+    if let Some(node) = nodes.iter().find(|&&n| n >= config.nodes) {
+        return Err(SnapshotError::Corrupt(format!(
+            "maintenance node {node} out of range (system has {} nodes)",
+            config.nodes
+        )));
+    }
     let times = r.column(count, i64::from_le_bytes)?;
     if times
         .iter()
@@ -693,13 +880,19 @@ fn decode_maintenance(
             "maintenance not sorted by (time, node)".into(),
         ));
     }
-    let start = config.start.as_seconds();
-    if let Some(t) = times.iter().find(|&&t| day_index(t, start).is_none()) {
+    check_in_span(
+        "maintenance",
+        times.iter().copied(),
+        config.start,
+        config.end,
+    )
+    .map_err(SnapshotError::Corrupt)?;
+    let flags = r.take(count)?;
+    if let Some(bad) = flags.iter().find(|&&f| f > 0b11) {
         return Err(SnapshotError::Corrupt(format!(
-            "maintenance time {t} is too far from the start {start}"
+            "maintenance flags {bad:#04x} set unknown bits"
         )));
     }
-    let flags = r.take(count)?;
     r.finish()?;
     Ok(nodes
         .into_iter()
@@ -719,8 +912,15 @@ fn decode_layout(bytes: &[u8]) -> Result<MachineLayout, SnapshotError> {
     let mut r = Reader::new(bytes, "layout");
     let count = r.count(4 + 2 + 1 + 2 + 2)?;
     let mut layout = MachineLayout::new();
+    let mut last = None;
     for _ in 0..count {
         let node = NodeId::new(r.u32()?);
+        if last.is_some_and(|last| last >= node) {
+            return Err(SnapshotError::Corrupt(format!(
+                "layout row for {node} is out of node order or repeated"
+            )));
+        }
+        last = Some(node);
         let rack = RackId::new(r.u16()?);
         let position_in_rack = r.u8()?;
         let room_row = r.u16()?;
@@ -743,6 +943,11 @@ fn decode_neutron(bytes: &[u8]) -> Result<Vec<NeutronSample>, SnapshotError> {
     let mut r = Reader::new(bytes, "neutron");
     let count = r.count(8 + 8)?;
     let times = r.column(count, i64::from_le_bytes)?;
+    if times.windows(2).any(|w| w[0] > w[1]) {
+        return Err(SnapshotError::Corrupt(
+            "neutron samples not sorted by time".into(),
+        ));
+    }
     let counts = r.column(count, f64::from_le_bytes)?;
     r.finish()?;
     Ok(times
@@ -755,43 +960,32 @@ fn decode_neutron(bytes: &[u8]) -> Result<Vec<NeutronSample>, SnapshotError> {
         .collect())
 }
 
-/// Decodes a trace from snapshot bytes.
+/// Decodes a trace from snapshot bytes, accepting only the bytes
+/// [`snapshot_bytes`] writes for the trace it returns (see the module
+/// docs). The trace's [`Trace::fingerprint`] is the fold of the
+/// verified checksums; nothing is hashed twice.
 ///
 /// # Errors
 ///
 /// Any structural damage — bad magic, unsupported version, out-of-range
-/// section, checksum or fingerprint mismatch, undecodable payload —
+/// or misplaced section, checksum or fingerprint mismatch, undecodable
+/// or non-canonical payload, a record outside its system's span —
 /// yields a typed [`SnapshotError`]; this function never panics on
 /// hostile input.
 pub fn decode_snapshot(buf: &[u8]) -> Result<Trace, SnapshotError> {
-    let sections = parse_sections(buf)?;
-    let find = |id: u32| sections.iter().find(|(sid, _)| *sid == id).map(|(_, s)| s);
-
-    let systems_section = find(section_id(KIND_SYSTEMS, 0))
-        .ok_or_else(|| SnapshotError::Corrupt("missing systems section".into()))?;
-    let configs = decode_systems(systems_section.bytes)?;
-
+    let (expected, actual, mut sections) = verified_sections(buf)?;
+    let configs = decode_systems(sections.take(section_id(KIND_SYSTEMS, 0))?)?;
     let mut trace = Trace::new();
     for config in configs {
         let sys = config.id.raw();
-        let failures = find(section_id(KIND_FAILURES, sys)).ok_or_else(|| {
-            SnapshotError::Corrupt(format!("missing failures section for {}", config.id))
-        })?;
-        let columns = decode_failures(failures.bytes, &config)?;
-        let jobs = match find(section_id(KIND_JOBS, sys)) {
-            Some(s) => decode_jobs(s.bytes)?,
-            None => JobColumns::default(),
-        };
-        let temperatures = match find(section_id(KIND_TEMPERATURES, sys)) {
-            Some(s) => decode_temperatures(s.bytes, &config)?,
-            None => Vec::new(),
-        };
-        let maintenance = match find(section_id(KIND_MAINTENANCE, sys)) {
-            Some(s) => decode_maintenance(s.bytes, &config)?,
-            None => Vec::new(),
-        };
-        let layout = match find(section_id(KIND_LAYOUT, sys)) {
-            Some(s) => Some(decode_layout(s.bytes)?),
+        let columns = decode_failures(sections.take(section_id(KIND_FAILURES, sys))?, &config)?;
+        let jobs = decode_jobs(sections.take(section_id(KIND_JOBS, sys))?, &config)?;
+        let temperatures =
+            decode_temperatures(sections.take(section_id(KIND_TEMPERATURES, sys))?, &config)?;
+        let maintenance =
+            decode_maintenance(sections.take(section_id(KIND_MAINTENANCE, sys))?, &config)?;
+        let layout = match sections.take_if(section_id(KIND_LAYOUT, sys)) {
+            Some(bytes) => Some(decode_layout(bytes)?),
             None => None,
         };
         trace.insert_system(SystemTrace::from_parts(
@@ -803,20 +997,16 @@ pub fn decode_snapshot(buf: &[u8]) -> Result<Trace, SnapshotError> {
             layout,
         ));
     }
-    if let Some(s) = find(section_id(KIND_NEUTRON, 0)) {
-        let samples = decode_neutron(s.bytes)?;
-        trace.set_neutron_samples(samples);
-    }
+    let neutron = decode_neutron(sections.take(section_id(KIND_NEUTRON, 0))?)?;
+    trace.set_neutron_samples(neutron);
+    sections.finish()?;
 
-    // Hashing here also memoizes the checked value, so the engine and
-    // a later demotion re-encode reuse it instead of hashing again.
-    let expected = header_fingerprint(buf)?;
-    let actual = trace.fingerprint();
     if expected != actual {
         return Err(SnapshotError::Corrupt(format!(
-            "content fingerprint mismatch: header {expected:016x}, decoded {actual:016x}"
+            "content fingerprint mismatch: header {expected:016x}, sections {actual:016x}"
         )));
     }
+    trace.remember_fingerprint(actual);
     Ok(trace)
 }
 
@@ -1008,10 +1198,10 @@ mod tests {
         ));
         assert!(matches!(decode_snapshot(&[]), Err(SnapshotError::BadMagic)));
         // The version field sits right after the magic. Version 1 (the
-        // byte-serial FNV-1a format), version 2 (one row per job) and
-        // version 3 (the single-chain hash) are refused like an unknown
-        // one.
-        for version in [1u32, 2, 3, 0xfe] {
+        // byte-serial FNV-1a format), version 2 (one row per job),
+        // version 3 (the single-chain hash) and version 4 (the typed
+        // fingerprint walk) are refused like an unknown one.
+        for version in [1u32, 2, 3, 4, 0xfe] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
                 decode_snapshot(&bytes),
@@ -1022,7 +1212,7 @@ mod tests {
         // An older file on disk becomes a typed fallback audit entry.
         let dir = std::env::temp_dir().join(format!("hpcsnap-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for version in [1u32, 2, 3] {
+        for version in [1u32, 2, 3, 4] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             let path = dir.join(format!("v{version}.hpcsnap"));
             std::fs::write(&path, &bytes).unwrap();
@@ -1044,14 +1234,18 @@ mod tests {
 
     #[test]
     fn sample_fingerprint_is_pinned() {
-        // The format-4 value: each column hashed in four lanes. It moves
-        // only with a `SNAPSHOT_VERSION` bump.
+        // The format-5 value: the fold of the section checksums. It
+        // moves only with a `SNAPSHOT_VERSION` bump.
         let trace = sample_trace();
-        assert_eq!(format!("{:016x}", trace.fingerprint()), "44fac9bd63cedf61");
+        assert_eq!(format!("{:016x}", trace.fingerprint()), "9d3a2b9014182cd8");
         let system = trace.systems().next().expect("one system");
         let ids: Vec<u64> = system.jobs().map(|j| j.job_id.raw()).collect();
         assert_eq!(ids, [12, 11, 13, 14], "stable sort by dispatch");
-        let decoded = decode_snapshot(&snapshot_bytes(&trace)).expect("decodes");
+        // The streamed value, the header's and the decoded checksum
+        // fold agree.
+        let bytes = snapshot_bytes(&trace);
+        assert_eq!(section_table(&bytes).unwrap().0, trace.fingerprint());
+        let decoded = decode_snapshot(&bytes).expect("decodes");
         assert_eq!(decoded.fingerprint(), trace.fingerprint());
     }
 
@@ -1059,6 +1253,7 @@ mod tests {
     fn section_range(bytes: &[u8], id: u32) -> std::ops::Range<usize> {
         section_table(bytes)
             .expect("readable table")
+            .1
             .into_iter()
             .find(|e| e.id == id)
             .expect("section present")
@@ -1196,7 +1391,7 @@ mod tests {
                 p[at..at + 8].copy_from_slice(&min)
             });
             let message = corrupt_message(&hostile);
-            assert!(message.contains("too far from the start"), "{message}");
+            assert!(message.contains("outside its system's span"), "{message}");
         }
     }
 
@@ -1352,6 +1547,276 @@ mod tests {
             .collect();
         assert_eq!(names, vec![std::ffi::OsString::from("trace.hpcsnap")]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot's sections as `(id, payload)`, in table order.
+    type Parts = Vec<(u32, Vec<u8>)>;
+
+    fn parts(bytes: &[u8]) -> Parts {
+        section_table(bytes)
+            .expect("readable table")
+            .1
+            .into_iter()
+            .map(|e| (e.id, bytes[e.range].to_vec()))
+            .collect()
+    }
+
+    /// A snapshot of exactly these sections, back to back, with true
+    /// checksums and the header fingerprint they fold to.
+    fn assemble(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        let mut fingerprint = ContentHash::new();
+        for (id, payload) in sections {
+            fold_entry(&mut fingerprint, *id, checksum(payload));
+        }
+        out.extend_from_slice(&fingerprint.finish().to_le_bytes());
+        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        let mut offset = header_len(sections.len());
+        for (id, payload) in sections {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&(offset as u64).to_le_bytes());
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(&checksum(payload).to_le_bytes());
+            offset += payload.len();
+        }
+        for (_, payload) in sections {
+            out.extend_from_slice(payload);
+        }
+        out
+    }
+
+    /// [`reseal`], then the header fingerprint rewritten to the fold of
+    /// the table, as a deliberate forger would.
+    fn forge(bytes: &mut [u8]) -> Result<(), SnapshotError> {
+        reseal(bytes)?;
+        let mut fingerprint = ContentHash::new();
+        for entry in section_table(bytes)?.1 {
+            fold_entry(&mut fingerprint, entry.id, entry.checksum);
+        }
+        bytes[12..20].copy_from_slice(&fingerprint.finish().to_le_bytes());
+        Ok(())
+    }
+
+    /// The sample trace plus a second system without a layout, listed
+    /// before it.
+    fn two_system_trace() -> Trace {
+        let mut trace = sample_trace();
+        let probe = span_probe(Timestamp::from_days(10.0));
+        trace.insert_system(probe.systems().next().expect("one system").clone());
+        trace
+    }
+
+    #[test]
+    fn assembling_the_parts_gives_back_the_snapshot() {
+        let bytes = snapshot_bytes(&two_system_trace());
+        assert_eq!(assemble(&parts(&bytes)), bytes);
+        let mut forged = bytes.clone();
+        forge(&mut forged).unwrap();
+        assert_eq!(forged, bytes);
+    }
+
+    #[test]
+    fn non_canonical_snapshots_are_typed_corrupt() {
+        let trace = two_system_trace();
+        let bytes = snapshot_bytes(&trace);
+        let sections = parts(&bytes);
+        let ids: Vec<u32> = sections.iter().map(|(id, _)| *id).collect();
+        let at = |id: u32| ids.iter().position(|&i| i == id).expect("present");
+        let with = |edit: &dyn Fn(&mut Parts)| {
+            let mut sections = sections.clone();
+            edit(&mut sections);
+            assemble(&sections)
+        };
+        let payload =
+            |id: u32, edit: &dyn Fn(&mut Vec<u8>)| with(&|s: &mut Parts| edit(&mut s[at(id)].1));
+        let jobs = section_id(KIND_JOBS, 3);
+        let layout = section_id(KIND_LAYOUT, 3);
+        let neutron = section_id(KIND_NEUTRON, 0);
+        let maintenance = section_id(KIND_MAINTENANCE, 3);
+        // SYSTEMS: count u32, then system 1: id u16, name "span" (u32
+        // length + 4 bytes), nodes, procs, hardware u8, start, end and
+        // the three flags.
+        let system_one_flags = 4 + 2 + 4 + 4 + 4 + 4 + 1 + 8 + 8;
+        let mut gap = bytes.clone();
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                "sections swapped",
+                with(&|s| s.swap(at(jobs), at(jobs) + 1)),
+                "where section",
+            ),
+            (
+                "a section repeated",
+                with(&|s| s.insert(at(jobs), s[at(jobs)].clone())),
+                "where section",
+            ),
+            (
+                "a section missing",
+                with(&|s| {
+                    s.remove(at(jobs));
+                }),
+                "where section",
+            ),
+            (
+                "the neutron section missing",
+                with(&|s| {
+                    s.pop();
+                }),
+                "missing section",
+            ),
+            (
+                "an unknown section at the end",
+                with(&|s| s.push((section_id(9, 0), Vec::new()))),
+                "after the neutron section",
+            ),
+            (
+                "trailing bytes",
+                [bytes.as_slice(), &[0]].concat(),
+                "bytes after the last section",
+            ),
+            (
+                "a gap between sections",
+                {
+                    // Shift the neutron payload one byte later.
+                    let (_, table) = section_table(&bytes).unwrap();
+                    let last = table.last().unwrap();
+                    let offset_at = last.checksum_at - 16;
+                    gap.insert(last.range.start, 0);
+                    let moved = (last.range.start as u64 + 1).to_le_bytes();
+                    gap[offset_at..offset_at + 8].copy_from_slice(&moved);
+                    gap
+                },
+                "not at byte",
+            ),
+            (
+                "a flag byte of 2",
+                payload(section_id(KIND_SYSTEMS, 0), &|p| p[system_one_flags] = 2),
+                "not 0 or 1",
+            ),
+            (
+                "systems out of id order",
+                payload(section_id(KIND_SYSTEMS, 0), &|p| {
+                    p[4..6].copy_from_slice(&3u16.to_le_bytes())
+                }),
+                "out of id order or twice",
+            ),
+            (
+                "an unknown maintenance flag bit",
+                // count u32, one node u32, one time i64, then the flags.
+                payload(maintenance, &|p| p[16] |= 0b100),
+                "unknown bits",
+            ),
+            (
+                "layout rows out of node order",
+                // count u32, then 11-byte rows led by the node id.
+                payload(layout, &|p| {
+                    p[4..8].copy_from_slice(&1u32.to_le_bytes());
+                    p[15..19].copy_from_slice(&0u32.to_le_bytes());
+                }),
+                "out of node order",
+            ),
+            (
+                "neutron samples out of time order",
+                payload(neutron, &|p| {
+                    let (first, second) = p.split_at_mut(12);
+                    first[4..12].swap_with_slice(&mut second[..8]);
+                }),
+                "not sorted by time",
+            ),
+        ];
+        for (what, hostile, expected) in cases {
+            let message = corrupt_message(&hostile);
+            assert!(message.contains(expected), "{what}: {message}");
+        }
+    }
+
+    #[test]
+    fn records_outside_their_span_are_typed_corrupt() {
+        let trace = sample_trace();
+        let bytes = snapshot_bytes(&trace);
+        let slack = crate::SPAN_SLACK_DAYS * 86_400;
+        // The sample system runs from 0 to 30 days. Each case names a
+        // time column's payload offset and length (see the module docs
+        // and the encoders); an early time goes into the first row and
+        // a late one into the last, so the rows stay sorted.
+        let end = 30 * 86_400 + slack;
+        let jobs = 4;
+        let cases = [
+            (KIND_FAILURES, 4, 2, "failure"),
+            (KIND_JOBS, 4 + jobs * (8 + 4), jobs, "job submit"),
+            (KIND_JOBS, 4 + jobs * (8 + 4 + 8), jobs, "job dispatch"),
+            (KIND_JOBS, 4 + jobs * (8 + 4 + 8 + 8), jobs, "job end"),
+            (KIND_TEMPERATURES, 4 + 4, 1, "temperature"),
+            (KIND_MAINTENANCE, 4 + 4, 1, "maintenance"),
+        ];
+        for (kind, column, rows, what) in cases {
+            for (time, row, ok) in [
+                (-1, 0, false),
+                (end, rows - 1, true),
+                (end + 1, rows - 1, false),
+            ] {
+                let at = column + 8 * row;
+                let mut forged = edited(&bytes, section_id(kind, 3), |p| {
+                    p[at..at + 8].copy_from_slice(&i64::to_le_bytes(time))
+                });
+                forge(&mut forged).unwrap();
+                match decode_snapshot(&forged) {
+                    Ok(decoded) => {
+                        assert!(ok, "{what} at {time} s decoded");
+                        assert_eq!(snapshot_bytes(&decoded), forged);
+                    }
+                    Err(SnapshotError::Corrupt(message)) => {
+                        assert!(!ok, "{what} at {time} s: {message}");
+                        assert!(message.contains(what), "{message}");
+                        assert!(message.contains("outside its system's span"), "{message}");
+                    }
+                    Err(other) => panic!("{what} at {time} s: {other}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn maintenance_on_a_node_outside_the_system_is_typed_corrupt() {
+        let bytes = snapshot_bytes(&sample_trace());
+        // MAINTENANCE payload: count u32, then the node column.
+        for node in [6u32, u32::MAX] {
+            let mut forged = edited(&bytes, section_id(KIND_MAINTENANCE, 3), |p| {
+                p[4..8].copy_from_slice(&node.to_le_bytes())
+            });
+            forge(&mut forged).unwrap();
+            let message = corrupt_message(&forged);
+            assert!(message.contains("out of range"), "{node}: {message}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        /// Any snapshot that decodes, however it was damaged and then
+        /// resealed with a matching fingerprint, is exactly the encoding
+        /// of what it decodes to, so equal content has one fingerprint.
+        #[test]
+        fn whatever_decodes_re_encodes_to_the_same_bytes(
+            edits in proptest::prop::collection::vec((0usize..1 << 20, 0u8..=255, 0u8..4), 1..4),
+        ) {
+            let mut bytes = snapshot_bytes(&two_system_trace());
+            for (at, value, how) in edits {
+                let at = at % bytes.len();
+                match how {
+                    0 => bytes[at] = value,
+                    1 => bytes[at] ^= 1 << (value % 8),
+                    2 => bytes[at] = bytes[at].wrapping_add(1),
+                    _ => bytes[at] = bytes[at].wrapping_sub(1),
+                }
+            }
+            if forge(&mut bytes).is_ok() {
+                if let Ok(decoded) = decode_snapshot(&bytes) {
+                    proptest::prop_assert!(snapshot_bytes(&decoded) == bytes);
+                    proptest::prop_assert_eq!(decoded.fingerprint(), content_fingerprint(&decoded));
+                }
+            }
+        }
     }
 
     #[test]

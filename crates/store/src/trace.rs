@@ -355,17 +355,32 @@ impl Trace {
         self.fingerprint.take();
     }
 
-    /// Content fingerprint over everything the trace carries: each
-    /// system's config, failure columns, jobs (with their node lists),
-    /// temperatures, maintenance and layout, then the neutron samples,
-    /// mixed one 64-bit word per field. Equal content gives equal fingerprints whether the trace
-    /// was generated, ingested from CSV or decoded from a snapshot; the
-    /// snapshot header stores it and result caches are keyed on it.
+    /// Content fingerprint over everything the trace carries: the fold
+    /// of the section ids and section checksums of its snapshot encoding
+    /// (see [`crate::snapshot`]), which holds each system's config,
+    /// failure columns, jobs (with their node lists), temperatures,
+    /// maintenance and layout, then the neutron samples. Equal content
+    /// gives equal fingerprints whether the trace was generated,
+    /// ingested from CSV or decoded from a snapshot; the snapshot header
+    /// stores it and result caches are keyed on it.
     ///
-    /// Computed at most once per trace: the value is memoized until the
-    /// next [`Trace::insert_system`] or [`Trace::set_neutron_samples`].
+    /// A trace that was not decoded streams its encoding through the
+    /// hash without building it; a decoded one already has the value
+    /// from the checksums decode verified. Computed at most once per
+    /// trace: the value is memoized until the next
+    /// [`Trace::insert_system`] or [`Trace::set_neutron_samples`].
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| content_fingerprint(self))
+        *self
+            .fingerprint
+            .get_or_init(|| crate::snapshot::content_fingerprint(self))
+    }
+
+    /// Memoizes `fingerprint` as [`Trace::fingerprint`]. Snapshot decode
+    /// calls this with the fold of the checksums it verified: decode
+    /// accepts only the bytes the encoder writes for the decoded trace,
+    /// so the fold is the value streaming the encoding would give.
+    pub(crate) fn remember_fingerprint(&mut self, fingerprint: u64) {
+        self.fingerprint = OnceLock::from(fingerprint);
     }
 
     /// Looks up one system.
@@ -420,24 +435,34 @@ impl Trace {
     }
 }
 
-/// The streaming content hash behind [`Trace::fingerprint`] and the
-/// snapshot section checksums.
+/// The streaming content hash behind the snapshot section checksums
+/// and, through them, [`Trace::fingerprint`].
 ///
-/// One step mixes a 64-bit word into a lane with an xor, a multiply by
-/// an odd constant and a rotate. Scalar fields step the state itself.
-/// [`ContentHash::bytes`] and [`ContentHash::column`] mix their length
-/// into the state, then spread their words over four independent
-/// lanes (word `i` to lane `i % 4`, each lane from its own seed), and
-/// fold the lanes into the state with the same step. The four chains
-/// do not wait on each other, so a pass runs about four words per
-/// multiply latency instead of one. [`ContentHash::finish`] applies
-/// the SplitMix64 finalizer.
+/// It reads a byte string as 8-byte little-endian words, the last one
+/// zero-padded, and spreads them over four independent lanes (word `i`
+/// to lane `i % 4`, each lane from its own seed). One step mixes a word
+/// into a lane with an xor, a multiply by an odd constant and a rotate.
+/// [`ContentHash::finish`] steps a seed with the byte length, then with
+/// each lane in order, and applies the SplitMix64 finalizer. The four
+/// chains do not wait on each other, so a pass runs about four words
+/// per multiply latency instead of one. The length step keeps inputs
+/// that differ only in trailing zero bytes apart.
+///
+/// Bytes may arrive in pieces of any size ([`ContentHash::write`]); the
+/// value depends only on their concatenation, so a section hashed while
+/// it is encoded gets the checksum its written payload gets.
 ///
 /// Every step is a bijection of its lane for a fixed input word, and
 /// the fold is a bijection in each lane value, so two inputs of equal
 /// length that differ in exactly one word never hash alike: a single
 /// damaged byte cannot pass a section checksum.
-pub(crate) struct ContentHash(u64);
+pub(crate) struct ContentHash {
+    lanes: [u64; 4],
+    /// The current four-word block; its first `filled` bytes are set.
+    block: [u8; 32],
+    filled: usize,
+    len: u64,
+}
 
 impl ContentHash {
     const SEED: u64 = 0x243f_6a88_85a3_08d3;
@@ -453,138 +478,64 @@ impl ContentHash {
     const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
     pub(crate) fn new() -> Self {
-        ContentHash(Self::SEED)
+        ContentHash {
+            lanes: Self::LANE_SEEDS,
+            block: [0; 32],
+            filled: 0,
+            len: 0,
+        }
     }
 
     fn step(lane: u64, word: u64) -> u64 {
         (lane ^ word).wrapping_mul(Self::MUL).rotate_left(27)
     }
 
-    fn u64(&mut self, v: u64) {
-        self.0 = Self::step(self.0, v);
+    /// Steps each lane with its word of a full block.
+    fn step_block(lanes: &mut [u64; 4], block: &[u8; 32]) {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = Self::step(*lane, u64::from_le_bytes(*word));
+        }
     }
 
-    fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
-    /// Runs `values` through the four lanes, value `i` into lane
-    /// `i % 4`, and returns the lanes.
-    fn lanes<T>(values: &[T], word: impl Fn(&T) -> u64) -> [u64; 4] {
-        let mut lanes = Self::LANE_SEEDS;
-        let (blocks, tail) = values.as_chunks::<4>();
+    /// Appends `bytes` to the hashed string.
+    pub(crate) fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.filled > 0 {
+            let take = (32 - self.filled).min(bytes.len());
+            self.block[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 32 {
+                return;
+            }
+            Self::step_block(&mut self.lanes, &self.block);
+        }
+        let (blocks, rest) = bytes.as_chunks::<32>();
+        let mut lanes = self.lanes;
         for block in blocks {
-            for (lane, value) in lanes.iter_mut().zip(block) {
-                *lane = Self::step(*lane, word(value));
-            }
+            Self::step_block(&mut lanes, block);
         }
-        for (lane, value) in lanes.iter_mut().zip(tail) {
-            *lane = Self::step(*lane, word(value));
-        }
-        lanes
+        self.lanes = lanes;
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
     }
 
-    fn fold(&mut self, lanes: [u64; 4]) {
-        for lane in lanes {
-            self.u64(lane);
+    pub(crate) fn finish(mut self) -> u64 {
+        // The last, partial block: its whole words, then the zero-padded
+        // rest.
+        self.block[self.filled..].fill(0);
+        let (words, _) = self.block.as_chunks::<8>();
+        let last = self.filled.div_ceil(8);
+        for (lane, word) in self.lanes.iter_mut().zip(words).take(last) {
+            *lane = Self::step(*lane, u64::from_le_bytes(*word));
         }
-    }
-
-    /// Mixes the length, then the bytes as 8-byte little-endian words
-    /// in four lanes, with the last word zero-padded. The length prefix
-    /// keeps inputs that differ only in trailing zero bytes apart.
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        self.u64(bytes.len() as u64);
-        let (words, rest) = bytes.as_chunks::<8>();
-        let mut lanes = Self::lanes(words, |w| u64::from_le_bytes(*w));
-        if !rest.is_empty() {
-            let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
-            let lane = &mut lanes[words.len() % 4];
-            *lane = Self::step(*lane, u64::from_le_bytes(last));
+        let mut state = Self::step(Self::SEED, self.len);
+        for lane in self.lanes {
+            state = Self::step(state, lane);
         }
-        self.fold(lanes);
+        hpcfail_obs::rng::mix64(state)
     }
-
-    /// Mixes the column's length, then one word per value in four
-    /// lanes, as [`ContentHash::bytes`] does.
-    pub(crate) fn column<T>(&mut self, values: &[T], word: impl Fn(&T) -> u64) {
-        self.u64(values.len() as u64);
-        self.fold(Self::lanes(values, word));
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        hpcfail_obs::rng::mix64(self.0)
-    }
-}
-
-/// The hash behind [`Trace::fingerprint`]. Its value is stored in every
-/// `.hpcsnap` header, so changing what it reads, or how it mixes, needs
-/// a `SNAPSHOT_VERSION` bump.
-fn content_fingerprint(trace: &Trace) -> u64 {
-    let mut h = ContentHash::new();
-    h.u64(trace.len() as u64);
-    for system in trace.systems() {
-        let c = system.config();
-        h.u64(c.id.raw() as u64);
-        h.bytes(c.name.as_bytes());
-        h.u64(c.nodes as u64);
-        h.u64(c.procs_per_node as u64);
-        h.u64(matches!(c.hardware, HardwareClass::Numa) as u64);
-        h.i64(c.start.as_seconds());
-        h.i64(c.end.as_seconds());
-        h.u64(
-            ((c.has_layout as u64) << 2) | ((c.has_job_log as u64) << 1) | c.has_temperature as u64,
-        );
-
-        let cols = system.failure_columns();
-        h.column(cols.times(), |&t| t as u64);
-        h.column(cols.nodes(), |&n| n.into());
-        h.column(cols.roots(), |&r| r.into());
-        h.column(cols.subs(), |&s| s.into());
-        h.column(cols.downtimes(), |&d| d as u64);
-        // The node offsets and ids carry each job's node list.
-        let jobs = system.job_columns();
-        h.column(jobs.job_ids(), |&j| j);
-        h.column(jobs.users(), |&u| u.into());
-        h.column(jobs.submits(), |&t| t as u64);
-        h.column(jobs.dispatches(), |&t| t as u64);
-        h.column(jobs.ends(), |&t| t as u64);
-        h.column(jobs.procs(), |&p| p.into());
-        h.column(jobs.node_offsets(), |&o| o.into());
-        h.column(jobs.node_ids(), |&n| n.into());
-        h.u64(system.temperatures().len() as u64);
-        for t in system.temperatures() {
-            h.u64(t.node.raw() as u64);
-            h.i64(t.time.as_seconds());
-            h.u64(t.celsius.to_bits());
-        }
-        h.u64(system.maintenance().len() as u64);
-        for m in system.maintenance() {
-            h.u64(m.node.raw() as u64);
-            h.i64(m.time.as_seconds());
-            h.u64(((m.hardware_related as u64) << 1) | m.scheduled as u64);
-        }
-        match system.layout() {
-            None => h.u64(u64::MAX),
-            Some(layout) => {
-                h.u64(layout.len() as u64);
-                for (node, loc) in layout.iter() {
-                    h.u64(node.raw() as u64);
-                    h.u64(loc.rack.raw() as u64);
-                    h.u64(loc.position_in_rack as u64);
-                    h.u64(loc.room_row as u64);
-                    h.u64(loc.room_col as u64);
-                }
-            }
-        }
-    }
-    h.u64(trace.neutron_samples().len() as u64);
-    for s in trace.neutron_samples() {
-        h.i64(s.time.as_seconds());
-        h.u64(s.counts_per_minute.to_bits());
-    }
-    h.finish()
 }
 
 #[cfg(test)]
@@ -873,7 +824,7 @@ mod tests {
 
     fn hash_bytes(bytes: &[u8]) -> u64 {
         let mut h = ContentHash::new();
-        h.bytes(bytes);
+        h.write(bytes);
         h.finish()
     }
 
@@ -898,24 +849,15 @@ mod tests {
             step(s3, word(3)),
         ];
         // The length first, then the lanes folded in order.
-        let expected = |len: u64| {
-            let mut h = ContentHash::new();
-            h.u64(len);
-            for lane in lanes {
-                h.u64(lane);
-            }
-            h.finish()
-        };
-        assert_eq!(hash_bytes(&bytes), expected(42));
-        // A column of the same six words fills the same lanes; only
-        // its length differs.
-        let words: Vec<u64> = (0..6).map(word).collect();
-        let mut column = ContentHash::new();
-        column.column(&words, |&w| w);
-        assert_eq!(column.finish(), expected(6));
+        let state = lanes
+            .iter()
+            .fold(step(ContentHash::SEED, 42), |state, &lane| {
+                step(state, lane)
+            });
+        assert_eq!(hash_bytes(&bytes), hpcfail_obs::rng::mix64(state));
 
-        // Padding alone would make these collide; the length prefix
-        // keeps them apart.
+        // Padding alone would make these collide; the length keeps them
+        // apart.
         assert_ne!(hash_bytes(b"a"), hash_bytes(b"a\0"));
         assert_ne!(hash_bytes(b""), hash_bytes(&[0; 8]));
         assert_ne!(hash_bytes(&[0; 7]), hash_bytes(&[0; 8]));
@@ -934,6 +876,30 @@ mod tests {
         assert_ne!(fingerprint("sys"), fingerprint("sys\0\0\0\0\0"));
     }
 
+    #[test]
+    fn content_hash_depends_only_on_the_concatenation() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i * 73 + 5) as u8).collect();
+        let whole = hash_bytes(&bytes);
+        // Every split into pieces of one size, and a few uneven cuts.
+        for piece in 1..=bytes.len() {
+            let mut h = ContentHash::new();
+            for chunk in bytes.chunks(piece) {
+                h.write(chunk);
+            }
+            assert_eq!(h.finish(), whole, "pieces of {piece}");
+        }
+        for cuts in [[0, 0, 7], [1, 33, 34], [31, 32, 95], [64, 65, 199]] {
+            let mut h = ContentHash::new();
+            let mut from = 0;
+            for cut in cuts {
+                h.write(&bytes[from..cut]);
+                from = cut;
+            }
+            h.write(&bytes[from..]);
+            assert_eq!(h.finish(), whole, "cuts {cuts:?}");
+        }
+    }
+
     /// Lengths up to 80 bytes cover every lane, a second and a third
     /// block, each tail length and the padded last word.
     #[test]
@@ -949,19 +915,18 @@ mod tests {
                 }
             }
         }
-        let hash_column = |values: &[u64]| {
-            let mut h = ContentHash::new();
-            h.column(values, |&v| v);
-            h.finish()
+        let hash_words = |values: &[u64]| {
+            let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+            hash_bytes(&bytes)
         };
         for len in 0..=9u64 {
             let values: Vec<u64> = (0..len).map(|i| i.wrapping_mul(ContentHash::MUL)).collect();
-            let base = hash_column(&values);
+            let base = hash_words(&values);
             for pos in 0..values.len() {
                 for flip in [1, 1 << 63, u64::MAX] {
                     let mut damaged = values.clone();
                     damaged[pos] ^= flip;
-                    assert_ne!(hash_column(&damaged), base, "len {len}, value {pos}");
+                    assert_ne!(hash_words(&damaged), base, "len {len}, value {pos}");
                 }
             }
         }
