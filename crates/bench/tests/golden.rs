@@ -89,15 +89,16 @@ fn sha256_matches_the_fips_examples() {
     );
 }
 
-#[test]
-fn repro_all_matches_the_golden_digest() {
+/// Runs `repro` with `args`, checks it succeeds with an empty stderr
+/// (every call passes `--quiet`), and returns its stdout.
+fn repro(args: &[&str]) -> Vec<u8> {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--scale", "0.1", "--seed", "42", "--quiet", "all"])
+        .args(args)
         .output()
         .expect("run repro");
     assert!(
         output.status.success(),
-        "repro exited with {}",
+        "repro {args:?} exited with {}",
         output.status
     );
     assert!(
@@ -105,11 +106,58 @@ fn repro_all_matches_the_golden_digest() {
         "--quiet must leave stderr empty: {}",
         String::from_utf8_lossy(&output.stderr)
     );
+    output.stdout
+}
+
+fn assert_golden(stdout: &[u8], run: &str) {
     assert_eq!(
-        sha256_hex(&output.stdout),
+        sha256_hex(stdout),
         GOLDEN.trim(),
-        "`repro --scale 0.1 --seed 42 --quiet all` printed {} bytes that do not match \
+        "`{run}` printed {} bytes that do not match \
          tests/golden/repro_all_scale0.1_seed42.sha256",
-        output.stdout.len()
+        stdout.len()
+    );
+}
+
+#[test]
+fn repro_all_matches_the_golden_digest() {
+    let stdout = repro(&["--scale", "0.1", "--seed", "42", "--quiet", "all"]);
+    assert_golden(&stdout, "repro --scale 0.1 --seed 42 --quiet all");
+}
+
+/// The same fleet written as a binary snapshot and read back gives the
+/// same figures, byte for byte.
+#[test]
+fn repro_all_from_a_written_snapshot_matches_the_golden_digest() {
+    let dir = std::env::temp_dir().join(format!("hpcfail-golden-snap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snapshot = dir.join("fleet.hpcsnap");
+    let snapshot = snapshot.to_str().expect("utf-8 temp path");
+    let written = repro(&[
+        "--scale",
+        "0.1",
+        "--seed",
+        "42",
+        "--quiet",
+        "--write-snapshot",
+        snapshot,
+    ]);
+    assert!(written.is_empty(), "--write-snapshot prints nothing");
+    let size = std::fs::metadata(snapshot).map(|m| m.len());
+    let stdout = repro(&[
+        "all",
+        "--snapshot",
+        snapshot,
+        "--scale",
+        "0.1",
+        "--seed",
+        "42",
+        "--quiet",
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(size.expect("snapshot written") > 0);
+    assert_golden(
+        &stdout,
+        "repro all --snapshot FILE --scale 0.1 --seed 42 --quiet",
     );
 }

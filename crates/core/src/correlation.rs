@@ -214,6 +214,142 @@ pub(crate) fn merge_stratified(parts: &[ConditionalEstimate]) -> ConditionalEsti
     merged
 }
 
+/// One system's Figure 1(b) window counts, per class of
+/// [`FailureClass::FIGURE1`] (same index): after a failure of the same
+/// class, and after a failure of any class.
+#[derive(Debug, Default)]
+pub(crate) struct SameTypeCounts {
+    pub(crate) after_same_type: [WindowCounts; 8],
+    pub(crate) after_any: [WindowCounts; 8],
+}
+
+impl SameTypeCounts {
+    /// Adds one trigger in the classes of `trigger` (a class mask):
+    /// `trials` windows, `hits[k]` of which hold a class-`k` failure.
+    fn add(&mut self, trigger: u8, trials: u64, hits: &[u64; 8]) {
+        for (k, &hit) in hits.iter().enumerate() {
+            let counts = WindowCounts {
+                hits: hit,
+                total: trials,
+            };
+            self.after_any[k] = self.after_any[k].merge(counts);
+            if trigger & (1 << k) != 0 {
+                self.after_same_type[k] = self.after_same_type[k].merge(counts);
+            }
+        }
+    }
+}
+
+/// Calls `f` with the index of every set bit of `mask`.
+fn for_each_class(mut mask: u8, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
+/// All sixteen (trigger, target) counts of the Figure 1(b) summary for
+/// one system in one walk over its failures: the same counts as
+/// [`conditional_for_system`] with trigger `X` or `Any` and target `X`,
+/// for every `X` in [`FailureClass::FIGURE1`].
+///
+/// Each event carries a mask of the classes it belongs to, and each
+/// probe returns the mask of the classes present in `(t, t + window]`,
+/// so one trigger adds to every row at once. `None` for
+/// [`Scope::SameRack`] on a system without a layout.
+pub(crate) fn same_type_counts(
+    system: &SystemTrace,
+    window: Window,
+    scope: Scope,
+) -> Option<SameTypeCounts> {
+    let layout = system.layout();
+    if scope == Scope::SameRack && layout.is_none() {
+        return None;
+    }
+    let cols = system.failure_columns();
+    let (times, nodes) = (cols.times(), cols.nodes());
+    let codes = FailureClass::FIGURE1.map(ClassCode::new);
+    let masks: Vec<u8> = cols
+        .roots()
+        .iter()
+        .zip(cols.subs())
+        .map(|(&root, &sub)| {
+            codes.iter().enumerate().fold(0, |mask, (k, code)| {
+                mask | u8::from(code.matches(root, sub)) << k
+            })
+        })
+        .collect();
+    // The classes present on `node` in `(after, until]`.
+    let probe = |node: NodeId, after: i64, until: i64| {
+        let postings = cols.node_postings(node);
+        let from = postings.partition_point(|&i| times[i as usize] <= after);
+        postings[from..]
+            .iter()
+            .take_while(|&&i| times[i as usize] <= until)
+            .fold(0u8, |mask, &i| mask | masks[i as usize])
+    };
+    let duration = window.seconds();
+    let mut counts = SameTypeCounts::default();
+    // SameSystem: the sliding window of `conditional_for_system`, with
+    // a per-class count on each node and a distinct-node count per class.
+    let mut per_node = match scope {
+        Scope::SameSystem => vec![[0u32; 8]; system.config().nodes as usize],
+        _ => Vec::new(),
+    };
+    let mut distinct = [0u64; 8];
+    let (mut lo, mut hi) = (0usize, 0usize);
+    for (i, (&time, &node)) in times.iter().zip(nodes).enumerate() {
+        if !system.window_observed(Timestamp::from_seconds(time), window) {
+            continue;
+        }
+        let until = time + duration;
+        let node = NodeId::new(node);
+        let mut hits = [0u64; 8];
+        match scope {
+            Scope::SameNode => {
+                for_each_class(probe(node, time, until), |k| hits[k] += 1);
+                counts.add(masks[i], 1, &hits);
+            }
+            Scope::SameRack => {
+                let Some(layout) = layout else { continue };
+                let peers = layout.rack_neighbors(node);
+                for &peer in &peers {
+                    for_each_class(probe(peer, time, until), |k| hits[k] += 1);
+                }
+                counts.add(masks[i], peers.len() as u64, &hits);
+            }
+            Scope::SameSystem => {
+                while hi < times.len() && times[hi] <= until {
+                    let on_node = &mut per_node[nodes[hi] as usize];
+                    for_each_class(masks[hi], |k| {
+                        on_node[k] += 1;
+                        if on_node[k] == 1 {
+                            distinct[k] += 1;
+                        }
+                    });
+                    hi += 1;
+                }
+                while lo < hi && times[lo] <= time {
+                    let on_node = &mut per_node[nodes[lo] as usize];
+                    for_each_class(masks[lo], |k| {
+                        on_node[k] -= 1;
+                        if on_node[k] == 0 {
+                            distinct[k] -= 1;
+                        }
+                    });
+                    lo += 1;
+                }
+                let own = &per_node[node.index()];
+                for (k, hit) in hits.iter_mut().enumerate() {
+                    *hit = distinct[k] - u64::from(own[k] > 0);
+                }
+                counts.add(masks[i], u64::from(system.config().nodes) - 1, &hits);
+            }
+        }
+    }
+    Some(counts)
+}
+
 /// Core counting for one system.
 fn conditional_for_system(
     system: &SystemTrace,

@@ -14,7 +14,6 @@ use crate::regression_study::StudyFamily;
 use crate::temperature::TempPredictor;
 use hpcfail_obs::json::Json;
 use hpcfail_types::prelude::*;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Default `k` for [`AnalysisRequest::HeaviestUsers`]: the paper
@@ -631,14 +630,16 @@ fn policy_from_json(json: &Json) -> Result<CheckpointPolicy, RequestError> {
     }
 }
 
-fn as_obj(json: &Json) -> Result<&BTreeMap<String, Json>, RequestError> {
+/// `json` itself, when it is an object: the field readers below look
+/// keys up with [`Json::get`].
+fn as_obj(json: &Json) -> Result<&Json, RequestError> {
     match json {
-        Json::Obj(map) => Ok(map),
+        Json::Obj(_) => Ok(json),
         _ => Err(RequestError::new("request must be a JSON object")),
     }
 }
 
-fn str_field<'a>(o: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a str, RequestError> {
+fn str_field<'a>(o: &'a Json, key: &str) -> Result<&'a str, RequestError> {
     match o.get(key) {
         Some(Json::Str(s)) => Ok(s),
         Some(_) => Err(RequestError::new(format!("field {key} must be a string"))),
@@ -646,7 +647,7 @@ fn str_field<'a>(o: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a str, Re
     }
 }
 
-fn int_field(o: &BTreeMap<String, Json>, key: &str) -> Result<u64, RequestError> {
+fn int_field(o: &Json, key: &str) -> Result<u64, RequestError> {
     match o.get(key) {
         Some(v) => v.as_u64().ok_or_else(|| {
             RequestError::new(format!("field {key} must be a non-negative integer"))
@@ -655,7 +656,7 @@ fn int_field(o: &BTreeMap<String, Json>, key: &str) -> Result<u64, RequestError>
     }
 }
 
-fn f64_field(o: &BTreeMap<String, Json>, key: &str) -> Result<f64, RequestError> {
+fn f64_field(o: &Json, key: &str) -> Result<f64, RequestError> {
     match o.get(key) {
         Some(v) => v
             .as_f64()
@@ -665,7 +666,7 @@ fn f64_field(o: &BTreeMap<String, Json>, key: &str) -> Result<f64, RequestError>
 }
 
 /// A checkpoint interval: finite and at least [`MIN_INTERVAL_HOURS`].
-fn interval_field(o: &BTreeMap<String, Json>, key: &str) -> Result<f64, RequestError> {
+fn interval_field(o: &Json, key: &str) -> Result<f64, RequestError> {
     let hours = f64_field(o, key)?;
     if hours.is_finite() && hours >= MIN_INTERVAL_HOURS {
         Ok(hours)
@@ -677,7 +678,7 @@ fn interval_field(o: &BTreeMap<String, Json>, key: &str) -> Result<f64, RequestE
 }
 
 /// Absent fields default to `false`; present fields must be booleans.
-fn bool_field(o: &BTreeMap<String, Json>, key: &str) -> Result<bool, RequestError> {
+fn bool_field(o: &Json, key: &str) -> Result<bool, RequestError> {
     match o.get(key) {
         Some(Json::Bool(b)) => Ok(*b),
         Some(Json::Null) | None => Ok(false),
@@ -685,12 +686,12 @@ fn bool_field(o: &BTreeMap<String, Json>, key: &str) -> Result<bool, RequestErro
     }
 }
 
-fn system_field(o: &BTreeMap<String, Json>) -> Result<SystemId, RequestError> {
+fn system_field(o: &Json) -> Result<SystemId, RequestError> {
     Ok(SystemId::new(int_field(o, "system")? as u16))
 }
 
 /// Parses a string field through the target type's `FromStr`.
-fn parse_field<T>(o: &BTreeMap<String, Json>, key: &str) -> Result<T, RequestError>
+fn parse_field<T>(o: &Json, key: &str) -> Result<T, RequestError>
 where
     T: std::str::FromStr,
     T::Err: fmt::Display,

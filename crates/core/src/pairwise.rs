@@ -1,18 +1,16 @@
 //! Section III-A.3 / III-B: does the type of a failure predict the type
 //! of a follow-up failure?
 //!
-//! Computes the full pairwise matrix `p(x, y)` — the probability of a
-//! type-Y failure in the window following a type-X failure — plus the
-//! Figure 1(b)/2(right) summary comparing, for each type X, the
+//! The Figure 1(b)/2(right) summary compares, for each type X, the
 //! probability of an X failure after a same-type failure, after *any*
-//! failure, and in a random window.
-//!
-//! The full matrix asks for the same per-(target, window) baseline once
-//! per trigger type; those queries hit the store's memoized timeline
-//! index (`hpcfail_store::index`) rather than rescanning the trace.
+//! failure, and in a random window. Its sixteen (trigger, target)
+//! counts come from one walk over each system's failures
+//! ([`crate::correlation`]'s `same_type_counts`); the baselines come
+//! from the store's memoized timeline index (`hpcfail_store::index`).
 
-use crate::correlation::{CorrelationAnalysis, Scope};
+use crate::correlation::{same_type_counts, Scope};
 use crate::estimate::ConditionalEstimate;
+use hpcfail_store::trace::Trace;
 use hpcfail_types::prelude::*;
 
 /// One row of the Figure 1(b) summary for a failure type X.
@@ -37,66 +35,54 @@ impl SameTypeSummary {
 /// The pairwise type-transition analysis.
 #[derive(Debug, Clone, Copy)]
 pub struct PairwiseAnalysis<'a> {
-    correlation: CorrelationAnalysis<'a>,
+    trace: &'a Trace,
 }
 
 impl<'a> PairwiseAnalysis<'a> {
     /// Engine-internal constructor: the public entry point is
     /// [`crate::engine::Engine::pairwise`].
-    pub(crate) fn over(trace: &'a hpcfail_store::trace::Trace) -> Self {
-        PairwiseAnalysis {
-            correlation: CorrelationAnalysis::over(trace),
-        }
-    }
-
-    /// The full matrix of `p(x, y)` estimates over the given classes.
-    /// Entry `[i][j]` conditions on `classes[i]` and targets
-    /// `classes[j]`.
-    pub fn matrix(
-        &self,
-        group: SystemGroup,
-        classes: &[FailureClass],
-        window: Window,
-        scope: Scope,
-    ) -> Vec<Vec<ConditionalEstimate>> {
-        classes
-            .iter()
-            .map(|&x| {
-                classes
-                    .iter()
-                    .map(|&y| {
-                        self.correlation
-                            .group_conditional(group, x, y, window, scope)
-                    })
-                    .collect()
-            })
-            .collect()
+    pub(crate) fn over(trace: &'a Trace) -> Self {
+        PairwiseAnalysis { trace }
     }
 
     /// The Figure 1(b)/2(right) summary for every class in
-    /// [`FailureClass::FIGURE1`].
+    /// [`FailureClass::FIGURE1`]. Each row equals the two
+    /// [`group_conditional`](crate::correlation::CorrelationAnalysis::group_conditional)
+    /// estimates with trigger X and with trigger
+    /// [`FailureClass::Any`], target X, pooled over the group's systems
+    /// in the same order.
     pub fn same_type_summaries(
         &self,
         group: SystemGroup,
         window: Window,
         scope: Scope,
     ) -> Vec<SameTypeSummary> {
-        FailureClass::FIGURE1
+        let mut rows: Vec<SameTypeSummary> = FailureClass::FIGURE1
             .iter()
             .map(|&class| SameTypeSummary {
                 class,
-                after_same_type: self
-                    .correlation
-                    .group_conditional(group, class, class, window, scope),
-                after_any: self.correlation.group_conditional(
-                    group,
-                    FailureClass::Any,
-                    class,
-                    window,
-                    scope,
-                ),
+                after_same_type: ConditionalEstimate::empty(),
+                after_any: ConditionalEstimate::empty(),
             })
-            .collect()
+            .collect();
+        for system in self.trace.group_systems(group) {
+            let counts = same_type_counts(system, window, scope);
+            for (k, row) in rows.iter_mut().enumerate() {
+                let (same, any) = match &counts {
+                    Some(counts) => {
+                        let baseline = system.indexed_failure_baseline(row.class, window);
+                        (
+                            ConditionalEstimate::from_counts(counts.after_same_type[k], baseline),
+                            ConditionalEstimate::from_counts(counts.after_any[k], baseline),
+                        )
+                    }
+                    None => (ConditionalEstimate::empty(), ConditionalEstimate::empty()),
+                };
+                row.after_same_type = row.after_same_type.merge(same);
+                row.after_any = row.after_any.merge(any);
+            }
+        }
+        rows
     }
 }
 
@@ -145,19 +131,28 @@ mod tests {
             (1, 100.0, RootCause::Hardware),
             (2, 140.0, RootCause::Hardware),
         ]);
-        let a = PairwiseAnalysis::over(&trace);
-        let classes = [
-            FailureClass::Root(RootCause::Network),
-            FailureClass::Root(RootCause::Hardware),
-        ];
-        let m = a.matrix(SystemGroup::Group1, &classes, Window::Week, Scope::SameNode);
+        let system = trace.system(SystemId::new(1)).expect("system 1");
+        let counts =
+            same_type_counts(system, Window::Week, Scope::SameNode).expect("no layout needed");
+        let slot = |root| {
+            FailureClass::FIGURE1
+                .iter()
+                .position(|&c| c == FailureClass::Root(root))
+                .expect("a Figure 1 class")
+        };
+        let (net, hw) = (slot(RootCause::Network), slot(RootCause::Hardware));
         // net -> net: triggers 10, 11, 50, 51; hits from 10 and 50.
-        assert_eq!(m[0][0].conditional.trials(), 4);
-        assert_eq!(m[0][0].conditional.successes(), 2);
-        // net -> hw: no hits.
-        assert_eq!(m[0][1].conditional.successes(), 0);
+        assert_eq!(counts.after_same_type[net].total, 4);
+        assert_eq!(counts.after_same_type[net].hits, 2);
+        // net -> hw: no hits, because no trigger of any type is
+        // followed by a hardware failure on its node.
+        assert_eq!(counts.after_any[hw].hits, 0);
         // hw -> hw: isolated, no hits.
-        assert_eq!(m[1][1].conditional.successes(), 0);
+        assert_eq!(counts.after_same_type[hw].total, 2);
+        assert_eq!(counts.after_same_type[hw].hits, 0);
+        // Every failure is an observed trigger of the "after any" rows.
+        assert_eq!(counts.after_any[net].total, 6);
+        assert_eq!(counts.after_any[net].hits, 2);
     }
 
     #[test]

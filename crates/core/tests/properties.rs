@@ -745,3 +745,130 @@ fn checkpoint_replay_matches_per_step_scan_on_the_synthetic_fleet() {
         }
     }
 }
+
+/// Span of the same-type-summary traces: long enough for a month
+/// window to be observed, short enough for failures to crowd.
+const SUMMARY_DAYS: i64 = 45;
+
+/// `(system, node, quarter day, root, pick, echo)` failures. Times sit
+/// on a six-hour grid that runs to the span's end, so some triggers'
+/// windows are not observed. An `echo` of `(window, node, root)` adds a
+/// second failure exactly one window later, at the edge of the
+/// trigger's `(t, t + window]`.
+type SummaryFailure = (u8, u32, i64, u8, u8, Option<(u8, u32, u8)>);
+
+fn arb_summary_failures() -> impl Strategy<Value = Vec<SummaryFailure>> {
+    prop::collection::vec(
+        (
+            0u8..3,
+            0u32..6,
+            0i64..=SUMMARY_DAYS * 4,
+            0u8..6,
+            0u8..3,
+            prop::option::of((0u8..3, 0u32..6, 0u8..6)),
+        ),
+        0..48,
+    )
+}
+
+/// Three systems: system 1 (group 1, 6 nodes) has racks of three with
+/// node 5 left out of the layout, system 2 (group 1, 4 nodes) has no
+/// layout, and system 3 (group 2, 5 nodes) has racks of two.
+fn build_summary_trace(failures: &[SummaryFailure]) -> Trace {
+    let shapes = [
+        (1u16, 6u32, HardwareClass::Smp4Way, Some((3u32, 5u32))),
+        (2, 4, HardwareClass::Smp4Way, None),
+        (3, 5, HardwareClass::Numa, Some((2, 5))),
+    ];
+    let end = SUMMARY_DAYS * 86_400;
+    let mut trace = Trace::new();
+    for (pick, &(id, nodes, hardware, racks)) in shapes.iter().enumerate() {
+        let config = SystemConfig {
+            id: SystemId::new(id),
+            name: format!("summary{id}"),
+            nodes,
+            procs_per_node: 4,
+            hardware,
+            start: Timestamp::EPOCH,
+            end: Timestamp::from_seconds(end),
+            has_layout: racks.is_some(),
+            has_job_log: false,
+            has_temperature: false,
+        };
+        let mut b = SystemTraceBuilder::new(config);
+        let mut push = |node: u32, sec: i64, root: u8, pick: u8| {
+            let root = root_cause(root);
+            b.push_failure(FailureRecord::new(
+                SystemId::new(id),
+                NodeId::new(node % nodes),
+                Timestamp::from_seconds(sec),
+                root,
+                sub_cause(root, pick),
+            ));
+        };
+        for &(system, node, quarter, root, sub, echo) in failures {
+            if usize::from(system) != pick {
+                continue;
+            }
+            let sec = quarter * 21_600;
+            push(node, sec, root, sub);
+            if let Some((window, echo_node, echo_root)) = echo {
+                let later = sec + Window::ALL[usize::from(window)].seconds();
+                if later <= end {
+                    push(echo_node, later, echo_root, sub + 1);
+                }
+            }
+        }
+        if let Some((per_rack, placed)) = racks {
+            let layout: MachineLayout = (0..placed)
+                .map(|n| {
+                    (
+                        NodeId::new(n),
+                        NodeLocation {
+                            rack: RackId::new((n / per_rack) as u16),
+                            position_in_rack: (n % per_rack + 1) as u8,
+                            room_row: 0,
+                            room_col: (n / per_rack) as u16,
+                        },
+                    )
+                })
+                .collect();
+            b.layout(layout);
+        }
+        trace.insert_system(b.build());
+    }
+    trace
+}
+
+proptest! {
+    /// The one-walk same-type summary against the sixteen per-pair
+    /// `group_conditional` estimates it replaces, for every group,
+    /// window and scope: counts and baselines equal.
+    #[test]
+    fn same_type_summaries_match_per_pair_conditionals(failures in arb_summary_failures()) {
+        let engine = Engine::new(build_summary_trace(&failures));
+        let correlation = engine.correlation();
+        for group in [SystemGroup::Group1, SystemGroup::Group2] {
+            for window in Window::ALL {
+                for scope in Scope::ALL {
+                    let rows = engine.pairwise().same_type_summaries(group, window, scope);
+                    prop_assert_eq!(rows.len(), FailureClass::FIGURE1.len());
+                    for (row, &class) in rows.iter().zip(&FailureClass::FIGURE1) {
+                        prop_assert_eq!(row.class, class);
+                        let same = correlation.group_conditional(group, class, class, window, scope);
+                        let any = correlation
+                            .group_conditional(group, FailureClass::Any, class, window, scope);
+                        prop_assert_eq!(
+                            row.after_same_type, same,
+                            "after same {} {:?} {} {}", class, group, window, scope
+                        );
+                        prop_assert_eq!(
+                            row.after_any, any,
+                            "after any {} {:?} {} {}", class, group, window, scope
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -55,7 +55,7 @@ fn summary(output: &Output) -> Json {
     let Json::Obj(map) = &summary else {
         panic!("summary is not an object: {}", lines[0]);
     };
-    let mut keys: Vec<&str> = map.keys().map(String::as_str).collect();
+    let mut keys: Vec<&str> = map.iter().map(|(key, _)| key.as_ref()).collect();
     let mut want = SUMMARY_KEYS.to_vec();
     keys.sort_unstable();
     want.sort_unstable();

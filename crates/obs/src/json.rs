@@ -6,8 +6,14 @@
 //! this self-contained implementation. It supports the full JSON data
 //! model except exotic number forms: numbers are `f64`, which is exact
 //! for the integer counters below 2^53 that manifests contain.
+//!
+//! An object is a `Vec` of fields sorted by key rather than a map: a
+//! response builds thousands of small objects from static keys, and a
+//! sorted `Vec` costs one allocation each, where a `BTreeMap` costs a
+//! tree node and an owned key string per field. Output is the same
+//! either way, because both write fields in key order.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A JSON value.
@@ -23,20 +29,40 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object; keys are ordered for stable output.
-    Obj(BTreeMap<String, Json>),
+    /// An object: its fields sorted by key, each key once, so output
+    /// is stable and [`Json::get`] can binary-search. [`Json::obj`] and
+    /// [`parse`] build it that way; an object built by hand must be too.
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 impl Json {
-    /// Builds an object from key/value pairs.
-    pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    /// Builds an object from key/value pairs, in any order. A key given
+    /// twice keeps its last value, as inserting into a map would.
+    pub fn obj<K: Into<Cow<'static, str>>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        let mut fields: Vec<(Cow<'static, str>, Json)> =
+            pairs.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        if !fields.windows(2).all(|w| w[0].0 < w[1].0) {
+            // Stable, so a duplicate key's values stay in input order;
+            // `dedup_by` then moves each later value over the earlier.
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            fields.dedup_by(|later, earlier| {
+                let duplicate = later.0 == earlier.0;
+                if duplicate {
+                    std::mem::swap(later, earlier);
+                }
+                duplicate
+            });
+        }
+        Json::Obj(fields)
     }
 
     /// The value at `key`, when this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(map) => map.get(key),
+            Json::Obj(fields) => fields
+                .binary_search_by(|(k, _)| k.as_ref().cmp(key))
+                .ok()
+                .map(|i| &fields[i].1),
             _ => None,
         }
     }
@@ -113,9 +139,9 @@ impl Json {
                 }
                 out.push(']');
             }
-            Json::Obj(map) => {
+            Json::Obj(fields) => {
                 out.push('{');
-                for (i, (key, value)) in map.iter().enumerate() {
+                for (i, (key, value)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -144,40 +170,41 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
+                    new_line(out, indent + 1);
                     item.write(out, indent + 1);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                new_line(out, indent);
                 out.push(']');
             }
-            Json::Obj(map) => {
-                if map.is_empty() {
+            Json::Obj(fields) => {
+                if fields.is_empty() {
                     out.push_str("{}");
                     return;
                 }
                 out.push('{');
-                for (i, (key, value)) in map.iter().enumerate() {
+                for (i, (key, value)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
+                    new_line(out, indent + 1);
                     write_string(out, key);
                     out.push_str(": ");
                     value.write(out, indent + 1);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                new_line(out, indent);
                 out.push('}');
             }
         }
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
+/// Starts a new line indented `indent` levels of two spaces, with one
+/// copy for the usual depths.
+fn new_line(out: &mut String, indent: usize) {
+    const LINE: &str = "\n                                ";
+    const LEVELS: usize = (LINE.len() - 1) / 2;
+    out.push_str(&LINE[..1 + 2 * indent.min(LEVELS)]);
+    for _ in LEVELS..indent {
         out.push_str("  ");
     }
 }
@@ -187,7 +214,25 @@ fn write_number(out: &mut String, n: f64) {
         // JSON has no NaN/Inf; null is the conventional stand-in.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
-        let _ = write!(out, "{}", n as i64);
+        // A whole number prints as the integer (`-0.0` as `0`), here
+        // with a digit loop rather than the formatting machinery.
+        let whole = n as i64;
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = whole.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if whole < 0 {
+            at -= 1;
+            digits[at] = b'-';
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     } else {
         let _ = write!(out, "{n}");
     }
@@ -195,17 +240,27 @@ fn write_number(out: &mut String, n: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so the runs between
+    // them end on char boundaries; a string with none is one copy.
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -350,11 +405,11 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut fields: Vec<(String, Json)> = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(Json::Obj(Vec::new()));
         }
         loop {
             self.skip_ws();
@@ -363,13 +418,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            fields.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(Json::obj(fields));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -480,7 +535,7 @@ mod tests {
         assert!(!text.contains('\n'));
         assert!(!text.contains(' '));
         assert_eq!(parse(&text).expect("round trip"), doc);
-        assert_eq!(Json::Obj(BTreeMap::new()).compact(), "{}");
+        assert_eq!(Json::Obj(Vec::new()).compact(), "{}");
         assert_eq!(Json::Arr(Vec::new()).compact(), "[]");
     }
 
@@ -548,6 +603,35 @@ mod tests {
             "took {:?}",
             started.elapsed()
         );
+    }
+
+    #[test]
+    fn pretty_indents_two_spaces_per_level_at_any_depth() {
+        let mut doc = Json::Num(1.0);
+        for level in 0..40 {
+            doc = if level % 2 == 0 {
+                Json::Arr(vec![doc])
+            } else {
+                Json::obj([("k", doc)])
+            };
+        }
+        let mut expected = String::new();
+        for level in 0..40 {
+            let indent = "  ".repeat(level + 1);
+            expected.push_str(if level % 2 == 0 { "{\n" } else { "[\n" });
+            expected.push_str(&indent);
+            if level % 2 == 0 {
+                expected.push_str("\"k\": ");
+            }
+        }
+        expected.push('1');
+        for level in (0..40).rev() {
+            expected.push('\n');
+            expected.push_str(&"  ".repeat(level));
+            expected.push(if level % 2 == 0 { '}' } else { ']' });
+        }
+        expected.push('\n');
+        assert_eq!(doc.pretty(), expected);
     }
 
     #[test]

@@ -56,61 +56,47 @@ impl RunManifest {
                 ])
             })
             .collect();
-        let counters = Json::Obj(
+        let counters = Json::obj(
             self.snapshot
                 .counters
                 .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                .collect(),
+                .map(|(k, v)| (k.clone(), Json::Num(*v as f64))),
         );
-        let gauges = Json::Obj(
+        let gauges = Json::obj(
             self.snapshot
                 .gauges
                 .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
+                .map(|(k, v)| (k.clone(), Json::Num(*v))),
         );
-        let histograms = Json::Obj(
-            self.snapshot
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.clone(),
-                        Json::obj([
-                            ("count", Json::Num(h.count as f64)),
-                            ("sum", Json::Num(h.sum as f64)),
-                            ("max", Json::Num(h.max as f64)),
-                            ("p50", Json::Num(h.p50)),
-                            ("p90", Json::Num(h.p90)),
-                            ("p95", Json::Num(h.p95)),
-                            ("p99", Json::Num(h.p99)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let windows = Json::Obj(
-            self.snapshot
-                .windows
-                .iter()
-                .map(|(k, w)| {
-                    (
-                        k.clone(),
-                        Json::obj([
-                            ("window_ms", Json::Num(w.window_ms as f64)),
-                            ("count", Json::Num(w.count as f64)),
-                            ("sum", Json::Num(w.sum as f64)),
-                            ("max", Json::Num(w.max as f64)),
-                            ("p50", Json::Num(w.p50)),
-                            ("p90", Json::Num(w.p90)),
-                            ("p95", Json::Num(w.p95)),
-                            ("p99", Json::Num(w.p99)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
+        let histograms = Json::obj(self.snapshot.histograms.iter().map(|(k, h)| {
+            (
+                k.clone(),
+                Json::obj([
+                    ("count", Json::Num(h.count as f64)),
+                    ("sum", Json::Num(h.sum as f64)),
+                    ("max", Json::Num(h.max as f64)),
+                    ("p50", Json::Num(h.p50)),
+                    ("p90", Json::Num(h.p90)),
+                    ("p95", Json::Num(h.p95)),
+                    ("p99", Json::Num(h.p99)),
+                ]),
+            )
+        }));
+        let windows = Json::obj(self.snapshot.windows.iter().map(|(k, w)| {
+            (
+                k.clone(),
+                Json::obj([
+                    ("window_ms", Json::Num(w.window_ms as f64)),
+                    ("count", Json::Num(w.count as f64)),
+                    ("sum", Json::Num(w.sum as f64)),
+                    ("max", Json::Num(w.max as f64)),
+                    ("p50", Json::Num(w.p50)),
+                    ("p90", Json::Num(w.p90)),
+                    ("p95", Json::Num(w.p95)),
+                    ("p99", Json::Num(w.p99)),
+                ]),
+            )
+        }));
         Json::obj([
             ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
             ("seed", Json::Num(self.seed as f64)),
@@ -186,7 +172,7 @@ impl RunManifest {
         if let Some(Json::Obj(map)) = doc.get("counters") {
             for (k, v) in map {
                 counters.insert(
-                    k.clone(),
+                    k.to_string(),
                     v.as_u64()
                         .ok_or_else(|| format!("counter {k:?} not integral"))?,
                 );
@@ -196,7 +182,7 @@ impl RunManifest {
         if let Some(Json::Obj(map)) = doc.get("gauges") {
             for (k, v) in map {
                 gauges.insert(
-                    k.clone(),
+                    k.to_string(),
                     v.as_f64()
                         .ok_or_else(|| format!("gauge {k:?} not numeric"))?,
                 );
@@ -211,7 +197,7 @@ impl RunManifest {
                         .ok_or_else(|| format!("histogram {k:?} missing {key:?}"))
                 };
                 histograms.insert(
-                    k.clone(),
+                    k.to_string(),
                     HistogramSnapshot {
                         count: field("count")? as u64,
                         sum: field("sum")? as u64,
@@ -236,7 +222,7 @@ impl RunManifest {
                         .ok_or_else(|| format!("window {k:?} missing {key:?}"))
                 };
                 windows.insert(
-                    k.clone(),
+                    k.to_string(),
                     WindowedSnapshot {
                         window_ms: field("window_ms")? as u64,
                         count: field("count")? as u64,

@@ -118,11 +118,10 @@ impl SpanNode {
             ("self_ns", Json::Num(self.self_ns as f64)),
             (
                 "attrs",
-                Json::Obj(
+                Json::obj(
                     self.attrs
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                        .collect(),
+                        .map(|(k, v)| (k.clone(), Json::Str(v.clone()))),
                 ),
             ),
             (

@@ -340,15 +340,12 @@ impl AdmissionGate {
     /// the per-reason shed breakdown.
     pub fn to_json(&self) -> Json {
         let state = self.lock();
-        let sheds: Vec<(String, Json)> = SHED_REASONS
-            .iter()
-            .map(|r| {
-                (
-                    r.label().to_owned(),
-                    Json::Num(self.shed[r.index()].load(Ordering::SeqCst) as f64),
-                )
-            })
-            .collect();
+        let sheds = SHED_REASONS.iter().map(|r| {
+            (
+                r.label(),
+                Json::Num(self.shed[r.index()].load(Ordering::SeqCst) as f64),
+            )
+        });
         Json::obj([
             ("max_inflight", Json::Num(self.config.max_inflight as f64)),
             ("max_queued", Json::Num(self.config.max_queued as f64)),
@@ -357,7 +354,7 @@ impl AdmissionGate {
             ("queued", Json::Num(state.queued as f64)),
             ("draining", Json::Bool(state.draining)),
             ("shed_total", Json::Num(self.shed_total() as f64)),
-            ("shed", Json::Obj(sheds.into_iter().collect())),
+            ("shed", Json::obj(sheds)),
         ])
     }
 }

@@ -227,11 +227,11 @@ impl ChaosConfig {
         let Json::Obj(top) = &doc else {
             return Err(schema("$", "chaos spec must be a JSON object"));
         };
-        for key in top.keys() {
+        for (key, _) in top {
             if key != "seed" && key != "rules" {
                 return Err(ChaosError::UnknownKey {
                     path: "$".to_owned(),
-                    key: key.clone(),
+                    key: key.to_string(),
                 });
             }
         }
@@ -288,11 +288,11 @@ fn parse_rule(item: &Json, path: &str) -> Result<ChaosRule, ChaosError> {
         return Err(schema(path, "each rule must be a JSON object"));
     };
     const KNOWN: [&str; 6] = ["point", "fault", "probability", "ms", "status", "max"];
-    for key in fields.keys() {
-        if !KNOWN.contains(&key.as_str()) {
+    for (key, _) in fields {
+        if !KNOWN.contains(&key.as_ref()) {
             return Err(ChaosError::UnknownKey {
                 path: path.to_owned(),
-                key: key.clone(),
+                key: key.to_string(),
             });
         }
     }
@@ -314,13 +314,13 @@ fn parse_rule(item: &Json, path: &str) -> Result<ChaosRule, ChaosError> {
         .ok_or_else(|| schema(&format!("{path}.fault"), "must be a string"))?;
     let needs_ms = matches!(fault_label, "latency" | "stall");
     let needs_status = fault_label == "error";
-    if !needs_ms && fields.contains_key("ms") {
+    if !needs_ms && item.get("ms").is_some() {
         return Err(schema(
             &format!("{path}.ms"),
             "only latency and stall faults take \"ms\"",
         ));
     }
-    if !needs_status && fields.contains_key("status") {
+    if !needs_status && item.get("status").is_some() {
         return Err(schema(
             &format!("{path}.status"),
             "only error faults take \"status\"",

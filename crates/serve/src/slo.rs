@@ -201,12 +201,7 @@ impl SloReport {
             ("max_error_rate", Json::Num(self.max_error_rate)),
             (
                 "kinds",
-                Json::Obj(
-                    self.kinds
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
+                Json::obj(self.kinds.iter().map(|(k, v)| (k.clone(), v.to_json()))),
             ),
         ])
     }

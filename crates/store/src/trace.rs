@@ -270,50 +270,6 @@ impl SystemTrace {
         )
     }
 
-    /// A copy of this trace restricted to records in `[start, end)`,
-    /// with the observation period clipped accordingly. Jobs are kept
-    /// when they overlap the range; the layout is kept as-is.
-    ///
-    /// Useful for split-sample analyses (e.g. evaluating an alarm rule
-    /// out of sample) and for excluding burn-in periods.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start >= end`.
-    pub fn restricted(&self, start: Timestamp, end: Timestamp) -> SystemTrace {
-        assert!(start < end, "restricted range must be non-empty");
-        let start = start.max(self.config.start);
-        let end = end.min(self.config.end);
-        let mut config = self.config.clone();
-        config.start = start;
-        config.end = end.max(start);
-        let mut builder = SystemTraceBuilder::new(config);
-        for f in self.failures() {
-            if f.time >= start && f.time < end {
-                builder.push_failure(f);
-            }
-        }
-        for j in self.jobs() {
-            if j.dispatch < end && j.end > start {
-                builder.push_job(j);
-            }
-        }
-        for t in &self.temperatures {
-            if t.time >= start && t.time < end {
-                builder.push_temperature(*t);
-            }
-        }
-        for m in &self.maintenance {
-            if m.time >= start && m.time < end {
-                builder.push_maintenance(*m);
-            }
-        }
-        if let Some(layout) = &self.layout {
-            builder.layout(layout.clone());
-        }
-        builder.build()
-    }
-
     /// `true` if node has at least one *unscheduled hardware* maintenance
     /// event in `(after, until]`.
     pub fn node_has_unscheduled_hw_maintenance_in(
@@ -738,52 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn restricted_clips_records_and_span() {
-        let t = build_simple();
-        let slice = t.restricted(Timestamp::from_days(11.0), Timestamp::from_days(45.0));
-        // Only the day-12 failure lies in [11, 45).
-        assert_eq!(slice.failures().len(), 1);
-        assert_eq!(
-            slice.failures().next().map(|f| f.time),
-            Some(Timestamp::from_days(12.0))
-        );
-        assert_eq!(slice.config().start, Timestamp::from_days(11.0));
-        assert_eq!(slice.config().end, Timestamp::from_days(45.0));
-        assert_eq!(slice.config().observation_days(), 34);
-        // Original untouched.
-        assert_eq!(t.failures().len(), 4);
-    }
-
-    #[test]
-    fn restricted_clamps_to_observation() {
-        let t = build_simple();
-        let slice = t.restricted(Timestamp::from_days(-5.0), Timestamp::from_days(1000.0));
-        assert_eq!(slice.config().start, Timestamp::EPOCH);
-        assert_eq!(slice.config().end, Timestamp::from_days(100.0));
-        assert_eq!(slice.failures().len(), 4);
-    }
-
-    #[test]
-    fn restricted_records_equal_a_row_filter() {
-        let t = build_simple();
-        let (start, end) = (Timestamp::from_days(10.5), Timestamp::from_days(50.0));
-        let slice = t.restricted(start, end);
-        let expected: Vec<FailureRecord> = t
-            .failures()
-            .filter(|f| f.time >= start && f.time < end)
-            .collect();
-        assert_eq!(expected.len(), 2);
-        assert!(slice.failures().eq(expected));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn restricted_rejects_empty_range() {
-        let t = build_simple();
-        let _ = t.restricted(Timestamp::from_days(10.0), Timestamp::from_days(10.0));
-    }
-
-    #[test]
     fn trace_grouping() {
         let mut trace = Trace::new();
         trace.insert_system(SystemTraceBuilder::new(test_config(1, 2, 10.0)).build());
@@ -815,8 +725,7 @@ mod tests {
         assert_ne!(with_neutron, one);
 
         // Replacing a system with different content changes it too.
-        trace
-            .insert_system(build_simple().restricted(Timestamp::EPOCH, Timestamp::from_days(20.0)));
+        trace.insert_system(SystemTraceBuilder::new(test_config(1, 4, 20.0)).build());
         assert_ne!(trace.fingerprint(), with_neutron);
         // A clone carries the memo and the content it describes.
         assert_eq!(trace.clone().fingerprint(), trace.fingerprint());

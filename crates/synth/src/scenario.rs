@@ -29,7 +29,6 @@ use crate::spec::{
 use hpcfail_obs::json::Json;
 use hpcfail_store::{MAX_NODES, MAX_SPAN_DAYS};
 use hpcfail_types::prelude::*;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The scenario schema version this parser understands.
@@ -316,34 +315,31 @@ fn schema(path: impl Into<String>, message: impl Into<String>) -> ScenarioError 
     }
 }
 
-fn obj<'a>(json: &'a Json, path: &str) -> Result<&'a BTreeMap<String, Json>, ScenarioError> {
+/// `json` itself, when it is an object: the field readers below look
+/// keys up with [`Json::get`].
+fn obj<'a>(json: &'a Json, path: &str) -> Result<&'a Json, ScenarioError> {
     match json {
-        Json::Obj(map) => Ok(map),
+        Json::Obj(_) => Ok(json),
         _ => Err(schema(path, "must be an object")),
     }
 }
 
-fn known_keys(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    allowed: &[&str],
-) -> Result<(), ScenarioError> {
-    for key in map.keys() {
-        if !allowed.contains(&key.as_str()) {
+fn known_keys(map: &Json, path: &str, allowed: &[&str]) -> Result<(), ScenarioError> {
+    let Json::Obj(fields) = map else {
+        return Ok(());
+    };
+    for (key, _) in fields {
+        if !allowed.contains(&key.as_ref()) {
             return Err(ScenarioError::UnknownKey {
                 path: path.to_owned(),
-                key: key.clone(),
+                key: key.to_string(),
             });
         }
     }
     Ok(())
 }
 
-fn require_str<'a>(
-    map: &'a BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<&'a str, ScenarioError> {
+fn require_str<'a>(map: &'a Json, path: &str, key: &str) -> Result<&'a str, ScenarioError> {
     match map.get(key) {
         Some(Json::Str(s)) => Ok(s),
         Some(_) => Err(schema(format!("{path}.{key}"), "must be a string")),
@@ -351,11 +347,7 @@ fn require_str<'a>(
     }
 }
 
-fn opt_str(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<Option<String>, ScenarioError> {
+fn opt_str(map: &Json, path: &str, key: &str) -> Result<Option<String>, ScenarioError> {
     match map.get(key) {
         Some(Json::Str(s)) => Ok(Some(s.clone())),
         Some(_) => Err(schema(format!("{path}.{key}"), "must be a string")),
@@ -363,7 +355,7 @@ fn opt_str(
     }
 }
 
-fn require_u64(map: &BTreeMap<String, Json>, path: &str, key: &str) -> Result<u64, ScenarioError> {
+fn require_u64(map: &Json, path: &str, key: &str) -> Result<u64, ScenarioError> {
     match map.get(key) {
         Some(v) => v.as_u64().ok_or_else(|| {
             schema(
@@ -375,11 +367,7 @@ fn require_u64(map: &BTreeMap<String, Json>, path: &str, key: &str) -> Result<u6
     }
 }
 
-fn opt_u64(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<Option<u64>, ScenarioError> {
+fn opt_u64(map: &Json, path: &str, key: &str) -> Result<Option<u64>, ScenarioError> {
     match map.get(key) {
         Some(v) => v.as_u64().map(Some).ok_or_else(|| {
             schema(
@@ -392,11 +380,7 @@ fn opt_u64(
 }
 
 /// A finite, non-negative number.
-fn opt_rate(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<Option<f64>, ScenarioError> {
+fn opt_rate(map: &Json, path: &str, key: &str) -> Result<Option<f64>, ScenarioError> {
     match map.get(key) {
         Some(v) => match v.as_f64() {
             Some(n) if n.is_finite() && n >= 0.0 => Ok(Some(n)),
@@ -410,11 +394,7 @@ fn opt_rate(
 }
 
 /// A finite, strictly positive number.
-fn opt_positive(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<Option<f64>, ScenarioError> {
+fn opt_positive(map: &Json, path: &str, key: &str) -> Result<Option<f64>, ScenarioError> {
     match opt_rate(map, path, key)? {
         Some(n) if n > 0.0 => Ok(Some(n)),
         Some(_) => Err(schema(format!("{path}.{key}"), "must be greater than zero")),
@@ -423,11 +403,7 @@ fn opt_positive(
 }
 
 /// A number in `[0, 1]`.
-fn opt_fraction(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<Option<f64>, ScenarioError> {
+fn opt_fraction(map: &Json, path: &str, key: &str) -> Result<Option<f64>, ScenarioError> {
     match opt_rate(map, path, key)? {
         Some(n) if n <= 1.0 => Ok(Some(n)),
         Some(_) => Err(schema(format!("{path}.{key}"), "must be between 0 and 1")),
@@ -435,11 +411,7 @@ fn opt_fraction(
     }
 }
 
-fn opt_bool(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<Option<bool>, ScenarioError> {
+fn opt_bool(map: &Json, path: &str, key: &str) -> Result<Option<bool>, ScenarioError> {
     match map.get(key) {
         Some(Json::Bool(b)) => Ok(Some(*b)),
         Some(_) => Err(schema(format!("{path}.{key}"), "must be a boolean")),
@@ -448,11 +420,7 @@ fn opt_bool(
 }
 
 /// An inclusive `[first, last]` range encoded as a two-element array.
-fn range_field(
-    map: &BTreeMap<String, Json>,
-    path: &str,
-    key: &str,
-) -> Result<(u32, u32), ScenarioError> {
+fn range_field(map: &Json, path: &str, key: &str) -> Result<(u32, u32), ScenarioError> {
     let field = format!("{path}.{key}");
     let items = match map.get(key) {
         Some(Json::Arr(items)) if items.len() == 2 => items,

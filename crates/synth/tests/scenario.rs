@@ -320,7 +320,9 @@ fn packs_over_the_span_limit_are_refused_at_parse_time() {
 fn replace_nth_scalar(json: &mut Json, n: &mut usize, value: &Json) -> bool {
     match json {
         Json::Arr(items) => items.iter_mut().any(|v| replace_nth_scalar(v, n, value)),
-        Json::Obj(map) => map.values_mut().any(|v| replace_nth_scalar(v, n, value)),
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .any(|(_, v)| replace_nth_scalar(v, n, value)),
         scalar => {
             if *n == 0 {
                 *scalar = value.clone();
@@ -414,7 +416,7 @@ proptest! {
 fn count_scalars(json: &Json) -> usize {
     match json {
         Json::Arr(items) => items.iter().map(count_scalars).sum(),
-        Json::Obj(map) => map.values().map(count_scalars).sum(),
+        Json::Obj(fields) => fields.iter().map(|(_, v)| count_scalars(v)).sum(),
         _ => 1,
     }
 }
