@@ -3,6 +3,7 @@
 //! SHA-256 digest. A change that moves any number in any figure fails
 //! here.
 
+use hpcfail_obs::manifest::RunManifest;
 use std::process::Command;
 
 /// The committed digest of `repro --scale 0.1 --seed 42 --quiet all`.
@@ -119,10 +120,34 @@ fn assert_golden(stdout: &[u8], run: &str) {
     );
 }
 
+/// The golden run also writes its run manifest, which must parse back
+/// with the run's seed and scale.
 #[test]
 fn repro_all_matches_the_golden_digest() {
-    let stdout = repro(&["--scale", "0.1", "--seed", "42", "--quiet", "all"]);
-    assert_golden(&stdout, "repro --scale 0.1 --seed 42 --quiet all");
+    let dir = std::env::temp_dir().join(format!("hpcfail-golden-run-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let manifest = dir.join("manifest.json");
+    let manifest = manifest.to_str().expect("utf-8 temp path");
+    let stdout = repro(&[
+        "--scale",
+        "0.1",
+        "--seed",
+        "42",
+        "--quiet",
+        "--manifest",
+        manifest,
+        "all",
+    ]);
+    let text = std::fs::read_to_string(manifest);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_golden(
+        &stdout,
+        "repro --scale 0.1 --seed 42 --quiet --manifest FILE all",
+    );
+    let text = text.expect("manifest written");
+    assert!(!text.is_empty(), "the manifest is empty");
+    let parsed = RunManifest::from_json_str(&text).expect("the manifest parses");
+    assert_eq!((parsed.seed, parsed.scale), (42, 0.1));
 }
 
 /// The same fleet written as a binary snapshot and read back gives the

@@ -5,6 +5,11 @@
 //! the day/week/month following an X failure — on the same node, on
 //! another node of the same rack, or on another node of the same
 //! system — and compares it against the probability in a random window.
+//!
+//! One walk counts every such follow-up: `follow_ups` takes a trigger
+//! class and up to eight target classes, so a per-pair conditional is
+//! its one-target call and the Figure 1(b) same-type summary
+//! ([`crate::pairwise`]) its eight-target call.
 
 use crate::estimate::ConditionalEstimate;
 use hpcfail_store::columns::ClassCode;
@@ -240,6 +245,28 @@ impl SameTypeCounts {
     }
 }
 
+/// All sixteen (trigger, target) counts of the Figure 1(b) summary for
+/// one system: the [`follow_ups`] of any failure, with the eight
+/// [`FailureClass::FIGURE1`] classes as targets. `None` for
+/// [`Scope::SameRack`] on a system without a layout.
+pub(crate) fn same_type_counts(
+    system: &SystemTrace,
+    window: Window,
+    scope: Scope,
+) -> Option<SameTypeCounts> {
+    let mut counts = SameTypeCounts::default();
+    let targets = FailureClass::FIGURE1.map(ClassCode::new);
+    follow_ups(
+        system,
+        ClassCode::Any,
+        targets,
+        window,
+        scope,
+        |own, trials, hits| counts.add(own, trials, hits),
+    )
+    .then_some(counts)
+}
+
 /// Calls `f` with the index of every set bit of `mask`.
 fn for_each_class(mut mask: u8, mut f: impl FnMut(usize)) {
     while mask != 0 {
@@ -248,67 +275,83 @@ fn for_each_class(mut mask: u8, mut f: impl FnMut(usize)) {
     }
 }
 
-/// All sixteen (trigger, target) counts of the Figure 1(b) summary for
-/// one system in one walk over its failures: the same counts as
-/// [`conditional_for_system`] with trigger `X` or `Any` and target `X`,
-/// for every `X` in [`FailureClass::FIGURE1`].
+/// The one Section III walk: every follow-up count of one system for a
+/// `trigger` class and up to eight `targets`.
 ///
-/// Each event carries a mask of the classes it belongs to, and each
-/// probe returns the mask of the classes present in `(t, t + window]`,
-/// so one trigger adds to every row at once. `None` for
-/// [`Scope::SameRack`] on a system without a layout.
-pub(crate) fn same_type_counts(
+/// Each failure carries a mask of the targets it belongs to (bit `k`
+/// for `targets[k]`). For every `trigger` failure at `t` whose window
+/// is observed, `visit` receives that failure's own mask, the number of
+/// windows the scope examines (1 for the node itself, one per rack
+/// peer, one per other node of the system) and, per target, how many of
+/// those windows hold a failure of that target in `(t, t + window]`.
+/// Returns `false`, visiting nothing, for [`Scope::SameRack`] on a
+/// system without a layout.
+fn follow_ups<const N: usize>(
     system: &SystemTrace,
+    trigger: ClassCode,
+    targets: [ClassCode; N],
     window: Window,
     scope: Scope,
-) -> Option<SameTypeCounts> {
+    mut visit: impl FnMut(u8, u64, &[u64; N]),
+) -> bool {
+    const { assert!(N >= 1 && N <= 8, "a target mask is one byte") };
     let layout = system.layout();
     if scope == Scope::SameRack && layout.is_none() {
-        return None;
+        return false;
     }
     let cols = system.failure_columns();
     let (times, nodes) = (cols.times(), cols.nodes());
-    let codes = FailureClass::FIGURE1.map(ClassCode::new);
-    let masks: Vec<u8> = cols
-        .roots()
+    let (roots, subs) = (cols.roots(), cols.subs());
+    let masks: Vec<u8> = roots
         .iter()
-        .zip(cols.subs())
+        .zip(subs)
         .map(|(&root, &sub)| {
-            codes.iter().enumerate().fold(0, |mask, (k, code)| {
+            targets.iter().enumerate().fold(0, |mask, (k, code)| {
                 mask | u8::from(code.matches(root, sub)) << k
             })
         })
         .collect();
-    // The classes present on `node` in `(after, until]`.
+    // The targets present on `node` in `(after, until]`; stops once all
+    // are found.
+    let every = u8::MAX >> (8 - N);
     let probe = |node: NodeId, after: i64, until: i64| {
         let postings = cols.node_postings(node);
         let from = postings.partition_point(|&i| times[i as usize] <= after);
-        postings[from..]
-            .iter()
-            .take_while(|&&i| times[i as usize] <= until)
-            .fold(0u8, |mask, &i| mask | masks[i as usize])
+        let mut mask = 0;
+        for &i in &postings[from..] {
+            if times[i as usize] > until || mask == every {
+                break;
+            }
+            mask |= masks[i as usize];
+        }
+        mask
     };
     let duration = window.seconds();
-    let mut counts = SameTypeCounts::default();
-    // SameSystem: the sliding window of `conditional_for_system`, with
-    // a per-class count on each node and a distinct-node count per class.
+    let others = u64::from(system.config().nodes).saturating_sub(1);
+    // SameSystem asks, per trigger, how many *other* nodes see a target
+    // failure in the window. Triggers and targets arrive time-sorted,
+    // so a sliding window over all failures keeps a per-target count on
+    // each node and a distinct-node count per target: O(failures) in
+    // total instead of a probe per node.
     let mut per_node = match scope {
-        Scope::SameSystem => vec![[0u32; 8]; system.config().nodes as usize],
+        Scope::SameSystem => vec![[0u32; N]; system.config().nodes as usize],
         _ => Vec::new(),
     };
-    let mut distinct = [0u64; 8];
+    let mut distinct = [0u64; N];
     let (mut lo, mut hi) = (0usize, 0usize);
     for (i, (&time, &node)) in times.iter().zip(nodes).enumerate() {
-        if !system.window_observed(Timestamp::from_seconds(time), window) {
+        if !trigger.matches(roots[i], subs[i])
+            || !system.window_observed(Timestamp::from_seconds(time), window)
+        {
             continue;
         }
         let until = time + duration;
         let node = NodeId::new(node);
-        let mut hits = [0u64; 8];
+        let mut hits = [0u64; N];
         match scope {
             Scope::SameNode => {
                 for_each_class(probe(node, time, until), |k| hits[k] += 1);
-                counts.add(masks[i], 1, &hits);
+                visit(masks[i], 1, &hits);
             }
             Scope::SameRack => {
                 let Some(layout) = layout else { continue };
@@ -316,9 +359,10 @@ pub(crate) fn same_type_counts(
                 for &peer in &peers {
                     for_each_class(probe(peer, time, until), |k| hits[k] += 1);
                 }
-                counts.add(masks[i], peers.len() as u64, &hits);
+                visit(masks[i], peers.len() as u64, &hits);
             }
             Scope::SameSystem => {
+                // Grow the window to (time, until], shrink from the left.
                 while hi < times.len() && times[hi] <= until {
                     let on_node = &mut per_node[nodes[hi] as usize];
                     for_each_class(masks[hi], |k| {
@@ -343,14 +387,15 @@ pub(crate) fn same_type_counts(
                 for (k, hit) in hits.iter_mut().enumerate() {
                     *hit = distinct[k] - u64::from(own[k] > 0);
                 }
-                counts.add(masks[i], u64::from(system.config().nodes) - 1, &hits);
+                visit(masks[i], others, &hits);
             }
         }
     }
-    Some(counts)
+    true
 }
 
-/// Core counting for one system.
+/// Core counting for one system: the one-target [`follow_ups`], with
+/// the random-window baseline of the target.
 fn conditional_for_system(
     system: &SystemTrace,
     trigger: FailureClass,
@@ -358,81 +403,26 @@ fn conditional_for_system(
     window: Window,
     scope: Scope,
 ) -> ConditionalEstimate {
+    let mut cond = WindowCounts::default();
+    let targets = [ClassCode::new(target)];
+    let counted = follow_ups(
+        system,
+        ClassCode::new(trigger),
+        targets,
+        window,
+        scope,
+        |_, trials, hits| {
+            cond.total += trials;
+            cond.hits += hits[0];
+        },
+    );
+    if !counted {
+        return ConditionalEstimate::empty();
+    }
     // Memoized per (target, window) in the trace's timeline index:
     // fig1a alone asks for the identical (Any, Week) baseline 8 times
     // per system, and the sweep experiments multiply that further.
     let baseline = system.indexed_failure_baseline(target, window);
-    let mut cond = WindowCounts::default();
-    let duration = window.duration();
-
-    let layout = system.layout();
-    if scope == Scope::SameRack && layout.is_none() {
-        return ConditionalEstimate::empty();
-    }
-    let cols = system.failure_columns();
-    let triggers = cols
-        .events(ClassCode::new(trigger))
-        .filter(|&(time, _)| system.window_observed(time, window));
-
-    // SameSystem asks, per trigger, how many *other* nodes see a target
-    // failure in the trigger's window — naively O(nodes) probes per
-    // trigger. Both triggers and targets arrive time-sorted, so a
-    // sliding window over target failures maintains the distinct-node
-    // count in O(failures) total; counts (and therefore output bytes)
-    // are identical to the per-node probes.
-    if scope == Scope::SameSystem {
-        let targets: Vec<(Timestamp, NodeId)> = cols.events(ClassCode::new(target)).collect();
-        let nodes = system.config().nodes as u64;
-        let mut per_node = vec![0u32; system.config().nodes as usize];
-        let mut distinct = 0u64;
-        let (mut lo, mut hi) = (0usize, 0usize);
-        for (time, node) in triggers {
-            let until = time + duration;
-            // Grow the window to (time, until], shrink from the left.
-            while hi < targets.len() && targets[hi].0 <= until {
-                let n = targets[hi].1.index();
-                per_node[n] += 1;
-                if per_node[n] == 1 {
-                    distinct += 1;
-                }
-                hi += 1;
-            }
-            while lo < hi && targets[lo].0 <= time {
-                let n = targets[lo].1.index();
-                per_node[n] -= 1;
-                if per_node[n] == 0 {
-                    distinct -= 1;
-                }
-                lo += 1;
-            }
-            cond.total += nodes - 1;
-            let own = u64::from(per_node[node.index()] > 0);
-            cond.hits += distinct - own;
-        }
-        return ConditionalEstimate::from_counts(cond, baseline);
-    }
-
-    for (time, node) in triggers {
-        let until = time + duration;
-        match scope {
-            Scope::SameNode => {
-                cond.total += 1;
-                if system.node_has_failure_in(node, target, time, until) {
-                    cond.hits += 1;
-                }
-            }
-            Scope::SameRack => {
-                let Some(layout) = layout else { continue };
-                for peer in layout.rack_neighbors(node) {
-                    cond.total += 1;
-                    if system.node_has_failure_in(peer, target, time, until) {
-                        cond.hits += 1;
-                    }
-                }
-            }
-            Scope::SameSystem => unreachable!("handled by the sliding window above"),
-        }
-    }
     ConditionalEstimate::from_counts(cond, baseline)
 }
 
@@ -597,6 +587,68 @@ mod tests {
         // day-12 failure is inside both windows = 2 hits.
         assert_eq!(e.conditional.trials(), 4);
         assert_eq!(e.conditional.successes(), 2);
+    }
+
+    /// Follow-ups count in `(t, t + window]` at every scope: a failure
+    /// exactly one window after the trigger counts, one at the trigger's
+    /// own second does not, and only the target class is counted.
+    #[test]
+    fn windows_are_half_open_at_every_scope() {
+        let mut trace = Trace::new();
+        // System 1: follow-ups exactly a week after the trigger on node
+        // 0, on its rack peer 1 and on node 7 of the other rack, plus
+        // software failures inside the window on nodes 0, 2 and 8.
+        // System 2: the same hardware follow-ups at the trigger's second.
+        for (id, follow_up) in [(1u16, 17.0), (2, 10.0)] {
+            let mut b = SystemTraceBuilder::new(config(id, 10, 100.0, false));
+            b.layout(rack_layout(10));
+            b.push_failure(failure(id, 0, 10.0, RootCause::Network));
+            for node in [0, 1, 7] {
+                b.push_failure(failure(id, node, follow_up, RootCause::Hardware));
+            }
+            if id == 1 {
+                for node in [0, 2, 8] {
+                    b.push_failure(failure(id, node, 12.0, RootCause::Software));
+                }
+            }
+            trace.insert_system(b.build());
+        }
+        let a = CorrelationAnalysis::over(&trace);
+        let counts = |id: u16, target: RootCause, scope| {
+            let e = a.system_conditional(
+                SystemId::new(id),
+                FailureClass::Root(RootCause::Network),
+                FailureClass::Root(target),
+                Window::Week,
+                scope,
+            );
+            (e.conditional.successes(), e.conditional.trials())
+        };
+        // (hits, trials): one window on the node itself, four rack
+        // peers, nine other nodes in the system. Hardware and software
+        // follow-ups hit the same windows in system 1.
+        for (scope, hits, trials) in [
+            (Scope::SameNode, 1, 1),
+            (Scope::SameRack, 1, 4),
+            (Scope::SameSystem, 2, 9),
+        ] {
+            assert_eq!(
+                counts(1, RootCause::Hardware, scope),
+                (hits, trials),
+                "{scope}"
+            );
+            assert_eq!(
+                counts(1, RootCause::Software, scope),
+                (hits, trials),
+                "{scope}"
+            );
+            assert_eq!(counts(1, RootCause::Network, scope), (0, trials), "{scope}");
+            assert_eq!(
+                counts(2, RootCause::Hardware, scope),
+                (0, trials),
+                "{scope}"
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! The Figure 1(b)/2(right) summary compares, for each type X, the
 //! probability of an X failure after a same-type failure, after *any*
 //! failure, and in a random window. Its sixteen (trigger, target)
-//! counts come from one walk over each system's failures
-//! ([`crate::correlation`]'s `same_type_counts`); the baselines come
-//! from the store's memoized timeline index (`hpcfail_store::index`).
+//! counts come from the one Section III follow-up walk of
+//! [`crate::correlation`], run once per system with any failure as the
+//! trigger and the eight classes as targets (`same_type_counts`); the
+//! baselines come from the store's memoized timeline index
+//! (`hpcfail_store::index`).
 
 use crate::correlation::{same_type_counts, Scope};
 use crate::estimate::ConditionalEstimate;

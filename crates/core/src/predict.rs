@@ -121,16 +121,17 @@ impl AlarmRule {
         let w = self.window.duration();
         let code = ClassCode::new(self.trigger);
         let cols = system.failure_columns();
+        let times = cols.times();
         let config = system.config();
         eval.total_seconds =
             config.nodes as u64 * config.observation_span().as_seconds().max(0) as u64;
 
         for node in system.nodes() {
             // A node with no failures raises no alarms, flags no time,
-            // and contributes nothing to recall — skip before
-            // collecting. On LANL-shaped traces most nodes are quiet
-            // most of the observation span.
-            if system.node_failure_count(node) == 0 {
+            // and contributes nothing to recall. On LANL-shaped traces
+            // most nodes are quiet most of the observation span.
+            let failures = cols.node_postings(node);
+            if failures.is_empty() {
                 continue;
             }
             let triggers: Vec<Timestamp> = cols.node_events(node, code).collect();
@@ -139,10 +140,14 @@ impl AlarmRule {
             for &t in &triggers {
                 if system.window_observed(t, self.window) {
                     eval.alarms += 1;
-                    if system.node_has_failure_in(node, FailureClass::Any, t, t + w) {
-                        eval.correct_alarms += 1;
-                    }
-                    intervals.push((t.as_seconds(), (t + w).as_seconds()));
+                    let (after, until) = (t.as_seconds(), (t + w).as_seconds());
+                    // The node's first failure after the trigger decides.
+                    let next = failures.partition_point(|&i| times[i as usize] <= after);
+                    let hit = failures
+                        .get(next)
+                        .is_some_and(|&i| times[i as usize] <= until);
+                    eval.correct_alarms += u64::from(hit);
+                    intervals.push((after, until));
                 }
             }
             intervals.sort_unstable();
@@ -154,7 +159,6 @@ impl AlarmRule {
                     Some((clo, chi)) => {
                         covered += chi - clo;
                         current = Some((lo, hi));
-                        let _ = clo;
                     }
                     None => current = Some((lo, hi)),
                 }
@@ -165,7 +169,8 @@ impl AlarmRule {
             eval.flagged_seconds += covered.max(0) as u64;
 
             // Recall: failures preceded by a trigger in [t - w, t).
-            for t in cols.node_events(node, ClassCode::Any) {
+            for &i in failures {
+                let t = Timestamp::from_seconds(times[i as usize]);
                 eval.total_failures += 1;
                 let first = triggers.partition_point(|&g| g < t - w);
                 if triggers.get(first).is_some_and(|&g| g < t) {

@@ -87,7 +87,8 @@ fn arb_failures() -> impl Strategy<Value = Vec<(u32, i64, u8)>> {
 }
 
 /// Like [`build_trace`] but with a two-nodes-per-rack layout, so the
-/// SameRack scope is exercisable.
+/// SameRack scope is exercisable, and with sub-causes (picked by the
+/// failure's second), so sub-cause classes match some failures.
 fn build_trace_with_racks(failures: &[(u32, i64, u8)]) -> Trace {
     let config = SystemConfig {
         id: SystemId::new(1),
@@ -103,12 +104,13 @@ fn build_trace_with_racks(failures: &[(u32, i64, u8)]) -> Trace {
     };
     let mut b = SystemTraceBuilder::new(config);
     for &(node, sec, root) in failures {
+        let root = root_cause(root);
         b.push_failure(FailureRecord::new(
             SystemId::new(1),
             NodeId::new(node % NODES),
             Timestamp::from_seconds(sec),
-            root_cause(root),
-            SubCause::None,
+            root,
+            sub_cause(root, (sec % 3) as u8),
         ));
     }
     let layout: MachineLayout = (0..NODES)
@@ -130,34 +132,49 @@ fn build_trace_with_racks(failures: &[(u32, i64, u8)]) -> Trace {
     trace
 }
 
-/// Brute-force conditional for any scope: per-node membership probes,
-/// exactly mirroring the engine's pre-index per-node counting.
+/// Brute-force conditional for any trigger and target class and any
+/// scope, over a system's decoded rows: for each trigger whose window
+/// lies inside the observation span, one scan of all rows per examined
+/// node. Rack peers come from comparing every node's rack. `None` for
+/// same-rack on a system without a layout.
 fn oracle_scoped(
-    failures: &[(u32, i64, u8)],
-    trigger: RootCause,
-    target: RootCause,
-    window_secs: i64,
+    system: &SystemTrace,
+    trigger: FailureClass,
+    target: FailureClass,
+    window: Window,
     scope: Scope,
-) -> (u64, u64) {
-    let end = (DAYS * 86_400.0) as i64;
-    let target_hit = |n: u32, t: i64| {
-        failures.iter().any(|&(n2, t2, r2)| {
-            n2 % NODES == n && root_cause(r2) == target && t2 > t && t2 <= t + window_secs
+) -> Option<(u64, u64)> {
+    let config = system.config();
+    let layout = system.layout();
+    if scope == Scope::SameRack && layout.is_none() {
+        return None;
+    }
+    let rack_of = |n: NodeId| layout.and_then(|l| l.rack_of(n));
+    let rows: Vec<FailureRecord> = system.failures().collect();
+    let w = window.seconds();
+    let target_hit = |n: NodeId, t: i64| {
+        rows.iter().any(|r| {
+            let t2 = r.time.as_seconds();
+            r.node == n && target.matches(r) && t2 > t && t2 <= t + w
         })
     };
     let mut hits = 0;
     let mut total = 0;
-    for &(node, t, root) in failures {
-        if root_cause(root) != trigger || t + window_secs > end || t < 0 {
+    for r in rows.iter().filter(|r| trigger.matches(r)) {
+        let t = r.time.as_seconds();
+        if t < config.start.as_seconds() || t + w > config.end.as_seconds() {
             continue;
         }
-        let node = node % NODES;
-        let peers: Vec<u32> = match scope {
-            Scope::SameNode => vec![node],
-            // Two nodes per rack: the peer is the rack sibling.
-            Scope::SameRack => vec![node ^ 1],
-            Scope::SameSystem => (0..NODES).filter(|&n| n != node).collect(),
-        };
+        let peers: Vec<NodeId> = (0..config.nodes)
+            .map(NodeId::new)
+            .filter(|&n| match scope {
+                Scope::SameNode => n == r.node,
+                Scope::SameRack => {
+                    n != r.node && rack_of(n).is_some() && rack_of(n) == rack_of(r.node)
+                }
+                Scope::SameSystem => n != r.node,
+            })
+            .collect();
         for peer in peers {
             total += 1;
             if target_hit(peer, t) {
@@ -165,7 +182,22 @@ fn oracle_scoped(
             }
         }
     }
-    (hits, total)
+    Some((hits, total))
+}
+
+/// A class drawn from `i`: any failure, one of the six root causes, or
+/// one of the six sub-causes [`sub_cause`] gives.
+fn class_of(i: u8) -> FailureClass {
+    match i % 13 {
+        0 => FailureClass::Any,
+        i @ 1..=6 => FailureClass::Root(root_cause(i - 1)),
+        7 => FailureClass::Hw(HardwareComponent::Cpu),
+        8 => FailureClass::Hw(HardwareComponent::MemoryDimm),
+        9 => FailureClass::Sw(SoftwareCause::Os),
+        10 => FailureClass::Sw(SoftwareCause::Pfs),
+        11 => FailureClass::Env(EnvironmentCause::PowerOutage),
+        _ => FailureClass::Env(EnvironmentCause::Ups),
+    }
 }
 
 proptest! {
@@ -225,41 +257,37 @@ proptest! {
     #[test]
     fn conditional_matches_oracle_across_scopes(
         failures in arb_failures(),
-        trigger in 0u8..6,
-        target in 0u8..6,
+        trigger in 0u8..13,
+        target in 0u8..13,
     ) {
-        // Differential check of the indexed/sliding-window paths: every
-        // (window, scope) estimate — counts AND baseline — must equal
-        // the brute-force per-node probes the engine used pre-index.
+        // Every (window, scope) estimate, counts AND baseline, must
+        // equal the brute-force per-node scans, for triggers and targets
+        // of every granularity: any failure, root causes, sub-causes.
+        let (trigger, target) = (class_of(trigger), class_of(target));
         let engine = Engine::new(build_trace_with_racks(&failures));
         let analysis = engine.correlation();
         let system = engine.trace().system(SystemId::new(1)).expect("system 1");
         let direct = hpcfail_store::query::BaselineEstimator::new(system);
         for window in [Window::Day, Window::Week] {
-            for scope in [Scope::SameNode, Scope::SameRack, Scope::SameSystem] {
+            for scope in Scope::ALL {
                 let e = analysis.system_conditional(
                     SystemId::new(1),
-                    FailureClass::Root(root_cause(trigger)),
-                    FailureClass::Root(root_cause(target)),
+                    trigger,
+                    target,
                     window,
                     scope,
                 );
-                let (hits, total) = oracle_scoped(
-                    &failures,
-                    root_cause(trigger),
-                    root_cause(target),
-                    window.seconds(),
-                    scope,
-                );
+                let (hits, total) = oracle_scoped(system, trigger, target, window, scope)
+                    .expect("the system has a layout");
                 prop_assert_eq!(
                     e.conditional.successes(), hits,
-                    "hits, window {} scope {:?}", window, scope
+                    "hits, {} -> {} window {} scope {:?}", trigger, target, window, scope
                 );
                 prop_assert_eq!(
                     e.conditional.trials(), total,
-                    "trials, window {} scope {:?}", window, scope
+                    "trials, {} -> {} window {} scope {:?}", trigger, target, window, scope
                 );
-                let base = direct.failure_probability(FailureClass::Root(root_cause(target)), window);
+                let base = direct.failure_probability(target, window);
                 prop_assert_eq!(
                     e.baseline.successes(), base.hits,
                     "baseline hits, window {} scope {:?}", window, scope
@@ -841,9 +869,11 @@ fn build_summary_trace(failures: &[SummaryFailure]) -> Trace {
 }
 
 proptest! {
-    /// The one-walk same-type summary against the sixteen per-pair
-    /// `group_conditional` estimates it replaces, for every group,
-    /// window and scope: counts and baselines equal.
+    /// The same-type summary and the per-pair `group_conditional`
+    /// estimates, for every group, window and scope, against the
+    /// brute-force row scans: both count what the oracle counts, carry
+    /// the direct-scan baseline of each system whose scope applies, and
+    /// so equal each other.
     #[test]
     fn same_type_summaries_match_per_pair_conditionals(failures in arb_summary_failures()) {
         let engine = Engine::new(build_summary_trace(&failures));
@@ -855,17 +885,38 @@ proptest! {
                     prop_assert_eq!(rows.len(), FailureClass::FIGURE1.len());
                     for (row, &class) in rows.iter().zip(&FailureClass::FIGURE1) {
                         prop_assert_eq!(row.class, class);
-                        let same = correlation.group_conditional(group, class, class, window, scope);
-                        let any = correlation
-                            .group_conditional(group, FailureClass::Any, class, window, scope);
-                        prop_assert_eq!(
-                            row.after_same_type, same,
-                            "after same {} {:?} {} {}", class, group, window, scope
-                        );
-                        prop_assert_eq!(
-                            row.after_any, any,
-                            "after any {} {:?} {} {}", class, group, window, scope
-                        );
+                        for (trigger, estimate) in
+                            [(class, row.after_same_type), (FailureClass::Any, row.after_any)]
+                        {
+                            let (mut hits, mut total) = (0, 0);
+                            let (mut base_hits, mut base_total) = (0, 0);
+                            for system in engine.trace().group_systems(group) {
+                                let Some((h, t)) =
+                                    oracle_scoped(system, trigger, class, window, scope)
+                                else {
+                                    continue;
+                                };
+                                (hits, total) = (hits + h, total + t);
+                                let base = hpcfail_store::query::BaselineEstimator::new(system)
+                                    .failure_probability(class, window);
+                                (base_hits, base_total) =
+                                    (base_hits + base.hits, base_total + base.total);
+                            }
+                            let what = format!("{trigger} -> {class} {group:?} {window} {scope}");
+                            prop_assert_eq!(
+                                (estimate.conditional.successes(), estimate.conditional.trials()),
+                                (hits, total),
+                                "conditional {}", what
+                            );
+                            prop_assert_eq!(
+                                (estimate.baseline.successes(), estimate.baseline.trials()),
+                                (base_hits, base_total),
+                                "baseline {}", what
+                            );
+                            let pair =
+                                correlation.group_conditional(group, trigger, class, window, scope);
+                            prop_assert_eq!(estimate, pair, "per-pair {}", what);
+                        }
                     }
                 }
             }

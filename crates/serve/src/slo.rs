@@ -61,6 +61,14 @@ impl KindTrack {
             errors: WindowCounter::new(slot_ms, 30),
         }
     }
+
+    fn record(&mut self, latency_ns: u64, error: bool) {
+        self.latency.record(latency_ns);
+        self.requests.add(1);
+        if error {
+            self.errors.add(1);
+        }
+    }
 }
 
 /// The live tracker: one window set per request kind.
@@ -84,13 +92,14 @@ impl SloTracker {
             Ok(kinds) => kinds,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let track = kinds
-            .entry(kind.to_owned())
-            .or_insert_with(|| KindTrack::new(self.policy.window_ms));
-        track.latency.record(latency_ns);
-        track.requests.add(1);
-        if error {
-            track.errors.add(1);
+        // Only a kind's first request allocates its key.
+        match kinds.get_mut(kind) {
+            Some(track) => track.record(latency_ns, error),
+            None => {
+                let mut track = KindTrack::new(self.policy.window_ms);
+                track.record(latency_ns, error);
+                kinds.insert(kind.to_owned(), track);
+            }
         }
     }
 

@@ -525,20 +525,6 @@ impl FailureColumns {
         (postings.len(), out.len() - before)
     }
 
-    /// `true` when `node` has any event matching `code` with
-    /// `after < time <= until`.
-    pub fn any_in_window(&self, node: NodeId, code: ClassCode, after: i64, until: i64) -> bool {
-        if !self.node_may_match(node, code) {
-            return false;
-        }
-        let postings = self.node_postings(node);
-        let from = postings.partition_point(|&i| self.times[i as usize] <= after);
-        postings[from..]
-            .iter()
-            .take_while(|&&i| self.times[i as usize] <= until)
-            .any(|&i| code.matches(self.roots[i as usize], self.subs[i as usize]))
-    }
-
     /// `(time, node)` of every event matching `code`, in `(time, node)`
     /// order.
     pub fn events(&self, code: ClassCode) -> impl Iterator<Item = (Timestamp, NodeId)> + '_ {
@@ -1059,33 +1045,6 @@ mod tests {
             .map(|&i| cols.times()[i as usize])
             .collect();
         assert_eq!(times, vec![100, 90_000, 200_000]);
-    }
-
-    #[test]
-    fn window_queries_match_row_scans() {
-        let records = sample_records();
-        let cols = FailureColumns::from_records(&records, 5, Timestamp::EPOCH);
-        let node = NodeId::new(3);
-        for class in [
-            FailureClass::Any,
-            FailureClass::Root(RootCause::Hardware),
-            FailureClass::Hw(HardwareComponent::Cpu),
-            FailureClass::Sw(SoftwareCause::Os),
-        ] {
-            let code = ClassCode::new(class);
-            for (after, until) in [(0, 100_000), (100, 250_000), (-10, 50), (90_000, 90_000)] {
-                let expect = records
-                    .iter()
-                    .filter(|r| r.node == node)
-                    .filter(|r| r.time.as_seconds() > after && r.time.as_seconds() <= until)
-                    .any(|r| class.matches(r));
-                assert_eq!(
-                    cols.any_in_window(node, code, after, until),
-                    expect,
-                    "{class:?} ({after}, {until}]"
-                );
-            }
-        }
     }
 
     #[test]

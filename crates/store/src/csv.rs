@@ -24,7 +24,8 @@
 use crate::trace::Trace;
 use hpcfail_types::prelude::*;
 use std::fmt;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Expected header lines, shared by writers and readers. A reader
@@ -197,6 +198,13 @@ pub fn write_failures<W: Write>(
     records: impl IntoIterator<Item = FailureRecord>,
 ) -> Result<(), CsvError> {
     writeln!(w, "{}", headers::FAILURES)?;
+    failure_rows(w, records)
+}
+
+fn failure_rows<W: Write>(
+    mut w: W,
+    records: impl IntoIterator<Item = FailureRecord>,
+) -> Result<(), CsvError> {
     for r in records {
         writeln!(
             w,
@@ -279,6 +287,13 @@ pub fn write_jobs<W: Write>(
     records: impl IntoIterator<Item = JobRecord>,
 ) -> Result<(), CsvError> {
     writeln!(w, "{}", headers::JOBS)?;
+    job_rows(w, records)
+}
+
+fn job_rows<W: Write>(
+    mut w: W,
+    records: impl IntoIterator<Item = JobRecord>,
+) -> Result<(), CsvError> {
     for j in records {
         let nodes: Vec<String> = j.nodes.iter().map(|n| n.raw().to_string()).collect();
         writeln!(
@@ -338,6 +353,10 @@ pub fn write_temperatures<W: Write>(
     samples: &[TemperatureSample],
 ) -> Result<(), CsvError> {
     writeln!(w, "{}", headers::TEMPERATURES)?;
+    temperature_rows(w, samples)
+}
+
+fn temperature_rows<W: Write>(mut w: W, samples: &[TemperatureSample]) -> Result<(), CsvError> {
     for s in samples {
         writeln!(
             w,
@@ -375,6 +394,10 @@ pub fn write_maintenance<W: Write>(
     records: &[MaintenanceRecord],
 ) -> Result<(), CsvError> {
     writeln!(w, "{}", headers::MAINTENANCE)?;
+    maintenance_rows(w, records)
+}
+
+fn maintenance_rows<W: Write>(mut w: W, records: &[MaintenanceRecord]) -> Result<(), CsvError> {
     for m in records {
         writeln!(
             w,
@@ -561,85 +584,41 @@ pub(crate) fn parse_system_line(line: &str, lineno: usize) -> Result<SystemConfi
 pub fn save_trace<P: AsRef<Path>>(dir: P, trace: &Trace) -> Result<(), CsvError> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
+    let create = |name: &str| -> Result<BufWriter<File>, CsvError> {
+        Ok(BufWriter::new(File::create(dir.join(name))?))
+    };
+    // The per-system record files carry one header, and none at all
+    // when the trace has no systems.
+    let open = |name: &str, header: &str| -> Result<BufWriter<File>, CsvError> {
+        let mut w = create(name)?;
+        if !trace.is_empty() {
+            writeln!(w, "{header}")?;
+        }
+        Ok(w)
+    };
     let configs: Vec<SystemConfig> = trace.systems().map(|s| s.config().clone()).collect();
-    write_system_configs(std::fs::File::create(dir.join("systems.csv"))?, &configs)?;
-
-    let mut failures = std::fs::File::create(dir.join("failures.csv"))?;
-    let mut jobs = std::fs::File::create(dir.join("jobs.csv"))?;
-    let mut temps = std::fs::File::create(dir.join("temperatures.csv"))?;
-    let mut maint = std::fs::File::create(dir.join("maintenance.csv"))?;
-    let mut layout = std::fs::File::create(dir.join("layout.csv"))?;
-    let mut wrote_header = (false, false, false, false, false);
+    let mut systems = create("systems.csv")?;
+    write_system_configs(&mut systems, &configs)?;
+    let mut failures = open("failures.csv", headers::FAILURES)?;
+    let mut jobs = open("jobs.csv", headers::JOBS)?;
+    let mut temps = open("temperatures.csv", headers::TEMPERATURES)?;
+    let mut maint = open("maintenance.csv", headers::MAINTENANCE)?;
+    // Each system's layout is its own section with its own header.
+    let mut layout = create("layout.csv")?;
     for s in trace.systems() {
-        if !wrote_header.0 {
-            write_failures(&mut failures, s.failures())?;
-            wrote_header.0 = true;
-        } else {
-            append_failures(&mut failures, s.failures())?;
-        }
-        if !wrote_header.1 {
-            write_jobs(&mut jobs, s.jobs())?;
-            wrote_header.1 = true;
-        } else {
-            append_jobs(&mut jobs, s.jobs())?;
-        }
-        if !wrote_header.2 {
-            write_temperatures(&mut temps, s.temperatures())?;
-            wrote_header.2 = true;
-        } else {
-            append_temperatures(&mut temps, s.temperatures())?;
-        }
-        if !wrote_header.3 {
-            write_maintenance(&mut maint, s.maintenance())?;
-            wrote_header.3 = true;
-        } else {
-            append_maintenance(&mut maint, s.maintenance())?;
-        }
+        failure_rows(&mut failures, s.failures())?;
+        job_rows(&mut jobs, s.jobs())?;
+        temperature_rows(&mut temps, s.temperatures())?;
+        maintenance_rows(&mut maint, s.maintenance())?;
         if let Some(l) = s.layout() {
             write_layout(&mut layout, s.id(), l)?;
-            wrote_header.4 = true;
         }
     }
-    write_neutron(
-        std::fs::File::create(dir.join("neutron.csv"))?,
-        trace.neutron_samples(),
-    )?;
-    Ok(())
-}
-
-fn append_failures<W: Write>(
-    w: W,
-    records: impl IntoIterator<Item = FailureRecord>,
-) -> Result<(), CsvError> {
-    let mut buf = Vec::new();
-    write_failures(&mut buf, records)?;
-    skip_header_and_copy(w, &buf)
-}
-
-fn append_jobs<W: Write>(w: W, records: impl Iterator<Item = JobRecord>) -> Result<(), CsvError> {
-    let mut buf = Vec::new();
-    write_jobs(&mut buf, records)?;
-    skip_header_and_copy(w, &buf)
-}
-
-fn append_temperatures<W: Write>(w: W, records: &[TemperatureSample]) -> Result<(), CsvError> {
-    let mut buf = Vec::new();
-    write_temperatures(&mut buf, records)?;
-    skip_header_and_copy(w, &buf)
-}
-
-fn append_maintenance<W: Write>(w: W, records: &[MaintenanceRecord]) -> Result<(), CsvError> {
-    let mut buf = Vec::new();
-    write_maintenance(&mut buf, records)?;
-    skip_header_and_copy(w, &buf)
-}
-
-fn skip_header_and_copy<W: Write>(mut w: W, buf: &[u8]) -> Result<(), CsvError> {
-    let body_start = buf
-        .iter()
-        .position(|&b| b == b'\n')
-        .map_or(buf.len(), |i| i + 1);
-    w.write_all(&buf[body_start..])?;
+    let mut neutron = create("neutron.csv")?;
+    write_neutron(&mut neutron, trace.neutron_samples())?;
+    for mut file in [systems, failures, jobs, temps, maint, layout, neutron] {
+        file.flush()?;
+    }
     Ok(())
 }
 
@@ -982,5 +961,25 @@ mod tests {
             .eq(trace.system(SystemId::new(20)).unwrap().failures()));
         assert_eq!(sys.layout().unwrap().len(), 1);
         assert_eq!(loaded.neutron_samples().len(), 1);
+    }
+
+    #[test]
+    fn empty_trace_saves_headerless_record_files() {
+        let dir = std::env::temp_dir().join(format!("hpcfail-csv-empty-{}", std::process::id()));
+        save_trace(&dir, &Trace::new()).unwrap();
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        for name in [
+            "failures.csv",
+            "jobs.csv",
+            "temperatures.csv",
+            "maintenance.csv",
+            "layout.csv",
+        ] {
+            assert_eq!(read(name), "", "{name}");
+        }
+        assert_eq!(read("systems.csv"), format!("{}\n", headers::SYSTEMS));
+        assert_eq!(read("neutron.csv"), format!("{}\n", headers::NEUTRON));
+        assert!(load_trace(&dir).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -6,7 +6,7 @@
 //! from them on demand, in exactly the record order the builder
 //! established.
 
-use crate::columns::{ClassCode, FailureColumns, JobColumns, MaintenanceColumns};
+use crate::columns::{FailureColumns, JobColumns, MaintenanceColumns};
 use hpcfail_types::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -251,23 +251,6 @@ impl SystemTrace {
         t >= self.config.start
             && t.checked_add(window.duration())
                 .is_some_and(|end| end <= self.config.end)
-    }
-
-    /// `true` if node has at least one failure of `class` in the
-    /// half-open interval `(after, until]`.
-    pub fn node_has_failure_in(
-        &self,
-        node: NodeId,
-        class: FailureClass,
-        after: Timestamp,
-        until: Timestamp,
-    ) -> bool {
-        self.columns.any_in_window(
-            node,
-            ClassCode::new(class),
-            after.as_seconds(),
-            until.as_seconds(),
-        )
     }
 
     /// `true` if node has at least one *unscheduled hardware* maintenance
@@ -615,42 +598,6 @@ mod tests {
             .map(|f| f.time.as_days())
             .collect();
         assert_eq!(node0, vec![10.0, 10.5]);
-    }
-
-    #[test]
-    fn window_membership_half_open() {
-        let t = build_simple();
-        let node = NodeId::new(0);
-        // (10.0, 10.5]: the 10.5 failure counts, the 10.0 trigger doesn't.
-        assert!(t.node_has_failure_in(
-            node,
-            FailureClass::Any,
-            Timestamp::from_days(10.0),
-            Timestamp::from_days(10.5),
-        ));
-        // (10.5, 20.0]: nothing.
-        assert!(!t.node_has_failure_in(
-            node,
-            FailureClass::Any,
-            Timestamp::from_days(10.5),
-            Timestamp::from_days(20.0),
-        ));
-    }
-
-    #[test]
-    fn window_class_filtering() {
-        let t = build_simple();
-        let node = NodeId::new(2);
-        let after = Timestamp::from_days(0.0);
-        let until = Timestamp::from_days(100.0);
-        assert!(t.node_has_failure_in(node, FailureClass::Root(RootCause::Network), after, until));
-        assert!(!t.node_has_failure_in(
-            node,
-            FailureClass::Root(RootCause::Hardware),
-            after,
-            until
-        ));
-        assert!(t.node_has_failure_in(node, FailureClass::Any, after, until));
     }
 
     #[test]
