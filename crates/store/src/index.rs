@@ -13,9 +13,11 @@
 //! [`covered_window_starts`], the kernel of the direct scans in
 //! [`query`](crate::query), so the values are bit-identical to them;
 //! `tests/properties.rs` checks all 28 classes × 3 windows over random
-//! traces. At fleet scale 0.05 the build takes about 0.5 ms a trace,
-//! against 5-6 ms to decode the same trace's snapshot (seeds 42 and
-//! 43, release build, 2-core VM).
+//! traces. At fleet scale 0.05 the build took about 0.5 ms a trace,
+//! against 5-6 ms to decode the same trace's format-5 snapshot (seeds
+//! 42 and 43, release build, 2-core VM). With format 6 the whole decode
+//! takes 1.8-2.1 ms, of which assembling the systems, this build
+//! included, is 0.08-0.15 ms (min of 7, same seeds, one session).
 //!
 //! Usage and per-user exposure stay lazy: they walk the job columns.
 //! At fleet scale 0.05 (seeds 42 and 43, release build, 2-core VM,

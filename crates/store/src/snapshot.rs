@@ -2,17 +2,17 @@
 //!
 //! A snapshot is written once after ingest and loaded at boot with a
 //! single bulk read, skipping CSV parsing and per-record validation: the
-//! failure and job columns are stored exactly as the in-memory
-//! struct-of-arrays layouts ([`crate::columns::FailureColumns`],
-//! [`crate::columns::JobColumns`]), so a load is one bulk
-//! little-endian copy per column plus the O(n) postings rebuild — no
-//! row structs, no sorting, no text.
+//! failure and job columns are stored column by column, as in the
+//! in-memory struct-of-arrays layouts ([`crate::columns::FailureColumns`],
+//! [`crate::columns::JobColumns`]), so a load is one widening pass per
+//! column plus the O(n) postings rebuild — no row structs, no sorting,
+//! no text.
 //!
-//! # File format (version 5)
+//! # File format (version 6)
 //!
 //! ```text
 //! magic      8 bytes  "HPCSNAP\0"
-//! version    u32 LE   5
+//! version    u32 LE   6
 //! fingerprint u64 LE  Trace::fingerprint() of the whole trace
 //! sections   u32 LE   number of section-table entries
 //! table      sections × { id u32, offset u64, len u64, checksum u64 }
@@ -22,23 +22,42 @@
 //! Section ids combine a kind (high 16 bits) and a system id (low 16
 //! bits). The table lists the sections in one canonical order: one
 //! `SYSTEMS` section carrying every [`SystemConfig`] in id order; then,
-//! for each system in id order, `FAILURES` (the five primitive columns,
-//! stored column-wise), `JOBS`, `TEMPERATURES`, `MAINTENANCE` and, when
-//! the system has a layout, `LAYOUT`; and one fleet-wide `NEUTRON`
-//! section last. The `JOBS` payload is column-major too:
+//! for each system in id order, `FAILURES`, `JOBS`, `TEMPERATURES`,
+//! `MAINTENANCE` and, when the system has a layout, `LAYOUT`; and one
+//! fleet-wide `NEUTRON` section last. Every section but `SYSTEMS` is a
+//! `u32` row count followed by its columns. The `JOBS` payload:
 //!
 //! ```text
 //! count        u32
-//! job_id       count × u64
-//! user         count × u32
-//! submit       count × i64
-//! dispatch     count × i64, non-decreasing
-//! end          count × i64
-//! procs        count × u32
-//! node_offsets (count + 1) × u32, from 0, non-decreasing
-//! refs         u32, equal to the last node offset
-//! node_ids     refs × u32
+//! job_id       int column of count u64
+//! user         int column of count u32
+//! submit       int column of count i64
+//! dispatch     int column of count i64, non-decreasing
+//! end          int column of count i64
+//! procs        int column of count u32
+//! node_count   int column of count u32, the length of each job's node list
+//! refs         u32, the sum of the node counts
+//! node_ids     int column of refs u32, the node lists back to back
 //! ```
+//!
+//! # The integer column codec
+//!
+//! Every integer column is stored frame-of-reference: a width byte `w`
+//! in {1, 2, 4, 8}, a `u64` base, then each value minus the base as a
+//! `w`-byte little-endian integer. An `i64` is first mapped to a `u64`
+//! by flipping its sign bit, which keeps the order. Only the two `f64`
+//! columns, temperature celsius and neutron counts per minute, are
+//! stored as raw 8-byte values. Job node lists are stored as per-job
+//! counts; decode rebuilds the offsets with a prefix sum.
+//!
+//! The encoding of a column is canonical: the base is the column's
+//! minimum and the width the smallest that holds maximum − minimum; an
+//! empty column is width 1, base 0. Decode refuses anything else, and any
+//! value past its type's range, as [`SnapshotError::Corrupt`]. Since no
+//! value takes less than one byte and none decodes to more than eight,
+//! decoded columns are at most 8× the payload bytes: every row count is
+//! checked against the section's remaining bytes at the minimum width
+//! (7 bytes a job) before anything is allocated.
 //!
 //! # Integrity and the content fingerprint
 //!
@@ -56,9 +75,10 @@
 //! That is sound because decode is canonical: it accepts only the bytes
 //! [`snapshot_bytes`] writes for the trace it returns. The sections
 //! must come in canonical order with no gaps, unknown or duplicate
-//! entries, every per-system section present; every row must be in the
-//! order the builder sorts it into; and every flag must be one the
-//! encoder writes. Equal content therefore has one encoding and one
+//! entries, every per-system section present; every column must be in
+//! its canonical encoding (above); every row must be in the order the
+//! builder sorts it into; and every flag must be one the encoder
+//! writes. Equal content therefore has one encoding and one
 //! fingerprint, whether it was uploaded, booted from CSV or demoted and
 //! rehydrated. Decode also checks every declared size and every record
 //! time against its system's span (see [`crate::SPAN_SLACK_DAYS`]),
@@ -67,8 +87,9 @@
 //! Older versions are refused as [`SnapshotError::UnsupportedVersion`]:
 //! version 1 checksummed with a byte-serial FNV-1a, version 2 stored one
 //! row per job, version 3 hashed one word at a time in a single chain,
-//! and version 4 fingerprinted a second, typed walk of the decoded
-//! trace.
+//! version 4 fingerprinted a second, typed walk of the decoded trace,
+//! and version 5 stored every column at its in-memory width (job node
+//! lists as offsets), about 2.3× the bytes of version 6.
 //!
 //! # Fallback rules
 //!
@@ -91,7 +112,7 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HPCSNAP\0";
 const MAGIC: &[u8; 8] = SNAPSHOT_MAGIC;
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 const KIND_SYSTEMS: u32 = 1;
 const KIND_FAILURES: u32 = 2;
@@ -194,7 +215,7 @@ pub enum SnapshotLoad {
 }
 
 // ---------------------------------------------------------------------
-// Byte-level encoding (little-endian, fixed width)
+// Byte-level encoding (little-endian)
 
 fn checksum(bytes: &[u8]) -> u64 {
     let mut h = ContentHash::new();
@@ -208,9 +229,56 @@ fn fold_entry(fingerprint: &mut ContentHash, id: u32, checksum: u64) {
     fingerprint.u64(checksum);
 }
 
+/// An integer column type. Each value maps to a `u64` key that sorts
+/// as the values do; the column codec stores keys.
+trait Int: Copy + Ord {
+    /// The key of the type's largest value.
+    const MAX_KEY: u64;
+    fn key(self) -> u64;
+    /// The value whose key is `key`, which is at most `MAX_KEY`.
+    fn from_key(key: u64) -> Self;
+}
+
+macro_rules! unsigned_int {
+    ($($t:ty),*) => {$(
+        impl Int for $t {
+            const MAX_KEY: u64 = <$t>::MAX as u64;
+            fn key(self) -> u64 {
+                u64::from(self)
+            }
+            fn from_key(key: u64) -> Self {
+                key as $t
+            }
+        }
+    )*};
+}
+unsigned_int!(u8, u16, u32, u64);
+
+/// Flipping the sign bit maps `i64::MIN` to key 0 and `i64::MAX` to
+/// `u64::MAX`, in order.
+impl Int for i64 {
+    const MAX_KEY: u64 = u64::MAX;
+    fn key(self) -> u64 {
+        self as u64 ^ (1 << 63)
+    }
+    fn from_key(key: u64) -> Self {
+        (key ^ (1 << 63)) as i64
+    }
+}
+
+/// The narrowest offset width, in bytes, that holds `range`.
+fn width_for(range: u64) -> u8 {
+    match range {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
 /// Where the encoder writes: the snapshot buffer, the hash of one
-/// section, or a byte count. Every value is little-endian and fixed
-/// width; a string is its `u32` length, then its bytes.
+/// section, or a byte count. Every value is little-endian; a string is
+/// its `u32` length, then its bytes.
 trait Sink {
     fn put(&mut self, bytes: &[u8]);
 
@@ -234,16 +302,47 @@ trait Sink {
         self.put(s.as_bytes());
     }
 
-    /// Writes one value per item, staged in 4 KiB chunks so the sink
-    /// sees a few large writes.
-    fn column<T, const W: usize>(&mut self, items: &[T], encode: impl Fn(&T) -> [u8; W]) {
+    /// Writes one `W`-byte value each, staged in 4 KiB chunks so the
+    /// sink sees a few large writes.
+    fn column<const W: usize>(&mut self, mut values: impl ExactSizeIterator<Item = [u8; W]>) {
         let mut chunk = [0u8; 4096];
-        for items in items.chunks(chunk.len() / W) {
-            let staged = &mut chunk[..items.len() * W];
-            for (bytes, item) in staged.chunks_exact_mut(W).zip(items) {
-                bytes.copy_from_slice(&encode(item));
+        loop {
+            let mut staged = 0;
+            for (bytes, value) in chunk.chunks_exact_mut(W).zip(&mut values) {
+                bytes.copy_from_slice(&value);
+                staged += W;
             }
-            self.put(staged);
+            if staged == 0 {
+                return;
+            }
+            self.put(&chunk[..staged]);
+        }
+    }
+
+    /// Writes an integer column in the frame-of-reference codec (see
+    /// the module docs): the width byte, the base, then each value's
+    /// offset from the base.
+    fn ints<I: Int>(&mut self, values: impl ExactSizeIterator<Item = I> + Clone) {
+        // Keys sort as the values do, so the extreme values give the
+        // extreme keys; an empty column has base 0.
+        let mut scan = values.clone();
+        let (base, max) = match scan.next() {
+            None => (0, 0),
+            Some(first) => {
+                let (min, max) =
+                    scan.fold((first, first), |(min, max), v| (min.min(v), max.max(v)));
+                (min.key(), max.key())
+            }
+        };
+        let width = width_for(max - base);
+        self.u8(width);
+        self.u64(base);
+        let offsets = values.map(move |v| v.key() - base);
+        match width {
+            1 => self.column(offsets.map(|o| [o as u8])),
+            2 => self.column(offsets.map(|o| (o as u16).to_le_bytes())),
+            4 => self.column(offsets.map(|o| (o as u32).to_le_bytes())),
+            _ => self.column(offsets.map(u64::to_le_bytes)),
         }
     }
 }
@@ -269,9 +368,94 @@ impl Sink for Len {
         self.0 += bytes.len();
     }
 
-    fn column<T, const W: usize>(&mut self, items: &[T], _: impl Fn(&T) -> [u8; W]) {
-        self.0 += items.len() * W;
+    fn column<const W: usize>(&mut self, values: impl ExactSizeIterator<Item = [u8; W]>) {
+        self.0 += values.len() * W;
     }
+}
+
+/// An offset width of the column codec. Each scan over a column reads
+/// its offsets as this integer type, so it runs at that width.
+trait Lane {
+    /// The smallest and largest offset of a packed column.
+    fn min_max(bytes: &[u8]) -> (u64, u64);
+    /// Appends `f(offset)` for every offset of a packed column.
+    fn extend<T>(bytes: &[u8], out: &mut Vec<T>, f: impl FnMut(u64) -> T);
+}
+
+macro_rules! lane {
+    ($($t:ty),*) => {$(
+        impl Lane for $t {
+            fn min_max(bytes: &[u8]) -> (u64, u64) {
+                let (lanes, _) = bytes.as_chunks::<{ std::mem::size_of::<$t>() }>();
+                let (min, max) = lanes
+                    .iter()
+                    .map(|&lane| <$t>::from_le_bytes(lane))
+                    .fold((<$t>::MAX, 0), |(min, max), v| (min.min(v), max.max(v)));
+                (u64::from(min), u64::from(max))
+            }
+
+            fn extend<T>(bytes: &[u8], out: &mut Vec<T>, f: impl FnMut(u64) -> T) {
+                let (lanes, _) = bytes.as_chunks::<{ std::mem::size_of::<$t>() }>();
+                out.extend(lanes.iter().map(|&lane| u64::from(<$t>::from_le_bytes(lane))).map(f));
+            }
+        }
+    )*};
+}
+lane!(u8, u16, u32, u64);
+
+/// An integer column as stored: its offsets still packed, its encoding
+/// checked canonical.
+struct Packed<'a> {
+    what: &'static str,
+    field: &'static str,
+    bytes: &'a [u8],
+    width: u8,
+    base: u64,
+    /// The largest offset.
+    max: u64,
+}
+
+impl Packed<'_> {
+    /// Appends `f(base + offset)` for every value, in order.
+    fn extend<T>(&self, out: &mut Vec<T>, mut f: impl FnMut(u64) -> T) {
+        let base = self.base;
+        let key = move |offset: u64| f(base.wrapping_add(offset));
+        match self.width {
+            1 => u8::extend(self.bytes, out, key),
+            2 => u16::extend(self.bytes, out, key),
+            4 => u32::extend(self.bytes, out, key),
+            _ => u64::extend(self.bytes, out, key),
+        }
+    }
+
+    /// The column's values, refused as corrupt when one lies past the
+    /// range of `I`.
+    fn widen<I: Int>(&self) -> Result<Vec<I>, SnapshotError> {
+        self.check_fits(I::MAX_KEY)?;
+        let mut out = Vec::with_capacity(self.bytes.len() / usize::from(self.width));
+        self.extend(&mut out, I::from_key);
+        Ok(out)
+    }
+
+    fn check_fits(&self, max_key: u64) -> Result<(), SnapshotError> {
+        match self.base.checked_add(self.max) {
+            Some(last) if last <= max_key => Ok(()),
+            _ => Err(SnapshotError::Corrupt(format!(
+                "{}: {} column base {} plus offset {} lies past the range of its type",
+                self.what, self.field, self.base, self.max
+            ))),
+        }
+    }
+}
+
+/// How decode finds a column's smallest and largest offset.
+#[derive(Clone, Copy)]
+enum Range {
+    /// By scanning every offset.
+    Scan,
+    /// From the first and the last offset, for a column the caller
+    /// refuses unless it decodes non-decreasing; see [`Reader::times`].
+    Sorted,
 }
 
 struct Reader<'a> {
@@ -283,6 +467,10 @@ struct Reader<'a> {
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8], what: &'static str) -> Self {
         Reader { buf, pos: 0, what }
+    }
+
+    fn corrupt(&self, message: String) -> SnapshotError {
+        SnapshotError::Corrupt(format!("{}: {message}", self.what))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -321,30 +509,101 @@ impl<'a> Reader<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(SnapshotError::Corrupt(format!(
-                "{}: {field} flag is {other}, not 0 or 1",
-                self.what
-            ))),
+            other => Err(self.corrupt(format!("{field} flag is {other}, not 0 or 1"))),
         }
     }
 
-    /// Reads `n` fixed-width little-endian values with one bulk copy.
-    fn column<T, const W: usize>(
+    /// Reads `n` raw `f64` values.
+    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, SnapshotError> {
+        Ok(self
+            .take(n.saturating_mul(8))?
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks of 8 bytes")))
+            .collect())
+    }
+
+    /// Reads the head and the packed offsets of an integer column of
+    /// `n` values, refusing every encoding but the canonical one (see
+    /// the module docs).
+    fn packed(
         &mut self,
         n: usize,
-        decode: impl Fn([u8; W]) -> T,
-    ) -> Result<Vec<T>, SnapshotError> {
-        let Some(len) = n.checked_mul(W) else {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} column of {n} values overflows",
-                self.what
-            )));
+        field: &'static str,
+        range: Range,
+    ) -> Result<Packed<'a>, SnapshotError> {
+        let width = self.u8()?;
+        let base = self.u64()?;
+        if !matches!(width, 1 | 2 | 4 | 8) {
+            return Err(self.corrupt(format!("{field} column width {width} is not 1, 2, 4 or 8")));
+        }
+        let w = usize::from(width);
+        let bytes = self.take(n.saturating_mul(w))?;
+        let offset = |at: usize| {
+            let mut le = [0u8; 8];
+            le[..w].copy_from_slice(&bytes[at..at + w]);
+            u64::from_le_bytes(le)
         };
-        Ok(self
-            .take(len)?
-            .chunks_exact(W)
-            .map(|c| decode(c.try_into().expect("chunks_exact yields W bytes")))
-            .collect())
+        let (min, max) = match (range, width) {
+            _ if n == 0 => (0, 0),
+            (Range::Sorted, _) => (offset(0), offset(bytes.len() - w)),
+            (Range::Scan, 1) => u8::min_max(bytes),
+            (Range::Scan, 2) => u16::min_max(bytes),
+            (Range::Scan, 4) => u32::min_max(bytes),
+            (Range::Scan, _) => u64::min_max(bytes),
+        };
+        if n == 0 && base != 0 {
+            return Err(self.corrupt(format!("empty {field} column has base {base}, not 0")));
+        }
+        if min != 0 {
+            return Err(self.corrupt(format!("{field} column base {base} is not its minimum")));
+        }
+        if width != width_for(max) {
+            return Err(self.corrupt(format!(
+                "{field} column width {width} is not the narrowest for its range {max}"
+            )));
+        }
+        Ok(Packed {
+            what: self.what,
+            field,
+            bytes,
+            width,
+            base,
+            max,
+        })
+    }
+
+    /// Reads an integer column of `n` values.
+    fn ints<I: Int>(&mut self, n: usize, field: &'static str) -> Result<Vec<I>, SnapshotError> {
+        self.packed(n, field, Range::Scan)?.widen()
+    }
+
+    /// Reads a column of `n` times (seconds), refusing it unless every
+    /// time lies in `config`'s span (see [`crate::SPAN_SLACK_DAYS`]):
+    /// the column's base and largest offset are its earliest and latest
+    /// time, so no pass over the values is needed.
+    ///
+    /// With [`Range::Sorted`] the range comes from the first and the
+    /// last value, and the caller refuses the column unless it decodes
+    /// non-decreasing. In a column that does, every value lies between
+    /// those two, so the range is the one a scan finds. In one that
+    /// does not, a value may have wrapped past `u64::MAX`; it then lies
+    /// below the first value, and the caller refuses the column.
+    fn times(
+        &mut self,
+        n: usize,
+        field: &'static str,
+        range: Range,
+        config: &SystemConfig,
+    ) -> Result<Vec<i64>, SnapshotError> {
+        let packed = self.packed(n, field, range)?;
+        let times = packed.widen()?;
+        if n > 0 {
+            let earliest = i64::from_key(packed.base);
+            let latest = i64::from_key(packed.base + packed.max);
+            check_in_span(field, [earliest, latest], config.start, config.end)
+                .map_err(SnapshotError::Corrupt)?;
+        }
+        Ok(times)
     }
 
     /// Reads a length-prefixed count, guarding against lengths that
@@ -461,57 +720,57 @@ fn encode_systems(w: &mut impl Sink, trace: &Trace) {
 
 fn encode_failures(w: &mut impl Sink, cols: &FailureColumns) {
     w.u32(cols.len() as u32);
-    w.column(cols.times(), |t| t.to_le_bytes());
-    w.column(cols.nodes(), |n| n.to_le_bytes());
-    w.put(cols.roots());
-    w.column(cols.subs(), |s| s.to_le_bytes());
-    w.column(cols.downtimes(), |d| d.to_le_bytes());
+    w.ints(cols.times().iter().copied());
+    w.ints(cols.nodes().iter().copied());
+    w.ints(cols.roots().iter().copied());
+    w.ints(cols.subs().iter().copied());
+    w.ints(cols.downtimes().iter().copied());
 }
 
 fn encode_jobs(w: &mut impl Sink, jobs: &JobColumns) {
     w.u32(jobs.len() as u32);
-    w.column(jobs.job_ids(), |v| v.to_le_bytes());
-    w.column(jobs.users(), |v| v.to_le_bytes());
-    w.column(jobs.submits(), |v| v.to_le_bytes());
-    w.column(jobs.dispatches(), |v| v.to_le_bytes());
-    w.column(jobs.ends(), |v| v.to_le_bytes());
-    w.column(jobs.procs(), |v| v.to_le_bytes());
-    w.column(jobs.node_offsets(), |v| v.to_le_bytes());
+    w.ints(jobs.job_ids().iter().copied());
+    w.ints(jobs.users().iter().copied());
+    w.ints(jobs.submits().iter().copied());
+    w.ints(jobs.dispatches().iter().copied());
+    w.ints(jobs.ends().iter().copied());
+    w.ints(jobs.procs().iter().copied());
+    w.ints(jobs.node_offsets().windows(2).map(|w| w[1] - w[0]));
     w.u32(jobs.node_ids().len() as u32);
-    w.column(jobs.node_ids(), |v| v.to_le_bytes());
+    w.ints(jobs.node_ids().iter().copied());
 }
 
 fn encode_temperatures(w: &mut impl Sink, samples: &[TemperatureSample]) {
     w.u32(samples.len() as u32);
-    w.column(samples, |s| s.node.raw().to_le_bytes());
-    w.column(samples, |s| s.time.as_seconds().to_le_bytes());
-    w.column(samples, |s| s.celsius.to_le_bytes());
+    w.ints(samples.iter().map(|s| s.node.raw()));
+    w.ints(samples.iter().map(|s| s.time.as_seconds()));
+    w.column(samples.iter().map(|s| s.celsius.to_le_bytes()));
 }
 
 fn encode_maintenance(w: &mut impl Sink, records: &[MaintenanceRecord]) {
     w.u32(records.len() as u32);
-    w.column(records, |m| m.node.raw().to_le_bytes());
-    w.column(records, |m| m.time.as_seconds().to_le_bytes());
-    w.column(records, |m| {
-        [((m.hardware_related as u8) << 1) | m.scheduled as u8]
-    });
+    w.ints(records.iter().map(|m| m.node.raw()));
+    w.ints(records.iter().map(|m| m.time.as_seconds()));
+    w.ints(
+        records
+            .iter()
+            .map(|m| ((m.hardware_related as u8) << 1) | m.scheduled as u8),
+    );
 }
 
 fn encode_layout(w: &mut impl Sink, layout: &MachineLayout) {
     w.u32(layout.len() as u32);
-    for (node, loc) in layout.iter() {
-        w.u32(node.raw());
-        w.u16(loc.rack.raw());
-        w.u8(loc.position_in_rack);
-        w.u16(loc.room_row);
-        w.u16(loc.room_col);
-    }
+    w.ints(layout.iter().map(|(node, _)| node.raw()));
+    w.ints(layout.iter().map(|(_, loc)| loc.rack.raw()));
+    w.ints(layout.iter().map(|(_, loc)| loc.position_in_rack));
+    w.ints(layout.iter().map(|(_, loc)| loc.room_row));
+    w.ints(layout.iter().map(|(_, loc)| loc.room_col));
 }
 
 fn encode_neutron(w: &mut impl Sink, samples: &[NeutronSample]) {
     w.u32(samples.len() as u32);
-    w.column(samples, |s| s.time.as_seconds().to_le_bytes());
-    w.column(samples, |s| s.counts_per_minute.to_le_bytes());
+    w.ints(samples.iter().map(|s| s.time.as_seconds()));
+    w.column(samples.iter().map(|s| s.counts_per_minute.to_le_bytes()));
 }
 
 /// The content fingerprint of `trace` (see the module docs), streamed:
@@ -775,12 +1034,12 @@ fn decode_systems(bytes: &[u8]) -> Result<Vec<SystemConfig>, SnapshotError> {
 
 fn decode_failures(bytes: &[u8], config: &SystemConfig) -> Result<FailureColumns, SnapshotError> {
     let mut r = Reader::new(bytes, "failures");
-    let count = r.count(8 + 4 + 1 + 2 + 8)?;
-    let times = r.column(count, i64::from_le_bytes)?;
-    let nodes = r.column(count, u32::from_le_bytes)?;
-    let roots = r.take(count)?.to_vec();
-    let subs = r.column(count, u16::from_le_bytes)?;
-    let downtimes = r.column(count, i64::from_le_bytes)?;
+    let count = r.count(5)?;
+    let times = r.ints(count, "time")?;
+    let nodes = r.ints(count, "node")?;
+    let roots = r.ints(count, "root")?;
+    let subs = r.ints(count, "sub-cause")?;
+    let downtimes = r.ints(count, "downtime")?;
     r.finish()?;
     Ok(FailureColumns::from_raw_parts(
         times,
@@ -796,17 +1055,35 @@ fn decode_failures(bytes: &[u8], config: &SystemConfig) -> Result<FailureColumns
 
 fn decode_jobs(bytes: &[u8], config: &SystemConfig) -> Result<JobColumns, SnapshotError> {
     let mut r = Reader::new(bytes, "jobs");
-    let count = r.count(8 + 4 + 8 + 8 + 8 + 4 + 4)?;
-    let job_ids = r.column(count, u64::from_le_bytes)?;
-    let users = r.column(count, u32::from_le_bytes)?;
-    let submits = r.column(count, i64::from_le_bytes)?;
-    let dispatches = r.column(count, i64::from_le_bytes)?;
-    let ends = r.column(count, i64::from_le_bytes)?;
-    let procs = r.column(count, u32::from_le_bytes)?;
-    let node_offsets = r.column(count + 1, u32::from_le_bytes)?;
-    let refs = r.count(4)?;
-    let node_ids = r.column(refs, u32::from_le_bytes)?;
+    // One byte for each of the seven columns at the narrowest width.
+    let count = r.count(7)?;
+    let job_ids = r.ints(count, "job id")?;
+    let users = r.ints(count, "user")?;
+    let submits = r.times(count, "job submit", Range::Scan, config)?;
+    let dispatches = r.times(count, "job dispatch", Range::Sorted, config)?;
+    let ends = r.times(count, "job end", Range::Scan, config)?;
+    let procs = r.ints(count, "procs")?;
+    let node_counts = r.packed(count, "node count", Range::Scan)?;
+    let refs = r.count(1)?;
+    let node_ids = r.ints(refs, "node id")?;
     r.finish()?;
+    // Each count is at most u32::MAX and there are fewer than 2^32 of
+    // them, so the running sum cannot overflow a u64; it is checked
+    // against `refs` only at the end, and any offset past u32::MAX
+    // makes it differ.
+    node_counts.check_fits(u32::MAX.into())?;
+    let mut node_offsets = Vec::with_capacity(count + 1);
+    node_offsets.push(0);
+    let mut sum = 0u64;
+    node_counts.extend(&mut node_offsets, |n| {
+        sum += n;
+        sum as u32
+    });
+    if sum != refs as u64 {
+        return Err(SnapshotError::Corrupt(format!(
+            "jobs: node counts sum to {sum}, which differs from the {refs} node ids"
+        )));
+    }
     Ok(JobColumns::from_raw_parts(
         job_ids,
         users,
@@ -816,8 +1093,6 @@ fn decode_jobs(bytes: &[u8], config: &SystemConfig) -> Result<JobColumns, Snapsh
         procs,
         node_offsets,
         node_ids,
-        config.start,
-        config.end,
     )?)
 }
 
@@ -826,22 +1101,15 @@ fn decode_temperatures(
     config: &SystemConfig,
 ) -> Result<Vec<TemperatureSample>, SnapshotError> {
     let mut r = Reader::new(bytes, "temperatures");
-    let count = r.count(4 + 8 + 8)?;
-    let nodes = r.column(count, u32::from_le_bytes)?;
-    let times = r.column(count, i64::from_le_bytes)?;
+    let count = r.count(1 + 1 + 8)?;
+    let nodes: Vec<u32> = r.ints(count, "node")?;
+    let times = r.times(count, "temperature", Range::Scan, config)?;
     if times.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Corrupt(
             "temperature samples not sorted by time".into(),
         ));
     }
-    check_in_span(
-        "temperature",
-        times.iter().copied(),
-        config.start,
-        config.end,
-    )
-    .map_err(SnapshotError::Corrupt)?;
-    let celsius = r.column(count, f64::from_le_bytes)?;
+    let celsius = r.f64s(count)?;
     r.finish()?;
     Ok(nodes
         .into_iter()
@@ -861,15 +1129,15 @@ fn decode_maintenance(
     config: &SystemConfig,
 ) -> Result<Vec<MaintenanceRecord>, SnapshotError> {
     let mut r = Reader::new(bytes, "maintenance");
-    let count = r.count(4 + 8 + 1)?;
-    let nodes = r.column(count, u32::from_le_bytes)?;
+    let count = r.count(3)?;
+    let nodes: Vec<u32> = r.ints(count, "node")?;
     if let Some(node) = nodes.iter().find(|&&n| n >= config.nodes) {
         return Err(SnapshotError::Corrupt(format!(
             "maintenance node {node} out of range (system has {} nodes)",
             config.nodes
         )));
     }
-    let times = r.column(count, i64::from_le_bytes)?;
+    let times = r.times(count, "maintenance", Range::Scan, config)?;
     if times
         .iter()
         .zip(&nodes)
@@ -880,14 +1148,7 @@ fn decode_maintenance(
             "maintenance not sorted by (time, node)".into(),
         ));
     }
-    check_in_span(
-        "maintenance",
-        times.iter().copied(),
-        config.start,
-        config.end,
-    )
-    .map_err(SnapshotError::Corrupt)?;
-    let flags = r.take(count)?;
+    let flags: Vec<u8> = r.ints(count, "flags")?;
     if let Some(bad) = flags.iter().find(|&&f| f > 0b11) {
         return Err(SnapshotError::Corrupt(format!(
             "maintenance flags {bad:#04x} set unknown bits"
@@ -898,7 +1159,7 @@ fn decode_maintenance(
         .into_iter()
         .zip(times)
         .zip(flags)
-        .map(|((node, time), &flags)| MaintenanceRecord {
+        .map(|((node, time), flags)| MaintenanceRecord {
             system: config.id,
             node: NodeId::new(node),
             time: Timestamp::from_seconds(time),
@@ -910,45 +1171,44 @@ fn decode_maintenance(
 
 fn decode_layout(bytes: &[u8]) -> Result<MachineLayout, SnapshotError> {
     let mut r = Reader::new(bytes, "layout");
-    let count = r.count(4 + 2 + 1 + 2 + 2)?;
-    let mut layout = MachineLayout::new();
-    let mut last = None;
-    for _ in 0..count {
-        let node = NodeId::new(r.u32()?);
-        if last.is_some_and(|last| last >= node) {
-            return Err(SnapshotError::Corrupt(format!(
-                "layout row for {node} is out of node order or repeated"
-            )));
-        }
-        last = Some(node);
-        let rack = RackId::new(r.u16()?);
-        let position_in_rack = r.u8()?;
-        let room_row = r.u16()?;
-        let room_col = r.u16()?;
-        layout.place(
-            node,
-            NodeLocation {
-                rack,
-                position_in_rack,
-                room_row,
-                room_col,
-            },
-        );
+    let count = r.count(5)?;
+    let nodes: Vec<u32> = r.ints(count, "node")?;
+    if let Some(pair) = nodes.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(SnapshotError::Corrupt(format!(
+            "layout row for {} is out of node order or repeated",
+            NodeId::new(pair[1])
+        )));
     }
+    let racks: Vec<u16> = r.ints(count, "rack")?;
+    let positions: Vec<u8> = r.ints(count, "position")?;
+    let rows: Vec<u16> = r.ints(count, "room row")?;
+    let cols: Vec<u16> = r.ints(count, "room column")?;
     r.finish()?;
-    Ok(layout)
+    Ok((0..count)
+        .map(|i| {
+            (
+                NodeId::new(nodes[i]),
+                NodeLocation {
+                    rack: RackId::new(racks[i]),
+                    position_in_rack: positions[i],
+                    room_row: rows[i],
+                    room_col: cols[i],
+                },
+            )
+        })
+        .collect())
 }
 
 fn decode_neutron(bytes: &[u8]) -> Result<Vec<NeutronSample>, SnapshotError> {
     let mut r = Reader::new(bytes, "neutron");
-    let count = r.count(8 + 8)?;
-    let times = r.column(count, i64::from_le_bytes)?;
+    let count = r.count(1 + 8)?;
+    let times: Vec<i64> = r.ints(count, "time")?;
     if times.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Corrupt(
             "neutron samples not sorted by time".into(),
         ));
     }
-    let counts = r.column(count, f64::from_le_bytes)?;
+    let counts = r.f64s(count)?;
     r.finish()?;
     Ok(times
         .into_iter()
@@ -1049,6 +1309,11 @@ mod tests {
     use crate::trace::SystemTraceBuilder;
 
     fn sample_trace() -> Trace {
+        sample_trace_with(|_| {})
+    }
+
+    /// The sample trace with `extra` records pushed into its system.
+    fn sample_trace_with(extra: impl FnOnce(&mut SystemTraceBuilder)) -> Trace {
         let config = SystemConfig {
             id: SystemId::new(3),
             name: "snap-test".into(),
@@ -1151,6 +1416,7 @@ mod tests {
                 })
                 .collect(),
         );
+        extra(&mut b);
         let mut trace = Trace::new();
         trace.insert_system(b.build());
         trace.set_neutron_samples(vec![
@@ -1199,9 +1465,10 @@ mod tests {
         assert!(matches!(decode_snapshot(&[]), Err(SnapshotError::BadMagic)));
         // The version field sits right after the magic. Version 1 (the
         // byte-serial FNV-1a format), version 2 (one row per job),
-        // version 3 (the single-chain hash) and version 4 (the typed
-        // fingerprint walk) are refused like an unknown one.
-        for version in [1u32, 2, 3, 4, 0xfe] {
+        // version 3 (the single-chain hash), version 4 (the typed
+        // fingerprint walk) and version 5 (every column at its
+        // in-memory width) are refused like an unknown one.
+        for version in [1u32, 2, 3, 4, 5, 0xfe] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
                 decode_snapshot(&bytes),
@@ -1212,7 +1479,7 @@ mod tests {
         // An older file on disk becomes a typed fallback audit entry.
         let dir = std::env::temp_dir().join(format!("hpcsnap-old-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for version in [1u32, 2, 3, 4] {
+        for version in [1u32, 2, 3, 4, 5] {
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             let path = dir.join(format!("v{version}.hpcsnap"));
             std::fs::write(&path, &bytes).unwrap();
@@ -1234,10 +1501,10 @@ mod tests {
 
     #[test]
     fn sample_fingerprint_is_pinned() {
-        // The format-5 value: the fold of the section checksums. It
+        // The format-6 value: the fold of the section checksums. It
         // moves only with a `SNAPSHOT_VERSION` bump.
         let trace = sample_trace();
-        assert_eq!(format!("{:016x}", trace.fingerprint()), "9d3a2b9014182cd8");
+        assert_eq!(format!("{:016x}", trace.fingerprint()), "c7a1e744c451515c");
         let system = trace.systems().next().expect("one system");
         let ids: Vec<u64> = system.jobs().map(|j| j.job_id.raw()).collect();
         assert_eq!(ids, [12, 11, 13, 14], "stable sort by dispatch");
@@ -1384,11 +1651,15 @@ mod tests {
         let bytes = snapshot_bytes(&trace);
         decode_snapshot(&bytes).expect("in-span times decode");
         // FAILURES payload: count u32, then the times column; the
-        // MAINTENANCE payload: count u32, node u32, then the times.
-        let min = i64::MIN.to_le_bytes();
-        for (kind, at) in [(KIND_FAILURES, 4), (KIND_MAINTENANCE, 8)] {
+        // MAINTENANCE payload: count u32, the node column, then the
+        // times. A one-row column is its width byte, its base (the one
+        // value's key) and a zero offset, so a base of key 0 makes the
+        // time `i64::MIN`.
+        let node_column = 1 + 8 + 1;
+        for (kind, at) in [(KIND_FAILURES, 4), (KIND_MAINTENANCE, 4 + node_column)] {
             let hostile = edited(&bytes, section_id(kind, 1), |p| {
-                p[at..at + 8].copy_from_slice(&min)
+                assert_eq!(p[at], 1, "a one-byte offset");
+                p[at + 1..at + 9].copy_from_slice(&i64::MIN.key().to_le_bytes())
             });
             let message = corrupt_message(&hostile);
             assert!(message.contains("outside its system's span"), "{message}");
@@ -1400,23 +1671,28 @@ mod tests {
         let bytes = snapshot_bytes(&sample_trace());
         let jobs = section_id(KIND_JOBS, 3);
         let n = 4;
-        // Column starts in the JOBS payload; see the module docs.
-        let dispatch = 4 + n * (8 + 4 + 8);
-        let offsets = 4 + n * (8 + 4 + 8 + 8 + 8 + 4);
-        let refs = offsets + (n + 1) * 4;
+        // Column starts in the JOBS payload (see the module docs): the
+        // ids, users, procs, node counts and node ids take one byte a
+        // value, the three time columns four.
+        let column = |width: usize| 1 + 8 + n * width;
+        let dispatch = 4 + 2 * column(1) + column(4);
+        let counts = 4 + 3 * column(1) + 3 * column(4);
+        let refs = counts + column(1);
+        let payload_len = section_range(&bytes, jobs).len();
+        assert_eq!(payload_len, refs + 4 + 1 + 8 + 6, "the v6 layout");
         let put = |at: usize, v: &[u8]| {
             let v = v.to_vec();
             edited(&bytes, jobs, move |p| {
                 p[at..at + v.len()].copy_from_slice(&v)
             })
         };
-        let offset = |i: usize, v: u32| put(offsets + 4 * i, &v.to_le_bytes());
+        // Row `row` of a four-byte offset column starting at `at`.
+        let offset = |at: usize, row: usize| at + 9 + 4 * row;
         let cases = [
-            ("offset decreases", offset(1, 6), "decrease"),
-            ("offset starts at 1", offset(0, 1), "do not start at 0"),
             (
-                "last offset past the ids",
-                offset(n, 7),
+                "node counts past the ids",
+                // The first job's count, 3, becomes 4.
+                put(counts + 9, &[4]),
                 "differs from the 6 node ids",
             ),
             (
@@ -1425,8 +1701,8 @@ mod tests {
                 "exceeds section size",
             ),
             (
-                "one job too many",
-                put(0, &5u32.to_le_bytes()),
+                "one job too many for the section",
+                put(0, &((payload_len as u32 - 4) / 7 + 1).to_le_bytes()),
                 "exceeds section size",
             ),
             (
@@ -1441,7 +1717,11 @@ mod tests {
             ),
             (
                 "dispatch out of order",
-                put(dispatch, &i64::MAX.to_le_bytes()),
+                // The second job's dispatch becomes the last job's.
+                edited(&bytes, jobs, |p| {
+                    let last = p[offset(dispatch, 3)..][..4].to_vec();
+                    p[offset(dispatch, 1)..][..4].copy_from_slice(&last);
+                }),
                 "not sorted by dispatch",
             ),
         ];
@@ -1702,24 +1982,26 @@ mod tests {
             ),
             (
                 "an unknown maintenance flag bit",
-                // count u32, one node u32, one time i64, then the flags.
-                payload(maintenance, &|p| p[16] |= 0b100),
+                // count u32, then the node, time and flags columns of
+                // one row each: a width byte, the base (the one value)
+                // and a zero offset.
+                payload(maintenance, &|p| p[4 + 10 + 10 + 1] |= 0b100),
                 "unknown bits",
             ),
             (
                 "layout rows out of node order",
-                // count u32, then 11-byte rows led by the node id.
-                payload(layout, &|p| {
-                    p[4..8].copy_from_slice(&1u32.to_le_bytes());
-                    p[15..19].copy_from_slice(&0u32.to_le_bytes());
-                }),
+                // count u32, then the node column: a width byte, the
+                // base and one byte a row.
+                payload(layout, &|p| p.swap(13, 14)),
                 "out of node order",
             ),
             (
                 "neutron samples out of time order",
+                // count u32, then the time column: a width byte, the
+                // base and four bytes a sample.
                 payload(neutron, &|p| {
-                    let (first, second) = p.split_at_mut(12);
-                    first[4..12].swap_with_slice(&mut second[..8]);
+                    let (first, second) = p.split_at_mut(17);
+                    first[13..17].swap_with_slice(&mut second[..4]);
                 }),
                 "not sorted by time",
             ),
@@ -1732,38 +2014,66 @@ mod tests {
 
     #[test]
     fn records_outside_their_span_are_typed_corrupt() {
-        let trace = sample_trace();
-        let bytes = snapshot_bytes(&trace);
         let slack = crate::SPAN_SLACK_DAYS * 86_400;
-        // The sample system runs from 0 to 30 days. Each case names a
-        // time column's payload offset and length (see the module docs
-        // and the encoders); an early time goes into the first row and
-        // a late one into the last, so the rows stay sorted.
+        // The sample system runs from 0 to 30 days. The builder does not
+        // check spans, so each case pushes one record with a time at
+        // `t` and the encoder writes it as it is.
         let end = 30 * 86_400 + slack;
-        let jobs = 4;
+        let sys = SystemId::new(3);
+        let day = |d: f64| Timestamp::from_days(d);
+        let job = |submit, dispatch, end| JobRecord {
+            system: sys,
+            job_id: JobId::new(99),
+            user: UserId::new(4),
+            submit,
+            dispatch,
+            end,
+            procs: 1,
+            nodes: vec![NodeId::new(1)],
+        };
+        let push = |what: &str, b: &mut SystemTraceBuilder, t: Timestamp| {
+            match what {
+                "failure" => b.push_failure(FailureRecord::new(
+                    sys,
+                    NodeId::new(1),
+                    t,
+                    RootCause::Hardware,
+                    SubCause::None,
+                )),
+                "job submit" => b.push_job(job(t, day(2.0), day(2.0))),
+                "job dispatch" => b.push_job(job(day(1.0), t, day(2.0))),
+                "job end" => b.push_job(job(day(1.0), day(1.0), t)),
+                "temperature" => b.push_temperature(TemperatureSample {
+                    system: sys,
+                    node: NodeId::new(1),
+                    time: t,
+                    celsius: 40.0,
+                }),
+                _ => b.push_maintenance(MaintenanceRecord {
+                    system: sys,
+                    node: NodeId::new(1),
+                    time: t,
+                    hardware_related: false,
+                    scheduled: true,
+                }),
+            };
+        };
         let cases = [
-            (KIND_FAILURES, 4, 2, "failure"),
-            (KIND_JOBS, 4 + jobs * (8 + 4), jobs, "job submit"),
-            (KIND_JOBS, 4 + jobs * (8 + 4 + 8), jobs, "job dispatch"),
-            (KIND_JOBS, 4 + jobs * (8 + 4 + 8 + 8), jobs, "job end"),
-            (KIND_TEMPERATURES, 4 + 4, 1, "temperature"),
-            (KIND_MAINTENANCE, 4 + 4, 1, "maintenance"),
+            "failure",
+            "job submit",
+            "job dispatch",
+            "job end",
+            "temperature",
+            "maintenance",
         ];
-        for (kind, column, rows, what) in cases {
-            for (time, row, ok) in [
-                (-1, 0, false),
-                (end, rows - 1, true),
-                (end + 1, rows - 1, false),
-            ] {
-                let at = column + 8 * row;
-                let mut forged = edited(&bytes, section_id(kind, 3), |p| {
-                    p[at..at + 8].copy_from_slice(&i64::to_le_bytes(time))
-                });
-                forge(&mut forged).unwrap();
-                match decode_snapshot(&forged) {
+        for what in cases {
+            for (time, ok) in [(-1, false), (end, true), (end + 1, false)] {
+                let trace = sample_trace_with(|b| push(what, b, Timestamp::from_seconds(time)));
+                let bytes = snapshot_bytes(&trace);
+                match decode_snapshot(&bytes) {
                     Ok(decoded) => {
                         assert!(ok, "{what} at {time} s decoded");
-                        assert_eq!(snapshot_bytes(&decoded), forged);
+                        assert_eq!(snapshot_bytes(&decoded), bytes);
                     }
                     Err(SnapshotError::Corrupt(message)) => {
                         assert!(!ok, "{what} at {time} s: {message}");
@@ -1776,13 +2086,166 @@ mod tests {
         }
     }
 
+    /// An integer column written by hand: the width byte, the base,
+    /// then each offset in `width` little-endian bytes.
+    fn raw_column(width: usize, base: u64, offsets: &[u64]) -> Vec<u8> {
+        let mut out = vec![width as u8];
+        out.extend_from_slice(&base.to_le_bytes());
+        for offset in offsets {
+            let mut le = offset.to_le_bytes().to_vec();
+            le.resize(width, 0);
+            out.extend_from_slice(&le);
+        }
+        out
+    }
+
+    /// The JOBS payload of `jobs` with integer column `replace.0` (in
+    /// payload order: id, user, submit, dispatch, end, procs, node
+    /// count, node id) written as `replace.1` instead.
+    fn jobs_payload(jobs: &JobColumns, replace: (usize, Vec<u8>)) -> Vec<u8> {
+        let mut columns: Vec<Vec<u8>> = vec![Vec::new(); 8];
+        columns[0].ints(jobs.job_ids().iter().copied());
+        columns[1].ints(jobs.users().iter().copied());
+        columns[2].ints(jobs.submits().iter().copied());
+        columns[3].ints(jobs.dispatches().iter().copied());
+        columns[4].ints(jobs.ends().iter().copied());
+        columns[5].ints(jobs.procs().iter().copied());
+        columns[6].ints(jobs.node_offsets().windows(2).map(|w| w[1] - w[0]));
+        columns[7].ints(jobs.node_ids().iter().copied());
+        columns[replace.0] = replace.1;
+        let mut out = Vec::new();
+        out.u32(jobs.len() as u32);
+        for (i, column) in columns.iter().enumerate() {
+            if i == 7 {
+                out.u32(jobs.node_ids().len() as u32);
+            }
+            out.put(column);
+        }
+        out
+    }
+
+    #[test]
+    fn non_canonical_column_encodings_are_typed_corrupt() {
+        let trace = two_system_trace();
+        let bytes = snapshot_bytes(&trace);
+        let sections = parts(&bytes);
+        let with_jobs = |system: u16, payload: Vec<u8>| {
+            let mut sections = sections.clone();
+            let id = section_id(KIND_JOBS, system);
+            sections
+                .iter_mut()
+                .find(|(i, _)| *i == id)
+                .expect("present")
+                .1 = payload;
+            assemble(&sections)
+        };
+        let sample = trace.system(SystemId::new(3)).expect("system 3");
+        let jobs = sample.job_columns();
+        let column = |i: usize, raw: Vec<u8>| with_jobs(3, jobs_payload(jobs, (i, raw)));
+        // In dispatch order the users are 5, 4, 4, 6 (base 4, one byte
+        // each), the node counts 3, 2, 1, 0, and the submits lie in the
+        // first 20 days.
+        let users = [1, 0, 0, 2];
+        let (user, submit, node_count) = (1, 2, 6);
+        let payload = |id: u32| &sections.iter().find(|(i, _)| *i == id).expect("present").1;
+        assert_eq!(
+            &jobs_payload(jobs, (user, raw_column(1, 4, &users))),
+            payload(section_id(KIND_JOBS, 3)),
+            "the canonical user column"
+        );
+        let submit_keys: Vec<u64> = jobs.submits().iter().map(|t| t.key()).collect();
+        let top = *submit_keys.iter().max().unwrap();
+        // Measured from the largest submit, every other one wraps past
+        // u64::MAX to land on its value again.
+        let wrapped: Vec<u64> = submit_keys.iter().map(|k| k.wrapping_sub(top)).collect();
+        let mut empty_jobs = payload(section_id(KIND_JOBS, 1)).clone();
+        // count u32, then the job id column: width 1, base 0, no offsets.
+        assert_eq!(empty_jobs[4..13], raw_column(1, 0, &[])[..]);
+        empty_jobs[5] = 7;
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                "width 0",
+                column(user, raw_column(0, 4, &[])),
+                "width 0 is not 1, 2, 4 or 8",
+            ),
+            (
+                "width 3",
+                column(user, raw_column(3, 4, &users)),
+                "width 3 is not 1, 2, 4 or 8",
+            ),
+            (
+                "width 9",
+                column(user, raw_column(9, 4, &users)),
+                "width 9 is not 1, 2, 4 or 8",
+            ),
+            (
+                "a wider width than the range needs",
+                column(user, raw_column(2, 4, &users)),
+                "user column width 2 is not the narrowest",
+            ),
+            (
+                "a base below the minimum",
+                column(user, raw_column(1, 3, &[2, 1, 1, 3])),
+                "user column base 3 is not its minimum",
+            ),
+            (
+                "a base above the minimum, the offsets wrapping",
+                column(submit, raw_column(8, top, &wrapped)),
+                "submit column base",
+            ),
+            (
+                "a base plus offset past u32::MAX in a u32 column",
+                column(user, raw_column(1, u64::from(u32::MAX) - 1, &users)),
+                "lies past the range of its type",
+            ),
+            (
+                "node counts summing past the node ids",
+                column(node_count, raw_column(1, 0, &[4, 2, 1, 0])),
+                "node counts sum to 7, which differs from the 6 node ids",
+            ),
+            (
+                "node counts summing short of the node ids",
+                column(node_count, raw_column(1, 0, &[3, 2, 0, 0])),
+                "node counts sum to 5, which differs from the 6 node ids",
+            ),
+            (
+                "an empty column with a base",
+                with_jobs(1, empty_jobs),
+                "empty job id column has base 7",
+            ),
+        ];
+        for (what, hostile, expected) in cases {
+            let message = corrupt_message(&hostile);
+            assert!(message.contains(expected), "{what}: {message}");
+        }
+    }
+
+    /// Encodes `values` as one integer column and decodes it back,
+    /// checking the width is the narrowest for the range.
+    fn column_round_trip<I: Int + std::fmt::Debug + PartialEq>(values: &[I]) {
+        let mut bytes = Vec::new();
+        bytes.ints(values.iter().copied());
+        let mut len = Len(0);
+        len.ints(values.iter().copied());
+        assert_eq!(len.0, bytes.len());
+        let keys = values.iter().map(|v| v.key());
+        let range = keys.clone().max().unwrap_or(0) - keys.min().unwrap_or(0);
+        assert_eq!(usize::from(bytes[0]), usize::from(width_for(range)));
+        assert_eq!(bytes.len(), 9 + values.len() * usize::from(bytes[0]));
+        let mut r = Reader::new(&bytes, "test");
+        let decoded: Vec<I> = r.ints(values.len(), "test").expect("canonical");
+        r.finish().expect("whole column read");
+        assert_eq!(decoded, values);
+    }
+
     #[test]
     fn maintenance_on_a_node_outside_the_system_is_typed_corrupt() {
         let bytes = snapshot_bytes(&sample_trace());
-        // MAINTENANCE payload: count u32, then the node column.
+        // MAINTENANCE payload: count u32, then the node column of one
+        // row: a width byte, the base (the one node) and a zero offset.
         for node in [6u32, u32::MAX] {
             let mut forged = edited(&bytes, section_id(KIND_MAINTENANCE, 3), |p| {
-                p[4..8].copy_from_slice(&node.to_le_bytes())
+                p[5..13].copy_from_slice(&u64::from(node).to_le_bytes())
             });
             forge(&mut forged).unwrap();
             let message = corrupt_message(&forged);
@@ -1792,6 +2255,39 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        /// Every integer column round-trips at its narrowest width:
+        /// random, clustered (offsets of 1, 2, 4 and 8 bytes from a
+        /// random base), constant and empty columns, with the extremes
+        /// of each type.
+        #[test]
+        fn integer_columns_round_trip(
+            raw in proptest::prop::collection::vec(0u64..=u64::MAX, 0..48),
+            base in 0u64..=u64::MAX,
+            shift in 0u32..4,
+            extremes in 0u8..4,
+        ) {
+            let bits = 8u32 << shift;
+            let mut keys: Vec<u64> = raw
+                .iter()
+                .map(|r| base.wrapping_add(if bits == 64 { *r } else { r % (1 << bits) }))
+                .collect();
+            if extremes & 1 != 0 {
+                keys.push(0);
+            }
+            if extremes & 2 != 0 {
+                keys.push(u64::MAX);
+            }
+            let constant = vec![base; raw.len()];
+            for keys in [&keys, &raw, &constant, &Vec::new()] {
+                column_round_trip::<u64>(keys);
+                column_round_trip::<i64>(&keys.iter().map(|&k| i64::from_key(k)).collect::<Vec<_>>());
+                column_round_trip::<u32>(&keys.iter().map(|&k| k as u32).collect::<Vec<_>>());
+            }
+            column_round_trip::<i64>(&[i64::MIN, i64::MAX]);
+            column_round_trip::<i64>(&[i64::MAX, -1, 0, i64::MIN]);
+            column_round_trip::<u32>(&[u32::MAX, 0]);
+        }
 
         /// Any snapshot that decodes, however it was damaged and then
         /// resealed with a matching fingerprint, is exactly the encoding

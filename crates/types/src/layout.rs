@@ -106,7 +106,7 @@ impl MachineLayout {
     }
 
     /// Iterates over `(node, location)` pairs in node order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeLocation)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, NodeLocation)> + Clone + '_ {
         self.locations.iter().map(|(&n, &l)| (n, l))
     }
 }
