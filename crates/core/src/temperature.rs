@@ -188,17 +188,14 @@ impl<'a> TemperatureAnalysis<'a> {
         let code = ClassCode::new(target);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
-        for node in s.nodes() {
-            let Some(agg) = aggregates.get(node.index()).copied().flatten() else {
-                continue;
-            };
+        for agg in aggregates {
             let x = match predictor {
                 TempPredictor::Average => agg.avg,
                 TempPredictor::Maximum => agg.max,
                 TempPredictor::Variance => agg.variance,
             };
             xs.push(x);
-            ys.push(s.failure_columns().node_events(node, code).count() as f64);
+            ys.push(s.failure_columns().node_events(agg.node, code).count() as f64);
         }
         if xs.is_empty() {
             return Err(GlmError::DimensionMismatch {

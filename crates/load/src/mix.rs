@@ -138,8 +138,7 @@ impl MixConfig {
     pub const PROFILES: [&'static str; 3] = ["ci", "smoke", "soak"];
 
     /// The pinned CI profile: 544 items carrying 768 queries over a
-    /// 512-entry corpus (`tests/determinism.rs` pins the shape), driven
-    /// through a seeded chaos storm by CI's chaos-smoke job.
+    /// 512-entry corpus (`tests/determinism.rs` pins the shape).
     ///
     /// Small enough to finish in seconds against a debug server, big
     /// enough that the cache, batch, and deadline paths all light up.

@@ -64,6 +64,9 @@ mod front_door {
     use crate::trace::{ActiveTrace, TraceContext};
     use crate::window::WindowHistogram;
 
+    // The handles `counter` and `gauge` return, by one name in both modes.
+    pub use crate::registry::{Counter as CounterHandle, Gauge as GaugeHandle};
+
     /// Opens a wall-time span on the global registry; it closes (and
     /// records) when the returned guard drops.
     #[must_use = "a span records when its guard drops; binding it to _ closes it immediately"]
@@ -110,6 +113,8 @@ mod front_door {
 #[cfg(feature = "no-obs")]
 mod front_door {
     //! Zero-sized stand-ins: every call compiles away.
+
+    pub use self::{NoopCounter as CounterHandle, NoopGauge as GaugeHandle};
 
     /// Inert guard standing in for [`crate::span::Span`].
     #[derive(Debug, Clone, Copy)]

@@ -142,6 +142,19 @@ impl Histogram {
         self.core.max.load(Ordering::Relaxed)
     }
 
+    /// Frozen statistics; an empty histogram's quantiles read 0.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count(),
+            sum: self.sum(),
+            max: self.max(),
+            p50: self.quantile(0.50).unwrap_or(0.0),
+            p90: self.quantile(0.90).unwrap_or(0.0),
+            p95: self.quantile(0.95).unwrap_or(0.0),
+            p99: self.quantile(0.99).unwrap_or(0.0),
+        }
+    }
+
     /// The `q`-quantile (`0 <= q <= 1`) estimated by linear
     /// interpolation within the containing bucket; `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
@@ -206,6 +219,18 @@ struct Inner {
     spans: Mutex<BTreeMap<String, SpanCell>>,
 }
 
+/// The handle named `name` in `map`, created by `make` on first use.
+/// Only a miss copies the name: a hit allocates nothing.
+fn lookup<T: Clone>(map: &Mutex<BTreeMap<String, T>>, name: &str, make: impl FnOnce() -> T) -> T {
+    let mut map = map.lock().expect("registry lock");
+    if let Some(found) = map.get(name) {
+        return found.clone();
+    }
+    let made = make();
+    map.insert(name.to_owned(), made.clone());
+    made
+}
+
 /// A collection of named metrics. Cloning shares the underlying store.
 #[derive(Clone, Default)]
 pub struct Registry {
@@ -226,18 +251,12 @@ impl Registry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock().expect("counter registry lock");
-        map.entry(name.to_owned())
-            .or_insert_with(Counter::new)
-            .clone()
+        lookup(&self.inner.counters, name, Counter::new)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock().expect("gauge registry lock");
-        map.entry(name.to_owned())
-            .or_insert_with(Gauge::new)
-            .clone()
+        lookup(&self.inner.gauges, name, Gauge::new)
     }
 
     /// The histogram named `name`, created on first use with the
@@ -248,12 +267,7 @@ impl Registry {
 
     /// The histogram named `name`, created on first use by `make`.
     pub fn histogram_with(&self, name: &str, make: impl FnOnce() -> Histogram) -> Histogram {
-        let mut map = self
-            .inner
-            .histograms
-            .lock()
-            .expect("histogram registry lock");
-        map.entry(name.to_owned()).or_insert_with(make).clone()
+        lookup(&self.inner.histograms, name, make)
     }
 
     /// The sliding-window histogram named `name`, created on first use
@@ -271,16 +285,12 @@ impl Registry {
         name: &str,
         make: impl FnOnce() -> WindowHistogram,
     ) -> WindowHistogram {
-        let mut map = self.inner.windows.lock().expect("window registry lock");
-        map.entry(name.to_owned()).or_insert_with(make).clone()
+        lookup(&self.inner.windows, name, make)
     }
 
     /// The span cell named `name`, created on first use.
     pub(crate) fn span_cell(&self, name: &str) -> SpanCell {
-        let mut map = self.inner.spans.lock().expect("span registry lock");
-        map.entry(name.to_owned())
-            .or_insert_with(SpanCell::new)
-            .clone()
+        lookup(&self.inner.spans, name, SpanCell::new)
     }
 
     /// A point-in-time copy of every metric, for sinks.
@@ -308,20 +318,7 @@ impl Registry {
             .expect("histogram registry lock")
             .iter()
             .filter(|(_, h)| h.count() > 0)
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    HistogramSnapshot {
-                        count: h.count(),
-                        sum: h.sum(),
-                        max: h.max(),
-                        p50: h.quantile(0.50).unwrap_or(0.0),
-                        p90: h.quantile(0.90).unwrap_or(0.0),
-                        p95: h.quantile(0.95).unwrap_or(0.0),
-                        p99: h.quantile(0.99).unwrap_or(0.0),
-                    },
-                )
-            })
+            .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
         let windows = self
             .inner

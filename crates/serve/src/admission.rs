@@ -28,6 +28,7 @@
 //! [`ShedReason::Draining`], and new arrivals shed at the door.
 
 use hpcfail_obs::json::Json;
+use hpcfail_obs::GaugeHandle;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -198,6 +199,9 @@ pub struct AdmissionGate {
     state: Mutex<GateState>,
     available: Condvar,
     shed: [AtomicU64; 5],
+    /// The occupancy gauges, resolved once.
+    inflight_gauge: GaugeHandle,
+    queued_gauge: GaugeHandle,
 }
 
 impl AdmissionGate {
@@ -212,6 +216,8 @@ impl AdmissionGate {
             }),
             available: Condvar::new(),
             shed: [const { AtomicU64::new(0) }; 5],
+            inflight_gauge: hpcfail_obs::gauge("serve.admission.inflight"),
+            queued_gauge: hpcfail_obs::gauge("serve.admission.queued"),
         }
     }
 
@@ -231,8 +237,8 @@ impl AdmissionGate {
     }
 
     fn publish_gauges(&self, state: &GateState) {
-        hpcfail_obs::gauge("serve.admission.inflight").set(state.inflight as f64);
-        hpcfail_obs::gauge("serve.admission.queued").set(state.queued as f64);
+        self.inflight_gauge.set(state.inflight as f64);
+        self.queued_gauge.set(state.queued as f64);
     }
 
     fn shed(&self, class: CostClass, reason: ShedReason) -> ShedReason {

@@ -53,8 +53,9 @@
 //! * Each request's time is split into phases (read, route, admit,
 //!   cache, engine, render, write) that add up to its latency; they
 //!   feed `serve_phase_us` on `/v1/metrics` and the access log.
-//! * `GET /v1/metrics` exports the registry in Prometheus text format
-//!   ([`metrics`]), validated by the in-tree parser ([`promtext`]).
+//! * `GET /v1/metrics` exports the request table and the registry in
+//!   Prometheus text format ([`metrics`]), validated by the in-tree
+//!   parser ([`promtext`]).
 //! * Per-kind sliding-window latency and error budgets feed SLO
 //!   standings ([`slo`]) into `/v1/healthz` and `serve_slo_*` series.
 //! * An optional size-capped JSONL access log records one line per
@@ -63,10 +64,12 @@
 //!   ([`top`]).
 //!
 //! The flat counters (`serve.requests`, `serve.cache.hit`,
-//! `serve.cache.miss`, `serve.coalesced`, `serve.degraded`), the
-//! `serve.inflight` gauge and per-kind `serve.query.<kind>` spans all
-//! land in the standard `hpcfail-obs` registry, so a server run
-//! exports the same manifest format as a `repro` run.
+//! `serve.cache.miss`, `serve.coalesced`, `serve.degraded`) and
+//! per-kind `serve.query.<kind>` spans land in the standard
+//! `hpcfail-obs` registry, so a server run exports the same manifest
+//! format as a `repro` run. The per-kind, per-status and per-trace
+//! request telemetry lives in the server's own request table
+//! ([`slo::SloTracker`]) instead.
 //!
 //! ```no_run
 //! use hpcfail_core::engine::Engine;

@@ -12,7 +12,8 @@
 //! The same stamps feed three outputs:
 //!
 //! - the windowed `serve_phase_us{phase=…}` summaries on
-//!   `/v1/metrics`, through [`PhaseWindows`] (handles resolved once);
+//!   `/v1/metrics`, through the server's own [`PhaseWindows`] (seven
+//!   windows it owns, not registry entries);
 //! - the access log's `phases_us` object;
 //! - one `serve.phase.<phase>` child span per phase in an `x-trace`
 //!   tree, for the phases that end before that tree is built
@@ -22,7 +23,7 @@
 //! log field and spans all fold away.
 
 use hpcfail_obs::trace::SpanNode;
-use hpcfail_obs::window::WindowHistogram;
+use hpcfail_obs::window::{WindowHistogram, WindowedSnapshot};
 use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
@@ -59,10 +60,6 @@ pub const PHASES: [Phase; 7] = [
     Phase::Render,
     Phase::Write,
 ];
-
-/// The registry name prefix of the per-phase windows (nanoseconds);
-/// `/v1/metrics` exports them as `serve_phase_us{phase=…}`.
-pub const WINDOW_PREFIX: &str = "serve.window.phase_ns.";
 
 impl Phase {
     /// The label used in metrics, the access log and span names.
@@ -237,21 +234,21 @@ impl Stamps {
     }
 }
 
-/// The per-phase windows, resolved once per server so that recording
-/// a request formats no name and looks nothing up.
+/// The per-phase windows (nanoseconds), one set per server, so that
+/// recording a request formats no name and looks nothing up.
+/// `/v1/metrics` exports them as `serve_phase_us{phase=…}`.
 pub struct PhaseWindows(Option<[WindowHistogram; PHASES.len()]>);
 
-impl PhaseWindows {
-    /// The global registry's `serve.window.phase_ns.<phase>` windows;
-    /// none under `no-obs`.
-    pub fn resolve() -> PhaseWindows {
-        PhaseWindows(hpcfail_obs::ENABLED.then(|| {
-            PHASES.map(|phase| {
-                hpcfail_obs::registry::global().window(&format!("{WINDOW_PREFIX}{}", phase.label()))
-            })
-        }))
+impl Default for PhaseWindows {
+    /// Empty windows over the last 30 seconds; none under `no-obs`.
+    fn default() -> PhaseWindows {
+        PhaseWindows(
+            hpcfail_obs::ENABLED.then(|| PHASES.map(|_| WindowHistogram::exponential_ns())),
+        )
     }
+}
 
+impl PhaseWindows {
     /// Records one request: every phase gets one observation, zero for
     /// the phases it skipped.
     pub fn record(&self, stamps: &Stamps) {
@@ -260,6 +257,18 @@ impl PhaseWindows {
                 window.record(ns);
             }
         }
+    }
+
+    /// Each phase's window ending now, by label, in request order; a
+    /// window holding no observation is left out.
+    pub fn snapshot(&self) -> Vec<(&'static str, WindowedSnapshot)> {
+        self.0
+            .iter()
+            .flatten()
+            .zip(PHASES)
+            .map(|(window, phase)| (phase.label(), window.snapshot()))
+            .filter(|(_, w)| w.count > 0)
+            .collect()
     }
 }
 

@@ -37,9 +37,9 @@
 //! wrapped body `{"result": <exact body as a JSON string>, "trace":
 //! <span tree>, "trace_id": ...}` — the original bytes survive verbatim
 //! inside the `result` string (the same idiom the batch endpoint uses).
-//! Per request the server also records per-kind lifetime histograms,
-//! sliding-window histograms, [`SloTracker`] windows and the
-//! [`crate::phase`] stamps, all of which `GET /v1/metrics` exports.
+//! Per request the server records one row in its request table (the
+//! [`SloTracker`]: kind, status, trace and latency) and the
+//! [`crate::phase`] stamps, both of which `GET /v1/metrics` exports.
 //!
 //! ## Deadlines
 //!
@@ -61,7 +61,7 @@ use crate::service::{Answer, QueryService};
 use crate::slo::{SloPolicy, SloTracker};
 use hpcfail_core::engine::{AnalysisRequest, Engine, REQUEST_KINDS};
 use hpcfail_obs::json::Json;
-use hpcfail_obs::TraceRecording;
+use hpcfail_obs::{CounterHandle, TraceRecording};
 use hpcfail_store::csv::CsvError;
 use hpcfail_store::ingest::IngestPolicy;
 use hpcfail_store::lanl::{assemble_trace, read_lanl_failures_with, LanlImportOptions};
@@ -137,12 +137,18 @@ struct Shared {
     shutdown: AtomicBool,
     inflight: AtomicU64,
     default_deadline_ms: u64,
+    /// The request table: one record per answered request.
     slo: SloTracker,
     gate: AdmissionGate,
     chaos: Option<ChaosEngine>,
     access_log: Option<AccessLog>,
     phase_windows: PhaseWindows,
     inject_panic_kind: Option<String>,
+    /// The registry counters the run manifest reads, resolved once.
+    requests: CounterHandle,
+    cache_hits: CounterHandle,
+    cache_misses: CounterHandle,
+    coalesced: CounterHandle,
 }
 
 /// A running server. Dropping the handle does **not** stop it; call
@@ -236,8 +242,12 @@ pub fn spawn_with_registry(
         gate: AdmissionGate::new(config.admission),
         chaos: config.chaos.clone().map(ChaosEngine::new),
         access_log,
-        phase_windows: PhaseWindows::resolve(),
+        phase_windows: PhaseWindows::default(),
         inject_panic_kind: config.inject_panic_kind.clone(),
+        requests: hpcfail_obs::counter("serve.requests"),
+        cache_hits: hpcfail_obs::counter("serve.cache.hit"),
+        cache_misses: hpcfail_obs::counter("serve.cache.miss"),
+        coalesced: hpcfail_obs::counter("serve.coalesced"),
     });
     let listener = Arc::new(listener);
     let workers = (0..config.workers.max(1))
@@ -352,8 +362,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Decrements the in-flight count (and gauge) however the handler
-/// exits.
+/// Decrements the in-flight count however the handler exits.
 struct InflightGuard<'a> {
     shared: &'a Shared,
 }
@@ -361,7 +370,6 @@ struct InflightGuard<'a> {
 impl<'a> InflightGuard<'a> {
     fn enter(shared: &'a Shared) -> InflightGuard<'a> {
         shared.inflight.fetch_add(1, Ordering::SeqCst);
-        hpcfail_obs::gauge("serve.inflight").set(shared.inflight.load(Ordering::SeqCst) as f64);
         InflightGuard { shared }
     }
 }
@@ -369,8 +377,6 @@ impl<'a> InflightGuard<'a> {
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        hpcfail_obs::gauge("serve.inflight")
-            .set(self.shared.inflight.load(Ordering::SeqCst) as f64);
     }
 }
 
@@ -461,7 +467,7 @@ fn respond(
     close: bool,
     stamps: &mut Stamps,
 ) -> io::Result<bool> {
-    hpcfail_obs::counter("serve.requests").inc();
+    shared.requests.inc();
     // Every response carries a trace id, but the span tree is built
     // only for a client that asked for it: nothing else reads it.
     let trace_id = hpcfail_obs::trace::next_trace_id();
@@ -484,16 +490,21 @@ fn respond(
     let analysis = matches!(&routed, Routed::Matched(m) if m.endpoint.is_analysis());
 
     let inflight = InflightGuard::enter(shared);
-    let reply = catch_unwind(AssertUnwindSafe(|| route(request, &routed, shared, stamps)))
-        .unwrap_or_else(|_| {
-            Reply::error(
-                500,
-                "Internal Server Error",
-                "handler panicked; see server logs",
-                false,
-                "panic",
-            )
-        });
+    // Set once an analysis request resolves its trace: it then counts
+    // toward that trace's requests, whatever its answer.
+    let mut trace_resolved = false;
+    let reply = catch_unwind(AssertUnwindSafe(|| {
+        route(request, &routed, shared, stamps, &mut trace_resolved)
+    }))
+    .unwrap_or_else(|_| {
+        Reply::error(
+            500,
+            "Internal Server Error",
+            "handler panicked; see server logs",
+            false,
+            "panic",
+        )
+    });
     drop(inflight);
 
     let wants_trace = capture.is_some();
@@ -507,7 +518,13 @@ fn respond(
     });
     // Recorded before the write, so a client holding its answer
     // already sees the request counted.
-    record_telemetry(shared, &reply.kind, reply.status, stamps.elapsed_ns());
+    let trace = match &routed {
+        Routed::Matched(matched) if trace_resolved => matched.trace.as_deref(),
+        _ => None,
+    };
+    shared
+        .slo
+        .record(&reply.kind, reply.status, trace, stamps.elapsed_ns());
 
     let Reply {
         status,
@@ -599,16 +616,15 @@ fn wrap_traced(body: String, trace_hex: &str, recording: Option<&TraceRecording>
     Json::obj(fields).pretty()
 }
 
-fn record_telemetry(shared: &Shared, kind: &str, status: u16, latency_ns: u64) {
-    hpcfail_obs::counter(&format!("serve.status.{status}")).inc();
-    hpcfail_obs::counter(&format!("serve.kind.{kind}.requests")).inc();
-    hpcfail_obs::histogram(&format!("serve.latency_ns.{kind}")).record(latency_ns);
-    hpcfail_obs::window(&format!("serve.window.latency_ns.{kind}")).record(latency_ns);
-    shared.slo.record(kind, latency_ns, status >= 500);
-}
-
-/// Dispatches one resolved route to its endpoint handler.
-fn route(request: &Request, routed: &Routed, shared: &Shared, stamps: &mut Stamps) -> Reply {
+/// Dispatches one resolved route to its endpoint handler;
+/// `trace_resolved` is set once a query or batch resolves its trace.
+fn route(
+    request: &Request,
+    routed: &Routed,
+    shared: &Shared,
+    stamps: &mut Stamps,
+    trace_resolved: &mut bool,
+) -> Reply {
     let matched = match routed {
         Routed::Matched(matched) => matched,
         Routed::MethodNotAllowed(allowed) => {
@@ -636,7 +652,8 @@ fn route(request: &Request, routed: &Routed, shared: &Shared, stamps: &mut Stamp
         Endpoint::Metrics => {
             let body = metrics::render(
                 &hpcfail_obs::snapshot(),
-                &shared.slo.report(),
+                &shared.slo.snapshot(),
+                &shared.phase_windows.snapshot(),
                 shared.inflight.load(Ordering::SeqCst),
             );
             let mut reply = Reply::ok(body, "metrics");
@@ -659,8 +676,8 @@ fn route(request: &Request, routed: &Routed, shared: &Shared, stamps: &mut Stamp
             reply.force_close = true;
             reply
         }
-        Endpoint::Query => handle_query(request, trace_name, shared, stamps),
-        Endpoint::Batch => handle_batch(request, trace_name, shared, stamps),
+        Endpoint::Query => handle_query(request, trace_name, shared, stamps, trace_resolved),
+        Endpoint::Batch => handle_batch(request, trace_name, shared, stamps, trace_resolved),
         Endpoint::TraceList => {
             let rows = shared
                 .registry
@@ -843,6 +860,7 @@ fn handle_query(
     trace_name: &str,
     shared: &Shared,
     stamps: &mut Stamps,
+    trace_resolved: &mut bool,
 ) -> Reply {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
@@ -872,7 +890,7 @@ fn handle_query(
     let Some(resolved) = shared.registry.resolve(trace_name) else {
         return Reply::no_trace(trace_name, kind);
     };
-    hpcfail_obs::counter(&format!("serve.trace.{trace_name}.requests")).inc();
+    *trace_resolved = true;
     let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
 
     // A warm cache entry makes the request cheap: admission peeks at
@@ -898,7 +916,7 @@ fn handle_query(
     }
     let answer = shared.service.answer(key, &parsed, &resolved, deadline);
     stamps.mark_answered(answer.compute());
-    match settle(answer, kind) {
+    match settle(shared, answer, kind) {
         Ok((body, cache)) => {
             let mut reply = Reply::ok((*body).clone(), kind);
             reply.cache = Some(cache);
@@ -913,6 +931,7 @@ fn handle_batch(
     trace_name: &str,
     shared: &Shared,
     stamps: &mut Stamps,
+    trace_resolved: &mut bool,
 ) -> Reply {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
@@ -968,7 +987,7 @@ fn handle_batch(
     let Some(resolved) = shared.registry.resolve(trace_name) else {
         return Reply::no_trace(trace_name, "batch");
     };
-    hpcfail_obs::counter(&format!("serve.trace.{trace_name}.requests")).inc();
+    *trace_resolved = true;
     let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
     stamps.mark(Phase::Route);
     if let Some(reply) = chaos_admission(shared, CostClass::Batch, "batch") {
@@ -994,7 +1013,7 @@ fn handle_batch(
         let answer = shared.service.answer(key, item, &resolved, deadline);
         compute += answer.compute();
         stamps.mark_answered(compute);
-        match settle(answer, "batch") {
+        match settle(shared, answer, "batch") {
             Ok((body, _)) => bodies.push(body),
             Err(reply) => return *reply,
         }
@@ -1004,12 +1023,18 @@ fn handle_batch(
 
 /// Counts one answer and labels it for `x-cache`; an answer without a
 /// body becomes its typed error reply (504 degraded or 500).
-fn settle(answer: Answer, kind: &str) -> Result<(Arc<String>, &'static str), Box<Reply>> {
+fn settle(
+    shared: &Shared,
+    answer: Answer,
+    kind: &str,
+) -> Result<(Arc<String>, &'static str), Box<Reply>> {
     let (body, counter, label) = match answer {
-        Answer::Fresh(body, _) => (body, "serve.cache.miss", "miss"),
-        Answer::Cached(body) => (body, "serve.cache.hit", "hit"),
-        Answer::Coalesced(body) => (body, "serve.coalesced", "coalesced"),
+        Answer::Fresh(body, _) => (body, &shared.cache_misses, "miss"),
+        Answer::Cached(body) => (body, &shared.cache_hits, "hit"),
+        Answer::Coalesced(body) => (body, &shared.coalesced, "coalesced"),
         Answer::Degraded => {
+            // Looked up on this rare path only, so that the counter
+            // exists only once something degraded.
             hpcfail_obs::counter("serve.degraded").inc();
             let mut reply = Reply::error(
                 504,
@@ -1031,7 +1056,7 @@ fn settle(answer: Answer, kind: &str) -> Result<(Arc<String>, &'static str), Box
             )))
         }
     };
-    hpcfail_obs::counter(counter).inc();
+    counter.inc();
     Ok((body, label))
 }
 

@@ -1,18 +1,25 @@
-//! Per-kind SLO tracking over a sliding window.
+//! The server's request table: one record of every answered request,
+//! and the SLO standings evaluated from it.
 //!
-//! Every served request lands here with its kind label, latency and
-//! error flag. The tracker keeps, per kind, a sliding-window latency
-//! histogram and windowed request/error counters (the window machinery
-//! comes from `hpcfail_obs::window`, which is always compiled — SLO
-//! evaluation works even under `no-obs`). Evaluating the tracker
-//! against an [`SloPolicy`] yields an [`SloReport`]: per-kind p99
-//! versus the latency budget (the *burn* ratio) and windowed error
-//! rate versus the error budget. The report feeds the enriched
-//! `/healthz` body, the `serve_slo_*` series on `/metrics`, and the
-//! `top` dashboard.
+//! Every answered request lands here once, under one lock, with its
+//! kind label, status, latency and, for analysis requests that
+//! resolved a trace, the trace's name. Per kind the [`SloTracker`]
+//! keeps a lifetime latency histogram, a sliding-window latency
+//! histogram and a windowed 5xx counter; beside them it counts
+//! responses per status and requests per trace. The windows come from
+//! `hpcfail_obs::window`, which is always compiled, so SLO evaluation
+//! works even under `no-obs`.
+//!
+//! Evaluating the table against an [`SloPolicy`] yields an
+//! [`SloReport`]: per-kind windowed p99 versus the latency budget (the
+//! *burn* ratio) and windowed error rate versus the error budget. The
+//! report feeds the `/healthz` body and the `top` dashboard; a
+//! [`RequestSnapshot`] of the whole table feeds the per-kind,
+//! per-status, per-trace and `serve_slo_*` families on `/metrics`.
 
 use hpcfail_obs::json::Json;
-use hpcfail_obs::window::{WindowCounter, WindowHistogram};
+use hpcfail_obs::registry::{Histogram, HistogramSnapshot};
+use hpcfail_obs::window::{WindowCounter, WindowHistogram, WindowedSnapshot};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -23,9 +30,10 @@ pub struct SloPolicy {
     pub latency_budget_ms: u64,
     /// Highest acceptable windowed error rate (5xx / requests).
     pub max_error_rate: f64,
-    /// Evaluation window length, milliseconds. A shorter window lets
-    /// `/healthz` recover faster after a storm (the chaos suite uses
-    /// this); 30 s is the production default.
+    /// Evaluation window length, milliseconds, which is also the
+    /// window of the per-kind latency summaries on `/metrics`. A
+    /// shorter window lets `/healthz` recover faster after a storm
+    /// (the chaos suite uses this); 30 s is the production default.
     pub window_ms: u64,
 }
 
@@ -40,101 +48,105 @@ impl Default for SloPolicy {
 }
 
 struct KindTrack {
-    latency: WindowHistogram,
-    requests: WindowCounter,
+    lifetime: Histogram,
+    window: WindowHistogram,
     errors: WindowCounter,
 }
 
-/// Exponential nanosecond bounds (1 µs to ~64 s), matching
-/// `WindowHistogram::exponential_ns`.
-fn latency_bounds() -> Vec<u64> {
-    (10..37).map(|p| 1u64 << p).collect()
+#[derive(Default)]
+struct Table {
+    kinds: BTreeMap<String, KindTrack>,
+    statuses: BTreeMap<u16, u64>,
+    traces: BTreeMap<String, u64>,
 }
 
-impl KindTrack {
-    fn new(window_ms: u64) -> KindTrack {
-        // 30 slots over the window, whatever its length.
-        let slot_ms = (window_ms / 30).max(1);
-        KindTrack {
-            latency: WindowHistogram::with_bounds(&latency_bounds(), slot_ms, 30),
-            requests: WindowCounter::new(slot_ms, 30),
-            errors: WindowCounter::new(slot_ms, 30),
-        }
+/// The entry for `key` in `map`, made by `make` on first use; only that
+/// first use allocates the key.
+fn entry<'a, V>(
+    map: &'a mut BTreeMap<String, V>,
+    key: &str,
+    make: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), make());
     }
-
-    fn record(&mut self, latency_ns: u64, error: bool) {
-        self.latency.record(latency_ns);
-        self.requests.add(1);
-        if error {
-            self.errors.add(1);
-        }
-    }
+    map.get_mut(key).expect("present")
 }
 
-/// The live tracker: one window set per request kind.
+/// The live request table: per kind, per status and per trace.
 pub struct SloTracker {
     policy: SloPolicy,
-    kinds: Mutex<BTreeMap<String, KindTrack>>,
+    table: Mutex<Table>,
 }
 
 impl SloTracker {
-    /// An empty tracker evaluating against `policy`.
+    /// An empty table evaluating against `policy`.
     pub fn new(policy: SloPolicy) -> SloTracker {
         SloTracker {
             policy,
-            kinds: Mutex::new(BTreeMap::new()),
+            table: Mutex::new(Table::default()),
         }
     }
 
-    /// Records one served request.
-    pub fn record(&self, kind: &str, latency_ns: u64, error: bool) {
-        let mut kinds = match self.kinds.lock() {
-            Ok(kinds) => kinds,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // Only a kind's first request allocates its key.
-        match kinds.get_mut(kind) {
-            Some(track) => track.record(latency_ns, error),
-            None => {
-                let mut track = KindTrack::new(self.policy.window_ms);
-                track.record(latency_ns, error);
-                kinds.insert(kind.to_owned(), track);
+    /// Records one answered request: its kind, its status, the trace it
+    /// resolved (if any) and its latency. A 5xx counts as an error.
+    pub fn record(&self, kind: &str, status: u16, trace: Option<&str>, latency_ns: u64) {
+        let mut table = self.table.lock().unwrap_or_else(|e| e.into_inner());
+        *table.statuses.entry(status).or_default() += 1;
+        if let Some(trace) = trace {
+            *entry(&mut table.traces, trace, || 0) += 1;
+        }
+        let track = entry(&mut table.kinds, kind, || {
+            // 30 slots over the window, whatever its length, with the
+            // lifetime histogram's exponential nanosecond bounds.
+            let slot_ms = (self.policy.window_ms / 30).max(1);
+            let bounds: Vec<u64> = (10..37).map(|p| 1u64 << p).collect();
+            KindTrack {
+                lifetime: Histogram::exponential_ns(),
+                window: WindowHistogram::with_bounds(&bounds, slot_ms, 30),
+                errors: WindowCounter::new(slot_ms, 30),
             }
+        });
+        track.lifetime.record(latency_ns);
+        track.window.record(latency_ns);
+        if status >= 500 {
+            track.errors.add(1);
         }
     }
 
     /// Evaluates every kind against the policy, right now.
     pub fn report(&self) -> SloReport {
-        let kinds = match self.kinds.lock() {
-            Ok(kinds) => kinds,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        self.snapshot().slo
+    }
+
+    /// A point-in-time copy of the whole table, with the SLO standings
+    /// its windows give.
+    pub fn snapshot(&self) -> RequestSnapshot {
+        let table = self.table.lock().unwrap_or_else(|e| e.into_inner());
         let budget_ns = self.policy.latency_budget_ms as f64 * 1e6;
-        let mut out = BTreeMap::new();
-        for (kind, track) in kinds.iter() {
-            let latency = track.latency.snapshot();
-            let requests = track.requests.total();
-            let errors = track.errors.total();
-            if requests == 0 && latency.count == 0 {
+        let mut kinds = Vec::new();
+        let mut standings = BTreeMap::new();
+        for (kind, track) in &table.kinds {
+            let window = track.window.snapshot();
+            kinds.push((kind.clone(), track.lifetime.snapshot(), window));
+            let requests = window.count;
+            if requests == 0 {
                 continue; // nothing in the window any more
             }
-            let error_rate = if requests == 0 {
-                0.0
-            } else {
-                errors as f64 / requests as f64
-            };
+            let errors = track.errors.total();
+            let error_rate = errors as f64 / requests as f64;
             let burn = if budget_ns > 0.0 {
-                latency.p99 / budget_ns
+                window.p99 / budget_ns
             } else {
                 0.0
             };
-            out.insert(
+            standings.insert(
                 kind.clone(),
                 KindSlo {
                     requests,
                     errors,
                     error_rate,
-                    p99_ms: latency.p99 / 1e6,
+                    p99_ms: window.p99 / 1e6,
                     budget_ms: self.policy.latency_budget_ms,
                     burn,
                     latency_ok: burn <= 1.0,
@@ -142,12 +154,32 @@ impl SloTracker {
                 },
             );
         }
-        SloReport {
-            healthy: out.values().all(|k| k.latency_ok && k.errors_ok),
-            max_error_rate: self.policy.max_error_rate,
-            kinds: out,
+        RequestSnapshot {
+            kinds,
+            statuses: table.statuses.iter().map(|(&s, &n)| (s, n)).collect(),
+            traces: table.traces.iter().map(|(t, &n)| (t.clone(), n)).collect(),
+            slo: SloReport {
+                healthy: standings.values().all(|k| k.latency_ok && k.errors_ok),
+                max_error_rate: self.policy.max_error_rate,
+                kinds: standings,
+            },
         }
     }
+}
+
+/// A point-in-time copy of the request table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RequestSnapshot {
+    /// Per kind label, in order: latency over the process lifetime
+    /// (its count is the kind's request total) and over the SLO window
+    /// (its count is the windowed request count), nanoseconds.
+    pub kinds: Vec<(String, HistogramSnapshot, WindowedSnapshot)>,
+    /// Responses per status code, ascending.
+    pub statuses: Vec<(u16, u64)>,
+    /// Analysis requests per resolved trace name, by name.
+    pub traces: Vec<(String, u64)>,
+    /// The SLO standings the windows give.
+    pub slo: SloReport,
 }
 
 /// One kind's standing against the policy.
@@ -236,7 +268,7 @@ mod tests {
             ..SloPolicy::default()
         });
         for _ in 0..100 {
-            tracker.record("trace-summary", 2_000_000, false); // 2 ms
+            tracker.record("trace-summary", 200, None, 2_000_000); // 2 ms
         }
         let report = tracker.report();
         assert!(report.healthy);
@@ -256,7 +288,8 @@ mod tests {
         });
         for i in 0..50 {
             // 10 ms latency blows the 1 ms budget; every 5th is a 5xx.
-            tracker.record("batch", 10_000_000, i % 5 == 0);
+            let status = if i % 5 == 0 { 500 } else { 200 };
+            tracker.record("batch", status, None, 10_000_000);
         }
         let report = tracker.report();
         assert!(!report.healthy);
@@ -267,9 +300,26 @@ mod tests {
     }
 
     #[test]
+    fn one_record_feeds_every_column_of_the_table() {
+        let tracker = SloTracker::new(SloPolicy::default());
+        tracker.record("trace-summary", 200, Some("default"), 2_000);
+        tracker.record("trace-summary", 503, Some("default"), 4_000);
+        tracker.record("other", 404, None, 1_000);
+        let table = tracker.snapshot();
+        assert_eq!(table.statuses, [(200, 1), (404, 1), (503, 1)]);
+        assert_eq!(table.traces, [("default".to_owned(), 2)]);
+        let (kind, lifetime, window) = &table.kinds[1];
+        assert_eq!(kind, "trace-summary");
+        assert_eq!(lifetime.count, 2);
+        assert_eq!(window.count, 2);
+        let slo = table.slo.kinds["trace-summary"];
+        assert_eq!((slo.requests, slo.errors, slo.error_rate), (2, 1, 0.5));
+    }
+
+    #[test]
     fn report_serializes_with_status() {
         let tracker = SloTracker::new(SloPolicy::default());
-        tracker.record("healthz", 1_000, false);
+        tracker.record("healthz", 200, None, 1_000);
         let json = tracker.report().to_json();
         assert_eq!(
             json.get("status").and_then(Json::as_str),

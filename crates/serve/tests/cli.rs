@@ -1,11 +1,15 @@
 //! The `hpcfail-serve` binary's argument checks and boot-time audit
 //! lines, run through the real executable.
 
+use hpcfail_obs::json::Json;
 use hpcfail_obs::manifest::RunManifest;
 use hpcfail_serve::client::Client;
+use hpcfail_serve::promtext::{Sample, Scrape};
+use hpcfail_serve::retry::{RetryPolicy, RetryingClient};
 use hpcfail_store::csv::save_trace;
 use hpcfail_store::snapshot::write_snapshot;
 use hpcfail_synth::FleetSpec;
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -559,5 +563,325 @@ fn sixty_four_concurrent_cli_clients_get_byte_identical_answers() {
             "{counters:?}"
         );
         assert!(counters.contains_key("serve.requests"), "{counters:?}");
+    }
+}
+
+/// Every `(series, label names)` pair of the server's own `serve_*`
+/// families in one scrape. The engine's and the store's families are
+/// left out: which of them appear depends on the host's parallelism.
+fn serve_surface(scrape: &Scrape) -> BTreeSet<(String, Vec<String>)> {
+    scrape
+        .samples
+        .iter()
+        .filter(|sample| sample.name.starts_with("serve_"))
+        .map(|sample| {
+            let mut labels: Vec<String> = sample.labels.iter().map(|(n, _)| n.clone()).collect();
+            labels.sort();
+            (sample.name.clone(), labels)
+        })
+        .collect()
+}
+
+/// The `serve_*` surface of [`metrics_surface_and_its_identities_hold_for_fixed_traffic`]'s
+/// scrape with instrumentation compiled in: series name, then label names.
+const SERVE_SURFACE: &[(&str, &[&str])] = &[
+    ("serve_admission_inflight", &[]),
+    ("serve_admission_queued", &[]),
+    ("serve_cache_requests_total", &["result"]),
+    ("serve_inflight", &[]),
+    ("serve_phase_us", &["phase", "quantile"]),
+    ("serve_phase_us_count", &["phase"]),
+    ("serve_phase_us_sum", &["phase"]),
+    ("serve_registry_cold_traces", &[]),
+    ("serve_registry_resident_bytes", &[]),
+    ("serve_registry_traces", &[]),
+    ("serve_registry_uploads_total", &[]),
+    ("serve_request_latency_ns", &["kind", "quantile"]),
+    ("serve_request_latency_ns_count", &["kind"]),
+    ("serve_request_latency_ns_sum", &["kind"]),
+    ("serve_requests_by_kind_total", &["kind"]),
+    ("serve_requests_total", &[]),
+    ("serve_responses_total", &["code"]),
+    ("serve_slo_error_rate", &["kind"]),
+    ("serve_slo_healthy", &[]),
+    ("serve_slo_latency_burn", &["kind"]),
+    ("serve_slo_ok", &["kind"]),
+    ("serve_trace_requests_total", &["trace"]),
+    ("serve_window_latency_ns", &["kind", "quantile"]),
+    ("serve_window_latency_ns_count", &["kind"]),
+    ("serve_window_latency_ns_sum", &["kind"]),
+    ("serve_window_seconds", &[]),
+];
+
+/// The counter families whose every series the same scrape pins.
+const COUNTED: [&str; 5] = [
+    "serve_requests_total",
+    "serve_cache_requests_total",
+    "serve_responses_total",
+    "serve_requests_by_kind_total",
+    "serve_trace_requests_total",
+];
+
+/// Every series of the [`COUNTED`] families in that scrape, in
+/// exposition order, as `name label=value,... count`.
+const COUNTS: &[&str] = &[
+    "serve_requests_total  9",
+    "serve_cache_requests_total result=hit 2",
+    "serve_cache_requests_total result=miss 4",
+    "serve_cache_requests_total result=coalesced 0",
+    "serve_responses_total code=200 7",
+    "serve_responses_total code=404 1",
+    "serve_requests_by_kind_total kind=batch 1",
+    "serve_requests_by_kind_total kind=env-breakdown 1",
+    "serve_requests_by_kind_total kind=healthz 1",
+    "serve_requests_by_kind_total kind=other 1",
+    "serve_requests_by_kind_total kind=trace-summary 3",
+    "serve_requests_by_kind_total kind=upload 1",
+    "serve_trace_requests_total trace=default 4",
+    "serve_trace_requests_total trace=lanl 1",
+];
+
+/// The same scrape's `serve_*` surface under `no-obs`.
+const SERVE_SURFACE_NO_OBS: &[(&str, &[&str])] = &[
+    ("serve_cache_requests_total", &["result"]),
+    ("serve_inflight", &[]),
+    ("serve_requests_total", &[]),
+    ("serve_slo_error_rate", &["kind"]),
+    ("serve_slo_healthy", &[]),
+    ("serve_slo_latency_burn", &["kind"]),
+    ("serve_slo_ok", &["kind"]),
+];
+
+/// Fixed traffic against the real binary pins the `serve_*` surface of
+/// `/v1/metrics` and the identities between its per-kind families: the
+/// lifetime count, the windowed count and `/v1/healthz`'s SLO
+/// `requests` agree for every kind, and every request but the scrape
+/// in progress has its response counted.
+#[test]
+fn metrics_surface_and_its_identities_hold_for_fixed_traffic() {
+    let (server, addr) = boot(&["--scale", "0.05", "--seed", "42"]);
+    let client = Client::new(addr.clone());
+    let sample = "System,NodeNum,Prob Started,Prob Fixed,Cause,SubCause\n\
+                  20,0,10/23/2003 14:55,10/23/2003 18:20,Hardware,Memory Dimm\n";
+    let upload = client.post("/v1/traces/lanl", sample, &[]).expect("upload");
+    assert_eq!(upload.status, 200, "{}", upload.body);
+    let summary = r#"{"analysis": "trace-summary"}"#;
+    for (path, body) in [
+        ("/v1/traces/default/query", summary),
+        ("/v1/traces/default/query", summary),
+        (
+            "/v1/traces/default/query",
+            r#"{"analysis": "env-breakdown"}"#,
+        ),
+        ("/v1/traces/lanl/query", summary),
+        (
+            "/v1/traces/default/batch",
+            r#"[{"analysis": "trace-summary"}, {"analysis": "availability"}]"#,
+        ),
+    ] {
+        let answer = client.post(path, body, &[]).expect(path);
+        assert_eq!(answer.status, 200, "{path}: {}", answer.body);
+    }
+    assert_eq!(client.get("/v1/nope").expect("404").status, 404);
+    assert_eq!(client.get("/v1/healthz").expect("healthz").status, 200);
+
+    let text = client.get("/v1/metrics").expect("scrape").body;
+    let health = client.get("/v1/healthz").expect("healthz").body;
+    assert_eq!(shut_down(server, &addr), Some(0));
+    let scrape = hpcfail_serve::promtext::parse(&text).expect("valid exposition");
+
+    let want = if hpcfail_obs::ENABLED {
+        SERVE_SURFACE
+    } else {
+        SERVE_SURFACE_NO_OBS
+    };
+    let want: BTreeSet<(String, Vec<String>)> = want
+        .iter()
+        .map(|(name, labels)| {
+            let labels = labels.iter().map(|l| (*l).to_owned()).collect();
+            ((*name).to_owned(), labels)
+        })
+        .collect();
+    let got = serve_surface(&scrape);
+    assert_eq!(got, want, "scraped surface:\n{got:#?}\n{text}");
+    if !hpcfail_obs::ENABLED {
+        return;
+    }
+
+    let health = hpcfail_obs::json::parse(&health).expect("healthz is JSON");
+    let slo_kinds = health
+        .get("slo")
+        .and_then(|slo| slo.get("kinds"))
+        .expect("healthz carries SLO kinds");
+    let kinds: Vec<&Sample> = scrape.series("serve_requests_by_kind_total").collect();
+    assert!(kinds.len() >= 6, "{text}");
+    for sample in kinds {
+        let kind = sample.label("kind").expect("kind label");
+        let by_kind = sample.value;
+        let lifetime = scrape.value("serve_request_latency_ns_count", &[("kind", kind)]);
+        let window = scrape.value("serve_window_latency_ns_count", &[("kind", kind)]);
+        let slo = slo_kinds
+            .get(kind)
+            .and_then(|k| k.get("requests"))
+            .and_then(Json::as_u64);
+        assert_eq!(lifetime, Some(by_kind), "{kind}: {text}");
+        assert_eq!(window, Some(by_kind), "{kind}: {text}");
+        assert_eq!(slo.map(|n| n as f64), Some(by_kind), "{kind}: {health:?}");
+    }
+    let counts: Vec<String> = scrape
+        .samples
+        .iter()
+        .filter(|sample| COUNTED.contains(&sample.name.as_str()))
+        .map(|sample| {
+            let labels: Vec<String> = sample
+                .labels
+                .iter()
+                .map(|(n, v)| format!("{n}={v}"))
+                .collect();
+            format!("{} {} {}", sample.name, labels.join(","), sample.value)
+        })
+        .collect();
+    assert_eq!(counts, COUNTS, "{text}");
+    let requests = scrape.value("serve_requests_total", &[]).expect("total");
+    assert_eq!(
+        scrape.sum("serve_responses_total"),
+        requests - 1.0,
+        "{text}"
+    );
+}
+
+/// The pinned chaos storm: `tests/chaos/ci-storm.json` sheds some of a
+/// retrying client's traffic and times none of it out, `/v1/healthz` is
+/// healthy again once the storm has left the SLO window, and the shed
+/// counters land in the run manifest on shutdown.
+#[test]
+fn a_seeded_chaos_storm_sheds_recovers_and_reaches_the_manifest() {
+    let storm = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/chaos/ci-storm.json");
+    let manifest = std::env::temp_dir().join(format!(
+        "hpcfail-serve-chaos-manifest-{}.json",
+        std::process::id()
+    ));
+    let (mut server, addr) = boot(&[
+        "--scale",
+        "0.05",
+        "--seed",
+        "42",
+        "--workers",
+        "8",
+        "--chaos",
+        storm.to_str().expect("UTF-8 path"),
+        "--max-inflight",
+        "16",
+        "--max-queued",
+        "64",
+        "--shed-policy",
+        "brownout",
+        "--slo-window-ms",
+        "2000",
+        "--manifest",
+        manifest.to_str().expect("UTF-8 path"),
+    ]);
+    // Nine attempts a request, as `hpcfail-load run --retries 8`.
+    let client = RetryingClient::new(
+        Client::new(addr.clone()),
+        RetryPolicy {
+            max_attempts: 9,
+            base_delay_ms: 1,
+            seed: 7,
+            ..RetryPolicy::default()
+        },
+    );
+    let queries = [
+        ("query", r#"{"analysis": "trace-summary"}"#),
+        ("query", r#"{"analysis": "env-breakdown"}"#),
+        ("query", r#"{"analysis": "availability"}"#),
+        (
+            "batch",
+            r#"[{"analysis": "trace-summary"}, {"analysis": "availability"}]"#,
+        ),
+    ];
+    // Four clients, 600 requests: at the storm's 20% shed rate that is
+    // about twice its 60-shed cap, so the cap is spent before the SLO
+    // window is read.
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..4)
+            .map(|worker| {
+                let client = &client;
+                scope.spawn(move || {
+                    let mut failures = Vec::new();
+                    for i in 0..150 {
+                        let (endpoint, body) = queries[(worker + i) % queries.len()];
+                        let path = format!("/v1/traces/default/{endpoint}");
+                        let outcome = client.post_detailed(&path, body, &[]);
+                        match &outcome.result {
+                            Ok(answer) if answer.status == 200 && !outcome.gave_up => {}
+                            Ok(answer) => failures.push(format!(
+                                "{path} {body}: {} after {} attempts",
+                                answer.status, outcome.attempts
+                            )),
+                            Err(err) => failures.push(format!("{path} {body}: {err}")),
+                        }
+                    }
+                    failures
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("client thread"))
+            .collect()
+    });
+    // No give-up, no error and no 504 timeout, yet the storm shed.
+    assert!(
+        failures.is_empty(),
+        "{} failed, first: {:?}",
+        failures.len(),
+        failures.first()
+    );
+    let stats = client.stats();
+    assert!(stats.sheds >= 1, "{stats:?}");
+
+    // One SLO window later the storm's errors have left it.
+    std::thread::sleep(Duration::from_millis(3_000));
+    for _ in 0..10 {
+        let outcome = client.post_detailed(
+            "/v1/traces/default/query",
+            r#"{"analysis": "trace-summary"}"#,
+            &[],
+        );
+        assert_eq!(outcome.result.expect("query").status, 200);
+    }
+    let health = client.get("/v1/healthz").expect("healthz");
+    let health = hpcfail_obs::json::parse(&health.body).expect("healthz is JSON");
+    assert_eq!(
+        health.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{health:?}"
+    );
+    let shed_total = health
+        .get("admission")
+        .and_then(|gate| gate.get("shed_total"))
+        .and_then(Json::as_u64);
+    assert!(shed_total.is_some_and(|n| n >= 1), "{health:?}");
+
+    let shutdown = Client::new(addr).post("/v1/shutdown", "", &[]);
+    assert_eq!(shutdown.expect("shutdown answered").status, 200);
+    let (code, stderr) = server.exit_code_and_stderr("after /v1/shutdown");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stderr.contains("chaos: 3 rules under seed 2026"),
+        "{stderr}"
+    );
+    let written = read_manifest(&manifest);
+    std::fs::remove_file(&manifest).ok();
+    // Under no-obs the counters are compiled out.
+    if hpcfail_obs::ENABLED {
+        let counters = &written.snapshot.counters;
+        for name in ["serve.shed.chaos", "serve.shed.total"] {
+            assert!(
+                counters.get(name).is_some_and(|&n| n >= 1),
+                "{name}: {counters:?}"
+            );
+        }
     }
 }

@@ -205,45 +205,74 @@ pub struct TemperatureAggregate {
     pub num_hightemp: u64,
 }
 
-/// Computes [`TemperatureAggregate`] per node; nodes without samples
-/// yield `None`.
-pub fn compute_temperature(system: &SystemTrace) -> Vec<Option<TemperatureAggregate>> {
+/// Computes [`TemperatureAggregate`] for every node with samples, in
+/// node order; a system without samples yields an empty table.
+///
+/// The running sums take one slot per node when the system declares no
+/// more nodes than it has samples, and one per sampled node otherwise,
+/// so the work space is bounded by the samples, not by the declared
+/// node count.
+pub fn compute_temperature(system: &SystemTrace) -> Vec<TemperatureAggregate> {
     let n = system.config().nodes as usize;
-    let mut count = vec![0u64; n];
-    let mut sum = vec![0.0f64; n];
-    let mut sum_sq = vec![0.0f64; n];
-    let mut max = vec![f64::NEG_INFINITY; n];
-    let mut high = vec![0u64; n];
-    for s in system.temperatures() {
-        let i = s.node.index();
-        if i >= n {
-            continue;
-        }
-        count[i] += 1;
-        sum[i] += s.celsius;
-        sum_sq[i] += s.celsius * s.celsius;
-        if s.celsius > max[i] {
-            max[i] = s.celsius;
+    let samples = system.temperatures();
+    let sampled: Option<Vec<NodeId>> = (n > samples.len()).then(|| {
+        let mut ids: Vec<NodeId> = samples
+            .iter()
+            .map(|s| s.node)
+            .filter(|node| node.index() < n)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    });
+    let slot = |node: NodeId| match &sampled {
+        None => Some(node.index()).filter(|&i| i < n),
+        Some(ids) => ids.binary_search(&node).ok(),
+    };
+    #[derive(Clone, Copy)]
+    struct Sums {
+        count: u64,
+        sum: f64,
+        sum_sq: f64,
+        max: f64,
+        high: u64,
+    }
+    let empty = Sums {
+        count: 0,
+        sum: 0.0,
+        sum_sq: 0.0,
+        max: f64::NEG_INFINITY,
+        high: 0,
+    };
+    let mut sums = vec![empty; sampled.as_ref().map_or(n, Vec::len)];
+    for s in samples {
+        let Some(i) = slot(s.node) else { continue };
+        let node = &mut sums[i];
+        node.count += 1;
+        node.sum += s.celsius;
+        node.sum_sq += s.celsius * s.celsius;
+        if s.celsius > node.max {
+            node.max = s.celsius;
         }
         if s.is_high() {
-            high[i] += 1;
+            node.high += 1;
         }
     }
-    (0..n)
-        .map(|i| {
-            if count[i] == 0 {
-                return None;
-            }
-            let c = count[i] as f64;
-            let avg = sum[i] / c;
-            Some(TemperatureAggregate {
-                node: NodeId::new(i as u32),
-                samples: count[i],
+    sums.iter()
+        .enumerate()
+        .filter(|(_, sums)| sums.count > 0)
+        .map(|(i, sums)| {
+            let node = sampled.as_ref().map_or(NodeId::new(i as u32), |ids| ids[i]);
+            let c = sums.count as f64;
+            let avg = sums.sum / c;
+            TemperatureAggregate {
+                node,
+                samples: sums.count,
                 avg,
-                max: max[i],
-                variance: (sum_sq[i] / c - avg * avg).max(0.0),
-                num_hightemp: high[i],
-            })
+                max: sums.max,
+                variance: (sums.sum_sq / c - avg * avg).max(0.0),
+                num_hightemp: sums.high,
+            }
         })
         .collect()
 }
@@ -280,11 +309,11 @@ pub fn node_features(system: &SystemTrace) -> Vec<NodeFeatures> {
     let usage = system.indexed_usage();
     let temps = system.indexed_temperature();
     let layout = system.layout();
-    system
-        .nodes()
-        .filter_map(|node| {
+    temps
+        .iter()
+        .filter_map(|temp| {
+            let node = temp.node;
             let i = node.index();
-            let temp = temps.get(i).copied().flatten()?;
             let pir = layout?.location(node)?.position_in_rack;
             let u = usage[i];
             Some(NodeFeatures {
@@ -398,7 +427,9 @@ mod tests {
         b.push_temperature(temp(0, 3.0, 44.0));
         let t = b.build();
         let aggs = t.indexed_temperature();
-        let a = aggs[0].unwrap();
+        assert_eq!(aggs.len(), 1, "node 1 has no samples");
+        let a = aggs[0];
+        assert_eq!(a.node, NodeId::new(0));
         assert_eq!(a.samples, 3);
         assert!((a.avg - 36.0).abs() < 1e-9);
         assert_eq!(a.max, 44.0);
@@ -406,7 +437,6 @@ mod tests {
         let expected_var =
             ((30.0f64 - 36.0).powi(2) + (34.0f64 - 36.0).powi(2) + (44.0f64 - 36.0).powi(2)) / 3.0;
         assert!((a.variance - expected_var).abs() < 1e-9);
-        assert_eq!(aggs[1], None);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub(crate) struct TimelineIndex {
     failure_hits: [[u64; 3]; CLASS_SLOTS],
     /// Covered window starts of unscheduled hardware maintenance.
     maintenance_hits: [u64; 3],
-    temperature: Vec<Option<TemperatureAggregate>>,
+    temperature: Vec<TemperatureAggregate>,
     job_log: JobLogSlots,
 }
 
@@ -225,9 +225,9 @@ impl SystemTrace {
         }
     }
 
-    /// Per-node temperature aggregates ([`compute_temperature`]), built
-    /// with the trace.
-    pub fn indexed_temperature(&self) -> &[Option<TemperatureAggregate>] {
+    /// The temperature aggregates of the nodes with samples, in node
+    /// order ([`compute_temperature`]), built with the trace.
+    pub fn indexed_temperature(&self) -> &[TemperatureAggregate] {
         &self.index.temperature
     }
 

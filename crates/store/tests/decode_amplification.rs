@@ -2,12 +2,15 @@
 //! the integer column codec stores no value in less than one byte and
 //! none decodes to more than eight, and every row count is checked
 //! against the section's remaining bytes before anything is allocated.
+//! The indexes built with a decoded trace add at most one 8-byte slot
+//! per declared node, plus one.
 //!
 //! This binary installs an allocator that keeps the largest single
 //! allocation each thread asked for.
 
 use hpcfail_store::snapshot::{decode_snapshot, snapshot_bytes};
 use hpcfail_store::trace::{SystemTraceBuilder, Trace};
+use hpcfail_store::MAX_NODES;
 use hpcfail_types::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -123,4 +126,43 @@ fn decode_allocates_at_most_eight_bytes_per_snapshot_byte() {
     // The largest is an eight-byte column (the job ids or a time
     // column), which takes one snapshot byte a job.
     assert!(largest >= 8 * jobs as usize, "{largest} B");
+}
+
+#[test]
+fn a_system_declaring_the_node_limit_allocates_one_slot_a_node_at_most() {
+    let sys = SystemId::new(1);
+    let config = SystemConfig {
+        id: sys,
+        name: "wide".into(),
+        nodes: MAX_NODES,
+        procs_per_node: 4,
+        hardware: HardwareClass::Smp4Way,
+        start: Timestamp::EPOCH,
+        end: Timestamp::from_days(1.0),
+        has_layout: false,
+        has_job_log: false,
+        has_temperature: false,
+    };
+    let mut b = SystemTraceBuilder::new(config);
+    b.push_failure(FailureRecord::new(
+        sys,
+        NodeId::new(7),
+        Timestamp::from_seconds(60),
+        RootCause::Hardware,
+        SubCause::None,
+    ));
+    let mut trace = Trace::new();
+    trace.insert_system(b.build());
+    let bytes = snapshot_bytes(&trace);
+
+    LARGEST.with(|largest| largest.set(0));
+    let decoded = decode_snapshot(&bytes).expect("decodes");
+    let largest = LARGEST.with(Cell::get);
+    assert_eq!(decoded.fingerprint(), trace.fingerprint());
+    let bound = 8 * bytes.len() + 8 * (MAX_NODES as usize + 1);
+    assert!(
+        largest <= bound,
+        "largest allocation {largest} B for a {} B snapshot declaring {MAX_NODES} nodes (bound {bound} B)",
+        bytes.len()
+    );
 }
