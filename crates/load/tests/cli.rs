@@ -103,6 +103,30 @@ fn in_process_run_prints_one_summary_line_and_exits_0() {
 }
 
 #[test]
+fn in_process_smoke_over_a_builtin_pack_answers_every_item() {
+    let output = hpcfail_load(&[
+        "run",
+        "--profile",
+        "smoke",
+        "--in-process",
+        "--scenario",
+        "firmware-wave",
+    ]);
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let summary = summary(&output);
+    assert_eq!(
+        summary.get("corpus").and_then(Json::as_str),
+        Some("scenario=firmware-wave")
+    );
+    assert_eq!(count(&summary, "errors"), 0);
+}
+
+#[test]
 fn run_against_a_dead_address_reports_errors_and_exits_1() {
     // Bind then drop a listener: nothing answers on that port.
     let addr = TcpListener::bind("127.0.0.1:0")

@@ -140,13 +140,11 @@ pub const SHED_REASONS: [ShedReason; 5] = [
 ];
 
 impl ShedReason {
-    /// The HTTP status and reason phrase this shed answers with.
-    pub fn status(self) -> (u16, &'static str) {
+    /// The HTTP status this shed answers with.
+    pub fn status(self) -> u16 {
         match self {
-            ShedReason::QueueFull | ShedReason::QueueTimeout => (429, "Too Many Requests"),
-            ShedReason::Brownout | ShedReason::Draining | ShedReason::Chaos => {
-                (503, "Service Unavailable")
-            }
+            ShedReason::QueueFull | ShedReason::QueueTimeout => 429,
+            ShedReason::Brownout | ShedReason::Draining | ShedReason::Chaos => 503,
         }
     }
 
@@ -420,7 +418,7 @@ mod tests {
         let _b = gate.admit(CostClass::Cheap, soon()).expect("slot 2");
         let shed = gate.admit(CostClass::Cheap, soon()).expect_err("full");
         assert_eq!(shed, ShedReason::QueueFull);
-        assert_eq!(shed.status().0, 429);
+        assert_eq!(shed.status(), 429);
         assert_eq!(gate.queued(), 0, "reject never queues");
         drop(a);
         gate.admit(CostClass::Cheap, soon())
@@ -439,7 +437,7 @@ mod tests {
             .admit(CostClass::Expensive, soon())
             .expect_err("browned out");
         assert_eq!(shed, ShedReason::Brownout);
-        assert_eq!(shed.status().0, 503);
+        assert_eq!(shed.status(), 503);
         assert_eq!(
             gate.admit(CostClass::Batch, soon()).expect_err("batch too"),
             ShedReason::Brownout
@@ -457,7 +455,7 @@ mod tests {
             .admit(CostClass::Cheap, deadline)
             .expect_err("deadline passes in queue");
         assert_eq!(shed, ShedReason::QueueTimeout);
-        assert_eq!(shed.status().0, 429);
+        assert_eq!(shed.status(), 429);
         assert_eq!(gate.queued(), 0, "waiter left the queue");
     }
 

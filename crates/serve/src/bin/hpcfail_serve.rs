@@ -11,8 +11,7 @@
 //!                     [--manifest PATH] [--access-log PATH]
 //!                     [--slo-latency-ms N] [--slo-error-rate F] [--slo-window-ms N]
 //!                     [--max-inflight N] [--max-queued N] [--shed-policy reject|brownout]
-//!                     [--read-timeout-ms N] [--chaos PATH]
-//!                     [--inject-panic KIND] [--quiet]
+//!                     [--read-timeout-ms N] [--chaos PATH] [--quiet]
 //! hpcfail-serve query --addr HOST:PORT [--trace-name NAME] [--deadline-ms N]
 //!                     [--batch] [--trace]
 //!                     [--retries N] [--retry-base-ms N] [--retry-seed N] JSON|-
@@ -64,8 +63,7 @@ const USAGE: &str = "usage:
                       [--manifest PATH] [--access-log PATH]
                       [--slo-latency-ms N] [--slo-error-rate F] [--slo-window-ms N]
                       [--max-inflight N] [--max-queued N] [--shed-policy reject|brownout]
-                      [--read-timeout-ms N] [--chaos PATH]
-                      [--inject-panic KIND] [--quiet]
+                      [--read-timeout-ms N] [--chaos PATH] [--quiet]
   hpcfail-serve query --addr HOST:PORT [--trace-name NAME] [--deadline-ms N]
                       [--batch] [--trace]
                       [--retries N] [--retry-base-ms N] [--retry-seed N] JSON|-
@@ -189,8 +187,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "--read-timeout-ms" => parse_value("--read-timeout-ms", &mut iter)
                 .map(|n: u64| config.read_timeout = Duration::from_millis(n.max(1))),
             "--chaos" => take_value("--chaos", &mut iter).map(|v| chaos = Some(v.to_owned())),
-            "--inject-panic" => take_value("--inject-panic", &mut iter)
-                .map(|v| config.inject_panic_kind = Some(v.to_owned())),
             "--quiet" => {
                 quiet = true;
                 Ok(())

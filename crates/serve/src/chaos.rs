@@ -2,10 +2,10 @@
 //!
 //! The serving-side dual of `hpcfail-synth`'s CSV corruptor: a seeded
 //! [`ChaosConfig`] (`hpcfail-serve serve --chaos spec.json`) injects
-//! latency, worker stalls, typed errors, connection drops and forced
-//! sheds at four named points in the request path, so overload and
-//! fault-storm recovery are provable in tests rather than asserted in
-//! prose.
+//! latency, worker stalls, typed errors, handler panics, connection
+//! drops and forced sheds at four named points in the request path, so
+//! overload and fault-storm recovery are provable in tests rather than
+//! asserted in prose.
 //!
 //! # Injection points and the faults each accepts
 //!
@@ -13,12 +13,15 @@
 //! |---|---|---|
 //! | `accept` | right after `accept()`, before the request is read | `latency`, `stall`, `drop` |
 //! | `admission` | before the admission gate classifies the request | `latency`, `error`, `shed` |
-//! | `engine` | between admission and the analysis run | `latency`, `stall`, `error` |
+//! | `engine` | between admission and the analysis run | `latency`, `stall`, `error`, `panic` |
 //! | `respond` | before the response bytes are written | `latency`, `drop` |
 //!
 //! The parser rejects any other point/fault pairing (a `drop` inside
 //! the engine would be indistinguishable from a crash; an `error`
-//! before the request is read has no one to answer).
+//! before the request is read has no one to answer). A `panic` unwinds
+//! the handler as a bug in an analysis would: the server's
+//! `catch_unwind` answers it with a typed 500 of kind `panic`, and the
+//! admission permit it held is released on the unwind.
 //!
 //! # Determinism
 //!
@@ -155,10 +158,13 @@ pub enum ChaosFault {
     Drop,
     /// Force the admission gate to shed (typed 503, chaos reason).
     Shed,
+    /// Panic inside the handler (typed 500, kind `panic`).
+    Panic,
 }
 
 impl ChaosFault {
-    /// The wire label (`latency` / `stall` / `error` / `drop` / `shed`).
+    /// The wire label (`latency` / `stall` / `error` / `drop` / `shed` /
+    /// `panic`).
     pub fn label(self) -> &'static str {
         match self {
             ChaosFault::Latency { .. } => "latency",
@@ -166,6 +172,7 @@ impl ChaosFault {
             ChaosFault::Error { .. } => "error",
             ChaosFault::Drop => "drop",
             ChaosFault::Shed => "shed",
+            ChaosFault::Panic => "panic",
         }
     }
 
@@ -181,7 +188,10 @@ impl ChaosFault {
                 ChaosFault::Latency { .. } | ChaosFault::Error { .. } | ChaosFault::Shed
             ) | (
                 ChaosPoint::Engine,
-                ChaosFault::Latency { .. } | ChaosFault::Stall { .. } | ChaosFault::Error { .. }
+                ChaosFault::Latency { .. }
+                    | ChaosFault::Stall { .. }
+                    | ChaosFault::Error { .. }
+                    | ChaosFault::Panic
             ) | (
                 ChaosPoint::Respond,
                 ChaosFault::Latency { .. } | ChaosFault::Drop
@@ -347,10 +357,12 @@ fn parse_rule(item: &Json, path: &str) -> Result<ChaosRule, ChaosError> {
         }
         "drop" => ChaosFault::Drop,
         "shed" => ChaosFault::Shed,
+        "panic" => ChaosFault::Panic,
         _ => {
             return Err(schema(
                 &format!("{path}.fault"),
-                "must be one of \"latency\", \"stall\", \"error\", \"drop\", \"shed\"",
+                "must be one of \"latency\", \"stall\", \"error\", \"drop\", \"shed\", \
+                 \"panic\"",
             ))
         }
     };
@@ -405,6 +417,8 @@ pub enum ChaosAction {
     Drop,
     /// Shed through the admission gate (typed 503, chaos reason).
     Shed,
+    /// Panic, unwinding the handler.
+    Panic,
 }
 
 /// The runtime side of a chaos spec: per-point arrival counters plus
@@ -471,6 +485,7 @@ impl ChaosEngine {
                 ChaosFault::Error { status } => ChaosAction::Fail { status },
                 ChaosFault::Drop => ChaosAction::Drop,
                 ChaosFault::Shed => ChaosAction::Shed,
+                ChaosFault::Panic => ChaosAction::Panic,
             });
         }
         None
@@ -565,13 +580,16 @@ mod tests {
         for (point, fault, extra) in [
             ("accept", "error", r#", "status": 500"#),
             ("accept", "shed", ""),
+            ("accept", "panic", ""),
             ("admission", "stall", r#", "ms": 5"#),
             ("admission", "drop", ""),
+            ("admission", "panic", ""),
             ("engine", "drop", ""),
             ("engine", "shed", ""),
             ("respond", "error", r#", "status": 500"#),
             ("respond", "stall", r#", "ms": 5"#),
             ("respond", "shed", ""),
+            ("respond", "panic", ""),
         ] {
             let text = format!(
                 r#"{{"seed": 1, "rules": [{{"point": "{point}", "fault": "{fault}", "probability": 0.5{extra}}}]}}"#

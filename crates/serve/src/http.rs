@@ -66,11 +66,11 @@ pub enum HttpError {
 
 impl HttpError {
     /// The status code this error maps to (I/O has none).
-    pub fn status(&self) -> Option<(u16, &'static str)> {
+    pub fn status(&self) -> Option<u16> {
         match self {
-            HttpError::Malformed(_) => Some((400, "Bad Request")),
-            HttpError::TooLarge(_) => Some((413, "Content Too Large")),
-            HttpError::Timeout(_) => Some((408, "Request Timeout")),
+            HttpError::Malformed(_) => Some(400),
+            HttpError::TooLarge(_) => Some(413),
+            HttpError::Timeout(_) => Some(408),
             HttpError::Io(_) => None,
         }
     }
@@ -285,6 +285,26 @@ pub(crate) fn body_length(headers: &[(String, String)]) -> Result<usize, HttpErr
         .ok_or_else(|| HttpError::Malformed(format!("invalid content-length {v:?}")))
 }
 
+/// The reason phrase the server sends with `status`: the phrase of
+/// every status it answers with itself, and `"Error"` for any other
+/// status a chaos rule injects.
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        408 => "Request Timeout",
+        413 => "Content Too Large",
+        429 => "Too Many Requests",
+        500 => "Internal Server Error",
+        502 => "Bad Gateway",
+        503 => "Service Unavailable",
+        504 => "Gateway Timeout",
+        _ => "Error",
+    }
+}
+
 /// Writes one sized response. `extra_headers` are emitted verbatim
 /// after the standard ones; supplying a `content-type` there replaces
 /// the default `application/json` (the `/metrics` endpoint answers in
@@ -364,13 +384,13 @@ mod tests {
             b"\xff\xfe /x HTTP/1.1\r\n\r\n".as_slice(),
         ] {
             let err = parse(bytes).expect_err("must be rejected");
-            assert_eq!(err.status().map(|(s, _)| s), Some(400), "{}", err.message());
+            assert_eq!(err.status(), Some(400), "{}", err.message());
         }
     }
 
     fn assert_malformed(bytes: &[u8]) {
         let err = parse(bytes).expect_err("ambiguous framing must be rejected");
-        assert_eq!(err.status().map(|(s, _)| s), Some(400), "{}", err.message());
+        assert_eq!(err.status(), Some(400), "{}", err.message());
     }
 
     #[test]
@@ -448,13 +468,7 @@ mod tests {
             b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort".as_slice(),
         ] {
             let err = parse_stalling(data).expect_err("stalled request");
-            assert_eq!(
-                err.status().map(|(s, _)| s),
-                Some(408),
-                "{:?}: {}",
-                data,
-                err.message()
-            );
+            assert_eq!(err.status(), Some(408), "{:?}: {}", data, err.message());
         }
     }
 
@@ -462,14 +476,14 @@ mod tests {
     fn rejects_oversized_inputs() {
         let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE + 1));
         let err = parse(long_line.as_bytes()).expect_err("too long");
-        assert_eq!(err.status().map(|(s, _)| s), Some(413));
+        assert_eq!(err.status(), Some(413));
 
         let huge_body = format!(
             "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
         let err = parse(huge_body.as_bytes()).expect_err("too big");
-        assert_eq!(err.status().map(|(s, _)| s), Some(413));
+        assert_eq!(err.status(), Some(413));
 
         let mut many_headers = String::from("GET /x HTTP/1.1\r\n");
         for i in 0..=MAX_HEADERS {
@@ -477,7 +491,27 @@ mod tests {
         }
         many_headers.push_str("\r\n");
         let err = parse(many_headers.as_bytes()).expect_err("too many");
-        assert_eq!(err.status().map(|(s, _)| s), Some(413));
+        assert_eq!(err.status(), Some(413));
+    }
+
+    #[test]
+    fn every_status_the_server_sends_keeps_its_phrase() {
+        for (status, phrase) in [
+            (200, "OK"),
+            (400, "Bad Request"),
+            (404, "Not Found"),
+            (405, "Method Not Allowed"),
+            (408, "Request Timeout"),
+            (413, "Content Too Large"),
+            (429, "Too Many Requests"),
+            (500, "Internal Server Error"),
+            (503, "Service Unavailable"),
+            (504, "Gateway Timeout"),
+        ] {
+            assert_eq!(reason_phrase(status), phrase, "{status}");
+        }
+        assert_eq!(reason_phrase(502), "Bad Gateway");
+        assert_eq!(reason_phrase(418), "Error");
     }
 
     #[test]

@@ -48,9 +48,29 @@
 //! (default [`ServerConfig::default_deadline_ms`]) before answering
 //! `504` with a typed, `degraded: true` error body instead of holding
 //! a worker hostage.
+//!
+//! ## One request lifecycle
+//!
+//! Every request takes one path: read, route, its handler (inside
+//! `catch_unwind`), then one response tail that writes the reply,
+//! stamps the `write` phase, records the phase windows and writes the
+//! request's one access-log line. Traffic that never parses skips the
+//! handler and the request table but shares that tail. Every upload,
+//! query and batch passes one admission step: its deadline, then the
+//! `admission` chaos point, the gate and the `engine` chaos point. The
+//! [`crate::chaos`] points sit here:
+//!
+//! | point | where | faults |
+//! |---|---|---|
+//! | `accept` | after `accept()`, before any byte is read | `latency`, `stall`, `drop` |
+//! | `admission` | in the admission step, before the gate | `latency`, `error`, `shed` |
+//! | `engine` | in the admission step, holding the permit | `latency`, `stall`, `error`, `panic` |
+//! | `respond` | in the tail, analysis traffic only, before the write | `latency`, `drop` |
+//!
+//! Every status goes out with `http::reason_phrase`'s phrase.
 
 use crate::accesslog::{AccessEntry, AccessLog, DEFAULT_MAX_BYTES};
-use crate::admission::{AdmissionConfig, AdmissionGate, CostClass, ShedReason};
+use crate::admission::{AdmissionConfig, AdmissionGate, CostClass, Permit, ShedReason};
 use crate::chaos::{ChaosAction, ChaosConfig, ChaosEngine, ChaosPoint};
 use crate::http::{self, Request};
 use crate::metrics;
@@ -93,10 +113,9 @@ pub struct ServerConfig {
     /// Registry warm-residency budget in bytes; 0 = unlimited. Over
     /// budget, least-recently-queried traces demote to cold snapshots.
     pub max_resident_bytes: u64,
-    /// Write a JSONL access log here (size-capped, one `.1` rotation).
+    /// Write a JSONL access log here (size-capped at
+    /// [`DEFAULT_MAX_BYTES`], one `.1` rotation).
     pub access_log: Option<PathBuf>,
-    /// Rotation threshold for the access log, bytes.
-    pub access_log_max_bytes: u64,
     /// The SLO budgets `/healthz` and `/metrics` evaluate against.
     pub slo: SloPolicy,
     /// The admission gate in front of analysis and upload endpoints
@@ -106,10 +125,6 @@ pub struct ServerConfig {
     /// Fault injection: a seeded chaos spec (`--chaos spec.json`)
     /// deciding which arrivals fault at which points.
     pub chaos: Option<ChaosConfig>,
-    /// Fault injection: panic inside the handler for this analysis
-    /// kind, to exercise the catch-unwind → 500 path (the engine
-    /// itself never panics on well-formed requests).
-    pub inject_panic_kind: Option<String>,
 }
 
 impl Default for ServerConfig {
@@ -122,11 +137,9 @@ impl Default for ServerConfig {
             default_deadline_ms: 10_000,
             max_resident_bytes: 0,
             access_log: None,
-            access_log_max_bytes: DEFAULT_MAX_BYTES,
             slo: SloPolicy::default(),
             admission: AdmissionConfig::default(),
             chaos: None,
-            inject_panic_kind: None,
         }
     }
 }
@@ -143,7 +156,6 @@ struct Shared {
     chaos: Option<ChaosEngine>,
     access_log: Option<AccessLog>,
     phase_windows: PhaseWindows,
-    inject_panic_kind: Option<String>,
     /// The registry counters the run manifest reads, resolved once.
     requests: CounterHandle,
     cache_hits: CounterHandle,
@@ -229,7 +241,7 @@ pub fn spawn_with_registry(
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let access_log = match &config.access_log {
-        Some(path) => Some(AccessLog::open(path, config.access_log_max_bytes)?),
+        Some(path) => Some(AccessLog::open(path, DEFAULT_MAX_BYTES)?),
         None => None,
     };
     let shared = Arc::new(Shared {
@@ -243,7 +255,6 @@ pub fn spawn_with_registry(
         chaos: config.chaos.clone().map(ChaosEngine::new),
         access_log,
         phase_windows: PhaseWindows::default(),
-        inject_panic_kind: config.inject_panic_kind.clone(),
         requests: hpcfail_obs::counter("serve.requests"),
         cache_hits: hpcfail_obs::counter("serve.cache.hit"),
         cache_misses: hpcfail_obs::counter("serve.cache.miss"),
@@ -319,37 +330,21 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             Ok(Some(request)) => request,
             Ok(None) => return,
             Err(err) => {
-                if let Some((status, reason)) = err.status() {
-                    // Even unparseable traffic gets a trace id and
-                    // exactly one access-log line.
+                // Even unparseable traffic gets a trace id and exactly
+                // one access-log line, but no row in the request table.
+                if let Some(status) = err.status() {
                     let trace_hex = format!("{:016x}", hpcfail_obs::trace::next_trace_id());
-                    let body = error_body(status, &err.message(), false);
-                    stamps.mark(Phase::Render);
-                    let _ = http::write_response(
+                    let mut reply = Reply::error(status, &err.message(), false, "http-error");
+                    reply.close = true;
+                    let _ = send(
+                        shared,
                         &mut writer,
-                        status,
-                        reason,
-                        &[("x-trace-id", &trace_hex)],
-                        &body,
-                        true,
+                        &mut stamps,
+                        None,
+                        trace_hex,
+                        reply,
+                        false,
                     );
-                    stamps.mark(Phase::Write);
-                    shared.phase_windows.record(&stamps);
-                    if let Some(log) = &shared.access_log {
-                        log.log(&AccessEntry {
-                            trace_id: trace_hex,
-                            method: "-".to_owned(),
-                            path: "-".to_owned(),
-                            kind: "http-error".to_owned(),
-                            status,
-                            latency_us: stamps.total_us(),
-                            phases_us: stamps.phase_us(),
-                            cache: "-".to_owned(),
-                            deadline_ms: shared.default_deadline_ms,
-                            bytes_out: body.len() as u64,
-                            shed: "-".to_owned(),
-                        });
-                    }
                 }
                 return;
             }
@@ -381,68 +376,55 @@ impl Drop for InflightGuard<'_> {
 }
 
 /// One routed answer, before the central writer adds tracing headers,
-/// telemetry and the optional `x-trace` body wrap.
+/// telemetry and the optional `x-trace` body wrap. Its reason phrase is
+/// `http::reason_phrase` of its status.
 struct Reply {
     status: u16,
-    reason: &'static str,
     /// Endpoint-specific headers (e.g. `x-degraded`, `content-type`).
     headers: Vec<(&'static str, String)>,
     body: String,
     /// The kind label for metrics, SLO windows and the access log.
-    kind: String,
+    kind: &'static str,
     /// Cache outcome, when caching applied.
     cache: Option<&'static str>,
     /// The shed reason label, when admission rejected the request.
     shed: Option<&'static str>,
-    /// Close the connection after this reply (shutdown).
-    force_close: bool,
+    /// Close the connection after this reply.
+    close: bool,
 }
 
 impl Reply {
-    fn ok(body: String, kind: &str) -> Reply {
+    fn ok(body: String, kind: &'static str) -> Reply {
         Reply {
             status: 200,
-            reason: "OK",
             headers: Vec::new(),
             body,
-            kind: kind.to_owned(),
+            kind,
             cache: None,
             shed: None,
-            force_close: false,
+            close: false,
         }
     }
 
-    fn error(
-        status: u16,
-        reason: &'static str,
-        message: &str,
-        degraded: bool,
-        kind: &str,
-    ) -> Reply {
+    fn error(status: u16, message: &str, degraded: bool, kind: &'static str) -> Reply {
         Reply {
             status,
-            reason,
-            headers: Vec::new(),
             body: error_body(status, message, degraded),
-            kind: kind.to_owned(),
-            cache: None,
-            shed: None,
-            force_close: false,
+            ..Reply::ok(String::new(), kind)
         }
     }
 
     /// The typed 404 for a trace name nothing is registered under.
-    fn no_trace(name: &str, kind: &str) -> Reply {
+    fn no_trace(name: &str, kind: &'static str) -> Reply {
         let message = format!("no trace named {name:?} is registered");
-        Reply::error(404, "Not Found", &message, false, kind)
+        Reply::error(404, &message, false, kind)
     }
 
     /// The typed shed answer: status from the reason, `retry-after`
     /// (whole seconds, at least 1) + `x-retry-after-ms` (exact) +
     /// `x-shed` headers, and the shed label in the access log.
-    fn shed(reason: ShedReason, retry_after_ms: u64, kind: &str) -> Reply {
-        let (status, phrase) = reason.status();
-        let mut reply = Reply::error(status, phrase, reason.message(), false, kind);
+    fn shed(reason: ShedReason, retry_after_ms: u64, kind: &'static str) -> Reply {
+        let mut reply = Reply::error(reason.status(), reason.message(), false, kind);
         reply.headers.push((
             "retry-after",
             retry_after_ms.div_ceil(1_000).max(1).to_string(),
@@ -457,9 +439,9 @@ impl Reply {
 }
 
 /// Handles one parsed request end to end: trace, route (panic-safe),
-/// telemetry, response write, access log. `stamps` already holds the
-/// first byte and the read; the rest are stamped here and by the
-/// handlers. Returns `Ok(keep_alive)`.
+/// telemetry, then [`send`]. `stamps` already holds the first byte and
+/// the read; the rest are stamped here, by the handlers and by `send`.
+/// Returns `Ok(keep_alive)`.
 fn respond(
     request: &Request,
     shared: &Shared,
@@ -493,23 +475,15 @@ fn respond(
     // Set once an analysis request resolves its trace: it then counts
     // toward that trace's requests, whatever its answer.
     let mut trace_resolved = false;
-    let reply = catch_unwind(AssertUnwindSafe(|| {
+    let mut reply = catch_unwind(AssertUnwindSafe(|| {
         route(request, &routed, shared, stamps, &mut trace_resolved)
     }))
-    .unwrap_or_else(|_| {
-        Reply::error(
-            500,
-            "Internal Server Error",
-            "handler panicked; see server logs",
-            false,
-            "panic",
-        )
-    });
+    .unwrap_or_else(|_| Reply::error(500, "handler panicked; see server logs", false, "panic"));
     drop(inflight);
 
     let wants_trace = capture.is_some();
     let mut recording = capture.and_then(|trace| {
-        trace.attr("kind", &reply.kind);
+        trace.attr("kind", reply.kind);
         trace.attr("status", &reply.status.to_string());
         if let Some(cache) = reply.cache {
             trace.attr("cache", cache);
@@ -524,65 +498,78 @@ fn respond(
     };
     shared
         .slo
-        .record(&reply.kind, reply.status, trace, stamps.elapsed_ns());
-
-    let Reply {
-        status,
-        reason,
-        headers: reply_headers,
-        body: raw_body,
-        kind,
-        cache,
-        shed,
-        force_close,
-    } = reply;
+        .record(reply.kind, reply.status, trace, stamps.elapsed_ns());
 
     // `x-trace: 1` wraps the body with the span tree; the exact
     // original bytes survive as the `result` string. Endpoints that
     // answer non-JSON (only /metrics) are never wrapped.
-    let custom_content_type = reply_headers
+    let custom_content_type = reply
+        .headers
         .iter()
         .any(|(n, _)| n.eq_ignore_ascii_case("content-type"));
-    let body = if wants_trace && !custom_content_type {
+    if wants_trace && !custom_content_type {
         if let Some(recording) = &mut recording {
             stamps.graft(&mut recording.root);
         }
-        wrap_traced(raw_body, &trace_hex, recording.as_ref())
-    } else {
-        raw_body
-    };
-
-    let mut headers: Vec<(&str, &str)> = vec![("x-trace-id", &trace_hex)];
-    if let Some(cache) = cache {
-        headers.push(("x-cache", cache));
+        let body = std::mem::take(&mut reply.body);
+        reply.body = wrap_traced(body, &trace_hex, recording.as_ref());
     }
-    for (name, value) in &reply_headers {
-        headers.push((name, value));
-    }
-    let mut close = close || force_close;
-    stamps.mark(Phase::Render);
-
+    reply.close |= close;
     // The respond chaos point applies only to analysis traffic —
     // injecting into /healthz or /metrics would blind the observer.
+    send(
+        shared,
+        writer,
+        stamps,
+        Some(request),
+        trace_hex,
+        reply,
+        analysis,
+    )
+}
+
+/// The tail every response shares, parsed or not: the `x-trace-id` and
+/// `x-cache` headers, the `render` stamp, the `respond` chaos point
+/// when `chaos_respond`, the write, the `write` stamp, the phase
+/// windows and the request's one access-log line. `request` is `None`
+/// for traffic that never parsed. Returns `Ok(keep_alive)`.
+fn send(
+    shared: &Shared,
+    writer: &mut impl Write,
+    stamps: &mut Stamps,
+    request: Option<&Request>,
+    trace_hex: String,
+    reply: Reply,
+    chaos_respond: bool,
+) -> io::Result<bool> {
+    let mut headers: Vec<(&str, &str)> = vec![("x-trace-id", &trace_hex)];
+    if let Some(cache) = reply.cache {
+        headers.push(("x-cache", cache));
+    }
+    for (name, value) in &reply.headers {
+        headers.push((name, value));
+    }
+    stamps.mark(Phase::Render);
+
+    let mut close = reply.close;
     let mut dropped = false;
-    if analysis {
-        if let Some(chaos) = &shared.chaos {
-            match chaos.decide(ChaosPoint::Respond) {
-                Some(ChaosAction::Delay(delay)) => std::thread::sleep(delay),
-                Some(ChaosAction::Drop) => {
-                    // Deliberately untyped: the bytes never go out, but
-                    // the request still gets its one access-log line.
-                    dropped = true;
-                    close = true;
-                }
-                _ => {}
+    if let Some(chaos) = shared.chaos.as_ref().filter(|_| chaos_respond) {
+        match chaos.decide(ChaosPoint::Respond) {
+            Some(ChaosAction::Delay(delay)) => std::thread::sleep(delay),
+            Some(ChaosAction::Drop) => {
+                // Deliberately untyped: the bytes never go out, but
+                // the request still gets its one access-log line.
+                dropped = true;
+                close = true;
             }
+            _ => {}
         }
     }
     let result = if dropped {
         Ok(())
     } else {
-        http::write_response(writer, status, reason, &headers, &body, close)
+        let reason = http::reason_phrase(reply.status);
+        http::write_response(writer, reply.status, reason, &headers, &reply.body, close)
     };
     stamps.mark(Phase::Write);
     shared.phase_windows.record(stamps);
@@ -590,16 +577,16 @@ fn respond(
     if let Some(log) = &shared.access_log {
         log.log(&AccessEntry {
             trace_id: trace_hex,
-            method: request.method.clone(),
-            path: request.path.clone(),
-            kind,
-            status,
+            method: request.map_or("-", |r| &r.method).to_owned(),
+            path: request.map_or("-", |r| &r.path).to_owned(),
+            kind: reply.kind.to_owned(),
+            status: reply.status,
             latency_us: stamps.total_us(),
             phases_us: stamps.phase_us(),
-            cache: cache.unwrap_or("-").to_owned(),
-            deadline_ms: deadline_ms(request, shared),
-            bytes_out: if dropped { 0 } else { body.len() as u64 },
-            shed: shed.unwrap_or("-").to_owned(),
+            cache: reply.cache.unwrap_or("-").to_owned(),
+            deadline_ms: request.map_or(shared.default_deadline_ms, |r| deadline_ms(r, shared)),
+            bytes_out: if dropped { 0 } else { reply.body.len() as u64 },
+            shed: reply.shed.unwrap_or("-").to_owned(),
         });
     }
     result.map(|()| !close)
@@ -630,7 +617,6 @@ fn route(
         Routed::MethodNotAllowed(allowed) => {
             let mut reply = Reply::error(
                 405,
-                "Method Not Allowed",
                 &format!(
                     "method not allowed for this path (allow: {})",
                     allowed.join(", ")
@@ -641,9 +627,7 @@ fn route(
             reply.headers.push(("allow", allowed.join(", ")));
             return reply;
         }
-        Routed::NotFound => {
-            return Reply::error(404, "Not Found", routes::KNOWN_PATHS_HINT, false, "other")
-        }
+        Routed::NotFound => return Reply::error(404, routes::KNOWN_PATHS_HINT, false, "other"),
     };
     // Registry-wide endpoints bind no name and never read it.
     let trace_name = matched.trace.as_deref().unwrap_or_default();
@@ -673,7 +657,7 @@ fn route(
             shared.shutdown.store(true, Ordering::SeqCst);
             let body = Json::obj([("status", Json::Str("shutting down".to_owned()))]).pretty();
             let mut reply = Reply::ok(body, "shutdown");
-            reply.force_close = true;
+            reply.close = true;
             reply
         }
         Endpoint::Query => handle_query(request, trace_name, shared, stamps, trace_resolved),
@@ -750,30 +734,19 @@ fn handle_upload(request: &Request, name: &str, shared: &Shared, stamps: &mut St
     if !registry::valid_name(name) {
         return Reply::error(
             400,
-            "Bad Request",
             "invalid trace name: want 1-64 ASCII alphanumeric, '_', '-' or '.' characters, \
              not starting with a dot",
             false,
             "upload",
         );
     }
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
-    if let Some(reply) = chaos_admission(shared, CostClass::Expensive, "upload") {
-        return reply;
-    }
-    let admitted = shared.gate.admit(CostClass::Expensive, deadline);
-    stamps.mark(Phase::Admit);
-    let _permit = match admitted {
-        Ok(permit) => permit,
-        Err(reason) => return Reply::shed(reason, shared.gate.config().retry_after_ms, "upload"),
+    let _admitted = match admit(request, shared, CostClass::Expensive, "upload", stamps) {
+        Ok(admitted) => admitted,
+        Err(reply) => return reply,
     };
-    if let Some(reply) = chaos_engine_point(shared, "upload") {
-        return reply;
-    }
     if request.body.is_empty() {
         return Reply::error(
             400,
-            "Bad Request",
             "empty upload body (expected LANL-style CSV or a .hpcsnap snapshot)",
             false,
             "upload",
@@ -783,19 +756,13 @@ fn handle_upload(request: &Request, name: &str, shared: &Shared, stamps: &mut St
         match decode_snapshot(&request.body) {
             Ok(trace) => (trace, TraceSource::Snapshot, None),
             Err(err) => {
-                return Reply::error(
-                    400,
-                    "Bad Request",
-                    &format!("malformed snapshot: {err}"),
-                    false,
-                    "upload",
-                )
+                return Reply::error(400, &format!("malformed snapshot: {err}"), false, "upload")
             }
         }
     } else {
         match parse_csv_upload(request, name) {
             Ok((trace, ingest)) => (trace, TraceSource::Csv, Some(ingest)),
-            Err(reply) => return *reply,
+            Err(reply) => return reply,
         }
     };
     let summary = shared.registry.insert(name, trace, source);
@@ -809,22 +776,15 @@ fn handle_upload(request: &Request, name: &str, shared: &Shared, stamps: &mut St
 
 /// Runs a CSV upload body through the quarantine/audit ingest
 /// machinery under the client's `x-ingest-policy` (default `lenient`).
-fn parse_csv_upload(request: &Request, name: &str) -> Result<(Trace, Json), Box<Reply>> {
+fn parse_csv_upload(request: &Request, name: &str) -> Result<(Trace, Json), Reply> {
     let policy = match request.header("x-ingest-policy") {
-        Some(raw) => raw.parse::<IngestPolicy>().map_err(|message| {
-            Box::new(Reply::error(400, "Bad Request", &message, false, "upload"))
-        })?,
+        Some(raw) => raw
+            .parse::<IngestPolicy>()
+            .map_err(|message| Reply::error(400, &message, false, "upload"))?,
         None => IngestPolicy::Lenient,
     };
-    let rejected = |err: CsvError| {
-        Box::new(Reply::error(
-            400,
-            "Bad Request",
-            &format!("CSV rejected: {err}"),
-            false,
-            "upload",
-        ))
-    };
+    let rejected =
+        |err: CsvError| Reply::error(400, &format!("CSV rejected: {err}"), false, "upload");
     let file = format!("upload:{name}");
     let read = read_lanl_failures_with(
         request.body.as_slice(),
@@ -834,16 +794,15 @@ fn parse_csv_upload(request: &Request, name: &str) -> Result<(Trace, Json), Box<
     )
     .map_err(rejected)?;
     if read.records.is_empty() {
-        return Err(Box::new(Reply::error(
+        return Err(Reply::error(
             400,
-            "Bad Request",
             &format!(
                 "no usable rows ({} quarantined); nothing to register",
                 read.quarantined.len()
             ),
             false,
             "upload",
-        )));
+        ));
     }
     let ingest = Json::obj([
         ("rows_ok", Json::Num(read.records.len() as f64)),
@@ -864,26 +823,15 @@ fn handle_query(
 ) -> Reply {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
-        Err(_) => {
-            return Reply::error(
-                400,
-                "Bad Request",
-                "request body is not UTF-8",
-                false,
-                "query",
-            )
-        }
+        Err(_) => return Reply::error(400, "request body is not UTF-8", false, "query"),
     };
     let parsed = match AnalysisRequest::parse(text) {
         Ok(parsed) => parsed,
         Err(err) => {
-            return Reply::error(400, "Bad Request", &err.to_string(), false, "query");
+            return Reply::error(400, &err.to_string(), false, "query");
         }
     };
     let kind = parsed.kind();
-    if shared.inject_panic_kind.as_deref() == Some(kind) {
-        panic!("injected panic for analysis kind {kind}");
-    }
     // Resolving pins this request to the name's current epoch: the
     // engine Arc stays alive through the whole answer even if an
     // upload swaps or an eviction demotes the slot mid-flight.
@@ -891,7 +839,6 @@ fn handle_query(
         return Reply::no_trace(trace_name, kind);
     };
     *trace_resolved = true;
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
 
     // A warm cache entry makes the request cheap: admission peeks at
     // the cache under the same key the answer uses.
@@ -902,18 +849,10 @@ fn handle_query(
     } else {
         CostClass::Expensive
     };
-    if let Some(reply) = chaos_admission(shared, class, kind) {
-        return reply;
-    }
-    let admitted = shared.gate.admit(class, deadline);
-    stamps.mark(Phase::Admit);
-    let _permit = match admitted {
-        Ok(permit) => permit,
-        Err(reason) => return Reply::shed(reason, shared.gate.config().retry_after_ms, kind),
+    let (_permit, deadline) = match admit(request, shared, class, kind, stamps) {
+        Ok(admitted) => admitted,
+        Err(reply) => return reply,
     };
-    if let Some(reply) = chaos_engine_point(shared, kind) {
-        return reply;
-    }
     let answer = shared.service.answer(key, &parsed, &resolved, deadline);
     stamps.mark_answered(answer.compute());
     match settle(shared, answer, kind) {
@@ -922,7 +861,7 @@ fn handle_query(
             reply.cache = Some(cache);
             reply
         }
-        Err(reply) => *reply,
+        Err(reply) => reply,
     }
 }
 
@@ -935,32 +874,17 @@ fn handle_batch(
 ) -> Reply {
     let text = match std::str::from_utf8(&request.body) {
         Ok(text) => text,
-        Err(_) => {
-            return Reply::error(
-                400,
-                "Bad Request",
-                "request body is not UTF-8",
-                false,
-                "batch",
-            )
-        }
+        Err(_) => return Reply::error(400, "request body is not UTF-8", false, "batch"),
     };
     let json = match hpcfail_obs::json::parse(text) {
         Ok(json) => json,
         Err(err) => {
-            return Reply::error(
-                400,
-                "Bad Request",
-                &format!("malformed JSON: {err}"),
-                false,
-                "batch",
-            );
+            return Reply::error(400, &format!("malformed JSON: {err}"), false, "batch");
         }
     };
     let Some(items) = json.as_arr() else {
         return Reply::error(
             400,
-            "Bad Request",
             "batch body must be a JSON array of requests",
             false,
             "batch",
@@ -971,13 +895,7 @@ fn handle_batch(
         match AnalysisRequest::from_json(item) {
             Ok(request) => parsed.push(request),
             Err(err) => {
-                return Reply::error(
-                    400,
-                    "Bad Request",
-                    &format!("batch item {i}: {err}"),
-                    false,
-                    "batch",
-                );
+                return Reply::error(400, &format!("batch item {i}: {err}"), false, "batch");
             }
         }
     }
@@ -988,22 +906,13 @@ fn handle_batch(
         return Reply::no_trace(trace_name, "batch");
     };
     *trace_resolved = true;
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
     stamps.mark(Phase::Route);
-    if let Some(reply) = chaos_admission(shared, CostClass::Batch, "batch") {
-        return reply;
-    }
     // One admission covers the whole batch: it is one unit of work for
     // brownout purposes, whatever its length.
-    let admitted = shared.gate.admit(CostClass::Batch, deadline);
-    stamps.mark(Phase::Admit);
-    let _permit = match admitted {
-        Ok(permit) => permit,
-        Err(reason) => return Reply::shed(reason, shared.gate.config().retry_after_ms, "batch"),
+    let (_permit, deadline) = match admit(request, shared, CostClass::Batch, "batch", stamps) {
+        Ok(admitted) => admitted,
+        Err(reply) => return reply,
     };
-    if let Some(reply) = chaos_engine_point(shared, "batch") {
-        return reply;
-    }
     let mut bodies = Vec::with_capacity(parsed.len());
     // The items' engine runs and renders add up into one engine and
     // one render phase; the rest of the loop counts as cache.
@@ -1015,7 +924,7 @@ fn handle_batch(
         stamps.mark_answered(compute);
         match settle(shared, answer, "batch") {
             Ok((body, _)) => bodies.push(body),
-            Err(reply) => return *reply,
+            Err(reply) => return reply,
         }
     }
     Reply::ok(QueryService::batch_body(&bodies), "batch")
@@ -1026,8 +935,8 @@ fn handle_batch(
 fn settle(
     shared: &Shared,
     answer: Answer,
-    kind: &str,
-) -> Result<(Arc<String>, &'static str), Box<Reply>> {
+    kind: &'static str,
+) -> Result<(Arc<String>, &'static str), Reply> {
     let (body, counter, label) = match answer {
         Answer::Fresh(body, _) => (body, &shared.cache_misses, "miss"),
         Answer::Cached(body) => (body, &shared.cache_hits, "hit"),
@@ -1038,91 +947,59 @@ fn settle(
             hpcfail_obs::counter("serve.degraded").inc();
             let mut reply = Reply::error(
                 504,
-                "Gateway Timeout",
                 "deadline passed while awaiting an identical in-flight query",
                 true,
                 kind,
             );
             reply.headers.push(("x-degraded", "true".to_owned()));
-            return Err(Box::new(reply));
+            return Err(reply);
         }
-        Answer::Failed(message) => {
-            return Err(Box::new(Reply::error(
-                500,
-                "Internal Server Error",
-                &message,
-                false,
-                kind,
-            )))
-        }
+        Answer::Failed(message) => return Err(Reply::error(500, &message, false, kind)),
     };
     counter.inc();
     Ok((body, label))
 }
 
-/// The admission chaos point: latency, an injected typed error, or a
-/// forced shed — decided before the real gate sees the request.
-fn chaos_admission(shared: &Shared, class: CostClass, kind: &str) -> Option<Reply> {
-    let chaos = shared.chaos.as_ref()?;
-    match chaos.decide(ChaosPoint::Admission)? {
-        ChaosAction::Delay(delay) => {
+/// The admission step of every upload, query and batch: the deadline,
+/// the `admission` chaos point, the gate, the `admit` stamp and the
+/// `engine` chaos point, in that order. Returns the held permit and
+/// the deadline, or the typed reply (shed or injected fault) that
+/// answers instead. An `engine` stall holds the permit through its
+/// sleep, so it genuinely occupies gate capacity, and an `engine`
+/// panic releases it on the unwind.
+fn admit<'a>(
+    request: &Request,
+    shared: &'a Shared,
+    class: CostClass,
+    kind: &'static str,
+    stamps: &mut Stamps,
+) -> Result<(Permit<'a>, Instant), Reply> {
+    let deadline = Instant::now() + Duration::from_millis(deadline_ms(request, shared));
+    let retry_after_ms = shared.gate.config().retry_after_ms;
+    // The parser admits each fault only at the points that handle it:
+    // `shed` at admission, `panic` at the engine, `drop` at neither.
+    let chaos = |point| match shared.chaos.as_ref().and_then(|c| c.decide(point)) {
+        Some(ChaosAction::Delay(delay)) => {
             std::thread::sleep(delay);
-            None
+            Ok(())
         }
-        ChaosAction::Fail { status } => Some(Reply::error(
-            status,
-            reason_phrase(status),
-            "chaos-injected error",
-            false,
+        Some(ChaosAction::Fail { status }) => {
+            Err(Reply::error(status, "chaos-injected error", false, kind))
+        }
+        Some(ChaosAction::Shed) => Err(Reply::shed(
+            shared.gate.record_chaos_shed(class),
+            retry_after_ms,
             kind,
         )),
-        ChaosAction::Shed => {
-            let reason = shared.gate.record_chaos_shed(class);
-            Some(Reply::shed(
-                reason,
-                shared.gate.config().retry_after_ms,
-                kind,
-            ))
-        }
-        ChaosAction::Drop => None, // unreachable: parser rejects drop here
-    }
-}
-
-/// The engine chaos point: latency/stall or an injected typed error,
-/// decided after admission (the permit is held through the sleep, so
-/// stalls genuinely occupy gate capacity).
-fn chaos_engine_point(shared: &Shared, kind: &str) -> Option<Reply> {
-    let chaos = shared.chaos.as_ref()?;
-    match chaos.decide(ChaosPoint::Engine)? {
-        ChaosAction::Delay(delay) => {
-            std::thread::sleep(delay);
-            None
-        }
-        ChaosAction::Fail { status } => Some(Reply::error(
-            status,
-            reason_phrase(status),
-            "chaos-injected error",
-            false,
-            kind,
-        )),
-        _ => None, // unreachable: parser rejects drop/shed here
-    }
-}
-
-/// The reason phrase for an injected status code.
-fn reason_phrase(status: u16) -> &'static str {
-    match status {
-        400 => "Bad Request",
-        404 => "Not Found",
-        408 => "Request Timeout",
-        413 => "Content Too Large",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Error",
-    }
+        Some(ChaosAction::Panic) => panic!("chaos-injected panic"),
+        Some(ChaosAction::Drop) | None => Ok(()),
+    };
+    chaos(ChaosPoint::Admission)?;
+    let admitted = shared.gate.admit(class, deadline);
+    stamps.mark(Phase::Admit);
+    let permit = admitted.map_err(|reason| Reply::shed(reason, retry_after_ms, kind))?;
+    chaos(ChaosPoint::Engine)?;
+    Ok((permit, deadline))
 }
 
 fn deadline_ms(request: &Request, shared: &Shared) -> u64 {

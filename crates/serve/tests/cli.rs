@@ -10,7 +10,8 @@ use hpcfail_store::csv::save_trace;
 use hpcfail_store::snapshot::write_snapshot;
 use hpcfail_synth::FleetSpec;
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
@@ -684,6 +685,17 @@ fn metrics_surface_and_its_identities_hold_for_fixed_traffic() {
     }
     assert_eq!(client.get("/v1/nope").expect("404").status, 404);
     assert_eq!(client.get("/v1/healthz").expect("healthz").status, 200);
+    // An unparseable request gets its typed 400 and a trace id, but no
+    // row in the request table: the counts below stay as pinned.
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    raw.write_all(b"garbage\r\n\r\n").expect("write");
+    let mut answer = String::new();
+    raw.read_to_string(&mut answer).expect("read");
+    assert!(
+        answer.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+        "{answer}"
+    );
+    assert!(answer.contains("\r\nx-trace-id: "), "{answer}");
 
     let text = client.get("/v1/metrics").expect("scrape").body;
     let health = client.get("/v1/healthz").expect("healthz").body;

@@ -14,6 +14,7 @@
 
 use hpcfail_core::engine::{AnalysisRequest, Engine};
 use hpcfail_obs::json::Json;
+use hpcfail_serve::chaos::ChaosConfig;
 use hpcfail_serve::client::Client;
 use hpcfail_serve::server::{spawn, ServerConfig};
 use hpcfail_serve::slo::SloPolicy;
@@ -23,6 +24,14 @@ use std::time::Duration;
 
 fn engine() -> Engine {
     Engine::new(hpcfail_synth::FleetSpec::demo().generate(42).into_store())
+}
+
+/// A chaos spec that panics every request reaching the engine point:
+/// every admitted analysis or upload, and nothing else.
+fn panic_at_engine() -> Option<ChaosConfig> {
+    let spec =
+        r#"{"seed": 1, "rules": [{"point": "engine", "fault": "panic", "probability": 1.0}]}"#;
+    Some(ChaosConfig::parse(spec).expect("valid chaos spec"))
 }
 
 fn scrape(client: &Client) -> promtext::Scrape {
@@ -242,7 +251,7 @@ fn panicking_handler_answers_500_and_releases_the_inflight_gauge() {
     let handle = spawn(
         engine(),
         ServerConfig {
-            inject_panic_kind: Some("trace-summary".to_owned()),
+            chaos: panic_at_engine(),
             ..ServerConfig::default()
         },
     )
@@ -267,6 +276,11 @@ fn panicking_handler_answers_500_and_releases_the_inflight_gauge() {
         handle.inflight(),
         0,
         "in-flight gauge decremented despite the panic"
+    );
+    assert_eq!(
+        handle.admission().inflight(),
+        0,
+        "the admission permit is released on the unwind"
     );
     // The worker survived; the server keeps serving.
     let health = client.get("/v1/healthz").expect("alive after panic");
@@ -391,7 +405,7 @@ fn tight_slo_budget_degrades_healthz() {
     let handle = spawn(
         engine(),
         ServerConfig {
-            inject_panic_kind: Some("equal-rates-test".to_owned()),
+            chaos: panic_at_engine(),
             slo: SloPolicy {
                 latency_budget_ms: 500,
                 max_error_rate: 0.01,

@@ -96,7 +96,7 @@ fn check_read(bytes: &[u8]) -> Result<(), TestCaseError> {
         }
         Ok(None) => {}
         Err(err) => {
-            let status = err.status().map(|(status, _)| status);
+            let status = err.status();
             prop_assert!(
                 status.is_some_and(|s| (400..500).contains(&s)),
                 "{:?} answered {:?}",
@@ -181,7 +181,7 @@ proptest! {
         let err = read_request_with_limit(&mut BufReader::new(head.as_bytes()), body_limit)
             .expect_err("no body follows the head");
         let expected = if upload && length <= MAX_UPLOAD_BODY { 400 } else { 413 };
-        prop_assert_eq!(err.status().map(|(status, _)| status), Some(expected), "{}", err.message());
+        prop_assert_eq!(err.status(), Some(expected), "{}", err.message());
     }
 
     #[test]
@@ -219,7 +219,7 @@ proptest! {
         rules in prop::collection::vec(
             (
                 prop::sample::select(vec!["accept", "admission", "engine", "respond", "nowhere"]),
-                prop::sample::select(vec!["latency", "stall", "error", "drop", "shed", "boom"]),
+                prop::sample::select(vec!["latency", "stall", "error", "drop", "shed", "panic", "boom"]),
                 -0.5f64..1.5,
                 prop::option::of(0u64..1000),
                 prop::option::of(0u64..100),
